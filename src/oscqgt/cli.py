@@ -2,7 +2,9 @@
 
 Structured output keeps the exact rational coefficients; floats are attached
 only as convenience evaluations.  Exit codes: 0 success, 1 verification
-failure, 2 invalid configuration, 3 divergent integral.
+failure, 2 invalid configuration, 3 divergent integral, 4 spectral oracle
+failure (basis too small, finite-difference step too large, or no eigensolver
+convergence).
 """
 
 from __future__ import annotations
@@ -20,22 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import linear_exact, qgt, spectral_oracle
-from .integrator import (
-    TAU1,
-    TAU2,
-    DivergentIntegral,
-    internal_vertex,
-    resolve_absolute_values,
-)
-from .perturbation import (
-    DEFAULT_MAX_ORDER,
-    OrderOverflow,
-    connected_integrand,
-    integrand_products,
-    integrand_term_lines,
-)
+from .integrator import DivergentIntegral, wedge_integral
+from .perturbation import DEFAULT_MAX_ORDER, OrderOverflow, connected_integrand
 from .scalar_algebra import NonPositiveAlpha, ScalarSeries
-from .wick import GaussianModel, InsertionPoint, connected_pair_correlator, edges_to_dot
+from .spectral_oracle import BasisTooSmall, NoConvergence, StepTooLarge
+from .wick import edges_to_dot
 
 __all__ = ["main", "RECORD_SCHEMA", "run_verification"]
 
@@ -43,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGENT = 3
+EXIT_ORACLE = 4
 
 MAX_ORDER_ENV = "QGT_MAX_ORDER"
 
@@ -233,30 +225,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _debug_integrands(space, order: int, max_order: int) -> str:
-    """Chamber-level view of every component integrand (verbose mode)."""
+    """One line per integrand product: coefficient, edge pattern, exact wedge value."""
     lines = []
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
         lines.append(f"# integrand g({a},{b})")
-        if space.kind == "linear":
-            products = connected_pair_correlator(
-                GaussianModel(source_j=True),
-                [InsertionPoint("tau1", space.operator(a).q_power)],
-                [InsertionPoint("tau2", space.operator(b).q_power)],
-            )
-            by_vertices = {0: products}
-        else:
-            graded = connected_integrand(
-                space.operator(a), space.operator(b), order, space.potential, max_order
-            )
-            lines.extend(f"  {line}" for line in integrand_term_lines(graded, space.potential))
-            by_vertices = integrand_products(graded)
+        by_vertices = qgt.component_integrand(space, a, b, order, max_order)
         for m, products in sorted(by_vertices.items()):
-            time_vars = [TAU1, TAU2] + [internal_vertex(i) for i in range(1, m + 1)]
             for product in products:
                 pattern = " ".join(f"D({x},{y})" for x, y in product.edges)
-                lines.append(f"  {product.coeff} * {pattern}")
-                for term in resolve_absolute_values(product, time_vars):
-                    lines.append(f"    {term.describe()}")
+                value = wedge_integral([product], n_vertices=m)
+                lines.append(f"  {product.coeff} * {pattern} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -280,7 +258,7 @@ def cmd_compute(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _linear_checks(verbose: bool = False) -> list[dict]:
+def _linear_checks() -> list[dict]:
     checks = []
     space = qgt.ParameterSpace.linear_source()
     series = {
@@ -324,7 +302,7 @@ def _linear_checks(verbose: bool = False) -> list[dict]:
     return checks
 
 
-def _quartic_checks(verbose: bool = False) -> list[dict]:
+def _quartic_checks() -> list[dict]:
     checks = []
     space = qgt.ParameterSpace.quartic()
     series = {
@@ -583,6 +561,9 @@ def main(argv=None) -> int:
     except DivergentIntegral as exc:
         print(f"divergent integral: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT
+    except (BasisTooSmall, StepTooLarge, NoConvergence) as exc:
+        print(f"oracle failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

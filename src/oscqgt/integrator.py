@@ -1,74 +1,46 @@
-"""Closed-form iterated integration of the wedge correlator integrands.
+"""Exact wedge integrals of free-propagator products.
 
-The integrands produced by Wick contraction are products of free Euclidean
-propagators
+The integrands are products of free Euclidean propagators
+D(t1, t2) = exp(-sqrt(alpha) |t1 - t2|) / (2 sqrt(alpha)) over tau1 <= 0,
+tau2 >= 0 and internal vertices s_i on the real line.  They depend only on
+time differences, so integrating out the common translation leaves all
+configurations with tau1 < tau2, weighted by tau2 - tau1.
 
-    D(t1, t2) = exp(-sqrt(alpha) |t1 - t2|) / (2 sqrt(alpha)),
+On one total order of the n = m + 2 times the gaps between neighbours are
+independent half-axis variables; gap g is crossed by c_g propagators (the cut
+of the set of earlier times).  Integrating every gap gives
 
-to be integrated over tau1 in (-inf, 0], tau2 in [0, inf) and any number of
-internal vertices s_i in (-inf, inf).  Splitting the domain into chambers
-(total orderings of the time variables) turns every |t - t'| into a signed
-difference, after which each chamber integrand is a monomial in the times
-multiplied by exp(sqrt(alpha) * sum_i r_i t_i) with rational rates r_i.
-That class is closed under integrating one variable at a time, including
-the degenerate zero-rate case which bumps the monomial degree (the source
-of the (tau2 - tau1) factors).  Everything stays exact.
+    prod_g 1/(sqrt(alpha) c_g) * sum_{gaps j between tau1 and tau2} 1/(sqrt(alpha) c_j),
+
+the sum coming from the weight tau2 - tau1.  Equal-time loops only add their
+constant 1/(2 sqrt(alpha)).  As c_g depends on the set of earlier times and
+not on their order, the sum over all orders is a dynamic programme over the
+2^n subsets with two exact accumulators: plain, and with one gap marked.  A
+zero cut on a proper subset means the graph is disconnected and the integral
+diverges.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
 
 __all__ = [
-    "Domain",
-    "TimeVar",
-    "Propagator",
-    "PropagatorProduct",
-    "Chamber",
-    "ExpPolyTerm",
-    "DivergentIntegral",
-    "TAU1",
-    "TAU2",
-    "internal_vertex",
-    "enumerate_chambers",
-    "resolve_absolute_values",
-    "integrate_innermost",
-    "integrate_all",
-    "wedge_integral",
-    "propagator_value",
+    "Propagator", "PropagatorProduct", "DivergentIntegral", "TAU1", "TAU2",
+    "internal_vertex", "cut_sizes", "wedge_integral", "propagator_value",
 ]
 
-ORIGIN_NAME = "0"
+TAU1 = "tau1"  # integrated over (-inf, 0]
+TAU2 = "tau2"  # integrated over [0, inf)
 
 
-class Domain(Enum):
-    NEG_HALF = "neg"   # tau1: (-inf, 0]
-    POS_HALF = "pos"   # tau2: [0, inf)
-    FULL = "full"      # internal vertices: (-inf, inf)
-    ORIGIN = "origin"  # the constant time 0, used only as a pinned marker
-
-
-@dataclass(frozen=True)
-class TimeVar:
-    name: str
-    domain: Domain
-
-
-TAU1 = TimeVar("tau1", Domain.NEG_HALF)
-TAU2 = TimeVar("tau2", Domain.POS_HALF)
-_ORIGIN = TimeVar(ORIGIN_NAME, Domain.ORIGIN)
-
-
-def internal_vertex(i: int) -> TimeVar:
+def internal_vertex(i: int) -> str:
     """The i-th internal vertex (1-based), integrated over the full axis."""
-    return TimeVar(f"s{i}", Domain.FULL)
+    return f"s{i}"
 
 
 @dataclass(frozen=True)
@@ -81,10 +53,6 @@ class Propagator:
         a, b = self.endpoints
         if a > b:
             object.__setattr__(self, "endpoints", (b, a))
-
-    @property
-    def is_loop(self) -> bool:
-        return self.endpoints[0] == self.endpoints[1]
 
 
 @dataclass(frozen=True)
@@ -103,333 +71,69 @@ class PropagatorProduct:
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(p.endpoints for p in self.propagators)
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
-        for p in self.propagators:
-            out.update(p.endpoints)
-        out.discard(ORIGIN_NAME)
-        return out
+
+def cut_sizes(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> list[int]:
+    """c[s], the number of propagators with one endpoint in subset s (bit i = names[i])."""
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    ends = [bit[a] | bit[b] for a, b in edges if a != b]
+    return [sum(0 < s & e < e for e in ends) for s in range(1 << len(names))]
 
 
-@dataclass(frozen=True)
-class Chamber:
-    """A total order (ascending) over the active time variables.
+def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Fraction:
+    """Sum over orders with tau1 before tau2 of prod_g 1/c_g * sum_j 1/c_j.
 
-    The origin is included as a pinned element only when some propagator
-    endpoint is the constant 0; otherwise the constraints tau1 <= 0 <= tau2
-    are applied at bound-resolution time.
+    tau1 and tau2 come first in `names`, so they are bits 0 and 1 of a subset.
+    The accumulators are integers over the common denominator scale**n.
     """
-
-    order: tuple[TimeVar, ...]
-
-    def index_of(self, name: str) -> int:
-        for i, v in enumerate(self.order):
-            if v.name == name:
-                return i
-        raise KeyError(name)
-
-    def without(self, name: str) -> "Chamber":
-        return Chamber(tuple(v for v in self.order if v.name != name))
-
-    def describe(self) -> str:
-        return " < ".join(v.name for v in self.order)
-
-
-@dataclass(frozen=True)
-class ExpPolyTerm:
-    """scalar * prod(t**monomial[t]) * exp(sqrt(alpha) * sum(rates[t] * t)) on one chamber."""
-
-    scalar: ScalarTerm
-    monomial: tuple[tuple[str, int], ...]
-    rates: tuple[tuple[str, Fraction], ...]
-    chamber: Chamber
-
-    @property
-    def monomial_dict(self) -> dict[str, int]:
-        return dict(self.monomial)
-
-    @property
-    def rates_dict(self) -> dict[str, Fraction]:
-        return dict(self.rates)
-
-    def evaluate(self, alpha: float, assignment: Mapping[str, float]) -> float:
-        """Numeric value at a point of the chamber (no membership check)."""
-        val = self.scalar.evaluate(alpha, 1.0, 1.0)  # couplings folded by caller
-        for name, k in self.monomial:
-            val *= assignment[name] ** k
-        rate_sum = sum(float(r) * assignment[name] for name, r in self.rates)
-        return val * math.exp(math.sqrt(alpha) * rate_sum)
-
-    def describe(self) -> str:
-        mono = " ".join(f"{n}^{k}" for n, k in self.monomial) or "1"
-        rate = " ".join(
-            f"{'+' if r > 0 else '-'}{abs(r)}*{n}" for n, r in self.rates
-        ) or "0"
-        coeff = f"{self.scalar.coeff} * a^{self.scalar.alpha_half_pow}/2"
-        return f"[{self.chamber.describe()}] {coeff} * {mono} * exp(sqrt(a)*({rate}))"
-
-
-def _canonical_dict(d: Mapping[str, object]) -> tuple:
-    return tuple(sorted((k, v) for k, v in d.items() if v))
-
-
-def enumerate_chambers(time_vars: Sequence[TimeVar], include_origin: bool = False) -> list[Chamber]:
-    """All total orders of the variables consistent with tau1 <= 0 <= tau2.
-
-    Orderings differing only by where an internal vertex sits relative to 0
-    are not split unless include_origin is set: the absolute values inside
-    propagators depend only on the relative order of the variables.
-    """
-    elems = list(time_vars)
-    if include_origin:
-        elems.append(_ORIGIN)
-    chambers = []
-    for perm in itertools.permutations(elems):
-        pos = {v.name: i for i, v in enumerate(perm)}
-        ok = True
-        for a, b in itertools.combinations(perm, 2):
-            # enforce neg <= origin <= pos for every pair that pins down a sign
-            rank = {Domain.NEG_HALF: 0, Domain.ORIGIN: 1, Domain.POS_HALF: 2}
-            if a.domain in rank and b.domain in rank and a.domain != b.domain:
-                lo, hi = (a, b) if rank[a.domain] < rank[b.domain] else (b, a)
-                if pos[lo.name] > pos[hi.name]:
-                    ok = False
-                    break
-        if ok:
-            chambers.append(Chamber(tuple(perm)))
-    chambers.sort(key=lambda c: tuple(v.name for v in c.order))
-    return chambers
-
-
-def resolve_absolute_values(
-    product: PropagatorProduct, time_vars: Sequence[TimeVar]
-) -> list[ExpPolyTerm]:
-    """Split a propagator product into chamber-restricted exponential terms.
-
-    Every propagator contributes a factor 1/(2 sqrt(alpha)); on a chamber the
-    exponent of D(x, y) resolves to sqrt(alpha) * (x - y) for x ordered below y.
-    Endpoints at the constant 0 pin the origin into the chamber ordering.
-    """
-    names = {v.name for v in time_vars}
-    needs_origin = False
-    for p in product.propagators:
-        for e in p.endpoints:
-            if e == ORIGIN_NAME:
-                needs_origin = True
-            elif e not in names:
-                raise ValueError(f"propagator endpoint {e!r} is not an active variable")
-    n_props = len(product.propagators)
-    out: list[ExpPolyTerm] = []
-    for chamber in enumerate_chambers(time_vars, include_origin=needs_origin):
-        pos = {v.name: i for i, v in enumerate(chamber.order)}
-        rates: dict[str, Fraction] = {}
-        for p in product.propagators:
-            a, b = p.endpoints
-            if a == b:
-                continue  # equal-time loop: pure scalar 1/(2 sqrt(alpha))
-            lo, hi = (a, b) if pos[a] < pos[b] else (b, a)
-            if lo != ORIGIN_NAME:
-                rates[lo] = rates.get(lo, Fraction(0)) + 1
-            if hi != ORIGIN_NAME:
-                rates[hi] = rates.get(hi, Fraction(0)) - 1
-        for st in product.coeff.terms:
-            scalar = ScalarTerm(
-                st.coeff * Fraction(1, 2**n_props),
-                st.alpha_half_pow - n_props,
-                st.lambda_pow,
-                st.j_pow,
-            )
-            out.append(ExpPolyTerm(scalar, (), _canonical_dict(rates), chamber))
-    return out
-
-
-_NEG_INF = "-inf"
-_POS_INF = "+inf"
-
-
-def _bounds(term: ExpPolyTerm, var: TimeVar) -> tuple[str, str]:
-    """Integration bounds of `var` inside the term's chamber.
-
-    Bounds are chamber neighbours, the origin, or +/-inf.  A half-axis leg may
-    be integrated only once no full-axis vertex separates it from its intrinsic
-    origin bound; the canonical elimination order guarantees that.
-    """
-    idx = term.chamber.index_of(var.name)
-    below = term.chamber.order[idx - 1] if idx > 0 else None
-    above = term.chamber.order[idx + 1] if idx < len(term.chamber.order) - 1 else None
-    if var.domain is Domain.FULL:
-        lo = below.name if below else _NEG_INF
-        hi = above.name if above else _POS_INF
-    elif var.domain is Domain.POS_HALF:
-        hi = above.name if above else _POS_INF
-        if below is None or below.domain in (Domain.NEG_HALF, Domain.ORIGIN):
-            lo = ORIGIN_NAME  # max(tau1, 0) = 0 on the wedge
-        else:
-            raise ValueError(
-                f"cannot integrate {var.name} before internal vertex {below.name}"
-            )
-    elif var.domain is Domain.NEG_HALF:
-        lo = below.name if below else _NEG_INF
-        if above is None or above.domain in (Domain.POS_HALF, Domain.ORIGIN):
-            hi = ORIGIN_NAME
-        else:
-            raise ValueError(
-                f"cannot integrate {var.name} before internal vertex {above.name}"
-            )
-    else:
-        raise ValueError("cannot integrate the origin marker")
-    return lo, hi
-
-
-def integrate_innermost(term: ExpPolyTerm, var: TimeVar) -> list[ExpPolyTerm]:
-    """Integrate one variable of an ExpPolyTerm in closed form.
-
-    Finite bounds produce boundary-evaluation terms on the reduced chamber;
-    infinite bounds require strict decay (DivergentIntegral otherwise); a zero
-    rate over a bounded interval bumps the monomial degree by one.
-    """
-    mono = term.monomial_dict
-    rates = term.rates_dict
-    k = mono.pop(var.name, 0)
-    r = rates.pop(var.name, Fraction(0))
-    lo, hi = _bounds(term, var)
-    chamber = term.chamber.without(var.name)
-
-    def substituted(bound: str, extra_pow: int, extra_rate: Fraction, scalar: ScalarTerm):
-        new_mono = dict(mono)
-        new_rates = dict(rates)
-        if bound != ORIGIN_NAME:
-            if extra_pow:
-                new_mono[bound] = new_mono.get(bound, 0) + extra_pow
-            if extra_rate:
-                new_rates[bound] = new_rates.get(bound, Fraction(0)) + extra_rate
-        elif extra_pow:
-            return None  # 0**j vanishes for j > 0
-        return ExpPolyTerm(scalar, _canonical_dict(new_mono), _canonical_dict(new_rates), chamber)
-
-    results: list[ExpPolyTerm] = []
-    if r == 0:
-        if lo == _NEG_INF or hi == _POS_INF:
-            raise DivergentIntegral(
-                f"zero decay rate for {var.name} toward an infinite bound"
-            )
-        # int u^k du = u^(k+1)/(k+1) between the bounds
-        for bound, sign in ((hi, 1), (lo, -1)):
-            scalar = ScalarTerm(
-                term.scalar.coeff * Fraction(sign, k + 1),
-                term.scalar.alpha_half_pow,
-                term.scalar.lambda_pow,
-                term.scalar.j_pow,
-            )
-            t = substituted(bound, k + 1, Fraction(0), scalar)
-            if t is not None:
-                results.append(t)
-    else:
-        # antiderivative of u^k exp(c u), c = sqrt(alpha) * r:
-        #   exp(c u) * sum_j (-1)^(k-j) (k!/j!) u^j / c^(k+1-j)
-        if hi == _POS_INF and r >= 0:
-            raise DivergentIntegral(f"non-decaying rate {r} for {var.name} at +inf")
-        if lo == _NEG_INF and r <= 0:
-            raise DivergentIntegral(f"non-decaying rate {r} for {var.name} at -inf")
-        for bound, sign in ((hi, 1), (lo, -1)):
-            if bound in (_NEG_INF, _POS_INF):
-                continue  # decay checked above: contributes zero
-            for jpow in range(k + 1):
-                drop = k + 1 - jpow  # powers of c removed
-                coeff = (
-                    term.scalar.coeff
-                    * sign
-                    * (-1) ** (k - jpow)
-                    * Fraction(math.factorial(k), math.factorial(jpow))
-                    / r**drop
-                )
-                scalar = ScalarTerm(
-                    coeff,
-                    term.scalar.alpha_half_pow - drop,
-                    term.scalar.lambda_pow,
-                    term.scalar.j_pow,
-                )
-                t = substituted(bound, jpow, r, scalar)
-                if t is not None:
-                    results.append(t)
-    return _merge(results)
-
-
-def _merge(terms: Iterable[ExpPolyTerm]) -> list[ExpPolyTerm]:
-    acc: dict[tuple, ExpPolyTerm] = {}
-    for t in terms:
-        key = (
-            t.chamber,
-            t.monomial,
-            t.rates,
-            t.scalar.alpha_half_pow,
-            t.scalar.lambda_pow,
-            t.scalar.j_pow,
-        )
-        if key in acc:
-            prev = acc[key]
-            coeff = prev.scalar.coeff + t.scalar.coeff
-            if coeff == 0:
-                del acc[key]
-            else:
-                acc[key] = ExpPolyTerm(
-                    ScalarTerm(coeff, *key[3:]), t.monomial, t.rates, t.chamber
-                )
-        elif t.scalar.coeff != 0:
-            acc[key] = t
-    return list(acc.values())
-
-
-def _default_order(time_vars: Sequence[TimeVar]) -> list[TimeVar]:
-    full = sorted((v for v in time_vars if v.domain is Domain.FULL), key=lambda v: v.name)
-    pos = [v for v in time_vars if v.domain is Domain.POS_HALF]
-    neg = [v for v in time_vars if v.domain is Domain.NEG_HALF]
-    return full + pos + neg
-
-
-def integrate_all(
-    terms: Sequence[ExpPolyTerm],
-    time_vars: Sequence[TimeVar],
-    elimination_order: Sequence[TimeVar] | None = None,
-) -> ScalarSeries:
-    """Integrate out every time variable, producing an exact ScalarSeries.
-
-    The default elimination order is all full-axis vertices (sorted by name),
-    then the positive leg, then the negative leg.  Any admissible order gives
-    the same result; inadmissible orders raise ValueError.
-    """
-    order = list(elimination_order) if elimination_order is not None else _default_order(time_vars)
-    if {v.name for v in order} != {v.name for v in time_vars}:
-        raise ValueError("elimination order must cover exactly the active variables")
-    current = list(terms)
-    for var in order:
-        nxt: list[ExpPolyTerm] = []
-        for t in current:
-            nxt.extend(integrate_innermost(t, var))
-        current = _merge(nxt)
-    out = []
-    for t in current:
-        if t.monomial or t.rates:
-            raise RuntimeError(f"unintegrated time dependence left: {t.describe()}")
-        out.append(t.scalar)
-    return ScalarSeries.from_terms(out)
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    full = (1 << len(names)) - 1
+    cut = cut_sizes(edges, names)
+    for s in range(1, full):
+        if cut[s] == 0:
+            members = ", ".join(n for n, b in bit.items() if s & b)
+            raise DivergentIntegral(f"no propagator links {{{members}}} to the other times")
+    scale = math.lcm(*cut[1:full])
+    plain, marked = [1] + [0] * full, [0] * (full + 1)
+    for s in range(1, full + 1):  # every subset comes after its subsets
+        if s & 3 == 2:
+            continue  # tau2 before tau1
+        p = sum(plain[s ^ b] for b in bit.values() if s & b)
+        m = sum(marked[s ^ b] for b in bit.values() if s & b)
+        if s != full:
+            w = scale // cut[s]
+            if s & 3 == 1:
+                m += p * w  # the gap after s lies between tau1 and tau2
+            p, m = p * w, m * w
+        plain[s], marked[s] = p, m
+    return Fraction(marked[full], scale ** len(names))
 
 
 def wedge_integral(
     products: Iterable[PropagatorProduct],
     n_vertices: int = 0,
-    elimination_order: Sequence[TimeVar] | None = None,
+    elimination_order: Sequence[str] | None = None,
 ) -> ScalarSeries:
-    """Resolve and integrate a sum of propagator products over the wedge.
+    """Exact integral of a sum of propagator products over the wedge.
 
     The products may reference tau1, tau2 and internal vertices s1..s_n.
+    `elimination_order`, if given, must name exactly these variables; the
+    result does not depend on it, since every order of integration agrees.
     """
-    time_vars = [TAU1, TAU2] + [internal_vertex(i) for i in range(1, n_vertices + 1)]
-    total = ScalarSeries.zero()
+    names = [TAU1, TAU2] + [internal_vertex(i) for i in range(1, n_vertices + 1)]
+    if elimination_order is not None and sorted(elimination_order) != sorted(names):
+        raise ValueError("elimination order must cover exactly the active variables")
+    terms = []
     for product in products:
-        terms = resolve_absolute_values(product, time_vars)
-        total = total + integrate_all(terms, time_vars, elimination_order)
-    return total
+        unknown = {t for edge in product.edges for t in edge} - set(names)
+        if unknown:
+            raise ValueError(f"propagator endpoints {sorted(unknown)} are not active variables")
+        n_props = len(product.propagators)
+        value = _ordered_sum(product.edges, names) / 2**n_props
+        terms.extend(
+            ScalarTerm(t.coeff * value, t.alpha_half_pow - n_props - len(names), t.lambda_pow, t.j_pow)
+            for t in product.coeff.terms
+        )
+    return ScalarSeries.from_terms(terms)
 
 
 def propagator_value(alpha: float, t1: float, t2: float) -> float:

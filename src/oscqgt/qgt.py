@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import wick
-from .integrator import wedge_integral
+from .integrator import PropagatorProduct, wedge_integral
 from .perturbation import (
     DEFAULT_MAX_ORDER,
     DeformationOperator,
@@ -32,6 +32,7 @@ __all__ = [
     "ParameterSpace",
     "QGTResult",
     "CONVENTION",
+    "component_integrand",
     "qgt_component",
     "metric_and_curvature",
     "assemble",
@@ -111,6 +112,34 @@ class QGTResult:
     order: int
 
 
+def component_integrand(
+    space: ParameterSpace,
+    a: str,
+    b: str,
+    order: int = 1,
+    max_order: int = DEFAULT_MAX_ORDER,
+) -> dict[int, list[PropagatorProduct]]:
+    """The connected integrand of G_ab as propagator products keyed by vertex count.
+
+    The linear-source model is summed exactly (the expansion in J terminates)
+    and has no internal vertices; `order` is the coupling truncation for the
+    polynomial models.  Operator prefactors are not included.
+    """
+    op_a = space.operator(a)
+    op_b = space.operator(b)
+    if space.kind == LINEAR:
+        model = GaussianModel(source_j=True)
+        return {
+            0: wick.connected_pair_correlator(
+                model,
+                [InsertionPoint("tau1", op_a.q_power)],
+                [InsertionPoint("tau2", op_b.q_power)],
+            )
+        }
+    graded = connected_integrand(op_a, op_b, order, space.potential, max_order)
+    return integrand_products(graded)
+
+
 def qgt_component(
     space: ParameterSpace,
     a: str,
@@ -123,22 +152,10 @@ def qgt_component(
     The linear-source model is summed exactly (the expansion in J terminates);
     `order` is the coupling truncation for the polynomial models.
     """
-    op_a = space.operator(a)
-    op_b = space.operator(b)
-    if space.kind == LINEAR:
-        model = GaussianModel(source_j=True)
-        corr = wick.connected_pair_correlator(
-            model,
-            [InsertionPoint("tau1", op_a.q_power)],
-            [InsertionPoint("tau2", op_b.q_power)],
-        )
-        series = wedge_integral(corr)
-    else:
-        graded = connected_integrand(op_a, op_b, order, space.potential, max_order)
-        series = ScalarSeries.zero()
-        for m, products in integrand_products(graded).items():
-            series = series + wedge_integral(products, n_vertices=m)
-    return series * (op_a.prefactor * op_b.prefactor)
+    series = ScalarSeries.zero()
+    for m, products in component_integrand(space, a, b, order, max_order).items():
+        series = series + wedge_integral(products, n_vertices=m)
+    return series * (space.operator(a).prefactor * space.operator(b).prefactor)
 
 
 def metric_and_curvature(

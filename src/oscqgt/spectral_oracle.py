@@ -52,7 +52,6 @@ class OracleConfig:
     basis_size: int = 128
     reference_frequency: float | None = None  # default sqrt(alpha)
     fd_step: dict[str, float] = field(default_factory=dict)
-    eigen_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.basis_size < 16:
@@ -120,7 +119,7 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ground_state(matrix: np.ndarray, tolerance: float = 1e-12) -> tuple[float, np.ndarray]:
+def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry."""
     try:
         vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
@@ -135,7 +134,7 @@ def _checked_ground_vector(
     alpha, lam, j, potential, config: OracleConfig
 ) -> np.ndarray:
     h = build_hamiltonian(alpha, lam, j, potential, config)
-    _, vec = ground_state(h, config.eigen_tolerance)
+    _, vec = ground_state(h)
     n = len(vec)
     tail = float(np.sum(vec[int(0.9 * n):] ** 2))
     if tail > 1e-10:
@@ -188,7 +187,6 @@ def numeric_qim(
         basis_size=config.basis_size,
         reference_frequency=config.omega(alpha),
         fd_step=config.fd_step,
-        eigen_tolerance=config.eigen_tolerance,
     )
     steps = {label: config.step(label, alpha) for label in labels}
     half = {label: 0.5 * h for label, h in steps.items()}
@@ -198,7 +196,6 @@ def numeric_qim(
         basis_size=2 * config.basis_size,
         reference_frequency=pinned.reference_frequency,
         fd_step=config.fd_step,
-        eigen_tolerance=config.eigen_tolerance,
     )
     g_big = _metric_matrix(alpha, lam, j, potential, doubled, labels, half)
     report: dict[tuple[str, str], dict[str, float]] = {}
@@ -236,7 +233,6 @@ def fidelity_qim(
         basis_size=config.basis_size,
         reference_frequency=config.omega(alpha),
         fd_step=config.fd_step,
-        eigen_tolerance=config.eigen_tolerance,
     )
     point = {"alpha": alpha, "lambda": lam, "j": j}
 

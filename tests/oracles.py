@@ -52,12 +52,10 @@ def points_of(spec: dict[str, int]) -> list[InsertionPoint]:
 
 
 def product_value(alpha: float, edges, assignment: dict[str, float]) -> float:
-    """Numeric value of a propagator product at fixed times (origin allowed)."""
+    """Numeric value of a propagator product at fixed times."""
     val = 1.0
     for a, b in edges:
-        ta = 0.0 if a == "0" else assignment[a]
-        tb = 0.0 if b == "0" else assignment[b]
-        val *= propagator_value(alpha, ta, tb)
+        val *= propagator_value(alpha, assignment[a], assignment[b])
     return val
 
 
@@ -74,6 +72,21 @@ def quad_internal_vertex(alpha: float, edges, assignment: dict[str, float], vert
         f, -cut, cut, points=kinks, epsabs=1e-14, epsrel=1e-13, limit=500
     )
     assert err < 1e-10
+    return value
+
+
+def quad_separation(alpha: float, edges, vertex: str) -> float:
+    """The one-vertex wedge integral as int_0^inf du u f(u), by nested quad.
+
+    The integrand depends only on time differences, so fixing tau1 = 0 and
+    tau2 = u leaves the wedge measure u du; f(u) is quad_internal_vertex.
+    """
+
+    def f(u):
+        return u * quad_internal_vertex(alpha, edges, {"tau1": 0.0, "tau2": u}, vertex)
+
+    value, err = integrate.quad(f, 0.0, 40.0 / math.sqrt(alpha), epsabs=1e-13, epsrel=1e-11, limit=200)
+    assert err < 1e-9
     return value
 
 

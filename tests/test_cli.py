@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -75,6 +76,24 @@ class TestCompute:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_verbose_dumps_one_line_per_product(self, capsys):
+        argv = ["compute", "--model", "quartic", "--order", "1"]
+        _, plain, _ = run(argv, capsys)
+        code, out, err = run(["--verbose"] + argv, capsys)
+        assert code == 0
+        assert out == plain
+        space = oscqgt.qgt.ParameterSpace.quartic()
+        n_products = sum(
+            len(products)
+            for a, b in itertools.combinations_with_replacement(space.labels, 2)
+            for products in oscqgt.qgt.component_integrand(space, a, b, 1).values()
+        )
+        lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
+        assert len(lines) == n_products
+        for line in lines:
+            ScalarSeries.parse(line.rsplit(" = ", 1)[1])
+        assert "  2 * D(tau1,tau2) D(tau1,tau2) = 1/8 * a^-2" in lines
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             ["compute", "--model", "quartic", "--format", "csv"], capsys
@@ -107,6 +126,20 @@ class TestExitCodes:
     def test_nonfinite_parameter(self, capsys):
         code, _, _ = run(["compute", "--model", "quartic", "--alpha", "nan"], capsys)
         assert code == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--alphas", "1", "--lambdas", "5", "--basis-size", "16"],
+            ["sweep", "--model", "monomial:3", "--lambdas", "0.3"],
+        ],
+    )
+    def test_oracle_failure(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_ORACLE
+        assert out == ""
+        assert err.startswith("oracle failure: BasisTooSmall: ")
+        assert err.count("\n") == 1
 
 
 class TestDiagrams:

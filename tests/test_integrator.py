@@ -1,30 +1,22 @@
-import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from oracles import product_value, quad_internal_vertex, quad_wedge
+from oracles import product_value, quad_separation, quad_wedge
 from oscqgt.integrator import (
     TAU1,
     TAU2,
-    Chamber,
     DivergentIntegral,
-    Domain,
-    ExpPolyTerm,
     Propagator,
     PropagatorProduct,
-    TimeVar,
-    enumerate_chambers,
-    integrate_all,
-    integrate_innermost,
+    cut_sizes,
     internal_vertex,
     propagator_value,
-    resolve_absolute_values,
     wedge_integral,
 )
-from oscqgt.scalar_algebra import ScalarSeries, ScalarTerm
+from oscqgt.scalar_algebra import ScalarSeries
 
 S1 = internal_vertex(1)
 S2 = internal_vertex(2)
@@ -34,39 +26,58 @@ def product(edges, coeff=None):
     return PropagatorProduct(coeff or ScalarSeries.one(), tuple(Propagator(e) for e in edges))
 
 
+def order_weight(edges, order):
+    """prod_g 1/c_g * sum_{gaps between tau1 and tau2} 1/c_j on one time order."""
+    cut = cut_sizes(edges, order)
+    gaps = [F(1, cut[(1 << g) - 1]) for g in range(1, len(order))]
+    between = gaps[order.index(TAU1) : order.index(TAU2)]
+    return math.prod(gaps) * sum(between)
+
+
 class TestResolve:
     def test_wedge_propagator_single_chamber(self):
-        terms = resolve_absolute_values(product([("tau1", "tau2")]), [TAU1, TAU2])
-        assert len(terms) == 1
-        t = terms[0]
-        assert t.rates_dict == {"tau1": F(1), "tau2": F(-1)}
-        assert t.scalar == ScalarTerm(F(1, 2), -1)
+        # one order, tau1 < tau2, whose single gap is crossed once
+        assert cut_sizes([("tau1", "tau2")], [TAU1, TAU2]) == [0, 1, 1, 0]
+        assert order_weight([("tau1", "tau2")], [TAU1, TAU2]) == 1
+        assert wedge_integral([product([("tau1", "tau2")])]) == ScalarSeries.term(F(1, 2), -3)
 
     def test_vertex_bridge_three_chambers(self):
-        terms = resolve_absolute_values(
-            product([("s1", "tau1"), ("s1", "tau2")]), [TAU1, TAU2, S1]
-        )
-        chambers = {t.chamber.describe(): t for t in terms}
-        assert set(chambers) == {
-            "s1 < tau1 < tau2",
-            "tau1 < s1 < tau2",
-            "tau1 < tau2 < s1",
+        edges = [("s1", "tau1"), ("s1", "tau2")]
+        weights = {
+            " < ".join(order): order_weight(edges, order)
+            for order in ([S1, TAU1, TAU2], [TAU1, S1, TAU2], [TAU1, TAU2, S1])
         }
-        # the middle chamber is where the s-dependence cancels
-        assert chambers["tau1 < s1 < tau2"].rates_dict.get("s1") is None
+        assert weights == {
+            "s1 < tau1 < tau2": F(1, 2),
+            "tau1 < s1 < tau2": F(2),
+            "tau1 < tau2 < s1": F(1, 2),
+        }
+        # the middle chamber is where the s-dependence cancels: equal cuts
+        cut = cut_sizes(edges, [TAU1, S1, TAU2])
+        assert cut[0b001] == cut[0b011] == 1
+        # the DP sums exactly these three chambers, times 1/2 per propagator
+        assert wedge_integral([product(edges)], n_vertices=1) == ScalarSeries.term(
+            sum(weights.values()) / 4, -5
+        )
 
     def test_equal_time_loop_is_constant(self):
-        terms = resolve_absolute_values(product([("tau1", "tau1")]), [TAU1])
-        assert len(terms) == 1
-        assert terms[0].rates == ()
-        assert terms[0].scalar == ScalarTerm(F(1, 2), -1)
+        # a loop crosses no cut and only adds its constant 1/(2 sqrt(alpha))
+        names = [TAU1, TAU2]
+        assert cut_sizes([("tau1", "tau1")], names) == [0, 0, 0, 0]
+        assert cut_sizes([("tau1", "tau2"), ("tau1", "tau1")], names) == cut_sizes(
+            [("tau1", "tau2")], names
+        )
+        assert wedge_integral(
+            [product([("tau1", "tau2"), ("tau1", "tau1")])]
+        ) == ScalarSeries.term(F(1, 4), -4)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.3])
     def test_chambers_tile_the_integrand(self, alpha):
-        # at random points, exactly one chamber matches and reproduces |.| value
+        # at random points the sorted times fix one chamber, on which the
+        # integrand is exp(-sqrt(a) sum_g c_g * gap_g) / (2 sqrt(a))^k
         rng = random.Random(7)
         edges = [("s1", "tau1"), ("s1", "tau2"), ("tau1", "tau2")]
-        terms = resolve_absolute_values(product(edges), [TAU1, TAU2, S1])
+        root = math.sqrt(alpha)
         for _ in range(20):
             assignment = {
                 "tau1": -rng.uniform(0, 3),
@@ -74,61 +85,19 @@ class TestResolve:
                 "s1": rng.uniform(-4, 4),
             }
             order = sorted(assignment, key=assignment.get)
-            matches = [
-                t for t in terms if [v.name for v in t.chamber.order] == order
-            ]
-            assert len(matches) == 1
-            got = matches[0].evaluate(alpha, assignment)
+            cut = cut_sizes(edges, order)
+            times = [assignment[n] for n in order]
+            exponent = sum(
+                cut[(1 << g) - 1] * (times[g] - times[g - 1]) for g in range(1, len(order))
+            )
+            got = math.exp(-root * exponent) / (2 * root) ** len(edges)
             want = product_value(alpha, edges, assignment)
             assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestKernels:
-    def test_exponential_half_axis(self):
-        # int_0^inf e^(-sqrt(a) u) du = 1/sqrt(a)
-        term = ExpPolyTerm(
-            ScalarTerm(F(1)), (), (("tau2", F(-1)),), Chamber((TAU2,))
-        )
-        out = integrate_innermost(term, TAU2)
-        assert len(out) == 1
-        assert out[0].scalar == ScalarTerm(F(1), -1)
-
-    def test_monomial_exponential(self):
-        # int_0^inf u e^(-2 sqrt(a) u) du = 1/(4a)
-        term = ExpPolyTerm(
-            ScalarTerm(F(1)), (("tau2", 1),), (("tau2", F(-2)),), Chamber((TAU2,))
-        )
-        out = integrate_innermost(term, TAU2)
-        assert len(out) == 1
-        assert out[0].scalar == ScalarTerm(F(1, 4), -2)
-
-    def test_zero_rate_bounded_interval_bumps_degree(self):
-        # int_tau1^tau2 ds of an s-independent term gives (tau2 - tau1)
-        term = ExpPolyTerm(
-            ScalarTerm(F(1)), (), (), Chamber((TAU1, S1, TAU2))
-        )
-        out = integrate_innermost(term, S1)
-        monos = sorted((t.monomial, t.scalar.coeff) for t in out)
-        assert monos == [
-            ((("tau1", 1),), F(-1)),
-            ((("tau2", 1),), F(1)),
-        ]
-
-    def test_zero_rate_unbounded_diverges(self):
-        term = ExpPolyTerm(ScalarTerm(F(1)), (), (), Chamber((S1, TAU1, TAU2)))
-        with pytest.raises(DivergentIntegral):
-            integrate_innermost(term, S1)
-
-    def test_wrong_sign_rate_diverges(self):
-        term = ExpPolyTerm(
-            ScalarTerm(F(1)), (), (("tau2", F(1)),), Chamber((TAU2,))
-        )
-        with pytest.raises(DivergentIntegral):
-            integrate_innermost(term, TAU2)
-
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.9])
     def test_innermost_vertex_matches_quadrature(self, alpha):
-        rng = random.Random(3)
         cases = [
             [("s1", "tau1"), ("s1", "tau2")],
             [("s1", "tau1"), ("s1", "tau1"), ("s1", "tau2"), ("s1", "tau2")],
@@ -137,16 +106,10 @@ class TestKernels:
             [("s1", "tau1"), ("tau1", "tau2")],
         ]
         for edges in cases:
-            resolved = resolve_absolute_values(product(edges), [TAU1, TAU2, S1])
-            integrated = []
-            for t in resolved:
-                integrated.extend(integrate_innermost(t, S1))
-            for _ in range(5):
-                assignment = {"tau1": -rng.uniform(0.1, 2.5), "tau2": rng.uniform(0.1, 2.5)}
-                # sum the surviving chambers (now orderings of tau1, tau2 only)
-                total = sum(t.evaluate(alpha, assignment) for t in integrated)
-                want = quad_internal_vertex(alpha, edges, assignment, "s1")
-                assert total == pytest.approx(want, rel=1e-8)
+            series = wedge_integral([product(edges)], n_vertices=1)
+            assert series.evaluate(alpha) == pytest.approx(
+                quad_separation(alpha, edges, "s1"), rel=1e-8
+            )
 
 
 class TestIntegrateAll:
@@ -191,10 +154,26 @@ class TestIntegrateAll:
         with pytest.raises(DivergentIntegral):
             wedge_integral([product([("tau1", "tau1")])])
 
-    def test_origin_endpoint_is_supported(self):
-        # int_-inf^0 dtau1 int_0^inf dtau2 D(tau1, 0) D(0, tau2) = 1/(4 a^2)
-        series = wedge_integral([product([("0", "tau1"), ("0", "tau2")])])
-        assert series == ScalarSeries.term(F(1, 4), -4)
+    def test_origin_endpoint_is_rejected(self):
+        with pytest.raises(ValueError):
+            wedge_integral([product([("0", "tau1"), ("0", "tau2")])])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("s1", "s2"), ("tau1", "tau2")],  # vacuum bubble
+            [("s1", "tau1"), ("s2", "tau2")],  # split clusters
+        ],
+    )
+    def test_disconnected_graph_diverges(self, edges):
+        with pytest.raises(DivergentIntegral):
+            wedge_integral([product(edges)], n_vertices=2)
+
+    @pytest.mark.parametrize("order", [[S1, TAU2, TAU1], [S1, S1, TAU2, TAU1], [S1, S2, "s3", TAU1]])
+    def test_elimination_order_must_name_the_variables(self, order):
+        edges = [("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")]
+        with pytest.raises(ValueError):
+            wedge_integral([product(edges)], n_vertices=2, elimination_order=order)
 
     def test_fubini_vertex_order_independence(self):
         edges = [
@@ -224,18 +203,6 @@ class TestIntegrateAll:
             series = wedge_integral([product(edges)], n_vertices=n_vertices)
             p, v = len(edges), n_vertices + 2
             assert all(t.alpha_half_pow == -(p + v) for t in series.terms)
-
-
-class TestChambers:
-    def test_counts_without_origin(self):
-        assert len(enumerate_chambers([TAU1, TAU2])) == 1
-        assert len(enumerate_chambers([TAU1, TAU2, S1])) == 3
-        # two vertices: 4!/2 orderings with tau1 before tau2
-        assert len(enumerate_chambers([TAU1, TAU2, S1, S2])) == 12
-
-    def test_counts_with_origin(self):
-        # the pinned origin splits the vertex gap between the external legs
-        assert len(enumerate_chambers([TAU1, TAU2, S1], include_origin=True)) == 4
 
 
 class TestGreenFunction:
