@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .scalar_algebra import NonPositiveAlpha
 
@@ -72,6 +71,8 @@ def exact_linear_qgt(alpha: float, j: float) -> dict[tuple[str, str], float]:
 
 
 def _quad(f, lo: float, hi: float) -> float:
+    from scipy import integrate  # deferred: only the overlap checks need it, and it is slow to load
+
     value, err = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
     if err > 1e-9:
         raise QuadratureFailure(f"overlap quadrature error {err:.2e}")

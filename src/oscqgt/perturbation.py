@@ -1,13 +1,14 @@
-"""Interacting Green's functions as formal power series in the coupling.
+"""Connected integrands of the interacting theory as formal coupling series.
 
-The n-point function of the theory with interaction lambda*V(q) is the ratio
-of two free-oscillator series: at order m the numerator inserts m internal
-vertices s_1..s_m, each carrying q**deg and weight (-lambda)^m/m! times the
-potential coefficients, while the denominator holds the pure vacuum series.
-The ratio is computed by formal power-series division truncated at the
-requested order; vacuum-bubble contributions then cancel identically, and the
-subtracted two-cluster combination keeps exactly the diagrams that join the
-two external clusters.
+A tensor component needs the connected correlator of the two deformation
+operators in the theory with interaction lambda*V(q).  At order m the free
+oscillator expansion inserts m internal vertices s_1..s_m, each carrying
+q**deg and weight (-1)^m/m! times the potential coefficients.  By the
+linked-cluster theorem the connected correlator is the sum of the Wick graphs
+in which tau1, tau2 and every s_i form one component: vacuum bubbles cancel
+identically against the normalisation, and subtracting the product of the
+one-point functions removes the graphs that keep tau1 and tau2 apart.  So the
+pairings are enumerated once per order and only the connected graphs are kept.
 
 Diagrams are stored per coupling order as {edge-multiset: exact coefficient},
 with internal vertex labels canonicalized (relabelings merged, the 1/m!
@@ -16,6 +17,7 @@ symmetrization absorbed into the coefficients).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,14 +31,10 @@ from .wick import InsertionPoint, enumerate_pairings
 __all__ = [
     "PolynomialPotential",
     "DeformationOperator",
-    "PerturbativeExpansion",
-    "InteractingGreen",
     "OrderOverflow",
     "DEFAULT_MAX_ORDER",
-    "interacting_green",
     "connected_integrand",
     "integrand_products",
-    "integrand_term_lines",
     "connected_components",
     "clusters_linked",
     "has_vacuum_component",
@@ -114,53 +112,69 @@ class DeformationOperator:
         return cls("j", 1, Fraction(-1))
 
 
-@dataclass(frozen=True)
-class PerturbativeExpansion:
-    """Truncation order plus the interaction the vertices carry."""
-
-    order: int
-    interaction: PolynomialPotential
-    max_order: int = DEFAULT_MAX_ORDER
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("expansion order must be >= 0")
-        if self.order > self.max_order:
-            raise OrderOverflow(
-                f"order {self.order} exceeds the configured maximum {self.max_order}"
-            )
-
-    def green(self, points: Sequence[InsertionPoint]) -> "InteractingGreen":
-        return interacting_green(points, self.order, self.interaction, self.max_order)
+def _vertex_names(m: int) -> list[str]:
+    return [f"s{i}" for i in range(1, m + 1)]
 
 
-@dataclass(frozen=True)
-class InteractingGreen:
-    """Numerator, denominator and divided series of one interacting correlator."""
+def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> Edges | None:
+    """Canonical edge multiset of a diagram joining tau1, tau2 and all of `names`.
 
-    numerator: GradedSum
-    denominator: GradedSum
-    ratio: GradedSum
-
-
-def _vertex_names(m: int, offset: int = 0) -> list[str]:
-    return [f"s{i}" for i in range(offset + 1, offset + m + 1)]
-
-
-def _canonical_edges(edges: Sequence[tuple[str, str]], vertices: Sequence[str]) -> Edges:
-    """Minimal edge multiset over relabelings of the internal vertices."""
-    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-    if len(vertices) < 2:
-        return edges
+    Returns None when the diagram has more than one connected component.  The
+    internal vertices are ranked by invariants that any relabeling preserves
+    (edges to tau1, edges to tau2, self-loops, sorted multiplicities to the
+    other vertices); the form is the minimal relabeled edge multiset over the
+    relabelings that keep that ranking, so isomorphic diagrams share it.
+    """
+    m = len(names)
+    n = m + 2
+    index = dict(zip(names, range(m)))
+    index[EXTERNAL_A], index[EXTERNAL_B] = m, m + 1
+    count = [[0] * n for _ in range(n)]
+    root = list(range(n))
+    pairs = []
+    joined = 0
+    for a, b in edges:
+        i, j = index[a], index[b]
+        pairs.append((i, j))
+        count[i][j] += 1
+        if i != j:
+            count[j][i] += 1
+        while root[i] != i:
+            i = root[i]
+        while root[j] != j:
+            j = root[j]
+        if i != j:
+            root[i] = j
+            joined += 1
+    if joined != n - 1:
+        return None
+    invariant = [
+        (row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
+        for i, row in enumerate(count[:m])
+    ]
+    ranked = sorted(range(m), key=invariant.__getitem__)
+    classes = [list(group) for _, group in itertools.groupby(ranked, key=invariant.__getitem__)]
+    # a relabeled diagram is keyed by the sorted codes lo * n + hi of its edges
+    label = list(range(n))
     best = None
-    for perm in itertools.permutations(vertices):
-        mapping = dict(zip(vertices, perm))
-        relab = tuple(
-            sorted(tuple(sorted((mapping.get(a, a), mapping.get(b, b)))) for a, b in edges)
+    for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
+        for new, old in enumerate(itertools.chain.from_iterable(choice)):
+            label[old] = new
+        key = sorted(
+            label[i] * n + label[j] if label[i] <= label[j] else label[j] * n + label[i]
+            for i, j in pairs
         )
-        if best is None or relab < best:
-            best = relab
-    return best
+        if best is None or key < best:
+            best = key
+    pair_names = _pair_names(m)
+    return tuple(sorted(pair_names[c] for c in best))
+
+
+@functools.cache
+def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
+    """Sorted name pair of each edge code lo * (m + 2) + hi."""
+    nodes = _vertex_names(m) + [EXTERNAL_A, EXTERNAL_B]
+    return tuple(tuple(sorted((a, b))) for a in nodes for b in nodes)
 
 
 def _add(acc: dict[Edges, Fraction], edges: Edges, coeff: Fraction) -> None:
@@ -169,89 +183,6 @@ def _add(acc: dict[Edges, Fraction], edges: Edges, coeff: Fraction) -> None:
         acc.pop(edges, None)
     else:
         acc[edges] = new
-
-
-def _graded_moments(points: Sequence[InsertionPoint], order: int, potential: PolynomialPotential) -> GradedSum:
-    """Free moments of the external points with m = 0..order interaction vertices.
-
-    Coefficients carry the full (-1)^m/m! * prod c_deg weights, so grade m is
-    the exact lambda^m coefficient of <prod q e^{-S_int}> before integration.
-    """
-    out: GradedSum = {}
-    for m in range(order + 1):
-        grade: dict[Edges, Fraction] = {}
-        names = _vertex_names(m)
-        for degrees in itertools.product([d for d, _ in potential.coefficients], repeat=m):
-            weight = Fraction((-1) ** m, factorial(m))
-            for d in degrees:
-                weight *= dict(potential.coefficients)[d]
-            insertions = list(points) + [
-                InsertionPoint(name, deg) for name, deg in zip(names, degrees)
-            ]
-            total_legs = sum(p.power for p in insertions)
-            if total_legs % 2:
-                continue
-            for diag in enumerate_pairings(insertions):
-                _add(grade, _canonical_edges(diag.edges, names), weight * diag.multiplicity)
-        out[m] = grade
-    return out
-
-
-def _graded_product(a: GradedSum, b: GradedSum, order: int) -> GradedSum:
-    """Product of graded sums; the right factor's vertices are relabeled fresh."""
-    out: GradedSum = {m: {} for m in range(order + 1)}
-    for i, gi in a.items():
-        for j, gj in b.items():
-            m = i + j
-            if m > order:
-                continue
-            names_b = _vertex_names(j)
-            shifted = {old: new for old, new in zip(names_b, _vertex_names(j, offset=i))}
-            for ea, ca in gi.items():
-                for eb, cb in gj.items():
-                    moved = tuple(
-                        tuple(sorted((shifted.get(x, x), shifted.get(y, y)))) for x, y in eb
-                    )
-                    edges = _canonical_edges(ea + moved, _vertex_names(m))
-                    _add(out[m], edges, ca * cb)
-    return out
-
-
-def _graded_sub(a: GradedSum, b: GradedSum) -> GradedSum:
-    out: GradedSum = {}
-    for m in set(a) | set(b):
-        grade = dict(a.get(m, {}))
-        for edges, coeff in b.get(m, {}).items():
-            _add(grade, edges, -coeff)
-        out[m] = grade
-    return out
-
-
-def interacting_green(
-    points: Sequence[InsertionPoint],
-    order: int,
-    potential: PolynomialPotential,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> InteractingGreen:
-    """Expansion of <prod q^power(time)> in the interacting theory.
-
-    Returns the numerator and vacuum-denominator series and their formal
-    ratio, truncated at the given coupling order.
-    """
-    if order > max_order:
-        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
-    numerator = _graded_moments(points, order, potential)
-    denominator = _graded_moments([], order, potential)
-    # divide: ratio_m = num_m - sum_{i=1..m} den_i * ratio_{m-i}
-    ratio: GradedSum = {}
-    for m in range(order + 1):
-        grade = dict(numerator.get(m, {}))
-        for i in range(1, m + 1):
-            correction = _graded_product({i: denominator[i]}, {m - i: ratio[m - i]}, m)
-            for edges, coeff in correction.get(m, {}).items():
-                _add(grade, edges, -coeff)
-        ratio[m] = grade
-    return InteractingGreen(numerator, denominator, ratio)
 
 
 def connected_integrand(
@@ -265,16 +196,35 @@ def connected_integrand(
 
     Grade m holds {edge multiset: coefficient} for the diagrams of
     <q^na(tau1) q^nb(tau2)>_int - <q^na(tau1)>_int <q^nb(tau2)>_int with m
-    internal vertices; all vacuum bubbles cancel before integration.  The
-    operator prefactors are not included here (the tensor assembly owns them).
+    internal vertices: the Wick graphs in which tau1, tau2 and every vertex
+    form one component, weighted by (-1)^m/m! * prod c_deg * multiplicity.
+    The operator prefactors are not included here (the tensor assembly owns
+    them).
     """
-    a_pts = [InsertionPoint(EXTERNAL_A, op_a.q_power)]
-    b_pts = [InsertionPoint(EXTERNAL_B, op_b.q_power)]
-    g_ab = interacting_green(a_pts + b_pts, order, potential, max_order).ratio
-    g_a = interacting_green(a_pts, order, potential, max_order).ratio
-    g_b = interacting_green(b_pts, order, potential, max_order).ratio
-    result = _graded_sub(g_ab, _graded_product(g_a, g_b, order))
-    return {m: grade for m, grade in result.items() if m <= order}
+    if order > max_order:
+        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
+    externals = [InsertionPoint(EXTERNAL_A, op_a.q_power), InsertionPoint(EXTERNAL_B, op_b.q_power)]
+    coefficients = dict(potential.coefficients)
+    out: GradedSum = {}
+    for m in range(order + 1):
+        grade: dict[Edges, Fraction] = {}
+        names = _vertex_names(m)
+        for degrees in itertools.product(sorted(coefficients), repeat=m):
+            if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
+                continue
+            weight = Fraction((-1) ** m, factorial(m))
+            for d in degrees:
+                weight *= coefficients[d]
+            insertions = externals + [InsertionPoint(name, deg) for name, deg in zip(names, degrees)]
+            counts: dict[Edges, int] = {}
+            for diag in enumerate_pairings(insertions):
+                edges = _linked_class(diag.edges, names)
+                if edges is not None:
+                    counts[edges] = counts.get(edges, 0) + diag.multiplicity
+            for edges, count in counts.items():
+                _add(grade, edges, weight * count)
+        out[m] = grade
+    return out
 
 
 def integrand_products(
@@ -295,26 +245,6 @@ def integrand_products(
             products.append(PropagatorProduct(series, tuple(Propagator(e) for e in edges)))
         out[m] = products
     return out
-
-
-def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> list[str]:
-    """Stable text form of the integrand term list (pattern + raw coefficient).
-
-    For a monomial potential q**k/k! the printed coefficient at grade m is the
-    plain pairing count, i.e. the diagram coefficient with the (-1/k!)^m/m!
-    vertex weights divided out.
-    """
-    if not potential.is_monomial:
-        raise ValueError("the raw-coefficient view needs a monomial potential")
-    k, c = potential.coefficients[0]
-    lines = []
-    for m, grade in sorted(graded.items()):
-        strip = (Fraction(-1) / c) ** m * factorial(m)
-        for edges, coeff in sorted(grade.items()):
-            raw = coeff * strip
-            pattern = " ".join(f"D({a},{b})" for a, b in edges)
-            lines.append(f"order {m}: {raw} * {pattern}")
-    return lines
 
 
 # -- connectivity helpers (used by the verification suite) -------------------

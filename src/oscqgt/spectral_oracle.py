@@ -26,6 +26,7 @@ __all__ = [
     "NumericQGT",
     "BasisTooSmall",
     "NoConvergence",
+    "NoGroundState",
     "StepTooLarge",
     "build_hamiltonian",
     "gauge_fix",
@@ -45,6 +46,24 @@ class NoConvergence(RuntimeError):
 
 class StepTooLarge(RuntimeError):
     """Halving the finite-difference step moved an entry by more than 10%."""
+
+
+class NoGroundState(ValueError):
+    """The Hamiltonian is unbounded below, so there is no ground state to probe."""
+
+
+def _require_ground_state(lam: float, potential: PolynomialPotential | None) -> None:
+    """Reject an odd-degree potential at nonzero coupling before any solve.
+
+    lambda * q**k with odd k is unbounded below for either sign of lambda; a
+    truncated basis would still return a lowest eigenvector, but it describes
+    the basis edge, not a ground state.
+    """
+    if potential is not None and lam != 0.0 and potential.degree % 2:
+        raise NoGroundState(
+            f"odd k has no ground state for lambda != 0 "
+            f"(k={potential.degree}, lambda={lam!r}: the potential is unbounded below)"
+        )
 
 
 @dataclass
@@ -181,6 +200,7 @@ def numeric_qim(
     The reported value uses the halved step; the report carries a Richardson
     error estimate from the step halving and the drift under basis doubling.
     """
+    _require_ground_state(lam, potential)
     config = config or OracleConfig()
     # pin the basis at the central point; differencing must not rotate it
     pinned = OracleConfig(
@@ -228,6 +248,7 @@ def fidelity_qim(
     off-diagonal entries via the polarization identity along the combined
     displacement.  Cross-validates the derivative-based estimator.
     """
+    _require_ground_state(lam, potential)
     config = config or OracleConfig()
     pinned = OracleConfig(
         basis_size=config.basis_size,

@@ -90,63 +90,49 @@ def enumerate_pairings(
     names = [n for n, _ in nodes]
     legs = [c for _, c in nodes]
     k = len(nodes)
+    fact = [factorial(i) for i in range(max(legs, default=0) + 1)]
+    total = 1
+    for c in legs:
+        total *= fact[c]
+    compositions: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     diagrams: list[WickDiagram] = []
 
-    # state: remaining legs per node; assign node i's legs to self-loops,
-    # mean legs and edges toward nodes j > i.
-    def walk(i: int, remaining: list[int], edges: dict[tuple[int, int], int], means: list[int]):
+    # assign node i's remaining legs to mean legs, self-loops and edges toward
+    # nodes j > i; edges and mean legs are appended in sorted order, and the
+    # denominator of the multiplicity grows with them.
+    def walk(i: int, remaining: list[int], edges: tuple, means: tuple, denom: int):
         if i == k:
-            mult = 1
-            for c in legs:
-                mult *= factorial(c)
-            denom = 1
-            for (a, b), e in edges.items():
-                denom *= factorial(e) * (2**e if a == b else 1)
-            for m in means:
-                denom *= factorial(m)
-            q, rem = divmod(mult, denom)
+            q, rem = divmod(total, denom)
             assert rem == 0
-            edge_list = []
-            for (a, b), e in sorted(edges.items()):
-                edge_list.extend([(names[a], names[b])] * e)
-            mean_list = []
-            for idx, m in enumerate(means):
-                mean_list.extend([names[idx]] * m)
-            diagrams.append(WickDiagram(tuple(edge_list), tuple(mean_list), q))
+            diagrams.append(WickDiagram(edges, means, q))
             return
-        n_i = remaining[i]
-        mean_range = range(n_i + 1) if with_mean else (0,)
-        for m_i in mean_range:
+        n_i, name = remaining[i], names[i]
+        later = tuple(remaining[i + 1 :])
+        for m_i in range(n_i + 1) if with_mean else (0,):
+            head_means = means + (name,) * m_i
             for self_i in range((n_i - m_i) // 2 + 1):
+                head_edges = edges + ((name, name),) * self_i
+                head_denom = denom * fact[m_i] * fact[self_i] * 2**self_i
                 rest = n_i - m_i - 2 * self_i
-                # distribute `rest` legs among nodes j > i, capped by their remaining legs
-                for combo in _compositions(rest, [remaining[j] for j in range(i + 1, k)]):
+                key = (rest, later)
+                if key not in compositions:
+                    compositions[key] = list(_compositions(rest, later))
+                for combo in compositions[key]:
                     new_remaining = list(remaining)
-                    new_remaining[i] = 0
-                    new_edges = dict(edges)
-                    if self_i:
-                        new_edges[(i, i)] = self_i
-                    ok = True
-                    for off, e in enumerate(combo):
-                        j = i + 1 + off
+                    new_edges, new_denom = head_edges, head_denom
+                    for j, e in enumerate(combo, start=i + 1):
                         if e:
-                            new_edges[(i, j)] = e
+                            new_edges += ((name, names[j]),) * e
+                            new_denom *= fact[e]
                             new_remaining[j] -= e
-                            if new_remaining[j] < 0:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    new_means = list(means)
-                    new_means[i] = m_i
-                    walk(i + 1, new_remaining, new_edges, new_means)
+                    walk(i + 1, new_remaining, new_edges, head_means, new_denom)
 
-    walk(0, list(legs), {}, [0] * k)
+    walk(0, legs, (), (), 1)
     diagrams.sort(key=lambda d: (d.edges, d.mean_legs))
     return diagrams
 
 
-def _compositions(total: int, caps: list[int]):
+def _compositions(total: int, caps: Sequence[int]):
     """Ways to write `total` as an ordered sum bounded by caps."""
     if not caps:
         if total == 0:

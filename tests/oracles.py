@@ -1,18 +1,26 @@
 """Independent oracles for the test-suite.
 
 These deliberately avoid the library's own enumeration and integration paths:
-a literal recursive pairing enumerator over individual q-legs, and numeric
-quadrature of the |t - t'| propagator integrands.
+a literal recursive pairing enumerator over individual q-legs, numeric
+quadrature of the |t - t'| propagator integrands, and the connected integrand
+built the long way, as numerator/vacuum ratios of interacting Green functions
+minus their graded product, with an all-m! canonical form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+from typing import Sequence
 
 from scipy import integrate
 
 from oscqgt.integrator import propagator_value
-from oscqgt.wick import InsertionPoint
+from oscqgt.perturbation import DEFAULT_MAX_ORDER, GradedSum, OrderOverflow, PolynomialPotential
+from oscqgt.wick import InsertionPoint, enumerate_pairings
 
 
 def brute_force_diagrams(points, with_mean=False):
@@ -116,3 +124,156 @@ def quad_wedge(alpha: float, edges, n_vertices: int = 0) -> float:
     value, err = integrate.nquad(f, ranges, opts=opts)
     assert err < 1e-8
     return value
+
+
+# -- connected integrand by formal ratio division ------------------------------
+
+
+@dataclass(frozen=True)
+class InteractingGreen:
+    """Numerator, denominator and divided series of one interacting correlator."""
+
+    numerator: dict
+    denominator: dict
+    ratio: dict
+
+
+def _vertex_names(m: int, offset: int = 0) -> list[str]:
+    return [f"s{i}" for i in range(offset + 1, offset + m + 1)]
+
+
+def canonical_edges(edges, vertices: Sequence[str]):
+    """Minimal edge multiset over all m! relabelings of the internal vertices."""
+    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+    if len(vertices) < 2:
+        return edges
+    best = None
+    for perm in itertools.permutations(vertices):
+        mapping = dict(zip(vertices, perm))
+        relab = tuple(
+            sorted(tuple(sorted((mapping.get(a, a), mapping.get(b, b)))) for a, b in edges)
+        )
+        if best is None or relab < best:
+            best = relab
+    return best
+
+
+def to_oracle_form(graded: dict) -> dict:
+    """Re-key a graded diagram sum by the all-m! canonical form."""
+    out = {}
+    for m, grade in graded.items():
+        merged: dict = {}
+        for edges, coeff in grade.items():
+            _add(merged, canonical_edges(edges, _vertex_names(m)), coeff)
+        out[m] = merged
+    return out
+
+
+def _add(acc: dict, edges, coeff: Fraction) -> None:
+    new = acc.get(edges, Fraction(0)) + coeff
+    if new == 0:
+        acc.pop(edges, None)
+    else:
+        acc[edges] = new
+
+
+def _graded_moments(points, order: int, potential) -> dict:
+    """Free moments of the external points with m = 0..order interaction vertices.
+
+    Coefficients carry the full (-1)^m/m! * prod c_deg weights, so grade m is
+    the exact lambda^m coefficient of <prod q e^{-S_int}> before integration.
+    """
+    out = {}
+    for m in range(order + 1):
+        grade: dict = {}
+        names = _vertex_names(m)
+        for degrees in itertools.product([d for d, _ in potential.coefficients], repeat=m):
+            weight = Fraction((-1) ** m, factorial(m))
+            for d in degrees:
+                weight *= dict(potential.coefficients)[d]
+            insertions = list(points) + [
+                InsertionPoint(name, deg) for name, deg in zip(names, degrees)
+            ]
+            if sum(p.power for p in insertions) % 2:
+                continue
+            for diag in enumerate_pairings(insertions):
+                _add(grade, canonical_edges(diag.edges, names), weight * diag.multiplicity)
+        out[m] = grade
+    return out
+
+
+def _graded_product(a: dict, b: dict, order: int) -> dict:
+    """Product of graded sums; the right factor's vertices are relabeled fresh."""
+    out: dict = {m: {} for m in range(order + 1)}
+    for i, gi in a.items():
+        for j, gj in b.items():
+            m = i + j
+            if m > order:
+                continue
+            shifted = dict(zip(_vertex_names(j), _vertex_names(j, offset=i)))
+            for ea, ca in gi.items():
+                for eb, cb in gj.items():
+                    moved = tuple(
+                        tuple(sorted((shifted.get(x, x), shifted.get(y, y)))) for x, y in eb
+                    )
+                    _add(out[m], canonical_edges(ea + moved, _vertex_names(m)), ca * cb)
+    return out
+
+
+def interacting_green(points, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+    """Expansion of <prod q^power(time)> in the interacting theory.
+
+    Returns the numerator and vacuum-denominator series and their formal
+    ratio, truncated at the given coupling order.
+    """
+    if order > max_order:
+        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
+    numerator = _graded_moments(points, order, potential)
+    denominator = _graded_moments([], order, potential)
+    # divide: ratio_m = num_m - sum_{i=1..m} den_i * ratio_{m-i}
+    ratio: dict = {}
+    for m in range(order + 1):
+        grade = dict(numerator.get(m, {}))
+        for i in range(1, m + 1):
+            correction = _graded_product({i: denominator[i]}, {m - i: ratio[m - i]}, m)
+            for edges, coeff in correction.get(m, {}).items():
+                _add(grade, edges, -coeff)
+        ratio[m] = grade
+    return InteractingGreen(numerator, denominator, ratio)
+
+
+def ratio_connected_integrand(op_a, op_b, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+    """<A(tau1) B(tau2)>_int - <A>_int <B>_int from the three divided series."""
+    a_pts = [InsertionPoint("tau1", op_a.q_power)]
+    b_pts = [InsertionPoint("tau2", op_b.q_power)]
+    g_ab = interacting_green(a_pts + b_pts, order, potential, max_order).ratio
+    g_a = interacting_green(a_pts, order, potential, max_order).ratio
+    g_b = interacting_green(b_pts, order, potential, max_order).ratio
+    product = _graded_product(g_a, g_b, order)
+    result = {}
+    for m in set(g_ab) | set(product):
+        grade = dict(g_ab.get(m, {}))
+        for edges, coeff in product.get(m, {}).items():
+            _add(grade, edges, -coeff)
+        result[m] = grade
+    return {m: grade for m, grade in result.items() if m <= order}
+
+
+def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> list[str]:
+    """Stable text form of the integrand term list (pattern + raw coefficient).
+
+    For a monomial potential q**k/k! the printed coefficient at grade m is the
+    plain pairing count, i.e. the diagram coefficient with the (-1/k!)^m/m!
+    vertex weights divided out.
+    """
+    if not potential.is_monomial:
+        raise ValueError("the raw-coefficient view needs a monomial potential")
+    k, c = potential.coefficients[0]
+    lines = []
+    for m, grade in sorted(graded.items()):
+        strip = (Fraction(-1) / c) ** m * factorial(m)
+        for edges, coeff in sorted(grade.items()):
+            raw = coeff * strip
+            pattern = " ".join(f"D({a},{b})" for a, b in edges)
+            lines.append(f"order {m}: {raw} * {pattern}")
+    return lines

@@ -1,10 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import oscqgt
 import oscqgt.qgt
 from oscqgt import cli
 from oscqgt.scalar_algebra import ScalarSeries
@@ -131,7 +136,6 @@ class TestExitCodes:
         "argv",
         [
             ["sweep", "--alphas", "1", "--lambdas", "5", "--basis-size", "16"],
-            ["sweep", "--model", "monomial:3", "--lambdas", "0.3"],
         ],
     )
     def test_oracle_failure(self, argv, capsys):
@@ -140,6 +144,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("oracle failure: BasisTooSmall: ")
         assert err.count("\n") == 1
+
+    def test_odd_k_oracle_run_is_rejected(self, capsys):
+        code, out, err = run(["sweep", "--model", "monomial:3", "--lambdas", "0.3"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert "odd k has no ground state for lambda != 0" in err
+        assert err.count("\n") == 1
+
+    def test_odd_k_free_point_stays_valid(self, capsys):
+        code, out, _ = run(["sweep", "--model", "monomial:3", "--lambdas", "0"], capsys)
+        assert code == cli.EXIT_OK
+        assert len(out.splitlines()) == 5
 
 
 class TestDiagrams:
@@ -235,3 +251,13 @@ class TestVerify:
         failing = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert failing
         assert all("g(j,j)" in line for line in failing)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is only needed by the linear overlap checks; loading it
+    # at import time would slow every CLI start.
+    src = str(Path(oscqgt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, oscqgt.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

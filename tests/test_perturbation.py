@@ -1,27 +1,39 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_diagrams, points_of
+from oracles import (
+    brute_force_diagrams,
+    canonical_edges,
+    integrand_term_lines,
+    interacting_green,
+    points_of,
+    ratio_connected_integrand,
+    to_oracle_form,
+)
 from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import (
     DeformationOperator,
     OrderOverflow,
     PolynomialPotential,
+    _linked_class,
     clusters_linked,
+    connected_components,
     connected_integrand,
     has_vacuum_component,
     integrand_products,
-    integrand_term_lines,
-    interacting_green,
 )
 from oscqgt.qgt import ParameterSpace, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import InsertionPoint
+from oscqgt.wick import InsertionPoint, enumerate_pairings
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
 V4 = PolynomialPotential.monomial(4)
+V6 = PolynomialPotential.monomial(6)
 
 O_ALPHA = DeformationOperator.stiffness()
 O_QUARTIC = DeformationOperator.coupling(V4)
@@ -168,3 +180,76 @@ class TestLinearCaseConsistency:
             t for t in exact.terms if t.j_pow <= order
         )
         assert pert == exact_truncated
+
+
+ORACLE_CASES = (
+    [(V1, order) for order in range(4)]
+    + [(V3, order) for order in range(4)]
+    + [(V4, order) for order in range(4)]
+    + [(V6, order) for order in range(3)]
+)
+
+
+class TestLinkedClusterAgainstRatioOracle:
+    # Keeping only the graphs that join tau1, tau2 and every vertex must give
+    # exactly the numerator/vacuum ratio minus the product of the one-point
+    # functions: the vacuum bubbles cancel identically, order by order.
+    @pytest.mark.parametrize(
+        "potential,order",
+        ORACLE_CASES,
+        ids=[f"k{p.degree}-o{o}" for p, o in ORACLE_CASES],
+    )
+    def test_equals_ratio_path(self, potential, order):
+        op_l = DeformationOperator.coupling(potential)
+        for op_a, op_b in [(O_ALPHA, O_ALPHA), (O_ALPHA, op_l), (op_l, O_ALPHA), (op_l, op_l)]:
+            direct = connected_integrand(op_a, op_b, order, potential, max_order=order)
+            ratio = ratio_connected_integrand(op_a, op_b, order, potential, max_order=order)
+            assert to_oracle_form(direct) == to_oracle_form(ratio)
+
+    def test_mixed_potential_equals_ratio_path(self):
+        # several vertex degrees, one coefficient negative, so terms can cancel
+        potential = PolynomialPotential.from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
+        for op_b in (O_ALPHA, DeformationOperator.source()):
+            direct = connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
+            ratio = ratio_connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
+            assert to_oracle_form(direct) == to_oracle_form(ratio)
+
+    def test_order_cap(self):
+        with pytest.raises(OrderOverflow):
+            connected_integrand(O_ALPHA, O_QUARTIC, 3, V4)
+        assert connected_integrand(O_ALPHA, O_QUARTIC, -1, V4) == {}
+
+
+VERTICES_4 = ["s1", "s2", "s3", "s4"]
+
+
+@functools.cache
+def _kept_graphs_alpha_lambda_order4() -> tuple:
+    """Labelled alpha,lambda order-4 quartic graphs joining every time."""
+    points = [InsertionPoint("tau1", 2), InsertionPoint("tau2", 4)]
+    points += [InsertionPoint(name, 4) for name in VERTICES_4]
+    return tuple(
+        d.edges for d in enumerate_pairings(points) if len(connected_components(d.edges)) == 1
+    )
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_the_vertices_keeps_the_form(self, data):
+        graphs = _kept_graphs_alpha_lambda_order4()
+        edges = graphs[data.draw(st.integers(0, len(graphs) - 1), label="graph")]
+        perm = data.draw(st.permutations(VERTICES_4), label="relabelling")
+        mapping = dict(zip(VERTICES_4, perm))
+        moved = [(mapping.get(a, a), mapping.get(b, b)) for a, b in edges]
+        assert _linked_class(moved, VERTICES_4) == _linked_class(edges, VERTICES_4)
+
+    def test_disconnected_graph_is_dropped(self):
+        edges = [("s1", "s1"), ("s1", "s1"), ("tau1", "tau2"), ("tau1", "tau2")]
+        assert _linked_class(edges, ["s1"]) is None
+
+    def test_class_count_matches_the_all_permutation_form(self):
+        graded = connected_integrand(O_ALPHA, O_QUARTIC, 4, V4, max_order=4)
+        oracle_classes = {canonical_edges(e, VERTICES_4) for e in _kept_graphs_alpha_lambda_order4()}
+        assert len(graded[4]) == len(oracle_classes) == 483
+        assert len(to_oracle_form(graded)[4]) == len(graded[4])

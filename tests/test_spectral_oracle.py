@@ -6,6 +6,7 @@ from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import ParameterSpace, qgt_component
 from oscqgt.spectral_oracle import (
     BasisTooSmall,
+    NoGroundState,
     OracleConfig,
     StepTooLarge,
     build_hamiltonian,
@@ -113,6 +114,13 @@ class TestNumericQim:
         tiny = OracleConfig(basis_size=16)
         with pytest.raises(BasisTooSmall):
             numeric_qim(1.0, 0.3, 2.5, V4, tiny)
+
+    @pytest.mark.parametrize("estimator", [numeric_qim, fidelity_qim])
+    def test_odd_potential_at_nonzero_coupling_is_rejected(self, estimator):
+        cubic = PolynomialPotential.monomial(3)
+        for lam in (0.3, -0.3):
+            with pytest.raises(NoGroundState, match="odd k has no ground state"):
+                estimator(1.0, lam, 0.0, cubic, CFG)
 
     def test_reference_frequency_insensitivity(self):
         base = numeric_qim(1.0, 0.05, 0.0, V4, CFG)
