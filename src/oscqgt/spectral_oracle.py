@@ -8,16 +8,17 @@ The metric follows from central-difference ground-state derivatives,
     g_ab = <d_a psi | d_b psi> - <d_a psi | psi><psi | d_b psi>,
 
 with sign-gauge-fixed eigenvectors, step-halving error estimates and a
-basis-doubling drift per entry.  Everything here is real symmetric, so this
+basis-doubling drift per entry.  q is tridiagonal, so H is built and solved
+in LAPACK lower band storage.  Everything here is real symmetric, so this
 oracle is blind to Berry curvature, consistent with the models in scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .perturbation import PolynomialPotential
 
@@ -32,8 +33,15 @@ __all__ = [
     "gauge_fix",
     "ground_state",
     "numeric_qim",
-    "fidelity_qim",
 ]
+
+# Inverse iteration runs on H - E0 + margin * |H|: far above E0's rounding
+# error, so positive definite, yet each step shrinks excited components by
+# ~margin * |H| / gap.  It ends when a step moves the unit vector by < _STEP_TOL.
+_SHIFT_MARGIN = 1e-10
+_STEP_TOL = 1e-12
+_MAX_STEPS = 8
+_RESIDUAL_TOL = 1e-13  # bound on |(H - E0) psi| / |H|
 
 
 class BasisTooSmall(RuntimeError):
@@ -41,7 +49,7 @@ class BasisTooSmall(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """The dense symmetric eigensolver failed."""
+    """The banded eigensolver failed or its eigenpair misses the residual bound."""
 
 
 class StepTooLarge(RuntimeError):
@@ -53,16 +61,25 @@ class NoGroundState(ValueError):
 
 
 def _require_ground_state(lam: float, potential: PolynomialPotential | None) -> None:
-    """Reject an odd-degree potential at nonzero coupling before any solve.
+    """Reject a potential that leaves H unbounded below before any solve.
 
-    lambda * q**k with odd k is unbounded below for either sign of lambda; a
-    truncated basis would still return a lowest eigenvector, but it describes
-    the basis edge, not a ground state.
+    lambda * q**k with odd k is unbounded below for either sign of lambda, and
+    so is an even-degree potential whose leading term lambda * c_k is negative;
+    a truncated basis would still return a lowest eigenvector, but it
+    describes the basis edge, not a ground state.
     """
-    if potential is not None and lam != 0.0 and potential.degree % 2:
+    if potential is None or lam == 0.0:
+        return
+    k, lead = potential.coefficients[-1]
+    if k % 2:
         raise NoGroundState(
             f"odd k has no ground state for lambda != 0 "
-            f"(k={potential.degree}, lambda={lam!r}: the potential is unbounded below)"
+            f"(k={k}, lambda={lam!r}: the potential is unbounded below)"
+        )
+    if lam * lead < 0:
+        raise NoGroundState(
+            f"a negative leading term has no ground state "
+            f"(k={k}, lambda={lam!r}, c_k={lead}: the potential is unbounded below)"
         )
 
 
@@ -99,6 +116,28 @@ class NumericQGT:
         return float(self.metric[self.labels.index(a), self.labels.index(b)])
 
 
+@lru_cache(maxsize=32)
+def _power_bands(n: int, omega: float, b: int) -> np.ndarray:
+    """powers[k, d, c] = (q**k)[c + d, c] for k, d = 0..b, in O(n * b**2).
+
+    Each power is the last one times the tridiagonal q.  The array is shared
+    by every caller and pool thread, so it is read-only.
+    """
+    sub = np.sqrt(np.arange(1, n) / (2.0 * omega))  # q[c + 1, c]
+    full = np.zeros((2 * b + 1, n))  # full[b + d, c] = M[c + d, c], d = -b..b
+    full[b] = 1.0
+    powers = np.empty((b + 1, b + 1, n))
+    powers[0] = full[b:]
+    for k in range(1, b + 1):
+        nxt = np.zeros_like(full)
+        nxt[:-1, 1:] = full[1:, :-1] * sub  # M[r, c - 1] q[c - 1, c]
+        nxt[1:, :-1] += full[:-1, 1:] * sub  # M[r, c + 1] q[c + 1, c]
+        full = nxt
+        powers[k] = full[b:]
+    powers.setflags(write=False)
+    return powers
+
+
 def build_hamiltonian(
     alpha: float,
     lam: float,
@@ -106,29 +145,32 @@ def build_hamiltonian(
     potential: PolynomialPotential | None,
     config: OracleConfig,
 ) -> np.ndarray:
-    """Dense symmetric matrix of H in the reference oscillator number basis."""
+    """H in the reference oscillator number basis, as lower band storage.
+
+    band[d, c] = H[c + d, c], shape (b + 1, N) with b = max(2, degree).
+    """
     if potential is not None and potential.degree > 8:
         raise ValueError("potential degree must be <= 8")
     n = config.basis_size
     omega = config.omega(alpha)
-    levels = np.arange(n)
-    h = np.diag(omega * (levels + 0.5))
-    # position operator: q[n, n+1] = sqrt((n+1) / (2 omega))
-    q = np.zeros((n, n))
-    off = np.sqrt((levels[:-1] + 1.0) / (2.0 * omega))
-    q[levels[:-1], levels[:-1] + 1] = off
-    q[levels[:-1] + 1, levels[:-1]] = off
-    q2 = q @ q
-    h = h + 0.5 * (alpha - omega**2) * q2 + j * q
+    b = max(2, potential.degree) if potential is not None else 2
+    coeffs = np.zeros(b + 1)
+    coeffs[1] = j
+    coeffs[2] = 0.5 * (alpha - omega**2)
     if potential is not None and lam != 0.0:
-        powers = {1: q, 2: q2}
-        qk = q2
-        for deg in range(3, potential.degree + 1):
-            qk = qk @ q
-            powers[deg] = qk
         for deg, c in potential.coefficients:
-            h = h + lam * float(c) * powers[deg]
-    return 0.5 * (h + h.T)
+            coeffs[deg] += lam * float(c)
+    band = np.tensordot(coeffs, _power_bands(n, omega, b), axes=1)
+    band[0] += omega * (np.arange(n) + 0.5)
+    return band
+
+
+def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    out = band[0] * vec
+    for d in range(1, band.shape[0]):
+        out[d:] += band[d, :-d] * vec[:-d]
+        out[:-d] += band[d, :-d] * vec[d:]
+    return out
 
 
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -138,15 +180,40 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry."""
+def ground_state(band: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of a symmetric band matrix in lower storage.
+
+    E0 comes from the banded eigenvalue solver, the vector from inverse
+    iteration shifted just below E0 (positive definite even when H is exactly
+    diagonal), normalized with its largest-magnitude entry positive.  Raises
+    NoConvergence when LAPACK fails, the iteration does not settle, or
+    |(H - E0) psi| exceeds the residual bound.
+    """
+    from scipy import linalg  # deferred: only oracle commands solve, and it is slow to load
+
+    scale = float(np.abs(band).max())
     try:
-        vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
-    except linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        energy = linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
+        shifted = band.copy()
+        shifted[0] -= energy - _SHIFT_MARGIN * scale
+        vec = np.ones(band.shape[1])
+        for _ in range(_MAX_STEPS):
+            nxt = linalg.solveh_banded(shifted, vec, lower=True)
+            nxt /= np.linalg.norm(nxt)
+            step = float(np.linalg.norm(nxt - vec))
+            vec = nxt
+            if step <= _STEP_TOL:
+                break
+        else:
+            raise NoConvergence(
+                f"inverse iteration still moving by {step:.1e} after {_MAX_STEPS} steps"
+            )
+    except linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    vec = vecs[:, 0]
-    vec = gauge_fix(vec / np.linalg.norm(vec))
-    return float(vals[0]), vec
+    residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
+    if residual > _RESIDUAL_TOL * scale:
+        raise NoConvergence(f"residual |(H - E0) psi| = {residual:.2e} for |H| = {scale:.2e}")
+    return float(energy), gauge_fix(vec)
 
 
 def _checked_ground_vector(
@@ -162,10 +229,9 @@ def _checked_ground_vector(
 
 
 def _metric_matrix(
-    alpha, lam, j, potential, config: OracleConfig, labels, steps
+    alpha, lam, j, potential, config: OracleConfig, labels, steps, psi0
 ) -> np.ndarray:
     point = {"alpha": alpha, "lambda": lam, "j": j}
-    psi0 = _checked_ground_vector(alpha, lam, j, potential, config)
     derivs = []
     for label in labels:
         h = steps[label]
@@ -203,21 +269,15 @@ def numeric_qim(
     _require_ground_state(lam, potential)
     config = config or OracleConfig()
     # pin the basis at the central point; differencing must not rotate it
-    pinned = OracleConfig(
-        basis_size=config.basis_size,
-        reference_frequency=config.omega(alpha),
-        fd_step=config.fd_step,
-    )
+    pinned = replace(config, reference_frequency=config.omega(alpha))
     steps = {label: config.step(label, alpha) for label in labels}
     half = {label: 0.5 * h for label, h in steps.items()}
-    g_full = _metric_matrix(alpha, lam, j, potential, pinned, labels, steps)
-    g_half = _metric_matrix(alpha, lam, j, potential, pinned, labels, half)
-    doubled = OracleConfig(
-        basis_size=2 * config.basis_size,
-        reference_frequency=pinned.reference_frequency,
-        fd_step=config.fd_step,
-    )
-    g_big = _metric_matrix(alpha, lam, j, potential, doubled, labels, half)
+    psi0 = _checked_ground_vector(alpha, lam, j, potential, pinned)
+    g_full = _metric_matrix(alpha, lam, j, potential, pinned, labels, steps, psi0)
+    g_half = _metric_matrix(alpha, lam, j, potential, pinned, labels, half, psi0)
+    doubled = replace(pinned, basis_size=2 * config.basis_size)
+    psi0_big = _checked_ground_vector(alpha, lam, j, potential, doubled)
+    g_big = _metric_matrix(alpha, lam, j, potential, doubled, labels, half, psi0_big)
     report: dict[tuple[str, str], dict[str, float]] = {}
     for i, a in enumerate(labels):
         for jdx, b in enumerate(labels):
@@ -232,53 +292,3 @@ def numeric_qim(
                 "basis_doubling": abs(g_half[i, jdx] - g_big[i, jdx]),
             }
     return NumericQGT(tuple(labels), g_half, report)
-
-
-def fidelity_qim(
-    alpha: float,
-    lam: float,
-    j: float,
-    potential: PolynomialPotential | None,
-    config: OracleConfig | None = None,
-    labels: tuple[str, ...] = ("alpha", "lambda"),
-) -> NumericQGT:
-    """Secondary estimator from ground-state overlaps: g ~ 2(1 - F)/step^2.
-
-    Diagonal entries come directly from the fidelity drop along one parameter;
-    off-diagonal entries via the polarization identity along the combined
-    displacement.  Cross-validates the derivative-based estimator.
-    """
-    _require_ground_state(lam, potential)
-    config = config or OracleConfig()
-    pinned = OracleConfig(
-        basis_size=config.basis_size,
-        reference_frequency=config.omega(alpha),
-        fd_step=config.fd_step,
-    )
-    point = {"alpha": alpha, "lambda": lam, "j": j}
-
-    def vec_at(displacement: dict[str, float]) -> np.ndarray:
-        p = dict(point)
-        for k, v in displacement.items():
-            p[k] += v
-        return _checked_ground_vector(p["alpha"], p["lambda"], p["j"], potential, pinned)
-
-    def susceptibility(displacement: dict[str, float]) -> float:
-        plus = vec_at({k: 0.5 * v for k, v in displacement.items()})
-        minus = vec_at({k: -0.5 * v for k, v in displacement.items()})
-        fidelity = abs(float(plus @ minus))
-        return 2.0 * (1.0 - fidelity)
-
-    steps = {label: config.step(label, alpha) for label in labels}
-    k = len(labels)
-    g = np.empty((k, k))
-    chi = {a: susceptibility({a: steps[a]}) for a in labels}
-    for i, a in enumerate(labels):
-        g[i, i] = chi[a] / steps[a] ** 2
-    for i, a in enumerate(labels):
-        for jdx in range(i + 1, k):
-            b = labels[jdx]
-            chi_ab = susceptibility({a: steps[a], b: steps[b]})
-            g_ab = (chi_ab - chi[a] - chi[b]) / (2.0 * steps[a] * steps[b])
-            g[i, jdx] = g[jdx, i] = g_ab
-    return NumericQGT(tuple(labels), g, {})

@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_pairings",
     "moment",
     "connected_pair_correlator",
-    "diagram_to_dot",
     "edges_to_dot",
 ]
 
@@ -227,12 +226,3 @@ def edges_to_dot(
         lines.append(f"  {leg} -- source [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def diagram_to_dot(diagram: WickDiagram, name: str = "diagram") -> str:
-    return edges_to_dot(
-        diagram.edges,
-        name,
-        f"multiplicity {diagram.multiplicity}",
-        diagram.mean_legs,
-    )

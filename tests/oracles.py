@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own enumeration and integration paths:
 a literal recursive pairing enumerator over individual q-legs, numeric
-quadrature of the |t - t'| propagator integrands, and the connected integrand
+quadrature of the |t - t'| propagator integrands, the connected integrand
 built the long way, as numerator/vacuum ratios of interacting Green functions
-minus their graded product, with an all-m! canonical form.
+minus their graded product, with an all-m! canonical form, and the spectral
+oracle's dense path: H from dense matrix products, solved by a dense
+symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -15,12 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
+from unittest import mock
 
-from scipy import integrate
+import numpy as np
+from scipy import integrate, linalg
 
+from oscqgt import spectral_oracle
 from oscqgt.integrator import propagator_value
 from oscqgt.perturbation import DEFAULT_MAX_ORDER, GradedSum, OrderOverflow, PolynomialPotential
-from oscqgt.wick import InsertionPoint, enumerate_pairings
+from oscqgt.spectral_oracle import NumericQGT, OracleConfig, gauge_fix
+from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
 
 
 def brute_force_diagrams(points, with_mean=False):
@@ -277,3 +283,114 @@ def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> l
             pattern = " ".join(f"D({a},{b})" for a, b in edges)
             lines.append(f"order {m}: {raw} * {pattern}")
     return lines
+
+
+def diagram_to_dot(diagram: WickDiagram, name: str = "diagram") -> str:
+    return edges_to_dot(
+        diagram.edges,
+        name,
+        f"multiplicity {diagram.multiplicity}",
+        diagram.mean_legs,
+    )
+
+
+# -- dense spectral path ------------------------------------------------------
+
+
+def dense_hamiltonian(
+    alpha: float,
+    lam: float,
+    j: float,
+    potential: PolynomialPotential | None,
+    config: OracleConfig,
+) -> np.ndarray:
+    """Dense symmetric matrix of H in the reference oscillator number basis."""
+    if potential is not None and potential.degree > 8:
+        raise ValueError("potential degree must be <= 8")
+    n = config.basis_size
+    omega = config.omega(alpha)
+    levels = np.arange(n)
+    h = np.diag(omega * (levels + 0.5))
+    # position operator: q[n, n+1] = sqrt((n+1) / (2 omega))
+    q = np.zeros((n, n))
+    off = np.sqrt((levels[:-1] + 1.0) / (2.0 * omega))
+    q[levels[:-1], levels[:-1] + 1] = off
+    q[levels[:-1] + 1, levels[:-1]] = off
+    q2 = q @ q
+    h = h + 0.5 * (alpha - omega**2) * q2 + j * q
+    if potential is not None and lam != 0.0:
+        powers = {1: q, 2: q2}
+        qk = q2
+        for deg in range(3, potential.degree + 1):
+            qk = qk @ q
+            powers[deg] = qk
+        for deg, c in potential.coefficients:
+            h = h + lam * float(c) * powers[deg]
+    return 0.5 * (h + h.T)
+
+
+def dense_ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry."""
+    vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
+    vec = vecs[:, 0]
+    return float(vals[0]), gauge_fix(vec / np.linalg.norm(vec))
+
+
+def dense_numeric_qim(*args, **kwargs) -> NumericQGT:
+    """spectral_oracle.numeric_qim with every H built and solved densely."""
+    with mock.patch.multiple(
+        spectral_oracle, build_hamiltonian=dense_hamiltonian, ground_state=dense_ground_state
+    ):
+        return spectral_oracle.numeric_qim(*args, **kwargs)
+
+
+def fidelity_qim(
+    alpha: float,
+    lam: float,
+    j: float,
+    potential: PolynomialPotential | None,
+    config: OracleConfig | None = None,
+    labels: tuple[str, ...] = ("alpha", "lambda"),
+) -> NumericQGT:
+    """Secondary estimator from ground-state overlaps: g ~ 2(1 - F)/step^2.
+
+    Diagonal entries come directly from the fidelity drop along one parameter;
+    off-diagonal entries via the polarization identity along the combined
+    displacement.  Cross-validates the derivative-based estimator, on the
+    dense path.
+    """
+    spectral_oracle._require_ground_state(lam, potential)
+    config = config or OracleConfig()
+    pinned = OracleConfig(
+        basis_size=config.basis_size,
+        reference_frequency=config.omega(alpha),
+        fd_step=config.fd_step,
+    )
+    point = {"alpha": alpha, "lambda": lam, "j": j}
+
+    def vec_at(displacement: dict[str, float]) -> np.ndarray:
+        p = dict(point)
+        for k, v in displacement.items():
+            p[k] += v
+        h = dense_hamiltonian(p["alpha"], p["lambda"], p["j"], potential, pinned)
+        return dense_ground_state(h)[1]
+
+    def susceptibility(displacement: dict[str, float]) -> float:
+        plus = vec_at({k: 0.5 * v for k, v in displacement.items()})
+        minus = vec_at({k: -0.5 * v for k, v in displacement.items()})
+        fidelity = abs(float(plus @ minus))
+        return 2.0 * (1.0 - fidelity)
+
+    steps = {label: config.step(label, alpha) for label in labels}
+    k = len(labels)
+    g = np.empty((k, k))
+    chi = {a: susceptibility({a: steps[a]}) for a in labels}
+    for i, a in enumerate(labels):
+        g[i, i] = chi[a] / steps[a] ** 2
+    for i, a in enumerate(labels):
+        for jdx in range(i + 1, k):
+            b = labels[jdx]
+            chi_ab = susceptibility({a: steps[a], b: steps[b]})
+            g_ab = (chi_ab - chi[a] - chi[b]) / (2.0 * steps[a] * steps[b])
+            g[i, jdx] = g[jdx, i] = g_ab
+    return NumericQGT(tuple(labels), g, {})

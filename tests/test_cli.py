@@ -152,6 +152,13 @@ class TestExitCodes:
         assert "odd k has no ground state for lambda != 0" in err
         assert err.count("\n") == 1
 
+    def test_negative_quartic_coupling_is_rejected(self, capsys):
+        code, out, err = run(["sweep", "--lambdas", "-0.3"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err.startswith("invalid configuration: a negative leading term has no ground state")
+        assert err.count("\n") == 1
+
     def test_odd_k_free_point_stays_valid(self, capsys):
         code, out, _ = run(["sweep", "--model", "monomial:3", "--lambdas", "0"], capsys)
         assert code == cli.EXIT_OK
@@ -253,11 +260,13 @@ class TestVerify:
         assert all("g(j,j)" in line for line in failing)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is only needed by the linear overlap checks; loading it
-    # at import time would slow every CLI start.
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_cli_import_leaves_module_unloaded(module):
+    # scipy.integrate is only needed by the linear overlap checks and
+    # scipy.linalg only by the spectral oracle's solves; loading either at
+    # import time would slow every CLI start, symbolic commands included.
     src = str(Path(oscqgt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, oscqgt.cli; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, oscqgt.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"

@@ -1,22 +1,28 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracles import dense_ground_state, dense_hamiltonian, dense_numeric_qim, fidelity_qim
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import ParameterSpace, qgt_component
 from oscqgt.spectral_oracle import (
     BasisTooSmall,
+    NoConvergence,
     NoGroundState,
     OracleConfig,
     StepTooLarge,
     build_hamiltonian,
-    fidelity_qim,
     gauge_fix,
     ground_state,
     numeric_qim,
 )
 
 V4 = PolynomialPotential.monomial(4)
+V6 = PolynomialPotential.monomial(6)
+MIXED = PolynomialPotential.from_dict({1: F(-1, 3), 3: F(1, 2), 4: F(1, 24)})
 CFG = OracleConfig()
 
 
@@ -43,6 +49,28 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(1.0, 0.1, 0.0, v9, CFG)
 
+    @pytest.mark.parametrize(
+        "alpha,lam,j,potential,omega",
+        [
+            (1.0, 0.1, 0.0, V4, None),
+            (0.7, 0.05, 0.0, V6, None),
+            (1.3, 0.2, 0.4, MIXED, 0.9),
+            (0.6, 0.0, 0.3, None, 1.1),
+        ],
+        ids=["quartic", "monomial6", "mixed-sourced-off-frequency", "linear-off-frequency"],
+    )
+    def test_band_holds_the_dense_matrix(self, alpha, lam, j, potential, omega):
+        cfg = OracleConfig(basis_size=40, reference_frequency=omega)
+        band = build_hamiltonian(alpha, lam, j, potential, cfg)
+        dense = dense_hamiltonian(alpha, lam, j, potential, cfg)
+        n = cfg.basis_size
+        b = max(2, potential.degree) if potential is not None else 2
+        assert band.shape == (b + 1, n)
+        for d in range(b + 1):
+            assert band[d, : n - d] == pytest.approx(np.diagonal(dense, -d), rel=1e-13, abs=1e-13)
+        assert not np.tril(dense, -(b + 1)).any()
+        assert not np.triu(dense, b + 1).any()
+
     def test_off_frequency_basis_converges(self):
         # the reference frequency is a robustness knob, not a physics input
         loose = OracleConfig(reference_frequency=1.3)
@@ -53,15 +81,45 @@ class TestHamiltonian:
 
 class TestGroundState:
     def test_identity_matrix(self):
-        energy, vec = ground_state(np.eye(4))
+        # the 4x4 identity in lower band storage: fully degenerate
+        energy, vec = ground_state(np.ones((1, 4)))
         assert energy == pytest.approx(1.0)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
         assert vec[np.argmax(np.abs(vec))] > 0
 
     def test_diagonal_matrix(self):
-        energy, vec = ground_state(np.diag([1.0, 2.0, 3.0]))
+        energy, vec = ground_state(np.array([[1.0, 2.0, 3.0]]))
         assert energy == pytest.approx(1.0)
         assert vec == pytest.approx(np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
+    )
+    def test_matches_dense_eigensolver_on_oracle_hamiltonians(self, lam, potential, n):
+        # the iteration must run to the rounding floor: finite differences
+        # divide vector errors by steps of ~1e-4
+        cfg = OracleConfig(basis_size=n)
+        band = build_hamiltonian(1.0, lam, 0.1, potential, cfg)
+        energy, vec = ground_state(band)
+        dense_energy, dense_vec = dense_ground_state(dense_hamiltonian(1.0, lam, 0.1, potential, cfg))
+        # both eigenvalue solvers are accurate to rounding on the largest entry
+        assert energy == pytest.approx(dense_energy, abs=1e-14 * np.abs(band).max())
+        assert np.abs(vec - dense_vec).max() <= 1e-13
+
+    @pytest.mark.parametrize("offset,message", [(-1e-6, "residual"), (0.5, "not positive definite")])
+    def test_wrong_eigenvalue_raises_no_convergence(self, offset, message, monkeypatch):
+        # an E0 below the spectrum leaves a residual; one above it makes the
+        # shifted matrix indefinite, so the Cholesky solve fails
+        real = scipy.linalg.eigvals_banded
+        monkeypatch.setattr(
+            scipy.linalg, "eigvals_banded", lambda *a, **k: real(*a, **k) + offset
+        )
+        with pytest.raises(NoConvergence, match=message):
+            ground_state(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_near_degenerate_ground_state_raises_no_convergence(self):
+        with pytest.raises(NoConvergence, match="still moving"):
+            ground_state(np.array([[1.0, 1.0 + 1e-12, 3.0]]))
 
     def test_basis_doubling_self_consistency(self):
         energies = []
@@ -114,6 +172,38 @@ class TestNumericQim:
         tiny = OracleConfig(basis_size=16)
         with pytest.raises(BasisTooSmall):
             numeric_qim(1.0, 0.3, 2.5, V4, tiny)
+
+    @pytest.mark.parametrize(
+        "alpha,lam,j,potential,labels",
+        [
+            (0.7, 0.03, 0.0, V4, ("alpha", "lambda")),
+            (1.6, 0.01, 0.0, V4, ("alpha", "lambda")),
+            (1.0, 0.05, 0.0, V6, ("alpha", "lambda")),
+            (1.0, 0.0, 0.5, None, ("alpha", "j")),
+            (1.2, 0.04, 0.3, MIXED, ("alpha", "j")),
+        ],
+    )
+    def test_matches_dense_path(self, alpha, lam, j, potential, labels):
+        band = numeric_qim(alpha, lam, j, potential, CFG, labels=labels)
+        dense = dense_numeric_qim(alpha, lam, j, potential, CFG, labels=labels)
+        scale = np.abs(dense.metric).max()
+        assert np.abs(band.metric - dense.metric).max() <= 1e-10 * scale
+        for key, entry in dense.convergence_report.items():
+            assert band.convergence_report[key]["fd_halving"] == pytest.approx(
+                entry["fd_halving"], rel=1e-2, abs=1e-13
+            )
+
+    def test_negative_leading_term_is_rejected(self):
+        upside_down = PolynomialPotential.from_dict({2: F(1, 2), 4: F(-1, 24)})
+        for lam, potential in ((-0.3, V4), (-0.01, V6), (0.1, upside_down)):
+            with pytest.raises(NoGroundState, match="negative leading term"):
+                numeric_qim(1.0, lam, 0.0, potential, CFG)
+
+    def test_negative_coupling_of_a_negative_leading_term_stays_valid(self):
+        upside_down = PolynomialPotential.from_dict({4: F(-1, 24)})
+        flipped = numeric_qim(1.0, -0.05, 0.0, upside_down, CFG)
+        plain = numeric_qim(1.0, 0.05, 0.0, V4, CFG)
+        assert np.allclose(flipped.metric * [[1, -1], [-1, 1]], plain.metric, atol=1e-12)
 
     @pytest.mark.parametrize("estimator", [numeric_qim, fidelity_qim])
     def test_odd_potential_at_nonzero_coupling_is_rejected(self, estimator):

@@ -3,13 +3,12 @@ from math import prod
 
 import pytest
 
-from oracles import brute_force_diagrams, points_of
+from oracles import brute_force_diagrams, diagram_to_dot, points_of
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.wick import (
     GaussianModel,
     InsertionPoint,
     connected_pair_correlator,
-    diagram_to_dot,
     enumerate_pairings,
     moment,
     product_of_sums,
