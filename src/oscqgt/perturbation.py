@@ -7,12 +7,15 @@ q**deg and weight (-1)^m/m! times the potential coefficients.  By the
 linked-cluster theorem the connected correlator is the sum of the Wick graphs
 in which tau1, tau2 and every s_i form one component: vacuum bubbles cancel
 identically against the normalisation, and subtracting the product of the
-one-point functions removes the graphs that keep tau1 and tau2 apart.  So the
-pairings are enumerated once per order and only the connected graphs are kept.
+one-point functions removes the graphs that keep tau1 and tau2 apart.  So only
+the connected graphs are kept.
 
-Diagrams are stored per coupling order as {edge-multiset: exact coefficient},
-with internal vertex labels canonicalized (relabelings merged, the 1/m!
-symmetrization absorbed into the coefficients).
+Vertices of equal degree are interchangeable, so each class of graphs under
+relabelling of s_1..s_m is generated once, from a labelling in which the
+vertices' invariants are sorted, and weighted by 1/|Aut| in place of 1/m!
+times its m!/|Aut| labellings (orbit-stabiliser).  Diagrams are stored per
+coupling order as {edge-multiset: exact coefficient}, each under the
+canonical labelling of its class.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .integrator import Propagator, PropagatorProduct
 from .scalar_algebra import ScalarSeries
@@ -35,12 +38,9 @@ __all__ = [
     "DEFAULT_MAX_ORDER",
     "connected_integrand",
     "integrand_products",
-    "connected_components",
-    "clusters_linked",
-    "has_vacuum_component",
 ]
 
-DEFAULT_MAX_ORDER = 2
+DEFAULT_MAX_ORDER = 3
 
 EXTERNAL_A = "tau1"
 EXTERNAL_B = "tau2"
@@ -116,14 +116,35 @@ def _vertex_names(m: int) -> list[str]:
     return [f"s{i}" for i in range(1, m + 1)]
 
 
-def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> Edges | None:
-    """Canonical edge multiset of a diagram joining tau1, tau2 and all of `names`.
+def _invariant(row: Sequence[int], i: int, m: int) -> tuple:
+    """What relabelling the internal vertices keeps of vertex i's edge counts.
 
-    Returns None when the diagram has more than one connected component.  The
-    internal vertices are ranked by invariants that any relabeling preserves
-    (edges to tau1, edges to tau2, self-loops, sorted multiplicities to the
-    other vertices); the form is the minimal relabeled edge multiset over the
-    relabelings that keep that ranking, so isomorphic diagrams share it.
+    Edges to tau1, edges to tau2, self-loops and the sorted multiplicities to
+    the other vertices; row lists vertex i's edges to s_1..s_m, tau1, tau2.
+    """
+    return (row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
+
+
+def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
+    """Rank of the i-th time of the pairing walk: degree, then invariant.
+
+    The walk visits s_1..s_m (in name order) before tau1 and tau2, which stay
+    unranked.  The degree comes first, so the rank-sorted labelling of a class
+    also has the nondecreasing degrees that the walk's vertices are given.
+    """
+    return (sum(row) + row[i], _invariant(row, i, m)) if i < m else None
+
+
+def _linked_class(
+    edges: Sequence[tuple[str, str]], names: Sequence[str]
+) -> tuple[Edges, int] | None:
+    """Canonical edge multiset and automorphism count of a connected diagram.
+
+    Returns None when tau1, tau2 and `names` are not one connected component.
+    The internal vertices are ranked by their invariants; the form is the
+    minimal relabeled edge multiset over the relabelings that keep that
+    ranking, so isomorphic diagrams share it, and the number of relabelings
+    that reach it is the order of the diagram's automorphism group.
     """
     m = len(names)
     n = m + 2
@@ -148,15 +169,12 @@ def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> Edg
             joined += 1
     if joined != n - 1:
         return None
-    invariant = [
-        (row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
-        for i, row in enumerate(count[:m])
-    ]
+    invariant = [_invariant(row, i, m) for i, row in enumerate(count[:m])]
     ranked = sorted(range(m), key=invariant.__getitem__)
     classes = [list(group) for _, group in itertools.groupby(ranked, key=invariant.__getitem__)]
     # a relabeled diagram is keyed by the sorted codes lo * n + hi of its edges
     label = list(range(n))
-    best = None
+    best, automorphisms = None, 0
     for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
         for new, old in enumerate(itertools.chain.from_iterable(choice)):
             label[old] = new
@@ -165,9 +183,11 @@ def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> Edg
             for i, j in pairs
         )
         if best is None or key < best:
-            best = key
+            best, automorphisms = key, 1
+        elif key == best:
+            automorphisms += 1
     pair_names = _pair_names(m)
-    return tuple(sorted(pair_names[c] for c in best))
+    return tuple(sorted(pair_names[c] for c in best)), automorphisms
 
 
 @functools.cache
@@ -175,14 +195,6 @@ def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
     """Sorted name pair of each edge code lo * (m + 2) + hi."""
     nodes = _vertex_names(m) + [EXTERNAL_A, EXTERNAL_B]
     return tuple(tuple(sorted((a, b))) for a in nodes for b in nodes)
-
-
-def _add(acc: dict[Edges, Fraction], edges: Edges, coeff: Fraction) -> None:
-    new = acc.get(edges, Fraction(0)) + coeff
-    if new == 0:
-        acc.pop(edges, None)
-    else:
-        acc[edges] = new
 
 
 def connected_integrand(
@@ -196,10 +208,10 @@ def connected_integrand(
 
     Grade m holds {edge multiset: coefficient} for the diagrams of
     <q^na(tau1) q^nb(tau2)>_int - <q^na(tau1)>_int <q^nb(tau2)>_int with m
-    internal vertices: the Wick graphs in which tau1, tau2 and every vertex
-    form one component, weighted by (-1)^m/m! * prod c_deg * multiplicity.
-    The operator prefactors are not included here (the tensor assembly owns
-    them).
+    internal vertices: one graph per class of Wick graphs in which tau1, tau2
+    and every vertex form one component, weighted by
+    (-1)^m * prod c_deg * multiplicity / |Aut|.  The operator prefactors are
+    not included here (the tensor assembly owns them).
     """
     if order > max_order:
         raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
@@ -209,20 +221,24 @@ def connected_integrand(
     for m in range(order + 1):
         grade: dict[Edges, Fraction] = {}
         names = _vertex_names(m)
-        for degrees in itertools.product(sorted(coefficients), repeat=m):
+        rank = functools.partial(_walk_rank, m)
+        for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
             if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
                 continue
-            weight = Fraction((-1) ** m, factorial(m))
+            weight = Fraction((-1) ** m)
             for d in degrees:
                 weight *= coefficients[d]
-            insertions = externals + [InsertionPoint(name, deg) for name, deg in zip(names, degrees)]
-            counts: dict[Edges, int] = {}
-            for diag in enumerate_pairings(insertions):
-                edges = _linked_class(diag.edges, names)
-                if edges is not None:
-                    counts[edges] = counts.get(edges, 0) + diag.multiplicity
-            for edges, count in counts.items():
-                _add(grade, edges, weight * count)
+            # nondecreasing degrees in the walk's order, so that the sorted
+            # labelling of every class passes `rank`
+            insertions = externals + [
+                InsertionPoint(name, deg) for name, deg in zip(sorted(names), degrees)
+            ]
+            for diag in enumerate_pairings(insertions, rank=rank):
+                linked = _linked_class(diag.edges, names)
+                if linked is not None:
+                    # tied labellings of one class land on the same entry
+                    edges, automorphisms = linked
+                    grade[edges] = weight * Fraction(diag.multiplicity, automorphisms)
         out[m] = grade
     return out
 
@@ -245,46 +261,3 @@ def integrand_products(
             products.append(PropagatorProduct(series, tuple(Propagator(e) for e in edges)))
         out[m] = products
     return out
-
-
-# -- connectivity helpers (used by the verification suite) -------------------
-
-
-def connected_components(edges: Iterable[tuple[str, str]]) -> list[set[str]]:
-    nodes: set[str] = set()
-    adj: dict[str, set[str]] = {}
-    for a, b in edges:
-        nodes.update((a, b))
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def clusters_linked(edges: Edges, a: str = EXTERNAL_A, b: str = EXTERNAL_B) -> bool:
-    """True if the two external clusters sit in one connected component."""
-    for comp in connected_components(edges):
-        if a in comp and b in comp:
-            return True
-    return False
-
-
-def has_vacuum_component(edges: Edges, external: Sequence[str] = (EXTERNAL_A, EXTERNAL_B)) -> bool:
-    """True if some component touches no external time (a vacuum bubble)."""
-    for comp in connected_components(edges):
-        if not comp & set(external):
-            return True
-    return False

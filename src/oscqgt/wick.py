@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .integrator import Propagator, PropagatorProduct
 from .scalar_algebra import ScalarSeries
@@ -78,12 +78,21 @@ def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:
 
 
 def enumerate_pairings(
-    points: Sequence[InsertionPoint], with_mean: bool = False
+    points: Sequence[InsertionPoint],
+    with_mean: bool = False,
+    rank: Callable[[int, list[int]], object] | None = None,
 ) -> list[WickDiagram]:
     """All pairing classes of the given insertions, with exact multiplicities.
 
     Multiplicities over all diagrams of 2n legs (no mean) sum to (2n-1)!!.
     An odd total without mean legs yields an empty list (the moment is zero).
+
+    `rank(i, row)` breaks the symmetry between interchangeable times: row[j]
+    counts the edges between the i-th and j-th time in name order (row[i] the
+    self-loops), and the walk skips every diagram in which a time's rank sorts
+    below the previous ranked time's (None leaves a time unranked).  With a
+    rank that relabelling preserves, every class of diagrams under relabelling
+    keeps at least its sorted labelling.
     """
     nodes = _merge_points(points)
     names = [n for n, _ in nodes]
@@ -94,39 +103,50 @@ def enumerate_pairings(
     for c in legs:
         total *= fact[c]
     compositions: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
+    links = [[0] * k for _ in range(k)]
     diagrams: list[WickDiagram] = []
 
     # assign node i's remaining legs to mean legs, self-loops and edges toward
     # nodes j > i; edges and mean legs are appended in sorted order, and the
-    # denominator of the multiplicity grows with them.
-    def walk(i: int, remaining: list[int], edges: tuple, means: tuple, denom: int):
+    # denominator of the multiplicity grows with them.  Row i of `links` is
+    # complete once node i is placed: earlier nodes filled in its first i
+    # entries.
+    def walk(i: int, remaining: list[int], edges: tuple, means: tuple, denom: int, floor):
         if i == k:
             q, rem = divmod(total, denom)
             assert rem == 0
             diagrams.append(WickDiagram(edges, means, q))
             return
-        n_i, name = remaining[i], names[i]
+        n_i, name, row = remaining[i], names[i], links[i]
         later = tuple(remaining[i + 1 :])
         for m_i in range(n_i + 1) if with_mean else (0,):
             head_means = means + (name,) * m_i
             for self_i in range((n_i - m_i) // 2 + 1):
                 head_edges = edges + ((name, name),) * self_i
                 head_denom = denom * fact[m_i] * fact[self_i] * 2**self_i
+                row[i] = self_i
                 rest = n_i - m_i - 2 * self_i
                 key = (rest, later)
                 if key not in compositions:
                     compositions[key] = list(_compositions(rest, later))
                 for combo in compositions[key]:
+                    row[i + 1 :] = combo
+                    r = rank(i, row) if rank else None
+                    if r is None:
+                        r = floor
+                    elif floor is not None and r < floor:
+                        continue
                     new_remaining = list(remaining)
                     new_edges, new_denom = head_edges, head_denom
                     for j, e in enumerate(combo, start=i + 1):
+                        links[j][i] = e
                         if e:
                             new_edges += ((name, names[j]),) * e
                             new_denom *= fact[e]
                             new_remaining[j] -= e
-                    walk(i + 1, new_remaining, new_edges, head_means, new_denom)
+                    walk(i + 1, new_remaining, new_edges, head_means, new_denom, r)
 
-    walk(0, legs, (), (), 1)
+    walk(0, legs, (), (), 1, None)
     diagrams.sort(key=lambda d: (d.edges, d.mean_legs))
     return diagrams
 
@@ -182,13 +202,6 @@ def product_of_sums(
     return _merge_products(out)
 
 
-def sum_of_sums(
-    a: Iterable[PropagatorProduct], b: Iterable[PropagatorProduct], sign: int = 1
-) -> list[PropagatorProduct]:
-    scaled = [PropagatorProduct(p.coeff * sign, p.propagators) for p in b]
-    return _merge_products(list(a) + scaled)
-
-
 def connected_pair_correlator(
     model: GaussianModel,
     a_points: Sequence[InsertionPoint],
@@ -202,7 +215,8 @@ def connected_pair_correlator(
     """
     joint = moment(model, list(a_points) + list(b_points))
     disconnected = product_of_sums(moment(model, a_points), moment(model, b_points))
-    return sum_of_sums(joint, disconnected, sign=-1)
+    negated = [PropagatorProduct(-p.coeff, p.propagators) for p in disconnected]
+    return _merge_products(joint + negated)
 
 
 # -- diagram rendering -------------------------------------------------------

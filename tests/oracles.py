@@ -4,7 +4,8 @@ These deliberately avoid the library's own enumeration and integration paths:
 a literal recursive pairing enumerator over individual q-legs, numeric
 quadrature of the |t - t'| propagator integrands, the connected integrand
 built the long way, as numerator/vacuum ratios of interacting Green functions
-minus their graded product, with an all-m! canonical form, and the spectral
+minus their graded product, with an all-m! canonical form, the connected
+integrand from every labelled Wick graph weighted by 1/m!, and the spectral
 oracle's dense path: H from dense matrix products, solved by a dense
 symmetric eigensolver.
 """
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,13 @@ from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
 from oscqgt.integrator import propagator_value
-from oscqgt.perturbation import DEFAULT_MAX_ORDER, GradedSum, OrderOverflow, PolynomialPotential
+from oscqgt.perturbation import (
+    DEFAULT_MAX_ORDER,
+    GradedSum,
+    OrderOverflow,
+    PolynomialPotential,
+    _linked_class,
+)
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig, gauge_fix
 from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
 
@@ -263,6 +270,94 @@ def ratio_connected_integrand(op_a, op_b, order: int, potential, max_order: int 
             _add(grade, edges, -coeff)
         result[m] = grade
     return {m: grade for m, grade in result.items() if m <= order}
+
+
+# -- connected integrand from every labelled graph ----------------------------
+
+
+def kept_labelled_graphs(op_a, op_b, m: int, potential):
+    """Every labelled Wick graph with m vertices joining tau1, tau2 and all s_i.
+
+    Walks each ordering of each vertex-degree multiset (itertools.product) and
+    yields (degrees, (canonical edges, automorphisms), multiplicity).
+    """
+    externals = [InsertionPoint("tau1", op_a.q_power), InsertionPoint("tau2", op_b.q_power)]
+    names = _vertex_names(m)
+    for degrees in itertools.product([d for d, _ in potential.coefficients], repeat=m):
+        if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
+            continue
+        insertions = externals + [InsertionPoint(name, deg) for name, deg in zip(names, degrees)]
+        for diag in enumerate_pairings(insertions):
+            linked = _linked_class(diag.edges, names)
+            if linked is not None:
+                yield degrees, linked, diag.multiplicity
+
+
+def labelled_connected_integrand(op_a, op_b, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+    """connected_integrand summed over labelled graphs, each weighted by 1/m!.
+
+    Each kept labelled graph adds (-1)^m/m! * prod c_deg * multiplicity to its
+    canonical class, so a class collects its m!/|Aut| labellings without any
+    symmetry breaking.
+    """
+    if order > max_order:
+        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
+    coefficients = dict(potential.coefficients)
+    out = {}
+    for m in range(order + 1):
+        grade: dict = {}
+        for degrees, (edges, _automorphisms), multiplicity in kept_labelled_graphs(
+            op_a, op_b, m, potential
+        ):
+            weight = Fraction((-1) ** m, factorial(m))
+            for d in degrees:
+                weight *= coefficients[d]
+            _add(grade, edges, weight * multiplicity)
+        out[m] = grade
+    return out
+
+
+# -- connectivity of edge multisets -------------------------------------------
+
+
+def connected_components(edges: Iterable[tuple[str, str]]) -> list[set[str]]:
+    nodes: set[str] = set()
+    adj: dict[str, set[str]] = {}
+    for a, b in edges:
+        nodes.update((a, b))
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen: set[str] = set()
+    comps = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    stack.append(nxt)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def clusters_linked(edges, a: str = "tau1", b: str = "tau2") -> bool:
+    """True if the two external clusters sit in one connected component."""
+    for comp in connected_components(edges):
+        if a in comp and b in comp:
+            return True
+    return False
+
+
+def has_vacuum_component(edges, external: Sequence[str] = ("tau1", "tau2")) -> bool:
+    """True if some component touches no external time (a vacuum bubble)."""
+    for comp in connected_components(edges):
+        if not comp & set(external):
+            return True
+    return False
 
 
 def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> list[str]:

@@ -12,7 +12,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from oracles import brute_force_diagrams, points_of
+from oracles import brute_force_diagrams, clusters_linked, has_vacuum_component, points_of
 from oscqgt.integrator import (
     TAU1,
     TAU2,
@@ -24,9 +24,7 @@ from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import (
     DeformationOperator,
     PolynomialPotential,
-    clusters_linked,
     connected_integrand,
-    has_vacuum_component,
     integrand_products,
 )
 from oscqgt.qgt import (

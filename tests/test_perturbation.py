@@ -1,5 +1,7 @@
 import functools
+from collections import Counter
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_diagrams,
     canonical_edges,
+    clusters_linked,
+    connected_components,
+    has_vacuum_component,
     integrand_term_lines,
     interacting_green,
+    kept_labelled_graphs,
+    labelled_connected_integrand,
     points_of,
     ratio_connected_integrand,
     to_oracle_form,
@@ -20,10 +27,7 @@ from oscqgt.perturbation import (
     OrderOverflow,
     PolynomialPotential,
     _linked_class,
-    clusters_linked,
-    connected_components,
     connected_integrand,
-    has_vacuum_component,
     integrand_products,
 )
 from oscqgt.qgt import ParameterSpace, qgt_component
@@ -83,9 +87,9 @@ class TestInteractingGreen:
 
     def test_order_cap(self):
         with pytest.raises(OrderOverflow):
-            interacting_green([InsertionPoint("tau1", 2)], 3, V4)
+            interacting_green([InsertionPoint("tau1", 2)], 4, V4)
         # explicit override is allowed
-        interacting_green([InsertionPoint("tau1", 1)], 3, V1, max_order=3)
+        interacting_green([InsertionPoint("tau1", 1)], 4, V1, max_order=4)
 
 
 RAW_PATTERNS = {
@@ -216,7 +220,7 @@ class TestLinkedClusterAgainstRatioOracle:
 
     def test_order_cap(self):
         with pytest.raises(OrderOverflow):
-            connected_integrand(O_ALPHA, O_QUARTIC, 3, V4)
+            connected_integrand(O_ALPHA, O_QUARTIC, 4, V4)
         assert connected_integrand(O_ALPHA, O_QUARTIC, -1, V4) == {}
 
 
@@ -253,3 +257,48 @@ class TestCanonicalForm:
         oracle_classes = {canonical_edges(e, VERTICES_4) for e in _kept_graphs_alpha_lambda_order4()}
         assert len(graded[4]) == len(oracle_classes) == 483
         assert len(to_oracle_form(graded)[4]) == len(graded[4])
+
+
+# two vertex degrees, one coefficient negative: the walk runs over degree
+# multisets, and at order 3 both {3, 3, 4} and {3, 4, 4} occur
+MIXED_34 = PolynomialPotential.from_dict({3: F(1, 6), 4: F(-1, 24)})
+O_SOURCE = DeformationOperator.source()
+
+LABELLED_CASES = {
+    "quartic-alpha,lambda-o4": (O_ALPHA, O_QUARTIC, 4, V4),
+    "k6-lambda,lambda-o3": (
+        DeformationOperator.coupling(V6), DeformationOperator.coupling(V6), 3, V6
+    ),
+    "mixed34-alpha,alpha-o3": (O_ALPHA, O_ALPHA, 3, MIXED_34),
+    "mixed34-alpha,j-o3": (O_ALPHA, O_SOURCE, 3, MIXED_34),
+    "mixed34-lambda,lambda-o3": (O_QUARTIC, O_QUARTIC, 3, MIXED_34),
+}
+
+
+class TestOneGraphPerClass:
+    # One symmetry-broken labelling per class, weighted by 1/|Aut|, must give
+    # exactly what every labelled graph weighted by 1/m! gives, under the
+    # same canonical edge tuples.
+    @pytest.mark.parametrize("case", sorted(LABELLED_CASES))
+    def test_equals_labelled_walk(self, case):
+        op_a, op_b, order, potential = LABELLED_CASES[case]
+        direct = connected_integrand(op_a, op_b, order, potential, max_order=order)
+        labelled = labelled_connected_integrand(op_a, op_b, order, potential, max_order=order)
+        assert direct == labelled
+        assert direct[order]
+
+    @pytest.mark.parametrize(
+        "case", ["quartic-alpha,lambda-o4", "mixed34-alpha,j-o3", "mixed34-lambda,lambda-o3"]
+    )
+    def test_orbit_stabiliser(self, case):
+        # every class has m!/|Aut| labellings over all orderings of its degrees
+        op_a, op_b, m, potential = LABELLED_CASES[case]
+        labellings: Counter = Counter()
+        automorphisms = {}
+        for _degrees, (edges, aut), _mult in kept_labelled_graphs(op_a, op_b, m, potential):
+            labellings[edges] += 1
+            automorphisms[edges] = aut
+        assert labellings
+        assert any(aut > 1 for aut in automorphisms.values())
+        for edges, count in labellings.items():
+            assert count * automorphisms[edges] == factorial(m), edges
