@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -260,10 +261,7 @@ def cmd_compute(args) -> int:
 
 def _linear_checks() -> list[dict]:
     checks = []
-    space = qgt.ParameterSpace.linear_source()
-    series = {
-        (a, b): qgt.qgt_component(space, a, b) for a in space.labels for b in space.labels
-    }
+    series = qgt.assemble(qgt.ParameterSpace.linear_source()).components
     cfg = spectral_oracle.OracleConfig()
     for alpha in (0.5, 1.0, 2.0):
         for j in (0.0, 0.5):
@@ -305,9 +303,7 @@ def _linear_checks() -> list[dict]:
 def _quartic_checks() -> list[dict]:
     checks = []
     space = qgt.ParameterSpace.quartic()
-    series = {
-        (a, b): qgt.qgt_component(space, a, b, 1) for a in space.labels for b in space.labels
-    }
+    series = qgt.assemble(space, 1).components
     cfg = spectral_oracle.OracleConfig()
     potential = space.potential
     # free-theory agreement
@@ -443,18 +439,11 @@ def _sweep_point(space, series, point, cfg):
 
 def cmd_sweep(args) -> int:
     space = _space_for(args.model_kind, args.model_k)
-    series = {
-        (a, b): qgt.qgt_component(space, a, b, args.order, args.max_order)
-        for a in space.labels
-        for b in space.labels
-    }
+    series = qgt.assemble(space, args.order, args.max_order).components
     cfg = spectral_oracle.OracleConfig(basis_size=args.basis_size)
     if args.fd_step is not None:
         cfg.fd_step = {label: args.fd_step for label in ("alpha", "lambda", "j")}
-    alphas = _parse_grid(args.alphas)
-    lams = _parse_grid(args.lambdas)
-    js = _parse_grid(args.js)
-    points = [(a, l, j) for a in alphas for l in lams for j in js]
+    points = list(itertools.product(args.alphas, args.lambdas, args.js))
     rows: list[list[str]] = []
     if points:
         with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
@@ -539,12 +528,19 @@ def _validate(args) -> None:
             f"order {order} exceeds the maximum {args.max_order} "
             f"(override with {MAX_ORDER_ENV})"
         )
-    for name in ("alpha", "lambda_", "j"):
-        value = getattr(args, name, None)
-        if value is not None and not np.isfinite(value):
-            raise ValueError(f"parameter {name.rstrip('_')} must be finite")
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and alpha <= 0:
+    if args.command == "sweep":
+        args.alphas, args.lambdas, args.js = map(_parse_grid, (args.alphas, args.lambdas, args.js))
+        values = {"alpha": args.alphas, "lambda": args.lambdas, "j": args.js}
+    else:
+        values = {
+            name.rstrip("_"): [value]
+            for name in ("alpha", "lambda_", "j")
+            if (value := getattr(args, name, None)) is not None
+        }
+    for name, grid in values.items():
+        if not all(math.isfinite(value) for value in grid):
+            raise ValueError(f"parameter {name} must be finite")
+    if any(alpha <= 0 for alpha in values.get("alpha", ())):
         raise NonPositiveAlpha("alpha must be > 0")
 
 

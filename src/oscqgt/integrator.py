@@ -31,7 +31,7 @@ from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
 
 __all__ = [
     "Propagator", "PropagatorProduct", "DivergentIntegral", "TAU1", "TAU2",
-    "internal_vertex", "cut_sizes", "wedge_integral", "propagator_value",
+    "internal_vertex", "cut_sizes", "wedge_integral",
 ]
 
 TAU1 = "tau1"  # integrated over (-inf, 0]
@@ -73,10 +73,26 @@ class PropagatorProduct:
 
 
 def cut_sizes(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> list[int]:
-    """c[s], the number of propagators with one endpoint in subset s (bit i = names[i])."""
-    bit = {name: 1 << i for i, name in enumerate(names)}
-    ends = [bit[a] | bit[b] for a, b in edges if a != b]
-    return [sum(0 < s & e < e for e in ends) for s in range(1 << len(names))]
+    """c[s], the number of propagators with one endpoint in subset s (bit i = names[i]).
+
+    Adding the highest member v to the rest r of s changes the cut by
+    deg(v) - 2 * (edges from v into r); both tables are built by doubling.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    links = [[0] * len(names) for _ in names]
+    for a, b in edges:
+        if a != b:
+            i, j = index[a], index[b]
+            links[i][j] += 1
+            links[j][i] += 1
+    cut = [0]
+    for v, row in enumerate(links):
+        into = [0]
+        for w in row[:v]:
+            into += [e + w for e in into] if w else into
+        degree = sum(row)
+        cut += [c + degree - 2 * e for c, e in zip(cut, into)]
+    return cut
 
 
 def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Fraction:
@@ -108,20 +124,12 @@ def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Frac
     return Fraction(marked[full], scale ** len(names))
 
 
-def wedge_integral(
-    products: Iterable[PropagatorProduct],
-    n_vertices: int = 0,
-    elimination_order: Sequence[str] | None = None,
-) -> ScalarSeries:
+def wedge_integral(products: Iterable[PropagatorProduct], n_vertices: int = 0) -> ScalarSeries:
     """Exact integral of a sum of propagator products over the wedge.
 
     The products may reference tau1, tau2 and internal vertices s1..s_n.
-    `elimination_order`, if given, must name exactly these variables; the
-    result does not depend on it, since every order of integration agrees.
     """
     names = [TAU1, TAU2] + [internal_vertex(i) for i in range(1, n_vertices + 1)]
-    if elimination_order is not None and sorted(elimination_order) != sorted(names):
-        raise ValueError("elimination order must cover exactly the active variables")
     terms = []
     for product in products:
         unknown = {t for edge in product.edges for t in edge} - set(names)
@@ -134,9 +142,3 @@ def wedge_integral(
             for t in product.coeff.terms
         )
     return ScalarSeries.from_terms(terms)
-
-
-def propagator_value(alpha: float, t1: float, t2: float) -> float:
-    """Numeric D(t1, t2); used by the quadrature oracles in the test-suite."""
-    root = math.sqrt(alpha)
-    return math.exp(-root * abs(t1 - t2)) / (2.0 * root)

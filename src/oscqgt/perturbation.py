@@ -89,27 +89,22 @@ class PolynomialPotential:
 class DeformationOperator:
     """Operator conjugate to a parameter: prefactor * q**q_power."""
 
-    parameter_label: str
     q_power: int
     prefactor: Fraction
 
     @classmethod
     def stiffness(cls) -> "DeformationOperator":
         # conjugate to alpha in H = p^2/2 + alpha q^2/2 + ...
-        return cls("alpha", 2, Fraction(-1, 2))
+        return cls(2, Fraction(-1, 2))
 
     @classmethod
     def coupling(cls, potential: PolynomialPotential) -> "DeformationOperator":
-        # conjugate to the coupling of a monomial potential: -V(q)
+        # conjugate to the coupling of a monomial potential: -V(q); with
+        # V = q this is the source J of H -> H + J q
         if not potential.is_monomial:
             raise ValueError("the coupling deformation requires a monomial potential")
         k, c = potential.coefficients[0]
-        return cls("lambda", k, -c)
-
-    @classmethod
-    def source(cls) -> "DeformationOperator":
-        # conjugate to the source J in H -> H + J q
-        return cls("j", 1, Fraction(-1))
+        return cls(k, -c)
 
 
 def _vertex_names(m: int) -> list[str]:
@@ -247,17 +242,13 @@ def integrand_products(
     graded: GradedSum, coupling_label: str = "lambda"
 ) -> dict[int, list[PropagatorProduct]]:
     """Attach the coupling power to each grade and wrap diagrams for the integrator."""
-    if coupling_label == "lambda":
-        power_slot = {"lambda_pow": 1}
-    elif coupling_label == "j":
-        power_slot = {"j_pow": 1}
-    else:
+    if coupling_label not in ("lambda", "j"):
         raise ValueError(f"unknown coupling label {coupling_label!r}")
     out: dict[int, list[PropagatorProduct]] = {}
     for m, grade in sorted(graded.items()):
         products = []
         for edges, coeff in sorted(grade.items()):
-            series = ScalarSeries.term(coeff, **{k: v * m for k, v in power_slot.items()})
+            series = ScalarSeries.term(coeff, **{f"{coupling_label}_pow": m})
             products.append(PropagatorProduct(series, tuple(Propagator(e) for e in edges)))
         out[m] = products
     return out

@@ -2,8 +2,8 @@
 
 A component G_ab is the double integral over tau1 <= 0 <= tau2 of the
 connected correlator of the two deformation operators, times their scalar
-prefactors.  The linearly-sourced model is evaluated exactly through the
-constant-mean Gaussian; polynomial models go through the coupling expansion.
+prefactors, expanded in the coupling.  The source J of the linear model is
+the coupling of V = q, whose series ends at a finite order.
 The metric is the symmetric part, the curvature the antisymmetric part
 (identically zero for these real deformation families), and for the
 two-parameter models the truncated metric determinant yields the coupling
@@ -12,11 +12,11 @@ at which the metric degenerates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import wick
 from .integrator import PropagatorProduct, wedge_integral
 from .perturbation import (
     DEFAULT_MAX_ORDER,
@@ -26,7 +26,6 @@ from .perturbation import (
     integrand_products,
 )
 from .scalar_algebra import ScalarSeries
-from .wick import GaussianModel, InsertionPoint
 
 __all__ = [
     "ParameterSpace",
@@ -94,10 +93,8 @@ class ParameterSpace:
     def operator(self, label: str) -> DeformationOperator:
         if label == "alpha":
             return DeformationOperator.stiffness()
-        if label == "lambda" and self.kind != LINEAR:
+        if label == self.labels[1]:
             return DeformationOperator.coupling(self.potential)
-        if label == "j" and self.kind == LINEAR:
-            return DeformationOperator.source()
         raise ValueError(f"label {label!r} is not a parameter of the {self.kind} model")
 
 
@@ -121,23 +118,17 @@ def component_integrand(
 ) -> dict[int, list[PropagatorProduct]]:
     """The connected integrand of G_ab as propagator products keyed by vertex count.
 
-    The linear-source model is summed exactly (the expansion in J terminates)
-    and has no internal vertices; `order` is the coupling truncation for the
-    polynomial models.  Operator prefactors are not included.
+    `order` is the coupling truncation for the polynomial models.  The linear
+    model is summed exactly: a J vertex (degree 1) is a leaf on an external
+    leg and tau1, tau2 share at least one edge, so every order above
+    q_a + q_b - 2 is empty.  Operator prefactors are not included.
     """
     op_a = space.operator(a)
     op_b = space.operator(b)
     if space.kind == LINEAR:
-        model = GaussianModel(source_j=True)
-        return {
-            0: wick.connected_pair_correlator(
-                model,
-                [InsertionPoint("tau1", op_a.q_power)],
-                [InsertionPoint("tau2", op_b.q_power)],
-            )
-        }
+        order = max_order = op_a.q_power + op_b.q_power - 2
     graded = connected_integrand(op_a, op_b, order, space.potential, max_order)
-    return integrand_products(graded)
+    return integrand_products(graded, coupling_label=space.labels[1])
 
 
 def qgt_component(
@@ -177,12 +168,14 @@ def metric_and_curvature(
 
 
 def assemble(space: ParameterSpace, order: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> QGTResult:
-    """Compute every ordered component of the tensor and split it."""
-    components = {
-        (a, b): qgt_component(space, a, b, order, max_order)
-        for a in space.labels
-        for b in space.labels
-    }
+    """Compute every component of the tensor and split it.
+
+    Each unordered pair is computed once and stored under both orders: the
+    real correlators in scope are symmetric in the two operators.
+    """
+    components = {}
+    for a, b in itertools.combinations_with_replacement(space.labels, 2):
+        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, max_order)
     metric, curvature = metric_and_curvature(components)
     return QGTResult(space.labels, components, metric, curvature, order)
 

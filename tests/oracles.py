@@ -1,13 +1,16 @@
 """Independent oracles for the test-suite.
 
 These deliberately avoid the library's own enumeration and integration paths:
-a literal recursive pairing enumerator over individual q-legs, numeric
-quadrature of the |t - t'| propagator integrands, the connected integrand
-built the long way, as numerator/vacuum ratios of interacting Green functions
-minus their graded product, with an all-m! canonical form, the connected
-integrand from every labelled Wick graph weighted by 1/m!, and the spectral
-oracle's dense path: H from dense matrix products, solved by a dense
-symmetric eigensolver.
+a literal recursive pairing enumerator over individual q-legs (optionally
+routing legs to the mean of a constant source), numeric quadrature of the
+|t - t'| propagator integrands, Gaussian moments of the constant-source
+oscillator with its mean <q> = -J/alpha folded in and their connected
+two-cluster correlators (the linear model without any J vertex), the
+connected integrand built the long way, as numerator/vacuum ratios of
+interacting Green functions minus their graded product, with an all-m!
+canonical form, the connected integrand from every labelled Wick graph
+weighted by 1/m!, and the spectral oracle's dense path: H from dense matrix
+products, solved by a dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
-from oscqgt.integrator import propagator_value
+from oscqgt.integrator import Propagator, PropagatorProduct
 from oscqgt.perturbation import (
     DEFAULT_MAX_ORDER,
     GradedSum,
@@ -32,6 +35,7 @@ from oscqgt.perturbation import (
     PolynomialPotential,
     _linked_class,
 )
+from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig, gauge_fix
 from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
 
@@ -70,6 +74,88 @@ def brute_force_diagrams(points, with_mean=False):
 
 def points_of(spec: dict[str, int]) -> list[InsertionPoint]:
     return [InsertionPoint(name, power) for name, power in spec.items()]
+
+
+# -- constant-source Gaussian with mean legs ----------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianModel:
+    """Reference Gaussian: free oscillator, optionally with a constant source J."""
+
+    source_j: bool = False
+
+    @property
+    def mean_value(self) -> ScalarSeries:
+        # <q(tau)> = -J * integral ds D(s, tau) = -J/alpha, constant in tau
+        if self.source_j:
+            return ScalarSeries.term(-1, alpha_half_pow=-2, j_pow=1)
+        return ScalarSeries.zero()
+
+
+def moment(model: GaussianModel, points: Sequence[InsertionPoint]) -> list[PropagatorProduct]:
+    """<prod q^power(time)> as a sum of propagator products (pre-integration).
+
+    With a source, every leg may instead be routed to the mean <q>.
+    """
+    mean = model.mean_value
+    out = []
+    for (edges, means), multiplicity in brute_force_diagrams(points, model.source_j).items():
+        coeff = ScalarSeries.term(multiplicity)
+        if means:
+            coeff = coeff * mean ** len(means)
+        out.append(PropagatorProduct(coeff, tuple(Propagator(e) for e in edges)))
+    return _merge_products(out)
+
+
+def _merge_products(products: Iterable[PropagatorProduct]) -> list[PropagatorProduct]:
+    acc: dict[tuple, ScalarSeries] = {}
+    for p in products:
+        acc[p.edges] = acc.get(p.edges, ScalarSeries.zero()) + p.coeff
+    out = [
+        PropagatorProduct(c, tuple(Propagator(e) for e in edges))
+        for edges, c in acc.items()
+        if not c.is_zero
+    ]
+    out.sort(key=lambda p: p.edges)
+    return out
+
+
+def product_of_sums(
+    a: Iterable[PropagatorProduct], b: Iterable[PropagatorProduct]
+) -> list[PropagatorProduct]:
+    """Distributive product of two propagator sums, canonically merged."""
+    return _merge_products(
+        PropagatorProduct(pa.coeff * pb.coeff, pa.propagators + pb.propagators)
+        for pa in a
+        for pb in b
+    )
+
+
+def connected_pair_correlator(
+    model: GaussianModel,
+    a_points: Sequence[InsertionPoint],
+    b_points: Sequence[InsertionPoint],
+) -> list[PropagatorProduct]:
+    """<O_A O_B> - <O_A><O_B>, cancelled exactly term by term.
+
+    What survives are the pairing classes in which the A-cluster and the
+    B-cluster are joined by at least one chain of propagators; the clusters
+    may even share a time variable.
+    """
+    joint = moment(model, list(a_points) + list(b_points))
+    disconnected = product_of_sums(moment(model, a_points), moment(model, b_points))
+    negated = [PropagatorProduct(-p.coeff, p.propagators) for p in disconnected]
+    return _merge_products(joint + negated)
+
+
+# -- numeric propagators and quadrature ----------------------------------------
+
+
+def propagator_value(alpha: float, t1: float, t2: float) -> float:
+    """Numeric D(t1, t2) = exp(-sqrt(alpha) |t1 - t2|) / (2 sqrt(alpha))."""
+    root = math.sqrt(alpha)
+    return math.exp(-root * abs(t1 - t2)) / (2.0 * root)
 
 
 def product_value(alpha: float, edges, assignment: dict[str, float]) -> float:
@@ -381,12 +467,7 @@ def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> l
 
 
 def diagram_to_dot(diagram: WickDiagram, name: str = "diagram") -> str:
-    return edges_to_dot(
-        diagram.edges,
-        name,
-        f"multiplicity {diagram.multiplicity}",
-        diagram.mean_legs,
-    )
+    return edges_to_dot(diagram.edges, name, f"multiplicity {diagram.multiplicity}")
 
 
 # -- dense spectral path ------------------------------------------------------

@@ -82,22 +82,28 @@ class TestCompute:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_verbose_dumps_one_line_per_product(self, capsys):
-        argv = ["compute", "--model", "quartic", "--order", "1"]
-        _, plain, _ = run(argv, capsys)
-        code, out, err = run(["--verbose"] + argv, capsys)
-        assert code == 0
-        assert out == plain
-        space = oscqgt.qgt.ParameterSpace.quartic()
-        n_products = sum(
-            len(products)
-            for a, b in itertools.combinations_with_replacement(space.labels, 2)
-            for products in oscqgt.qgt.component_integrand(space, a, b, 1).values()
-        )
-        lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
-        assert len(lines) == n_products
-        for line in lines:
-            ScalarSeries.parse(line.rsplit(" = ", 1)[1])
-        assert "  2 * D(tau1,tau2) D(tau1,tau2) = 1/8 * a^-2" in lines
+        # the linear model's J vertices are degree-1 vertices s_i
+        for model, space, expected in [
+            ("quartic", oscqgt.qgt.ParameterSpace.quartic(),
+             "  2 * D(tau1,tau2) D(tau1,tau2) = 1/8 * a^-2"),
+            ("linear", oscqgt.qgt.ParameterSpace.linear_source(),
+             "  4 * j^2 * D(s1,tau2) D(s2,tau1) D(tau1,tau2) = 2 * j^2 * a^-7/2"),
+        ]:
+            argv = ["compute", "--model", model, "--order", "1"]
+            _, plain, _ = run(argv, capsys)
+            code, out, err = run(["--verbose"] + argv, capsys)
+            assert code == 0
+            assert out == plain
+            n_products = sum(
+                len(products)
+                for a, b in itertools.combinations_with_replacement(space.labels, 2)
+                for products in oscqgt.qgt.component_integrand(space, a, b, 1).values()
+            )
+            lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
+            assert len(lines) == n_products
+            for line in lines:
+                ScalarSeries.parse(line.rsplit(" = ", 1)[1])
+            assert expected in lines
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -144,6 +150,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("oracle failure: BasisTooSmall: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--alphas", "-1", "--lambdas", "0.1"], "alpha must be > 0"),
+            (["sweep", "--alphas", "0"], "alpha must be > 0"),
+            (["sweep", "--alphas", "1,nan"], "parameter alpha must be finite"),
+            (["sweep", "--model", "linear", "--js", "inf"], "parameter j must be finite"),
+            (["sweep", "--lambdas", "0,-inf"], "parameter lambda must be finite"),
+        ],
+    )
+    def test_bad_sweep_grid_names_the_parameter(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == f"invalid configuration: {message}\n"
 
     def test_odd_k_oracle_run_is_rejected(self, capsys):
         code, out, err = run(["sweep", "--model", "monomial:3", "--lambdas", "0.3"], capsys)

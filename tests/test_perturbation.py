@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    GaussianModel,
     brute_force_diagrams,
     canonical_edges,
     clusters_linked,
     connected_components,
+    connected_pair_correlator,
     has_vacuum_component,
     integrand_term_lines,
     interacting_green,
@@ -41,6 +43,7 @@ V6 = PolynomialPotential.monomial(6)
 
 O_ALPHA = DeformationOperator.stiffness()
 O_QUARTIC = DeformationOperator.coupling(V4)
+O_SOURCE = DeformationOperator.coupling(V1)
 
 
 class TestPotential:
@@ -57,8 +60,7 @@ class TestPotential:
     def test_operators(self):
         assert (O_ALPHA.q_power, O_ALPHA.prefactor) == (2, F(-1, 2))
         assert (O_QUARTIC.q_power, O_QUARTIC.prefactor) == (4, F(-1, 24))
-        src = DeformationOperator.source()
-        assert (src.q_power, src.prefactor) == (1, F(-1))
+        assert (O_SOURCE.q_power, O_SOURCE.prefactor) == (1, F(-1))
 
 
 class TestInteractingGreen:
@@ -170,20 +172,41 @@ def _perturbative_series(op_a, op_b, order, potential):
     return series * (op_a.prefactor * op_b.prefactor)
 
 
+def _sourced_series(op_a, op_b):
+    """The component from the constant-source Gaussian, with no J vertex."""
+    products = connected_pair_correlator(
+        GaussianModel(source_j=True),
+        [InsertionPoint("tau1", op_a.q_power)],
+        [InsertionPoint("tau2", op_b.q_power)],
+    )
+    return wedge_integral(products) * (op_a.prefactor * op_b.prefactor)
+
+
+LINEAR_OPS = {"alpha": O_ALPHA, "j": O_SOURCE}
+
+
 class TestLinearCaseConsistency:
     # running the expansion with the degree-1 vertex must reproduce the exact
     # constant-source results order by order in J (the exact series terminates)
     @pytest.mark.parametrize("pair", [("alpha", "alpha"), ("alpha", "j"), ("j", "j")])
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_orders_match_exact_source_series(self, pair, order):
-        ops = {"alpha": O_ALPHA, "j": DeformationOperator.source()}
-        space = ParameterSpace.linear_source()
-        exact = qgt_component(space, *pair)
-        pert = _perturbative_series(ops[pair[0]], ops[pair[1]], order, V1)
+        op_a, op_b = (LINEAR_OPS[label] for label in pair)
+        exact = _sourced_series(op_a, op_b)
+        pert = _perturbative_series(op_a, op_b, order, V1)
         exact_truncated = ScalarSeries.from_terms(
             t for t in exact.terms if t.j_pow <= order
         )
         assert pert == exact_truncated
+
+    @pytest.mark.parametrize("pair", [("alpha", "alpha"), ("alpha", "j"), ("j", "alpha"), ("j", "j")])
+    def test_linear_component_equals_source_series(self, pair):
+        # the compute route stops at order q_a + q_b - 2, whatever `order`
+        # and the cap are; the source series has every power of J
+        space = ParameterSpace.linear_source()
+        exact = _sourced_series(*(LINEAR_OPS[label] for label in pair))
+        assert qgt_component(space, *pair) == exact
+        assert qgt_component(space, *pair, order=0, max_order=0) == exact
 
 
 ORACLE_CASES = (
@@ -213,7 +236,7 @@ class TestLinkedClusterAgainstRatioOracle:
     def test_mixed_potential_equals_ratio_path(self):
         # several vertex degrees, one coefficient negative, so terms can cancel
         potential = PolynomialPotential.from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
-        for op_b in (O_ALPHA, DeformationOperator.source()):
+        for op_b in (O_ALPHA, O_SOURCE):
             direct = connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
             ratio = ratio_connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
             assert to_oracle_form(direct) == to_oracle_form(ratio)
@@ -262,7 +285,6 @@ class TestCanonicalForm:
 # two vertex degrees, one coefficient negative: the walk runs over degree
 # multisets, and at order 3 both {3, 3, 4} and {3, 4, 4} occur
 MIXED_34 = PolynomialPotential.from_dict({3: F(1, 6), 4: F(-1, 24)})
-O_SOURCE = DeformationOperator.source()
 
 LABELLED_CASES = {
     "quartic-alpha,lambda-o4": (O_ALPHA, O_QUARTIC, 4, V4),

@@ -1,18 +1,19 @@
 from fractions import Fraction as F
-from math import prod
+from math import factorial, prod
 
 import pytest
 
-from oracles import brute_force_diagrams, diagram_to_dot, points_of
-from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import (
+from oracles import (
     GaussianModel,
-    InsertionPoint,
+    brute_force_diagrams,
     connected_pair_correlator,
-    enumerate_pairings,
+    diagram_to_dot,
     moment,
+    points_of,
     product_of_sums,
 )
+from oscqgt.scalar_algebra import ScalarSeries
+from oscqgt.wick import InsertionPoint, enumerate_pairings
 
 FREE = GaussianModel(source_j=False)
 SOURCED = GaussianModel(source_j=True)
@@ -62,10 +63,22 @@ def test_quartic_vertex_vacuum_factor():
 )
 @pytest.mark.parametrize("with_mean", [False, True])
 def test_matches_brute_force_enumeration(legs, with_mean):
-    got = {
-        (d.edges, d.mean_legs): d.multiplicity
-        for d in enumerate_pairings(points_of(legs), with_mean=with_mean)
-    }
+    # A leg routed to the constant source's mean is an edge to a degree-1
+    # vertex: with M such vertices j1..jM (no edge between two of them),
+    # collapsing them to mean legs over their M! labellings gives the
+    # brute-force mean-leg classes.
+    total = sum(legs.values())
+    got = {}
+    for n_sources in range(total % 2, total + 1, 2) if with_mean else [0]:
+        sources = [f"j{i}" for i in range(1, n_sources + 1)]
+        points = points_of(legs) + [InsertionPoint(name, 1) for name in sources]
+        for d in enumerate_pairings(points):
+            if any(a in sources and b in sources for a, b in d.edges):
+                continue
+            edges = tuple(e for e in d.edges if e[0] not in sources)
+            means = tuple(sorted(b for a, b in d.edges if a in sources))
+            key = (edges, means)
+            got[key] = got.get(key, 0) + F(d.multiplicity, factorial(n_sources))
     assert got == brute_force_diagrams(points_of(legs), with_mean=with_mean)
 
 
