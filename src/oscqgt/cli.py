@@ -81,6 +81,7 @@ RECORD_SCHEMA = {
             "required": ["fidelity_expansion", "half_absorbed_into_tensor", "truncation_order"],
         },
         "parameters": {"type": "object"},
+        "formal": {"type": "string"},
         "components": {"type": "object", "additionalProperties": _SERIES_BLOCK},
         "metric": {"type": "object", "additionalProperties": _SERIES_BLOCK},
         "curvature": {"type": "object", "additionalProperties": _SERIES_BLOCK},
@@ -179,6 +180,11 @@ def compute_record(model: str, k: int, order: int, params: dict | None, max_orde
     }
     if params is not None:
         record["parameters"] = params
+    if k % 2 and k > 1:
+        record["formal"] = (
+            f"the series is formal: odd k={k} has no ground state for lambda != 0 "
+            f"(the potential is unbounded below)"
+        )
     if critical is not None:
         block = _series_block(critical, None)
         block["truncation_order"] = order
@@ -247,6 +253,8 @@ def cmd_compute(args) -> int:
         space = _space_for(args.model_kind, args.model_k)
         sys.stderr.write(_debug_integrands(space, args.order, args.max_order))
     record = compute_record(args.model_kind, args.model_k, args.order, params, args.max_order)
+    if "formal" in record:
+        print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
@@ -523,7 +531,9 @@ def _validate(args) -> None:
         raise ValueError("order must be >= 0")
     cap = os.environ.get(MAX_ORDER_ENV)
     args.max_order = max(int(cap), 0) if cap else DEFAULT_MAX_ORDER
-    if order > args.max_order:
+    # the linear series is exact at any order; only diagrams expands at `order`
+    exact = args.model_kind == "linear" and args.command != "diagrams"
+    if order > args.max_order and not exact:
         raise OrderOverflow(
             f"order {order} exceeds the maximum {args.max_order} "
             f"(override with {MAX_ORDER_ENV})"

@@ -9,8 +9,11 @@ The metric follows from central-difference ground-state derivatives,
 
 with sign-gauge-fixed eigenvectors, step-halving error estimates and a
 basis-doubling drift per entry.  q is tridiagonal, so H is built and solved
-in LAPACK lower band storage.  Everything here is real symmetric, so this
-oracle is blind to Berry curvature, consistent with the models in scope.
+in LAPACK lower band storage.  Each point runs one banded eigenvalue solve,
+for the central ground state; the shifted and doubled-basis ground states
+come from inverse iteration warm-started at a nearby known one.  Everything
+here is real symmetric, so this oracle is blind to Berry curvature,
+consistent with the models in scope.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ __all__ = [
     "numeric_qim",
 ]
 
-# Inverse iteration runs on H - E0 + margin * |H|: far above E0's rounding
+# Cold inverse iteration runs on H - E0 + margin * |H|: far above E0's rounding
 # error, so positive definite, yet each step shrinks excited components by
-# ~margin * |H| / gap.  It ends when a step moves the unit vector by < _STEP_TOL.
+# ~margin * |H| / gap.  A warm start shifts by the same margin below its guess's
+# residual interval.  It ends when a step moves the unit vector by < _STEP_TOL.
 _SHIFT_MARGIN = 1e-10
 _STEP_TOL = 1e-12
 _MAX_STEPS = 8
@@ -180,47 +184,75 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ground_state(band: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a symmetric band matrix in lower storage.
+def _inverse_iteration(band: np.ndarray, shift: float, vec: np.ndarray) -> np.ndarray:
+    """Iterate from vec on band - shift until a step moves the unit vector by
+    at most _STEP_TOL; the Cholesky solve fails unless the shift lies below
+    the whole spectrum."""
+    from scipy import linalg
 
-    E0 comes from the banded eigenvalue solver, the vector from inverse
-    iteration shifted just below E0 (positive definite even when H is exactly
-    diagonal), normalized with its largest-magnitude entry positive.  Raises
-    NoConvergence when LAPACK fails, the iteration does not settle, or
-    |(H - E0) psi| exceeds the residual bound.
-    """
-    from scipy import linalg  # deferred: only oracle commands solve, and it is slow to load
-
-    scale = float(np.abs(band).max())
+    shifted = band.copy()
+    shifted[0] -= shift
     try:
-        energy = linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
-        shifted = band.copy()
-        shifted[0] -= energy - _SHIFT_MARGIN * scale
-        vec = np.ones(band.shape[1])
         for _ in range(_MAX_STEPS):
             nxt = linalg.solveh_banded(shifted, vec, lower=True)
             nxt /= np.linalg.norm(nxt)
             step = float(np.linalg.norm(nxt - vec))
             vec = nxt
             if step <= _STEP_TOL:
-                break
-        else:
-            raise NoConvergence(
-                f"inverse iteration still moving by {step:.1e} after {_MAX_STEPS} steps"
-            )
+                return vec
     except linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    raise NoConvergence(f"inverse iteration still moving by {step:.1e} after {_MAX_STEPS} steps")
+
+
+def ground_state(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of a symmetric band matrix in lower storage.
+
+    Cold, E0 comes from the banded eigenvalue solver and the vector from
+    inverse iteration shifted just below E0 (positive definite even when H is
+    exactly diagonal).  Warm, inverse iteration starts at the guess, shifted
+    to rho - r - margin * |H| for the guess's Rayleigh quotient rho and
+    residual r, and E0 is the converged vector's Rayleigh quotient.  A shift
+    whose Cholesky solve succeeds lies below the whole spectrum, so the warm
+    iteration cannot settle on an excited state; if it fails, does not settle
+    or misses the residual bound, the solve runs cold.  The vector is
+    normalized with its largest-magnitude entry positive.  Raises
+    NoConvergence when LAPACK fails, the iteration does not settle, or
+    |(H - E0) psi| exceeds the residual bound.
+    """
+    from scipy import linalg  # deferred: only oracle commands solve, and it is slow to load
+
+    scale = float(np.abs(band).max())
+    if guess is not None:
+        guess = guess / np.linalg.norm(guess)
+        image = _band_matvec(band, guess)
+        rho = float(guess @ image)
+        shift = rho - float(np.linalg.norm(image - rho * guess)) - _SHIFT_MARGIN * scale
+        try:
+            vec = _inverse_iteration(band, shift, guess)
+            return _checked_pair(band, float(vec @ _band_matvec(band, vec)), vec, scale)
+        except NoConvergence:
+            pass
+    try:
+        energy = linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
+    except linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    vec = _inverse_iteration(band, energy - _SHIFT_MARGIN * scale, np.ones(band.shape[1]))
+    return _checked_pair(band, float(energy), vec, scale)
+
+
+def _checked_pair(band, energy: float, vec: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
     residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
     if residual > _RESIDUAL_TOL * scale:
         raise NoConvergence(f"residual |(H - E0) psi| = {residual:.2e} for |H| = {scale:.2e}")
-    return float(energy), gauge_fix(vec)
+    return energy, gauge_fix(vec)
 
 
 def _checked_ground_vector(
-    alpha, lam, j, potential, config: OracleConfig
+    alpha, lam, j, potential, config: OracleConfig, guess=None
 ) -> np.ndarray:
     h = build_hamiltonian(alpha, lam, j, potential, config)
-    _, vec = ground_state(h)
+    _, vec = ground_state(h, guess)
     n = len(vec)
     tail = float(np.sum(vec[int(0.9 * n):] ** 2))
     if tail > 1e-10:
@@ -240,7 +272,7 @@ def _metric_matrix(
             p = dict(point)
             p[label] += sign * h
             shifted.append(
-                _checked_ground_vector(p["alpha"], p["lambda"], p["j"], potential, config)
+                _checked_ground_vector(p["alpha"], p["lambda"], p["j"], potential, config, psi0)
             )
         derivs.append((shifted[0] - shifted[1]) / (2.0 * h))
     k = len(labels)
@@ -265,6 +297,8 @@ def numeric_qim(
 
     The reported value uses the halved step; the report carries a Richardson
     error estimate from the step halving and the drift under basis doubling.
+    Only the central ground state at N is solved cold; every other solve is
+    warm-started from it (zero-padded at 2N) or from the central state at 2N.
     """
     _require_ground_state(lam, potential)
     config = config or OracleConfig()
@@ -276,7 +310,8 @@ def numeric_qim(
     g_full = _metric_matrix(alpha, lam, j, potential, pinned, labels, steps, psi0)
     g_half = _metric_matrix(alpha, lam, j, potential, pinned, labels, half, psi0)
     doubled = replace(pinned, basis_size=2 * config.basis_size)
-    psi0_big = _checked_ground_vector(alpha, lam, j, potential, doubled)
+    padded = np.concatenate([psi0, np.zeros_like(psi0)])  # its tail weight is below 1e-10
+    psi0_big = _checked_ground_vector(alpha, lam, j, potential, doubled, padded)
     g_big = _metric_matrix(alpha, lam, j, potential, doubled, labels, half, psi0_big)
     report: dict[tuple[str, str], dict[str, float]] = {}
     for i, a in enumerate(labels):

@@ -505,8 +505,11 @@ def dense_hamiltonian(
     return 0.5 * (h + h.T)
 
 
-def dense_ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry."""
+def dense_ground_state(matrix: np.ndarray, guess=None) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry.
+
+    A warm-start guess is accepted and ignored: this path always solves cold.
+    """
     vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
     vec = vecs[:, 0]
     return float(vals[0]), gauge_fix(vec / np.linalg.norm(vec))

@@ -105,6 +105,22 @@ class TestCompute:
                 ScalarSeries.parse(line.rsplit(" = ", 1)[1])
             assert expected in lines
 
+    def test_odd_k_series_is_flagged_formal(self, capsys):
+        code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)
+        assert code == cli.EXIT_OK
+        record = json.loads(out)
+        jsonschema.validate(record, cli.RECORD_SCHEMA)
+        assert "odd k=3 has no ground state for lambda != 0" in record["formal"]
+        assert err == f"note: {record['formal']}\n"
+
+    @pytest.mark.parametrize("model", ["linear", "quartic", "monomial:6", "monomial:1"])
+    def test_series_with_a_ground_state_is_not_flagged(self, model, capsys):
+        # lambda q with alpha > 0 is a shifted oscillator, so k = 1 has one
+        code, out, err = run(["compute", "--model", model, "--format", "json"], capsys)
+        assert code == cli.EXIT_OK
+        assert "formal" not in json.loads(out)
+        assert err == ""
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             ["compute", "--model", "quartic", "--format", "csv"], capsys
@@ -133,6 +149,23 @@ class TestExitCodes:
         monkeypatch.setenv(cli.MAX_ORDER_ENV, "0")
         code, _, err = run(["compute", "--model", "quartic", "--order", "1"], capsys)
         assert code == cli.EXIT_BAD_CONFIG
+
+    def test_linear_order_is_not_capped(self, tmp_path, capsys):
+        # the linear series is exact at any order, so compute and sweep skip
+        # the cap; diagrams expands at the order it is given and keeps it
+        code, out, err = run(["compute", "--model", "linear", "--order", "4"], capsys)
+        assert code == cli.EXIT_OK
+        assert err == ""
+        _, first_order, _ = run(["compute", "--model", "linear", "--order", "1"], capsys)
+        assert out.splitlines()[1:] == first_order.splitlines()[1:]
+        code, out, _ = run(["sweep", "--model", "linear", "--order", "4"], capsys)
+        assert code == cli.EXIT_OK
+        assert len(out.splitlines()) == 5
+        code, _, err = run(
+            ["diagrams", "--model", "linear", "--order", "4", "--out", str(tmp_path)], capsys
+        )
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "QGT_MAX_ORDER" in err
 
     def test_nonfinite_parameter(self, capsys):
         code, _, _ = run(["compute", "--model", "quartic", "--alpha", "nan"], capsys)
@@ -282,13 +315,31 @@ class TestVerify:
         assert all("g(j,j)" in line for line in failing)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
-def test_cli_import_leaves_module_unloaded(module):
-    # scipy.integrate is only needed by the linear overlap checks and
-    # scipy.linalg only by the spectral oracle's solves; loading either at
-    # import time would slow every CLI start, symbolic commands included.
+def _probe(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this oscqgt; return its stdout."""
     src = str(Path(oscqgt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_cli_import_leaves_module_unloaded(module):
+    # scipy.integrate is needed by no command and scipy.linalg only by the
+    # spectral oracle's solves; loading either at import time would slow
+    # every CLI start, symbolic commands included.
     probe = f"import sys, oscqgt.cli; print({module!r} in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert _probe(probe).strip() == "False"
+
+
+def test_verify_leaves_scipy_integrate_unloaded():
+    # the overlap checks integrate on a numpy trapezoid grid; scipy.integrate
+    # would also load scipy.optimize, scipy.special and scipy.sparse
+    probe = (
+        "import contextlib, io, sys\n"
+        "from oscqgt import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'all'])\n"
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    assert _probe(probe).strip() == "0 False"

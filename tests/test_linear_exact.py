@@ -1,9 +1,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
+from oscqgt import linear_exact
 from oscqgt.linear_exact import (
     QuadratureFailure,
     ShiftedGaussianState,
@@ -69,6 +71,41 @@ class TestOverlapChecks:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             overlap_derivative_checks(1.0, 0.0, step=0.0)
+
+
+def adaptive_quad(f, lo, hi):
+    value, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return value
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("j", [-2.0, 0.0, 3.0])
+    def test_moments_match_adaptive_quadrature(self, alpha, j):
+        state = ShiftedGaussianState(alpha, j)
+        lo, hi = linear_exact._support(alpha, j, 0.0)
+        for power in (0, 1, 2):
+            f = lambda q: q**power * state.psi(q) ** 2
+            reference = adaptive_quad(f, lo, hi)
+            assert linear_exact._quad(f, lo, hi) == pytest.approx(
+                reference, rel=1e-12, abs=1e-13
+            )
+
+    @pytest.mark.parametrize("alpha,j", [(1.0, 0.5), (0.5, 0.0), (2.0, 0.5), (100.0, -2.0)])
+    def test_overlap_checks_match_adaptive_quadrature(self, alpha, j, monkeypatch):
+        report = overlap_derivative_checks(alpha, j)
+        monkeypatch.setattr(linear_exact, "_quad", adaptive_quad)
+        reference = overlap_derivative_checks(alpha, j)
+        for key, entry in report["entries"].items():
+            target = reference["entries"][key]["numeric"]
+            assert abs(entry["numeric"] - target) <= 1e-11 * max(1.0, abs(target))
+        for label, value in report["connections"].items():
+            assert abs(value - reference["connections"][label]) <= 1e-11
+
+    def test_unresolved_integrand_raises(self):
+        # a Gaussian 1e-4 wide falls between the grid points
+        with pytest.raises(QuadratureFailure):
+            linear_exact._quad(lambda q: np.exp(-((q / 1e-4) ** 2)), -1.0, 1.0)
 
 
 class TestPipelineEquivalence:

@@ -79,6 +79,19 @@ class TestHamiltonian:
         assert energy == pytest.approx(0.5, abs=1e-10)
 
 
+def count_eigenvalue_solves(monkeypatch) -> list:
+    """Record each scipy.linalg.eigvals_banded call from here on."""
+    calls = []
+    real = scipy.linalg.eigvals_banded
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted)
+    return calls
+
+
 class TestGroundState:
     def test_identity_matrix(self):
         # the 4x4 identity in lower band storage: fully degenerate
@@ -105,6 +118,39 @@ class TestGroundState:
         # both eigenvalue solvers are accurate to rounding on the largest entry
         assert energy == pytest.approx(dense_energy, abs=1e-14 * np.abs(band).max())
         assert np.abs(vec - dense_vec).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
+    )
+    def test_warm_start_matches_cold(self, lam, potential, n, monkeypatch):
+        # the guess is the ground state one finite-difference step away
+        cfg = OracleConfig(basis_size=n)
+        band = build_hamiltonian(1.0, lam, 0.1, potential, cfg)
+        cold_energy, cold_vec = ground_state(band)
+        _, guess = ground_state(build_hamiltonian(1.0, lam + 1e-4, 0.1, potential, cfg))
+        calls = count_eigenvalue_solves(monkeypatch)
+        energy, vec = ground_state(band, guess)
+        assert calls == []  # warm: no eigenvalue solve
+        assert energy == pytest.approx(cold_energy, rel=1e-12)
+        assert np.abs(vec - cold_vec).max() <= 1e-10
+
+    def test_excited_guess_returns_the_ground_state(self, monkeypatch):
+        calls = count_eigenvalue_solves(monkeypatch)
+        energy, vec = ground_state(np.array([[1.0, 2.0, 3.0]]), np.array([0.0, 1.0, 0.0]))
+        assert len(calls) == 1  # the warm shift sits above E0, so the solve ran cold
+        assert energy == pytest.approx(1.0)
+        assert vec == pytest.approx(np.array([1.0, 0.0, 0.0]))
+
+    def test_excited_guess_on_an_oracle_hamiltonian(self, monkeypatch):
+        cfg = OracleConfig(basis_size=64)
+        band = build_hamiltonian(1.0, 0.1, 0.1, V4, cfg)
+        _, vecs = scipy.linalg.eigh(dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg))
+        cold_energy, cold_vec = ground_state(band)
+        calls = count_eigenvalue_solves(monkeypatch)
+        energy, vec = ground_state(band, vecs[:, 2])
+        assert len(calls) == 1
+        assert energy == cold_energy
+        assert np.array_equal(vec, cold_vec)
 
     @pytest.mark.parametrize("offset,message", [(-1e-6, "residual"), (0.5, "not positive definite")])
     def test_wrong_eigenvalue_raises_no_convergence(self, offset, message, monkeypatch):
@@ -162,6 +208,17 @@ class TestNumericQim:
         r = numeric_qim(1.0, 0.0, 0.5, None, CFG, labels=("alpha", "j"))
         for (a, b), value in exact_linear_qgt(1.0, 0.5).items():
             assert r.entry(a, b) == pytest.approx(value, abs=1e-6 * max(1, abs(value)))
+
+    @pytest.mark.parametrize(
+        "lam,j,potential,labels",
+        [(0.05, 0.0, V4, ("alpha", "lambda")), (0.0, 0.5, None, ("alpha", "j"))],
+    )
+    def test_one_eigenvalue_solve_per_call(self, lam, j, potential, labels, monkeypatch):
+        calls = count_eigenvalue_solves(monkeypatch)
+        numeric_qim(1.0, lam, j, potential, CFG, labels=labels)
+        # only the central ground state at N is solved cold
+        assert len(calls) == 1
+        assert calls[0][1] == CFG.basis_size
 
     def test_step_too_large_detected(self):
         rough = OracleConfig(fd_step={"alpha": 0.6, "lambda": 1e-4, "j": 1e-4})
