@@ -6,8 +6,8 @@ Euclidean wedge integrals of connected correlators, plus an independent
 spectral oracle built on a truncated oscillator basis.
 """
 
-from .scalar_algebra import NonPositiveAlpha, Rational, ScalarSeries, ScalarTerm
+from .scalar_algebra import NonPositiveAlpha, ScalarSeries, ScalarTerm
 
-__all__ = ["Rational", "ScalarSeries", "ScalarTerm", "NonPositiveAlpha"]
+__all__ = ["ScalarSeries", "ScalarTerm", "NonPositiveAlpha"]
 
 __version__ = "0.1.0"

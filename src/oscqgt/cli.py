@@ -232,16 +232,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _debug_integrands(space, order: int, max_order: int) -> str:
-    """One line per integrand product: coefficient, edge pattern, exact wedge value."""
+    """One line per integrand graph: coefficient, edge pattern, exact wedge value."""
     lines = []
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
         lines.append(f"# integrand g({a},{b})")
-        by_vertices = qgt.component_integrand(space, a, b, order, max_order)
-        for m, products in sorted(by_vertices.items()):
-            for product in products:
-                pattern = " ".join(f"D({x},{y})" for x, y in product.edges)
-                value = wedge_integral([product], n_vertices=m)
-                lines.append(f"  {product.coeff} * {pattern} = {value}")
+        graded = qgt.component_integrand(space, a, b, order, max_order)
+        for m, grade in sorted(graded.items()):
+            power = space.coupling**m
+            for edges, coeff in sorted(grade.items()):
+                pattern = " ".join(f"D({x},{y})" for x, y in edges)
+                value = wedge_integral({edges: coeff}, m) * power
+                lines.append(f"  {coeff * power} * {pattern} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -267,6 +268,10 @@ def cmd_compute(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
+def _check(name: str, component: str, delta: float, tol: float) -> dict:
+    return dict(name=name, component=component, delta=delta, tol=tol, passed=delta <= tol)
+
+
 def _linear_checks() -> list[dict]:
     checks = []
     series = qgt.assemble(qgt.ParameterSpace.linear_source()).components
@@ -287,23 +292,11 @@ def _linear_checks() -> list[dict]:
                     ("series-vs-oracle", sym, num),
                 ):
                     checks.append(
-                        {
-                            "name": f"linear {kind} alpha={alpha} j={j}",
-                            "component": f"g({a},{b})",
-                            "delta": abs(x - y),
-                            "tol": tol,
-                            "passed": abs(x - y) <= tol,
-                        }
+                        _check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol)
                     )
     report = linear_exact.overlap_derivative_checks(1.0, 0.5)
     checks.append(
-        {
-            "name": "linear overlap-quadrature",
-            "component": "all",
-            "delta": report["max_relative_deviation"],
-            "tol": 1e-6,
-            "passed": report["max_relative_deviation"] <= 1e-6,
-        }
+        _check("linear overlap-quadrature", "all", report["max_relative_deviation"], 1e-6)
     )
     return checks
 
@@ -322,13 +315,7 @@ def _quartic_checks() -> list[dict]:
             num = oracle.entry(a, b)
             tol = 1e-6 * max(1.0, abs(sym))
             checks.append(
-                {
-                    "name": f"quartic free-theory alpha={alpha}",
-                    "component": f"g({a},{b})",
-                    "delta": abs(sym - num),
-                    "tol": tol,
-                    "passed": abs(sym - num) <= tol,
-                }
+                _check(f"quartic free-theory alpha={alpha}", f"g({a},{b})", abs(sym - num), tol)
             )
     # interacting: quadratic remainder scaling, plus the absolute bound at 0.05
     lams = (0.02, 0.04, 0.08)
@@ -340,27 +327,13 @@ def _quartic_checks() -> list[dict]:
     for (a, b), values in devs.items():
         slope = float(np.polyfit(np.log(lams), np.log(values), 1)[0])
         checks.append(
-            {
-                "name": "quartic remainder-scaling slope",
-                "component": f"g({a},{b})",
-                "delta": abs(slope - 2.0),
-                "tol": 0.3,
-                "passed": 1.7 <= slope <= 2.3,
-            }
+            _check("quartic remainder-scaling slope", f"g({a},{b})", abs(slope - 2.0), 0.3)
         )
     oracle = spectral_oracle.numeric_qim(1.0, 0.05, 0.0, potential, cfg)
     dev = abs(
         oracle.entry("lambda", "lambda") - series[("lambda", "lambda")].evaluate(1.0, 0.05)
     )
-    checks.append(
-        {
-            "name": "quartic absolute deviation lambda=0.05",
-            "component": "g(lambda,lambda)",
-            "delta": dev,
-            "tol": 5e-5,
-            "passed": dev <= 5e-5,
-        }
-    )
+    checks.append(_check("quartic absolute deviation lambda=0.05", "g(lambda,lambda)", dev, 5e-5))
     return checks
 
 
@@ -421,7 +394,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(space, series, point, cfg):
+def _sweep_point(space, order, series, point, cfg):
     alpha, lam, j = point
     labels = space.labels
     potential = space.potential if space.kind != "linear" else None
@@ -434,7 +407,7 @@ def _sweep_point(space, series, point, cfg):
         rows.append(
             [
                 space.kind,
-                "",  # order filled by caller
+                str(order),
                 repr(alpha), repr(lam), repr(j),
                 f"{a},{b}",
                 repr(sym), repr(num),
@@ -456,11 +429,9 @@ def cmd_sweep(args) -> int:
     if points:
         with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
             for point_rows in pool.map(
-                lambda p: _sweep_point(space, series, p, cfg), points
+                lambda p: _sweep_point(space, args.order, series, p, cfg), points
             ):
                 rows.extend(point_rows)
-    for row in rows:
-        row[1] = str(args.order)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -552,6 +523,13 @@ def _validate(args) -> None:
             raise ValueError(f"parameter {name} must be finite")
     if any(alpha <= 0 for alpha in values.get("alpha", ())):
         raise NonPositiveAlpha("alpha must be > 0")
+    labels = _space_for(args.model_kind, args.model_k).labels
+    for name, grid in values.items():
+        if name not in labels and any(grid):
+            raise ValueError(f"the {args.model} model has no parameter {name}")
+    fd_step = getattr(args, "fd_step", None)
+    if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError("fd-step must be finite and > 0")
 
 
 def main(argv=None) -> int:

@@ -23,53 +23,26 @@ diverges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
 
 __all__ = [
-    "Propagator", "PropagatorProduct", "DivergentIntegral", "TAU1", "TAU2",
-    "internal_vertex", "cut_sizes", "wedge_integral",
+    "DivergentIntegral", "Edges", "TAU1", "TAU2", "internal_vertices", "cut_sizes",
+    "wedge_integral",
 ]
 
 TAU1 = "tau1"  # integrated over (-inf, 0]
 TAU2 = "tau2"  # integrated over [0, inf)
 
-
-def internal_vertex(i: int) -> str:
-    """The i-th internal vertex (1-based), integrated over the full axis."""
-    return f"s{i}"
+# edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
+Edges = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Free two-point function D(t1, t2); symmetric in its endpoints."""
-
-    endpoints: tuple[str, str]
-
-    def __post_init__(self):
-        a, b = self.endpoints
-        if a > b:
-            object.__setattr__(self, "endpoints", (b, a))
-
-
-@dataclass(frozen=True)
-class PropagatorProduct:
-    """coefficient * product of propagators; the pre-integration expression."""
-
-    coeff: ScalarSeries
-    propagators: tuple[Propagator, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "propagators", tuple(sorted(self.propagators, key=lambda p: p.endpoints))
-        )
-
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(p.endpoints for p in self.propagators)
+def internal_vertices(m: int) -> list[str]:
+    """The names s1..sm of m internal vertices, integrated over the full axis."""
+    return [f"s{i}" for i in range(1, m + 1)]
 
 
 def cut_sizes(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> list[int]:
@@ -124,21 +97,17 @@ def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Frac
     return Fraction(marked[full], scale ** len(names))
 
 
-def wedge_integral(products: Iterable[PropagatorProduct], n_vertices: int = 0) -> ScalarSeries:
-    """Exact integral of a sum of propagator products over the wedge.
+def wedge_integral(graphs: Mapping[Edges, Fraction], n_vertices: int = 0) -> ScalarSeries:
+    """Exact integral of sum_edges coeff * prod_edges D over the wedge, a series in alpha.
 
-    The products may reference tau1, tau2 and internal vertices s1..s_n.
+    The edges may reference tau1, tau2 and internal vertices s1..s_n.
     """
-    names = [TAU1, TAU2] + [internal_vertex(i) for i in range(1, n_vertices + 1)]
+    names = [TAU1, TAU2] + internal_vertices(n_vertices)
     terms = []
-    for product in products:
-        unknown = {t for edge in product.edges for t in edge} - set(names)
+    for edges, coeff in graphs.items():
+        unknown = {t for edge in edges for t in edge} - set(names)
         if unknown:
             raise ValueError(f"propagator endpoints {sorted(unknown)} are not active variables")
-        n_props = len(product.propagators)
-        value = _ordered_sum(product.edges, names) / 2**n_props
-        terms.extend(
-            ScalarTerm(t.coeff * value, t.alpha_half_pow - n_props - len(names), t.lambda_pow, t.j_pow)
-            for t in product.coeff.terms
-        )
+        value = _ordered_sum(edges, names) / 2 ** len(edges)
+        terms.append(ScalarTerm(coeff * value, -len(edges) - len(names)))
     return ScalarSeries.from_terms(terms)

@@ -27,8 +27,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
 
-from .integrator import Propagator, PropagatorProduct
-from .scalar_algebra import ScalarSeries
+from .integrator import TAU1, TAU2, Edges, internal_vertices
 from .wick import InsertionPoint, enumerate_pairings
 
 __all__ = [
@@ -37,16 +36,10 @@ __all__ = [
     "OrderOverflow",
     "DEFAULT_MAX_ORDER",
     "connected_integrand",
-    "integrand_products",
 ]
 
 DEFAULT_MAX_ORDER = 3
 
-EXTERNAL_A = "tau1"
-EXTERNAL_B = "tau2"
-
-# edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
-Edges = tuple[tuple[str, str], ...]
 # coupling-graded diagram sum: order -> {edges: coefficient}
 GradedSum = dict[int, dict[Edges, Fraction]]
 
@@ -107,10 +100,6 @@ class DeformationOperator:
         return cls(k, -c)
 
 
-def _vertex_names(m: int) -> list[str]:
-    return [f"s{i}" for i in range(1, m + 1)]
-
-
 def _invariant(row: Sequence[int], i: int, m: int) -> tuple:
     """What relabelling the internal vertices keeps of vertex i's edge counts.
 
@@ -144,7 +133,7 @@ def _linked_class(
     m = len(names)
     n = m + 2
     index = dict(zip(names, range(m)))
-    index[EXTERNAL_A], index[EXTERNAL_B] = m, m + 1
+    index[TAU1], index[TAU2] = m, m + 1
     count = [[0] * n for _ in range(n)]
     root = list(range(n))
     pairs = []
@@ -188,7 +177,7 @@ def _linked_class(
 @functools.cache
 def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
     """Sorted name pair of each edge code lo * (m + 2) + hi."""
-    nodes = _vertex_names(m) + [EXTERNAL_A, EXTERNAL_B]
+    nodes = internal_vertices(m) + [TAU1, TAU2]
     return tuple(tuple(sorted((a, b))) for a in nodes for b in nodes)
 
 
@@ -210,12 +199,12 @@ def connected_integrand(
     """
     if order > max_order:
         raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
-    externals = [InsertionPoint(EXTERNAL_A, op_a.q_power), InsertionPoint(EXTERNAL_B, op_b.q_power)]
+    externals = [InsertionPoint(TAU1, op_a.q_power), InsertionPoint(TAU2, op_b.q_power)]
     coefficients = dict(potential.coefficients)
     out: GradedSum = {}
     for m in range(order + 1):
         grade: dict[Edges, Fraction] = {}
-        names = _vertex_names(m)
+        names = internal_vertices(m)
         rank = functools.partial(_walk_rank, m)
         for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
             if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
@@ -235,20 +224,4 @@ def connected_integrand(
                     edges, automorphisms = linked
                     grade[edges] = weight * Fraction(diag.multiplicity, automorphisms)
         out[m] = grade
-    return out
-
-
-def integrand_products(
-    graded: GradedSum, coupling_label: str = "lambda"
-) -> dict[int, list[PropagatorProduct]]:
-    """Attach the coupling power to each grade and wrap diagrams for the integrator."""
-    if coupling_label not in ("lambda", "j"):
-        raise ValueError(f"unknown coupling label {coupling_label!r}")
-    out: dict[int, list[PropagatorProduct]] = {}
-    for m, grade in sorted(graded.items()):
-        products = []
-        for edges, coeff in sorted(grade.items()):
-            series = ScalarSeries.term(coeff, **{f"{coupling_label}_pow": m})
-            products.append(PropagatorProduct(series, tuple(Propagator(e) for e in edges)))
-        out[m] = products
     return out

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .integrator import PropagatorProduct, wedge_integral
+from .integrator import wedge_integral
 from .perturbation import (
     DEFAULT_MAX_ORDER,
     DeformationOperator,
+    GradedSum,
     PolynomialPotential,
     connected_integrand,
-    integrand_products,
 )
 from .scalar_algebra import ScalarSeries
 
@@ -87,6 +87,13 @@ class ParameterSpace:
         return ("alpha", "j") if self.kind == LINEAR else ("alpha", "lambda")
 
     @property
+    def coupling(self) -> ScalarSeries:
+        """The coupling of the potential as a series: J for the linear model, else lambda."""
+        if self.kind == LINEAR:
+            return ScalarSeries.term(1, j_pow=1)
+        return ScalarSeries.term(1, lambda_pow=1)
+
+    @property
     def potential(self) -> PolynomialPotential:
         return PolynomialPotential.monomial(self.k)
 
@@ -106,7 +113,6 @@ class QGTResult:
     components: Mapping[tuple[str, str], ScalarSeries]
     metric: Mapping[tuple[str, str], ScalarSeries]
     curvature: Mapping[tuple[str, str], ScalarSeries]
-    order: int
 
 
 def component_integrand(
@@ -115,20 +121,20 @@ def component_integrand(
     b: str,
     order: int = 1,
     max_order: int = DEFAULT_MAX_ORDER,
-) -> dict[int, list[PropagatorProduct]]:
-    """The connected integrand of G_ab as propagator products keyed by vertex count.
+) -> GradedSum:
+    """The connected integrand of G_ab: {edges: coefficient} per vertex count m.
 
     `order` is the coupling truncation for the polynomial models.  The linear
     model is summed exactly: a J vertex (degree 1) is a leaf on an external
     leg and tau1, tau2 share at least one edge, so every order above
-    q_a + q_b - 2 is empty.  Operator prefactors are not included.
+    q_a + q_b - 2 is empty.  The coupling power m and the operator prefactors
+    are not included.
     """
     op_a = space.operator(a)
     op_b = space.operator(b)
     if space.kind == LINEAR:
         order = max_order = op_a.q_power + op_b.q_power - 2
-    graded = connected_integrand(op_a, op_b, order, space.potential, max_order)
-    return integrand_products(graded, coupling_label=space.labels[1])
+    return connected_integrand(op_a, op_b, order, space.potential, max_order)
 
 
 def qgt_component(
@@ -144,8 +150,8 @@ def qgt_component(
     `order` is the coupling truncation for the polynomial models.
     """
     series = ScalarSeries.zero()
-    for m, products in component_integrand(space, a, b, order, max_order).items():
-        series = series + wedge_integral(products, n_vertices=m)
+    for m, grade in component_integrand(space, a, b, order, max_order).items():
+        series = series + wedge_integral(grade, m) * space.coupling**m
     return series * (space.operator(a).prefactor * space.operator(b).prefactor)
 
 
@@ -177,7 +183,7 @@ def assemble(space: ParameterSpace, order: int = 1, max_order: int = DEFAULT_MAX
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
         components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, max_order)
     metric, curvature = metric_and_curvature(components)
-    return QGTResult(space.labels, components, metric, curvature, order)
+    return QGTResult(space.labels, components, metric, curvature)
 
 
 def determinant_and_critical(

@@ -17,16 +17,11 @@ from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
-    "Rational",
     "ScalarTerm",
     "ScalarSeries",
     "DivergentIntegral",
     "NonPositiveAlpha",
 ]
-
-# Exact rational coefficients; arbitrary-precision by construction.
-Rational = Fraction
-
 
 class DivergentIntegral(ArithmeticError):
     """A wedge integral fails to decay (alpha <= 0 or a malformed integrand)."""

@@ -64,26 +64,34 @@ class NoGroundState(ValueError):
     """The Hamiltonian is unbounded below, so there is no ground state to probe."""
 
 
-def _require_ground_state(lam: float, potential: PolynomialPotential | None) -> None:
+def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotential | None) -> None:
     """Reject a potential that leaves H unbounded below before any solve.
 
-    lambda * q**k with odd k is unbounded below for either sign of lambda, and
-    so is an even-degree potential whose leading term lambda * c_k is negative;
-    a truncated basis would still return a lowest eigenvector, but it
-    describes the basis edge, not a ground state.
+    The leading term of alpha q**2/2 + lambda V(q) decides: an odd degree is
+    unbounded below for either sign of its coefficient, and so is an even
+    degree with a negative coefficient; a truncated basis would still return
+    a lowest eigenvector, but it describes the basis edge, not a ground state.
+    lambda q (k = 1) and a q**2 term that alpha outweighs keep the oscillator.
     """
     if potential is None or lam == 0.0:
         return
-    k, lead = potential.coefficients[-1]
+    full = {2: 0.5 * alpha}
+    for deg, c in potential.coefficients:
+        full[deg] = full.get(deg, 0.0) + lam * float(c)
+    k = max((deg for deg, c in full.items() if c != 0.0), default=0)
+    if k == 0:
+        raise NoGroundState(
+            f"a vanishing potential has no ground state (lambda={lam!r}, alpha={alpha!r})"
+        )
     if k % 2:
         raise NoGroundState(
             f"odd k has no ground state for lambda != 0 "
             f"(k={k}, lambda={lam!r}: the potential is unbounded below)"
         )
-    if lam * lead < 0:
+    if full[k] < 0:
         raise NoGroundState(
-            f"a negative leading term has no ground state "
-            f"(k={k}, lambda={lam!r}, c_k={lead}: the potential is unbounded below)"
+            f"a negative leading term has no ground state (k={k}, lambda={lam!r}: "
+            f"the q**{k} coefficient {full[k]:.6g} leaves the potential unbounded below)"
         )
 
 
@@ -300,7 +308,7 @@ def numeric_qim(
     Only the central ground state at N is solved cold; every other solve is
     warm-started from it (zero-padded at 2N) or from the central state at 2N.
     """
-    _require_ground_state(lam, potential)
+    _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     # pin the basis at the central point; differencing must not rotate it
     pinned = replace(config, reference_frequency=config.omega(alpha))

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
-from oscqgt.integrator import Propagator, PropagatorProduct
+from oscqgt.integrator import Edges
 from oscqgt.perturbation import (
     DEFAULT_MAX_ORDER,
     GradedSum,
@@ -93,42 +93,35 @@ class GaussianModel:
         return ScalarSeries.zero()
 
 
-def moment(model: GaussianModel, points: Sequence[InsertionPoint]) -> list[PropagatorProduct]:
-    """<prod q^power(time)> as a sum of propagator products (pre-integration).
+def moment(model: GaussianModel, points: Sequence[InsertionPoint]) -> dict[Edges, ScalarSeries]:
+    """<prod q^power(time)> as {edges: coefficient}, a sum of propagator products.
 
     With a source, every leg may instead be routed to the mean <q>.
     """
     mean = model.mean_value
-    out = []
+    terms = []
     for (edges, means), multiplicity in brute_force_diagrams(points, model.source_j).items():
         coeff = ScalarSeries.term(multiplicity)
         if means:
             coeff = coeff * mean ** len(means)
-        out.append(PropagatorProduct(coeff, tuple(Propagator(e) for e in edges)))
-    return _merge_products(out)
+        terms.append((edges, coeff))
+    return _merged(terms)
 
 
-def _merge_products(products: Iterable[PropagatorProduct]) -> list[PropagatorProduct]:
-    acc: dict[tuple, ScalarSeries] = {}
-    for p in products:
-        acc[p.edges] = acc.get(p.edges, ScalarSeries.zero()) + p.coeff
-    out = [
-        PropagatorProduct(c, tuple(Propagator(e) for e in edges))
-        for edges, c in acc.items()
-        if not c.is_zero
-    ]
-    out.sort(key=lambda p: p.edges)
-    return out
+def _merged(terms: Iterable[tuple[Edges, ScalarSeries]]) -> dict[Edges, ScalarSeries]:
+    """Sum the coefficients of equal edge multisets; drop those that cancel."""
+    acc: dict[Edges, ScalarSeries] = {}
+    for edges, coeff in terms:
+        acc[edges] = acc.get(edges, ScalarSeries.zero()) + coeff
+    return {edges: acc[edges] for edges in sorted(acc) if not acc[edges].is_zero}
 
 
 def product_of_sums(
-    a: Iterable[PropagatorProduct], b: Iterable[PropagatorProduct]
-) -> list[PropagatorProduct]:
+    a: dict[Edges, ScalarSeries], b: dict[Edges, ScalarSeries]
+) -> dict[Edges, ScalarSeries]:
     """Distributive product of two propagator sums, canonically merged."""
-    return _merge_products(
-        PropagatorProduct(pa.coeff * pb.coeff, pa.propagators + pb.propagators)
-        for pa in a
-        for pb in b
+    return _merged(
+        (tuple(sorted(ea + eb)), ca * cb) for ea, ca in a.items() for eb, cb in b.items()
     )
 
 
@@ -136,7 +129,7 @@ def connected_pair_correlator(
     model: GaussianModel,
     a_points: Sequence[InsertionPoint],
     b_points: Sequence[InsertionPoint],
-) -> list[PropagatorProduct]:
+) -> dict[Edges, ScalarSeries]:
     """<O_A O_B> - <O_A><O_B>, cancelled exactly term by term.
 
     What survives are the pairing classes in which the A-cluster and the
@@ -145,8 +138,7 @@ def connected_pair_correlator(
     """
     joint = moment(model, list(a_points) + list(b_points))
     disconnected = product_of_sums(moment(model, a_points), moment(model, b_points))
-    negated = [PropagatorProduct(-p.coeff, p.propagators) for p in disconnected]
-    return _merge_products(joint + negated)
+    return _merged([*joint.items(), *((e, -c) for e, c in disconnected.items())])
 
 
 # -- numeric propagators and quadrature ----------------------------------------
@@ -538,7 +530,7 @@ def fidelity_qim(
     displacement.  Cross-validates the derivative-based estimator, on the
     dense path.
     """
-    spectral_oracle._require_ground_state(lam, potential)
+    spectral_oracle._require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     pinned = OracleConfig(
         basis_size=config.basis_size,

@@ -192,6 +192,15 @@ class TestExitCodes:
             (["sweep", "--alphas", "1,nan"], "parameter alpha must be finite"),
             (["sweep", "--model", "linear", "--js", "inf"], "parameter j must be finite"),
             (["sweep", "--lambdas", "0,-inf"], "parameter lambda must be finite"),
+            (["sweep", "--lambdas", "0.01", "--js", "0.3"], "the quartic model has no parameter j"),
+            (["sweep", "--model", "monomial:6", "--js", "0,-1"],
+             "the monomial:6 model has no parameter j"),
+            (["sweep", "--model", "linear", "--lambdas", "0.3"],
+             "the linear model has no parameter lambda"),
+            (["sweep", "--fd-step", "0"], "fd-step must be finite and > 0"),
+            (["sweep", "--fd-step=-1e-4"], "fd-step must be finite and > 0"),
+            (["sweep", "--fd-step", "nan"], "fd-step must be finite and > 0"),
+            (["sweep", "--fd-step", "inf"], "fd-step must be finite and > 0"),
         ],
     )
     def test_bad_sweep_grid_names_the_parameter(self, argv, message, capsys):
@@ -199,6 +208,50 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_CONFIG
         assert out == ""
         assert err == f"invalid configuration: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--model", "quartic", "--j", "0.3"], "the quartic model has no parameter j"),
+            (["--model", "monomial:3", "--alpha", "1", "--j", "-2"],
+             "the monomial:3 model has no parameter j"),
+            (["--model", "linear", "--lambda", "0.3"], "the linear model has no parameter lambda"),
+        ],
+    )
+    def test_compute_rejects_a_parameter_the_model_lacks(self, argv, message, capsys):
+        code, out, err = run(["compute"] + argv, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == f"invalid configuration: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--model", "linear", "--alpha", "1", "--lambda", "0"],
+            ["compute", "--model", "quartic", "--alpha", "1", "--j", "-0.0"],
+            ["sweep", "--model", "linear", "--lambdas", "0", "--js", "0.5"],
+            ["sweep", "--model", "quartic", "--js", "0"],
+        ],
+    )
+    def test_zero_for_a_parameter_the_model_lacks_stays_valid(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "model,lam,bound",
+        [
+            ("monomial:1", "0.3", 1e-8),  # alpha q^2/2 + lambda q: a shifted oscillator
+            ("monomial:2", "-0.1", 1e-4),  # q^2 coefficient 1/2 - 0.05 stays positive
+        ],
+    )
+    def test_potential_confined_by_alpha_has_a_ground_state(self, model, lam, bound, capsys):
+        code, out, err = run(["sweep", "--model", model, "--order", "3", "--lambdas", lam], capsys)
+        assert code == cli.EXIT_OK
+        assert err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(float(row.rsplit(",", 1)[1]) <= bound for row in rows)
 
     def test_odd_k_oracle_run_is_rejected(self, capsys):
         code, out, err = run(["sweep", "--model", "monomial:3", "--lambdas", "0.3"], capsys)

@@ -9,19 +9,18 @@ from oscqgt.integrator import (
     TAU1,
     TAU2,
     DivergentIntegral,
-    Propagator,
-    PropagatorProduct,
     cut_sizes,
-    internal_vertex,
+    internal_vertices,
     wedge_integral,
 )
 from oscqgt.scalar_algebra import ScalarSeries
 
-S1 = internal_vertex(1)
+(S1,) = internal_vertices(1)
 
 
-def product(edges, coeff=None):
-    return PropagatorProduct(coeff or ScalarSeries.one(), tuple(Propagator(e) for e in edges))
+def graph(edges, coeff=1):
+    """One graph of a grade: {edges: coefficient}."""
+    return {tuple(edges): F(coeff)}
 
 
 def order_weight(edges, order):
@@ -37,7 +36,7 @@ class TestResolve:
         # one order, tau1 < tau2, whose single gap is crossed once
         assert cut_sizes([("tau1", "tau2")], [TAU1, TAU2]) == [0, 1, 1, 0]
         assert order_weight([("tau1", "tau2")], [TAU1, TAU2]) == 1
-        assert wedge_integral([product([("tau1", "tau2")])]) == ScalarSeries.term(F(1, 2), -3)
+        assert wedge_integral(graph([("tau1", "tau2")])) == ScalarSeries.term(F(1, 2), -3)
 
     def test_vertex_bridge_three_chambers(self):
         edges = [("s1", "tau1"), ("s1", "tau2")]
@@ -54,7 +53,7 @@ class TestResolve:
         cut = cut_sizes(edges, [TAU1, S1, TAU2])
         assert cut[0b001] == cut[0b011] == 1
         # the DP sums exactly these three chambers, times 1/2 per propagator
-        assert wedge_integral([product(edges)], n_vertices=1) == ScalarSeries.term(
+        assert wedge_integral(graph(edges), n_vertices=1) == ScalarSeries.term(
             sum(weights.values()) / 4, -5
         )
 
@@ -66,7 +65,7 @@ class TestResolve:
             [("tau1", "tau2")], names
         )
         assert wedge_integral(
-            [product([("tau1", "tau2"), ("tau1", "tau1")])]
+            graph([("tau1", "tau2"), ("tau1", "tau1")])
         ) == ScalarSeries.term(F(1, 4), -4)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.3])
@@ -104,7 +103,7 @@ class TestKernels:
             [("s1", "tau1"), ("tau1", "tau2")],
         ]
         for edges in cases:
-            series = wedge_integral([product(edges)], n_vertices=1)
+            series = wedge_integral(graph(edges), n_vertices=1)
             assert series.evaluate(alpha) == pytest.approx(
                 quad_separation(alpha, edges, "s1"), rel=1e-8
             )
@@ -113,23 +112,19 @@ class TestKernels:
 class TestIntegrateAll:
     def test_wedge_of_single_propagator(self):
         # the (j, j) metric integrand
-        assert wedge_integral([product([("tau1", "tau2")])]) == ScalarSeries.term(
+        assert wedge_integral(graph([("tau1", "tau2")])) == ScalarSeries.term(
             F(1, 2), -3
         )
 
     def test_wedge_of_double_propagator_with_prefactor(self):
-        prod = product([("tau1", "tau2")] * 2, ScalarSeries.term(F(1, 2)))
-        assert wedge_integral([prod]) == ScalarSeries.term(F(1, 32), -4)
+        prod = graph([("tau1", "tau2")] * 2, F(1, 2))
+        assert wedge_integral(prod) == ScalarSeries.term(F(1, 32), -4)
 
     def test_wedge_with_internal_vertex(self):
         # "-2J * D(s,tau1) D(tau1,tau2)" integrand times the 1/2 prefactor
-        prod = product(
-            [("s1", "tau1"), ("tau1", "tau2")],
-            ScalarSeries.term(F(-1), j_pow=1),
-        )
-        assert wedge_integral([prod], n_vertices=1) == ScalarSeries.term(
-            F(-1, 2), -5, j_pow=1
-        )
+        prod = graph([("s1", "tau1"), ("tau1", "tau2")], -1)
+        j = ScalarSeries.term(1, j_pow=1)
+        assert wedge_integral(prod, n_vertices=1) * j == ScalarSeries.term(F(-1, 2), -5, j_pow=1)
 
     @pytest.mark.parametrize(
         "edges,n_vertices",
@@ -143,18 +138,18 @@ class TestIntegrateAll:
     )
     @pytest.mark.parametrize("alpha", [0.8, 1.7])
     def test_full_wedge_matches_quadrature(self, edges, n_vertices, alpha):
-        series = wedge_integral([product(edges)], n_vertices=n_vertices)
+        series = wedge_integral(graph(edges), n_vertices=n_vertices)
         assert series.evaluate(alpha) == pytest.approx(
             quad_wedge(alpha, edges, n_vertices), rel=1e-8
         )
 
     def test_missing_external_dependence_diverges(self):
         with pytest.raises(DivergentIntegral):
-            wedge_integral([product([("tau1", "tau1")])])
+            wedge_integral(graph([("tau1", "tau1")]))
 
     def test_origin_endpoint_is_rejected(self):
         with pytest.raises(ValueError):
-            wedge_integral([product([("0", "tau1"), ("0", "tau2")])])
+            wedge_integral(graph([("0", "tau1"), ("0", "tau2")]))
 
     @pytest.mark.parametrize(
         "edges",
@@ -165,7 +160,7 @@ class TestIntegrateAll:
     )
     def test_disconnected_graph_diverges(self, edges):
         with pytest.raises(DivergentIntegral):
-            wedge_integral([product(edges)], n_vertices=2)
+            wedge_integral(graph(edges), n_vertices=2)
 
     def test_fubini_vertex_order_independence(self):
         # s1 and s2 both run over the whole axis, so swapping their names
@@ -173,8 +168,8 @@ class TestIntegrateAll:
         # their bits in the subset DP
         edges = [("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")]
         swapped = [("s2", "tau1"), ("s1", "s2"), ("s1", "tau2"), ("tau1", "tau2")]
-        assert wedge_integral([product(swapped)], n_vertices=2) == wedge_integral(
-            [product(edges)], n_vertices=2
+        assert wedge_integral(graph(swapped), n_vertices=2) == wedge_integral(
+            graph(edges), n_vertices=2
         )
 
     def test_scaling_law_alpha_exponent(self):
@@ -188,7 +183,7 @@ class TestIntegrateAll:
             ([("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")], 2),
         ]
         for edges, n_vertices in cases:
-            series = wedge_integral([product(edges)], n_vertices=n_vertices)
+            series = wedge_integral(graph(edges), n_vertices=n_vertices)
             p, v = len(edges), n_vertices + 2
             assert all(t.alpha_half_pow == -(p + v) for t in series.terms)
 

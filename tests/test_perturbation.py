@@ -30,7 +30,6 @@ from oscqgt.perturbation import (
     PolynomialPotential,
     _linked_class,
     connected_integrand,
-    integrand_products,
 )
 from oscqgt.qgt import ParameterSpace, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
@@ -167,8 +166,8 @@ class TestOddPotential:
 def _perturbative_series(op_a, op_b, order, potential):
     graded = connected_integrand(op_a, op_b, order, potential)
     series = ScalarSeries.zero()
-    for m, products in integrand_products(graded, coupling_label="j").items():
-        series = series + wedge_integral(products, n_vertices=m)
+    for m, grade in graded.items():
+        series = series + wedge_integral(grade, n_vertices=m) * ScalarSeries.term(1, j_pow=m)
     return series * (op_a.prefactor * op_b.prefactor)
 
 
@@ -179,7 +178,10 @@ def _sourced_series(op_a, op_b):
         [InsertionPoint("tau1", op_a.q_power)],
         [InsertionPoint("tau2", op_b.q_power)],
     )
-    return wedge_integral(products) * (op_a.prefactor * op_b.prefactor)
+    series = ScalarSeries.zero()
+    for edges, coeff in products.items():
+        series = series + wedge_integral({edges: 1}) * coeff
+    return series * (op_a.prefactor * op_b.prefactor)
 
 
 LINEAR_OPS = {"alpha": O_ALPHA, "j": O_SOURCE}

@@ -252,7 +252,9 @@ class TestNumericQim:
 
     def test_negative_leading_term_is_rejected(self):
         upside_down = PolynomialPotential.from_dict({2: F(1, 2), 4: F(-1, 24)})
-        for lam, potential in ((-0.3, V4), (-0.01, V6), (0.1, upside_down)):
+        # at alpha = 1, lambda = -2 turns alpha q^2/2 + lambda q^2/2 into -q^2/2
+        quadratic = PolynomialPotential.monomial(2)
+        for lam, potential in ((-0.3, V4), (-0.01, V6), (0.1, upside_down), (-2.0, quadratic)):
             with pytest.raises(NoGroundState, match="negative leading term"):
                 numeric_qim(1.0, lam, 0.0, potential, CFG)
 

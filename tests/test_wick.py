@@ -84,14 +84,15 @@ def test_matches_brute_force_enumeration(legs, with_mean):
 
 @pytest.mark.parametrize("power", [1, 3, 5])
 def test_odd_free_moments_vanish(power):
-    assert moment(FREE, [InsertionPoint("t", power)]) == []
+    assert moment(FREE, [InsertionPoint("t", power)]) == {}
 
 
 def test_one_point_function_with_source():
     terms = moment(SOURCED, [InsertionPoint("t", 1)])
     assert len(terms) == 1
-    assert terms[0].propagators == ()
-    assert terms[0].coeff == MEAN
+    [(edges, coeff)] = terms.items()
+    assert edges == ()
+    assert coeff == MEAN
 
 
 def test_sourced_two_point_subtraction():
@@ -100,8 +101,9 @@ def test_sourced_two_point_subtraction():
         SOURCED, [InsertionPoint("tau1", 1)], [InsertionPoint("tau2", 1)]
     )
     assert len(connected) == 1
-    assert connected[0].edges == (("tau1", "tau2"),)
-    assert connected[0].coeff == ScalarSeries.one()
+    [(edges, coeff)] = connected.items()
+    assert edges == (("tau1", "tau2"),)
+    assert coeff == ScalarSeries.one()
 
 
 def test_connected_q2_q2_free():
@@ -109,8 +111,9 @@ def test_connected_q2_q2_free():
         FREE, [InsertionPoint("tau1", 2)], [InsertionPoint("tau2", 2)]
     )
     assert len(connected) == 1
-    assert connected[0].edges == (("tau1", "tau2"), ("tau1", "tau2"))
-    assert connected[0].coeff == ScalarSeries.term(2)
+    [(edges, coeff)] = connected.items()
+    assert edges == (("tau1", "tau2"), ("tau1", "tau2"))
+    assert coeff == ScalarSeries.term(2)
 
 
 def test_connected_q2_q_with_source():
@@ -118,8 +121,9 @@ def test_connected_q2_q_with_source():
         SOURCED, [InsertionPoint("tau1", 2)], [InsertionPoint("tau2", 1)]
     )
     assert len(connected) == 1
-    assert connected[0].edges == (("tau1", "tau2"),)
-    assert connected[0].coeff == MEAN * 2
+    [(edges, coeff)] = connected.items()
+    assert edges == (("tau1", "tau2"),)
+    assert coeff == MEAN * 2
 
 
 def test_clusters_sharing_a_time_variable():
@@ -128,17 +132,18 @@ def test_clusters_sharing_a_time_variable():
         SOURCED, [InsertionPoint("tau1", 1)], [InsertionPoint("tau1", 1)]
     )
     assert len(connected) == 1
-    assert connected[0].edges == (("tau1", "tau1"),)
-    assert connected[0].coeff == ScalarSeries.one()
+    [(edges, coeff)] = connected.items()
+    assert edges == (("tau1", "tau1"),)
+    assert coeff == ScalarSeries.one()
 
 
 def _relabel(products, mapping):
     out = []
-    for p in products:
+    for edges, coeff in products.items():
         edges = tuple(
-            tuple(sorted((mapping.get(a, a), mapping.get(b, b)))) for a, b in p.edges
+            tuple(sorted((mapping.get(a, a), mapping.get(b, b)))) for a, b in edges
         )
-        out.append((tuple(sorted(edges)), p.coeff))
+        out.append((tuple(sorted(edges)), coeff))
     return sorted(out, key=lambda x: x[0])
 
 
@@ -183,17 +188,15 @@ def _component_nodes(edges):
 def test_subtraction_equals_connectivity_filter(legs_a, legs_b):
     # the subtracted correlator must equal the linked-diagram part of the
     # joint moment, computed here with an independent component filter
-    connected = {
-        p.edges: p.coeff for p in connected_pair_correlator(FREE, points_of(legs_a), points_of(legs_b))
-    }
+    connected = connected_pair_correlator(FREE, points_of(legs_a), points_of(legs_b))
     joint = moment(FREE, points_of(legs_a) + points_of(legs_b))
     filtered = {}
-    for p in joint:
+    for edges, coeff in joint.items():
         linked = any(
-            "tau1" in comp and "tau2" in comp for comp in _component_nodes(p.edges)
+            "tau1" in comp and "tau2" in comp for comp in _component_nodes(edges)
         )
         if linked:
-            filtered[p.edges] = p.coeff
+            filtered[edges] = coeff
     assert connected == filtered
 
 
@@ -201,11 +204,11 @@ def test_moment_with_source_reduces_to_free_at_zero_mean():
     # J = 0 evaluation of the sourced moment equals the free moment
     pts = points_of({"tau1": 2, "tau2": 2})
     sourced = moment(SOURCED, pts)
-    free = {p.edges: p.coeff for p in moment(FREE, pts)}
-    for p in sourced:
-        j_free = ScalarSeries.from_terms(t for t in p.coeff.terms if t.j_pow == 0)
-        if p.edges in free:
-            assert j_free == free[p.edges]
+    free = moment(FREE, pts)
+    for edges, coeff in sourced.items():
+        j_free = ScalarSeries.from_terms(t for t in coeff.terms if t.j_pow == 0)
+        if edges in free:
+            assert j_free == free[edges]
         else:
             assert j_free.is_zero
 
@@ -214,7 +217,7 @@ def test_product_of_sums_merges_duplicates():
     a = moment(FREE, points_of({"tau1": 2}))
     combined = product_of_sums(a, a)
     assert len(combined) == 1
-    assert combined[0].coeff == ScalarSeries.one()
+    assert list(combined.values()) == [ScalarSeries.one()]
 
 
 def test_dot_export():
