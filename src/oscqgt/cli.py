@@ -2,31 +2,33 @@
 
 Structured output keeps the exact rational coefficients; floats are attached
 only as convenience evaluations.  Exit codes: 0 success, 1 verification
-failure, 2 invalid configuration, 3 divergent integral, 4 spectral oracle
-failure (basis too small, finite-difference step too large, or no eigensolver
-convergence).
+failure, 2 invalid configuration (a bad argument or an unwritable `--out`),
+3 divergent integral, 4 oracle failure (basis too small, finite-difference
+step too large, no eigensolver convergence, or an unresolved overlap
+quadrature).
+
+`compute` and `diagrams` run the exact symbolic route only; numpy and the
+oracles are imported inside the `verify` and `sweep` code that uses them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import linear_exact, qgt, spectral_oracle
+from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
 from .perturbation import DEFAULT_MAX_ORDER, OrderOverflow, connected_integrand
-from .scalar_algebra import NonPositiveAlpha, ScalarSeries
-from .spectral_oracle import BasisTooSmall, NoConvergence, StepTooLarge
+from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import edges_to_dot
 
 __all__ = ["main", "RECORD_SCHEMA", "run_verification"]
@@ -224,9 +226,19 @@ def _record_csv(record: dict) -> str:
     return out.getvalue()
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failure to write the `--out` path as an invalid configuration."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -273,6 +285,8 @@ def _check(name: str, component: str, delta: float, tol: float) -> dict:
 
 
 def _linear_checks() -> list[dict]:
+    from . import linear_exact, spectral_oracle
+
     checks = []
     series = qgt.assemble(qgt.ParameterSpace.linear_source()).components
     cfg = spectral_oracle.OracleConfig()
@@ -302,6 +316,10 @@ def _linear_checks() -> list[dict]:
 
 
 def _quartic_checks() -> list[dict]:
+    import numpy as np
+
+    from . import spectral_oracle
+
     checks = []
     space = qgt.ParameterSpace.quartic()
     series = qgt.assemble(space, 1).components
@@ -372,14 +390,15 @@ def cmd_diagrams(args) -> int:
     )
     grade = graded.get(args.order, {})
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
-        name = f"g_{a.strip()}_{b.strip()}_order{args.order}_term{idx:02d}"
-        dot = edges_to_dot(edges, name, f"coefficient {coeff}")
-        path = out_dir / f"{name}.dot"
-        path.write_text(dot, encoding="utf-8")
-        written.append(str(path))
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
+            name = f"g_{a.strip()}_{b.strip()}_order{args.order}_term{idx:02d}"
+            dot = edges_to_dot(edges, name, f"coefficient {coeff}")
+            path = out_dir / f"{name}.dot"
+            path.write_text(dot, encoding="utf-8")
+            written.append(str(path))
     for path in written:
         print(path)
     print(f"{len(written)} diagram(s) written")
@@ -395,6 +414,8 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_point(space, order, series, point, cfg):
+    from . import spectral_oracle
+
     alpha, lam, j = point
     labels = space.labels
     potential = space.potential if space.kind != "linear" else None
@@ -419,6 +440,10 @@ def _sweep_point(space, order, series, point, cfg):
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import spectral_oracle
+
     space = _space_for(args.model_kind, args.model_k)
     series = qgt.assemble(space, args.order, args.max_order).components
     cfg = spectral_oracle.OracleConfig(basis_size=args.basis_size)
@@ -450,26 +475,43 @@ def _parse_grid(token: str) -> list[float]:
 # -- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid configurations.
+
+    argparse takes a token that starts with '-' for an option unless it
+    matches its negative-number pattern, which misses exponent form and grids
+    (`--fd-step -1e-4`, `--alphas -1,2`).  No option here starts with a digit
+    or spells inf/nan, so every such token is read as a value and reaches
+    `_validate`.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgt",
         description="Ground-state quantum geometric tensor of a perturbed oscillator",
     )
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params=True):
+    def add_common(p):
         p.add_argument("--model", default="quartic", help="linear | quartic | monomial:k")
         p.add_argument("--order", type=int, default=1, help="coupling truncation order")
-        if with_params:
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
-            p.add_argument("--j", type=float, default=0.0)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", default=None, help="output path (stdout by default)")
 
     p_compute = sub.add_parser("compute", help="symbolic tensor components")
     add_common(p_compute)
+    p_compute.add_argument("--alpha", type=float, default=None)
+    p_compute.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
+    p_compute.add_argument("--j", type=float, default=0.0)
+    p_compute.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p_compute.add_argument("--out", default=None, help="output path (stdout by default)")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")
@@ -477,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_diag = sub.add_parser("diagrams", help="DOT export of the integrand diagrams")
-    add_common(p_diag, with_params=False)
+    add_common(p_diag)
     p_diag.add_argument("--component", default="alpha,alpha", help="e.g. alpha,lambda")
+    p_diag.add_argument("--out", default=None, help="output directory (. by default)")
     p_diag.set_defaults(func=cmd_diagrams)
 
     p_sweep = sub.add_parser("sweep", help="grid comparison against the spectral oracle")
-    p_sweep.add_argument("--model", default="quartic")
-    p_sweep.add_argument("--order", type=int, default=1)
+    add_common(p_sweep)
     p_sweep.add_argument("--alphas", default="1.0", help="comma-separated grid")
     p_sweep.add_argument("--lambdas", default="0.0", help="comma-separated grid")
     p_sweep.add_argument("--js", default="0.0", help="comma-separated grid")
@@ -533,9 +575,8 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command != "verify":
             _validate(args)
         return args.func(args)
@@ -545,7 +586,7 @@ def main(argv=None) -> int:
     except DivergentIntegral as exc:
         print(f"divergent integral: {exc}", file=sys.stderr)
         return EXIT_DIVERGENT
-    except (BasisTooSmall, StepTooLarge, NoConvergence) as exc:
+    except OracleFailure as exc:
         print(f"oracle failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ORACLE
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar_algebra import NonPositiveAlpha
+from .scalar_algebra import NonPositiveAlpha, OracleFailure
 
 __all__ = [
     "ShiftedGaussianState",
@@ -31,7 +31,7 @@ __all__ = [
 _INTERVALS = 2048  # trapezoid intervals over the support
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(OracleFailure):
     """The overlap integral is not resolved on the quadrature grid."""
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "ScalarSeries",
     "DivergentIntegral",
     "NonPositiveAlpha",
+    "OracleFailure",
 ]
 
 class DivergentIntegral(ArithmeticError):
@@ -29,6 +30,14 @@ class DivergentIntegral(ArithmeticError):
 
 class NonPositiveAlpha(DivergentIntegral, ValueError):
     """Raised when a series is evaluated at alpha <= 0 (the metric diverges there)."""
+
+
+class OracleFailure(RuntimeError):
+    """A numeric cross-check could not produce a trustworthy value.
+
+    Defined here, with no numpy import, so that the CLI can catch every
+    oracle failure without loading the numeric stack.
+    """
 
 
 @dataclass(frozen=True)

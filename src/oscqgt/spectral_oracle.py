@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .perturbation import PolynomialPotential
+from .scalar_algebra import OracleFailure
 
 __all__ = [
     "OracleConfig",
@@ -48,15 +49,15 @@ _MAX_STEPS = 8
 _RESIDUAL_TOL = 1e-13  # bound on |(H - E0) psi| / |H|
 
 
-class BasisTooSmall(RuntimeError):
+class BasisTooSmall(OracleFailure):
     """Ground-state weight leaks into the top of the truncated basis."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(OracleFailure):
     """The banded eigensolver failed or its eigenpair misses the residual bound."""
 
 
-class StepTooLarge(RuntimeError):
+class StepTooLarge(OracleFailure):
     """Halving the finite-difference step moved an entry by more than 10%."""
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -201,6 +202,9 @@ class TestExitCodes:
             (["sweep", "--fd-step=-1e-4"], "fd-step must be finite and > 0"),
             (["sweep", "--fd-step", "nan"], "fd-step must be finite and > 0"),
             (["sweep", "--fd-step", "inf"], "fd-step must be finite and > 0"),
+            # exponent form, which argparse alone would read as an option
+            (["sweep", "--fd-step", "-1e-4"], "fd-step must be finite and > 0"),
+            (["sweep", "--alphas", "-1e-3"], "alpha must be > 0"),
         ],
     )
     def test_bad_sweep_grid_names_the_parameter(self, argv, message, capsys):
@@ -252,6 +256,46 @@ class TestExitCodes:
         rows = out.splitlines()[1:]
         assert len(rows) == 4
         assert all(float(row.rsplit(",", 1)[1]) <= bound for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "the following arguments are required: command"),
+            (["sweep", "--bogus"], "unrecognized arguments: --bogus"),
+            (["compute", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+            (["compute", "--order", "x"], "argument --order: invalid int value: 'x'"),
+            (["diagrams", "--format", "json"], "unrecognized arguments: --format json"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err.startswith(f"invalid configuration: {message}")
+        assert err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diagrams", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qgt diagrams")
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["compute", "--format", "json"], "missing/x.json"),
+            (["sweep"], "missing/x.csv"),
+            (["diagrams"], "a_file/x"),
+        ],
+    )
+    def test_unwritable_out_names_the_path(self, argv, target, tmp_path, capsys):
+        (tmp_path / "a_file").write_text("")
+        path = tmp_path / target
+        code, out, err = run(argv + ["--out", str(path)], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err.startswith(f"invalid configuration: cannot write {path}: ")
+        assert err.count("\n") == 1
 
     def test_odd_k_oracle_run_is_rejected(self, capsys):
         code, out, err = run(["sweep", "--model", "monomial:3", "--lambdas", "0.3"], capsys)
@@ -367,6 +411,18 @@ class TestVerify:
         assert failing
         assert all("g(j,j)" in line for line in failing)
 
+    def test_quadrature_failure_is_an_oracle_failure(self, capsys, monkeypatch):
+        from oscqgt import linear_exact
+
+        def unresolved(*args, **kwargs):
+            raise linear_exact.QuadratureFailure("overlap not resolved")
+
+        monkeypatch.setattr(linear_exact, "_quad", unresolved)
+        code, out, err = run(["verify", "linear"], capsys)
+        assert code == cli.EXIT_ORACLE
+        assert out == ""
+        assert err == "oracle failure: QuadratureFailure: overlap not resolved\n"
+
 
 def _probe(code: str) -> str:
     """Run `code` in a fresh interpreter that imports this oscqgt; return its stdout."""
@@ -376,13 +432,45 @@ def _probe(code: str) -> str:
     return result.stdout
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "numpy"])
 def test_cli_import_leaves_module_unloaded(module):
-    # scipy.integrate is needed by no command and scipy.linalg only by the
-    # spectral oracle's solves; loading either at import time would slow
-    # every CLI start, symbolic commands included.
+    # scipy.integrate is needed by no command, and numpy and scipy.linalg only
+    # by the oracles behind verify and sweep; loading any at import time would
+    # slow every CLI start, symbolic commands included.
     probe = f"import sys, oscqgt.cli; print({module!r} in sys.modules)"
     assert _probe(probe).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--model", "quartic", "--order", "2", "--format", "json"],
+        ["diagrams", "--model", "quartic", "--component", "alpha,lambda", "--order", "2"],
+    ],
+    ids=["compute", "diagrams"],
+)
+def test_symbolic_commands_leave_numeric_stack_unloaded(argv, tmp_path):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from oscqgt import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+    )
+    assert _probe(probe).strip() == "0 False False"
+
+
+def test_submodules_load_on_attribute_access():
+    # bench/tracer.py imports oscqgt.cli, then reaches every module it wraps,
+    # spectral_oracle and linear_exact included, as attributes of the package
+    names = sorted(info.name for info in pkgutil.iter_modules(oscqgt.__path__))
+    probe = (
+        "import oscqgt, oscqgt.cli\n"
+        f"print(all(getattr(oscqgt, m).__name__ == 'oscqgt.' + m for m in {names!r}))"
+    )
+    assert _probe(probe).strip() == "True"
+    with pytest.raises(AttributeError):
+        oscqgt.no_such_module
 
 
 def test_verify_leaves_scipy_integrate_unloaded():
