@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
-from .perturbation import DEFAULT_MAX_ORDER, OrderOverflow, connected_integrand
+from .perturbation import connected_integrand
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import edges_to_dot
 
@@ -39,6 +40,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGENT = 3
 EXIT_ORACLE = 4
 
+DEFAULT_MAX_ORDER = 3
 MAX_ORDER_ENV = "QGT_MAX_ORDER"
 
 _SERIES_ITEM = {
@@ -137,54 +139,29 @@ def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     return block
 
 
-def _space_for(model: str, k: int) -> qgt.ParameterSpace:
-    if model == "linear":
-        return qgt.ParameterSpace.linear_source()
-    if model == "quartic":
-        return qgt.ParameterSpace.quartic()
-    return qgt.ParameterSpace.monomial(k)
-
-
-def _parse_model(token: str) -> tuple[str, int]:
-    if token == "linear":
-        return "linear", 1
-    if token == "quartic":
-        return "quartic", 4
-    if token.startswith("monomial:"):
-        k = int(token.split(":", 1)[1])
-        if k < 1:
-            raise ValueError("monomial degree must be >= 1")
-        return "monomial", k
-    raise ValueError(f"unknown model {token!r} (expected linear|quartic|monomial:k)")
-
-
-def compute_record(model: str, k: int, order: int, params: dict | None, max_order: int) -> dict:
-    space = _space_for(model, k)
-    result = qgt.assemble(space, order, max_order)
-    det, critical = qgt.determinant_and_critical(result.metric, result.labels, order)
+def compute_record(space: qgt.ParameterSpace, order: int, params: dict | None) -> dict:
+    components = qgt.assemble(space, order)
+    det, critical = qgt.determinant_and_critical(components, space.labels, order)
+    blocks = {f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(components.items())}
+    # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
+    zero = _series_block(ScalarSeries.zero(), params)
     record = {
-        "model": model,
+        "model": space.kind,
         "k": space.k,
         "order": order,
-        "labels": list(result.labels),
+        "labels": list(space.labels),
         "convention": dict(qgt.CONVENTION, truncation_order=order),
-        "components": {
-            f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(result.components.items())
-        },
-        "metric": {
-            f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(result.metric.items())
-        },
-        "curvature": {
-            f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(result.curvature.items())
-        },
+        "components": blocks,
+        "metric": blocks,
+        "curvature": dict.fromkeys(blocks, zero),
         "determinant": _series_block(det, params),
         "critical_coupling": None,
     }
     if params is not None:
         record["parameters"] = params
-    if k % 2 and k > 1:
+    if space.k % 2 and space.k > 1:
         record["formal"] = (
-            f"the series is formal: odd k={k} has no ground state for lambda != 0 "
+            f"the series is formal: odd k={space.k} has no ground state for lambda != 0 "
             f"(the potential is unbounded below)"
         )
     if critical is not None:
@@ -243,12 +220,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _debug_integrands(space, order: int, max_order: int) -> str:
+def _debug_integrands(space: qgt.ParameterSpace, order: int) -> str:
     """One line per integrand graph: coefficient, edge pattern, exact wedge value."""
     lines = []
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
         lines.append(f"# integrand g({a},{b})")
-        graded = qgt.component_integrand(space, a, b, order, max_order)
+        graded = qgt.component_integrand(space, a, b, order)
         for m, grade in sorted(graded.items()):
             power = space.coupling**m
             for edges, coeff in sorted(grade.items()):
@@ -263,9 +240,8 @@ def cmd_compute(args) -> int:
     if args.alpha is not None:
         params = {"alpha": args.alpha, "lambda": args.lambda_, "j": args.j}
     if args.verbose:
-        space = _space_for(args.model_kind, args.model_k)
-        sys.stderr.write(_debug_integrands(space, args.order, args.max_order))
-    record = compute_record(args.model_kind, args.model_k, args.order, params, args.max_order)
+        sys.stderr.write(_debug_integrands(args.space, args.order))
+    record = compute_record(args.space, args.order, params)
     if "formal" in record:
         print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
@@ -288,7 +264,7 @@ def _linear_checks() -> list[dict]:
     from . import linear_exact, spectral_oracle
 
     checks = []
-    series = qgt.assemble(qgt.ParameterSpace.linear_source()).components
+    series = qgt.assemble(qgt.ParameterSpace.linear_source())
     cfg = spectral_oracle.OracleConfig()
     for alpha in (0.5, 1.0, 2.0):
         for j in (0.0, 0.5):
@@ -322,7 +298,7 @@ def _quartic_checks() -> list[dict]:
 
     checks = []
     space = qgt.ParameterSpace.quartic()
-    series = qgt.assemble(space, 1).components
+    series = qgt.assemble(space, 1)
     cfg = spectral_oracle.OracleConfig()
     potential = space.potential
     # free-theory agreement
@@ -379,22 +355,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
-    space = _space_for(args.model_kind, args.model_k)
     try:
-        a, b = args.component.split(",")
+        a, b = (label.strip() for label in args.component.split(","))
     except ValueError:
         raise ValueError("component must look like alpha,lambda")
-    graded = connected_integrand(
-        space.operator(a.strip()), space.operator(b.strip()), args.order,
-        space.potential, args.max_order,
-    )
-    grade = graded.get(args.order, {})
+    op_a, op_b = args.space.operator(a), args.space.operator(b)
     out_dir = Path(args.out or ".")
     written = []
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+        grade = connected_integrand(op_a, op_b, args.order, args.space.potential)[args.order]
         for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
-            name = f"g_{a.strip()}_{b.strip()}_order{args.order}_term{idx:02d}"
+            name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             dot = edges_to_dot(edges, name, f"coefficient {coeff}")
             path = out_dir / f"{name}.dot"
             path.write_text(dot, encoding="utf-8")
@@ -417,9 +389,7 @@ def _sweep_point(space, order, series, point, cfg):
     from . import spectral_oracle
 
     alpha, lam, j = point
-    labels = space.labels
-    potential = space.potential if space.kind != "linear" else None
-    oracle = spectral_oracle.numeric_qim(alpha, lam, j, potential, cfg, labels=labels)
+    oracle = spectral_oracle.numeric_qim(alpha, lam, j, space.potential, cfg, labels=space.labels)
     rows = []
     for (a, b), s in sorted(series.items()):
         sym = s.evaluate(alpha, lam, j)
@@ -440,23 +410,17 @@ def _sweep_point(space, order, series, point, cfg):
 
 
 def cmd_sweep(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import spectral_oracle
 
-    space = _space_for(args.model_kind, args.model_k)
-    series = qgt.assemble(space, args.order, args.max_order).components
+    series = qgt.assemble(args.space, args.order)
     cfg = spectral_oracle.OracleConfig(basis_size=args.basis_size)
     if args.fd_step is not None:
         cfg.fd_step = {label: args.fd_step for label in ("alpha", "lambda", "j")}
-    points = list(itertools.product(args.alphas, args.lambdas, args.js))
-    rows: list[list[str]] = []
-    if points:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            for point_rows in pool.map(
-                lambda p: _sweep_point(space, args.order, series, p, cfg), points
-            ):
-                rows.extend(point_rows)
+    rows = [
+        row
+        for point in itertools.product(args.alphas, args.lambdas, args.js)
+        for row in _sweep_point(args.space, args.order, series, point, cfg)
+    ]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -465,11 +429,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(token: str) -> list[float]:
-    token = (token or "").strip()
-    if not token:
+def _parse_grid(option: str, token: str) -> list[float]:
+    """An empty token is an empty grid; an empty entry is an error."""
+    if not token.strip():
         return []
-    return [float(x) for x in token.split(",") if x.strip()]
+    try:
+        return [float(x) for x in token.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated numbers, not {token!r}") from None
 
 
 # -- entry point ---------------------------------------------------------------
@@ -538,21 +505,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    args.model_kind, args.model_k = _parse_model(args.model)
-    order = getattr(args, "order", 1)
-    if order < 0:
+    try:
+        args.space = qgt.ParameterSpace.parse(args.model)
+    except ValueError as exc:
+        raise ValueError(f"--model: {exc}") from None
+    if args.order < 0:
         raise ValueError("order must be >= 0")
     cap = os.environ.get(MAX_ORDER_ENV)
-    args.max_order = max(int(cap), 0) if cap else DEFAULT_MAX_ORDER
+    max_order = max(int(cap), 0) if cap else DEFAULT_MAX_ORDER
     # the linear series is exact at any order; only diagrams expands at `order`
-    exact = args.model_kind == "linear" and args.command != "diagrams"
-    if order > args.max_order and not exact:
-        raise OrderOverflow(
-            f"order {order} exceeds the maximum {args.max_order} "
-            f"(override with {MAX_ORDER_ENV})"
+    exact = args.space.kind == "linear" and args.command != "diagrams"
+    if args.order > max_order and not exact:
+        raise ValueError(
+            f"order {args.order} exceeds the maximum {max_order} (override with {MAX_ORDER_ENV})"
         )
+    out = getattr(args, "out", None)
+    if out and args.command != "diagrams":
+        # fail before the work; `_writing` still reports a failure of the write itself
+        parent = Path(out).parent
+        if not parent.is_dir():
+            reason = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise ValueError(f"cannot write {out}: {os.strerror(reason)}")
     if args.command == "sweep":
-        args.alphas, args.lambdas, args.js = map(_parse_grid, (args.alphas, args.lambdas, args.js))
+        args.alphas, args.lambdas, args.js = (
+            _parse_grid(f"--{name}", getattr(args, name)) for name in ("alphas", "lambdas", "js")
+        )
         values = {"alpha": args.alphas, "lambda": args.lambdas, "j": args.js}
     else:
         values = {
@@ -565,9 +542,8 @@ def _validate(args) -> None:
             raise ValueError(f"parameter {name} must be finite")
     if any(alpha <= 0 for alpha in values.get("alpha", ())):
         raise NonPositiveAlpha("alpha must be > 0")
-    labels = _space_for(args.model_kind, args.model_k).labels
     for name, grid in values.items():
-        if name not in labels and any(grid):
+        if name not in args.space.labels and any(grid):
             raise ValueError(f"the {args.model} model has no parameter {name}")
     fd_step = getattr(args, "fd_step", None)
     if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0):
@@ -580,7 +556,7 @@ def main(argv=None) -> int:
         if args.command != "verify":
             _validate(args)
         return args.func(args)
-    except (OrderOverflow, NonPositiveAlpha, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except DivergentIntegral as exc:

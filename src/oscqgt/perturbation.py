@@ -33,19 +33,11 @@ from .wick import InsertionPoint, enumerate_pairings
 __all__ = [
     "PolynomialPotential",
     "DeformationOperator",
-    "OrderOverflow",
-    "DEFAULT_MAX_ORDER",
     "connected_integrand",
 ]
 
-DEFAULT_MAX_ORDER = 3
-
 # coupling-graded diagram sum: order -> {edges: coefficient}
 GradedSum = dict[int, dict[Edges, Fraction]]
-
-
-class OrderOverflow(ValueError):
-    """Requested expansion order exceeds the configured maximum."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,6 @@ def connected_integrand(
     op_b: DeformationOperator,
     order: int,
     potential: PolynomialPotential,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> GradedSum:
     """Two-cluster connected integrand, graded by coupling order.
 
@@ -197,8 +188,6 @@ def connected_integrand(
     (-1)^m * prod c_deg * multiplicity / |Aut|.  The operator prefactors are
     not included here (the tensor assembly owns them).
     """
-    if order > max_order:
-        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
     externals = [InsertionPoint(TAU1, op_a.q_power), InsertionPoint(TAU2, op_b.q_power)]
     coefficients = dict(potential.coefficients)
     out: GradedSum = {}

@@ -4,22 +4,19 @@ A component G_ab is the double integral over tau1 <= 0 <= tau2 of the
 connected correlator of the two deformation operators, times their scalar
 prefactors, expanded in the coupling.  The source J of the linear model is
 the coupling of V = q, whose series ends at a finite order.
-The metric is the symmetric part, the curvature the antisymmetric part
-(identically zero for these real deformation families), and for the
-two-parameter models the truncated metric determinant yields the coupling
-at which the metric degenerates.
+Every deformation here is real, so G_ab = G_ba: the tensor is its own metric
+and the Berry curvature vanishes.  For the two-parameter models the truncated
+metric determinant yields the coupling at which the metric degenerates.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .integrator import wedge_integral
 from .perturbation import (
-    DEFAULT_MAX_ORDER,
     DeformationOperator,
     GradedSum,
     PolynomialPotential,
@@ -29,11 +26,9 @@ from .scalar_algebra import ScalarSeries
 
 __all__ = [
     "ParameterSpace",
-    "QGTResult",
     "CONVENTION",
     "component_integrand",
     "qgt_component",
-    "metric_and_curvature",
     "assemble",
     "determinant_and_critical",
 ]
@@ -71,6 +66,18 @@ class ParameterSpace:
             object.__setattr__(self, "k", 1)
 
     @classmethod
+    def parse(cls, token: str) -> "ParameterSpace":
+        """The model a token names: linear | quartic | monomial:k with k >= 1."""
+        if token in (LINEAR, QUARTIC):
+            return cls(token)
+        kind, colon, degree = token.partition(":")
+        if kind != MONOMIAL or not colon:
+            raise ValueError(f"unknown model {token!r} (expected linear|quartic|monomial:k)")
+        if not degree.isdigit() or int(degree) < 1:
+            raise ValueError(f"the monomial degree must be an integer >= 1, not {degree!r}")
+        return cls(MONOMIAL, int(degree))
+
+    @classmethod
     def linear_source(cls) -> "ParameterSpace":
         return cls(LINEAR)
 
@@ -105,23 +112,7 @@ class ParameterSpace:
         raise ValueError(f"label {label!r} is not a parameter of the {self.kind} model")
 
 
-@dataclass(frozen=True)
-class QGTResult:
-    """Full tensor plus its symmetric/antisymmetric split at one truncation order."""
-
-    labels: tuple[str, str]
-    components: Mapping[tuple[str, str], ScalarSeries]
-    metric: Mapping[tuple[str, str], ScalarSeries]
-    curvature: Mapping[tuple[str, str], ScalarSeries]
-
-
-def component_integrand(
-    space: ParameterSpace,
-    a: str,
-    b: str,
-    order: int = 1,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> GradedSum:
+def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -> GradedSum:
     """The connected integrand of G_ab: {edges: coefficient} per vertex count m.
 
     `order` is the coupling truncation for the polynomial models.  The linear
@@ -133,57 +124,32 @@ def component_integrand(
     op_a = space.operator(a)
     op_b = space.operator(b)
     if space.kind == LINEAR:
-        order = max_order = op_a.q_power + op_b.q_power - 2
-    return connected_integrand(op_a, op_b, order, space.potential, max_order)
+        order = op_a.q_power + op_b.q_power - 2
+    return connected_integrand(op_a, op_b, order, space.potential)
 
 
-def qgt_component(
-    space: ParameterSpace,
-    a: str,
-    b: str,
-    order: int = 1,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> ScalarSeries:
+def qgt_component(space: ParameterSpace, a: str, b: str, order: int = 1) -> ScalarSeries:
     """One tensor component as an exact series in (alpha, coupling).
 
     The linear-source model is summed exactly (the expansion in J terminates);
     `order` is the coupling truncation for the polynomial models.
     """
     series = ScalarSeries.zero()
-    for m, grade in component_integrand(space, a, b, order, max_order).items():
+    for m, grade in component_integrand(space, a, b, order).items():
         series = series + wedge_integral(grade, m) * space.coupling**m
     return series * (space.operator(a).prefactor * space.operator(b).prefactor)
 
 
-def metric_and_curvature(
-    components: Mapping[tuple[str, str], ScalarSeries],
-) -> tuple[dict[tuple[str, str], ScalarSeries], dict[tuple[str, str], ScalarSeries]]:
-    """Split the component map into symmetric (metric) and antisymmetric parts.
-
-    The curvature entry for (a, b) is G_ab - G_ba; for the real correlators in
-    scope it vanishes identically.
-    """
-    metric: dict[tuple[str, str], ScalarSeries] = {}
-    curvature: dict[tuple[str, str], ScalarSeries] = {}
-    for (a, b), series in components.items():
-        rev = components.get((b, a), series)
-        half = Fraction(1, 2)
-        metric[(a, b)] = (series + rev) * half
-        curvature[(a, b)] = series - rev
-    return metric, curvature
-
-
-def assemble(space: ParameterSpace, order: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> QGTResult:
-    """Compute every component of the tensor and split it.
+def assemble(space: ParameterSpace, order: int = 1) -> dict[tuple[str, str], ScalarSeries]:
+    """Every component G_ab of the tensor, keyed (a, b).
 
     Each unordered pair is computed once and stored under both orders: the
     real correlators in scope are symmetric in the two operators.
     """
     components = {}
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
-        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, max_order)
-    metric, curvature = metric_and_curvature(components)
-    return QGTResult(space.labels, components, metric, curvature)
+        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order)
+    return components
 
 
 def determinant_and_critical(

@@ -134,7 +134,7 @@ def _power_bands(n: int, omega: float, b: int) -> np.ndarray:
     """powers[k, d, c] = (q**k)[c + d, c] for k, d = 0..b, in O(n * b**2).
 
     Each power is the last one times the tridiagonal q.  The array is shared
-    by every caller and pool thread, so it is read-only.
+    by every caller, so it is read-only.
     """
     sub = np.sqrt(np.arange(1, n) / (2.0 * omega))  # q[c + 1, c]
     full = np.zeros((2 * b + 1, n))  # full[b + d, c] = M[c + d, c], d = -b..b

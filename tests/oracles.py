@@ -28,13 +28,7 @@ from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
 from oscqgt.integrator import Edges
-from oscqgt.perturbation import (
-    DEFAULT_MAX_ORDER,
-    GradedSum,
-    OrderOverflow,
-    PolynomialPotential,
-    _linked_class,
-)
+from oscqgt.perturbation import GradedSum, PolynomialPotential, _linked_class
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig, gauge_fix
 from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
@@ -311,14 +305,12 @@ def _graded_product(a: dict, b: dict, order: int) -> dict:
     return out
 
 
-def interacting_green(points, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+def interacting_green(points, order: int, potential):
     """Expansion of <prod q^power(time)> in the interacting theory.
 
     Returns the numerator and vacuum-denominator series and their formal
     ratio, truncated at the given coupling order.
     """
-    if order > max_order:
-        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
     numerator = _graded_moments(points, order, potential)
     denominator = _graded_moments([], order, potential)
     # divide: ratio_m = num_m - sum_{i=1..m} den_i * ratio_{m-i}
@@ -333,13 +325,13 @@ def interacting_green(points, order: int, potential, max_order: int = DEFAULT_MA
     return InteractingGreen(numerator, denominator, ratio)
 
 
-def ratio_connected_integrand(op_a, op_b, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+def ratio_connected_integrand(op_a, op_b, order: int, potential):
     """<A(tau1) B(tau2)>_int - <A>_int <B>_int from the three divided series."""
     a_pts = [InsertionPoint("tau1", op_a.q_power)]
     b_pts = [InsertionPoint("tau2", op_b.q_power)]
-    g_ab = interacting_green(a_pts + b_pts, order, potential, max_order).ratio
-    g_a = interacting_green(a_pts, order, potential, max_order).ratio
-    g_b = interacting_green(b_pts, order, potential, max_order).ratio
+    g_ab = interacting_green(a_pts + b_pts, order, potential).ratio
+    g_a = interacting_green(a_pts, order, potential).ratio
+    g_b = interacting_green(b_pts, order, potential).ratio
     product = _graded_product(g_a, g_b, order)
     result = {}
     for m in set(g_ab) | set(product):
@@ -371,15 +363,13 @@ def kept_labelled_graphs(op_a, op_b, m: int, potential):
                 yield degrees, linked, diag.multiplicity
 
 
-def labelled_connected_integrand(op_a, op_b, order: int, potential, max_order: int = DEFAULT_MAX_ORDER):
+def labelled_connected_integrand(op_a, op_b, order: int, potential):
     """connected_integrand summed over labelled graphs, each weighted by 1/m!.
 
     Each kept labelled graph adds (-1)^m/m! * prod c_deg * multiplicity to its
     canonical class, so a class collects its m!/|Aut| labellings without any
     symmetry breaking.
     """
-    if order > max_order:
-        raise OrderOverflow(f"order {order} exceeds the configured maximum {max_order}")
     coefficients = dict(potential.coefficients)
     out = {}
     for m in range(order + 1):

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -122,6 +123,33 @@ class TestCompute:
         assert "formal" not in json.loads(out)
         assert err == ""
 
+    def test_linear_is_monomial_1_summed_exactly(self, capsys):
+        # the linear model is monomial(1) with its coupling named j, summed to
+        # its last order: a J vertex is a leaf, so no component passes J^2
+        _, linear, _ = run(["compute", "--model", "linear", "--alpha", "1.3", "--j", "0.4"], capsys)
+        _, monomial, _ = run(
+            ["compute", "--model", "monomial:1", "--order", "2", "--alpha", "1.3", "--lambda", "0.4"],
+            capsys,
+        )
+        assert linear.splitlines()[0] == "model: linear (k=1), order 1"
+        renamed = re.sub(r"(?<![a-z])(lambda|l)(?![a-z])", "j", monomial)
+        assert renamed.splitlines()[1:] == linear.splitlines()[1:]
+
+    @pytest.mark.parametrize(
+        "model,order",
+        [("linear", 1), ("quartic", 2), ("monomial:6", 1), ("monomial:3", 1), ("monomial:1", 2)],
+    )
+    def test_metric_is_the_tensor_and_curvature_zero(self, model, order, capsys):
+        # real deformations: G_ab = G_ba, so the record's metric repeats the
+        # components and every curvature entry is the zero series
+        argv = ["compute", "--model", model, "--order", str(order), "--alpha", "1.3"]
+        _, out, _ = run(argv + ["--format", "json"], capsys)
+        record = json.loads(out)
+        assert record["metric"] == record["components"]
+        assert set(record["curvature"]) == set(record["components"])
+        for block in record["curvature"].values():
+            assert block == {"series": [], "text": "0", "numeric_value": 0}
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             ["compute", "--model", "quartic", "--format", "csv"], capsys
@@ -133,9 +161,16 @@ class TestCompute:
 
 class TestExitCodes:
     def test_invalid_model(self, capsys):
-        code, _, err = run(["compute", "--model", "pentic"], capsys)
-        assert code == cli.EXIT_BAD_CONFIG
-        assert "unknown model" in err
+        for model, message in [
+            ("pentic", "unknown model 'pentic'"),
+            ("monomial:x", "integer >= 1, not 'x'"),
+            ("monomial:0", "integer >= 1, not '0'"),
+        ]:
+            code, out, err = run(["compute", "--model", model], capsys)
+            assert code == cli.EXIT_BAD_CONFIG
+            assert out == ""
+            assert err.startswith("invalid configuration: --model: ")
+            assert message in err and err.count("\n") == 1
 
     def test_nonpositive_alpha(self, capsys):
         code, _, err = run(["compute", "--model", "linear", "--alpha", "-1"], capsys)
@@ -205,6 +240,13 @@ class TestExitCodes:
             # exponent form, which argparse alone would read as an option
             (["sweep", "--fd-step", "-1e-4"], "fd-step must be finite and > 0"),
             (["sweep", "--alphas", "-1e-3"], "alpha must be > 0"),
+            # a parse error names the option; an empty entry is an error
+            (["sweep", "--alphas", "abc"], "--alphas must be comma-separated numbers, not 'abc'"),
+            (["sweep", "--alphas", "1,,2"], "--alphas must be comma-separated numbers, not '1,,2'"),
+            (["sweep", "--lambdas", "0.1,"],
+             "--lambdas must be comma-separated numbers, not '0.1,'"),
+            (["sweep", "--model", "monomial:x"],
+             "--model: the monomial degree must be an integer >= 1, not 'x'"),
         ],
     )
     def test_bad_sweep_grid_names_the_parameter(self, argv, message, capsys):
@@ -288,7 +330,19 @@ class TestExitCodes:
             (["diagrams"], "a_file/x"),
         ],
     )
-    def test_unwritable_out_names_the_path(self, argv, target, tmp_path, capsys):
+    def test_unwritable_out_names_the_path(self, argv, target, tmp_path, capsys, monkeypatch):
+        from oscqgt import spectral_oracle
+
+        # the path is checked before the work: neither a graph nor an oracle solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for module, name in [
+            (spectral_oracle, "numeric_qim"),
+            (oscqgt.qgt, "connected_integrand"),
+            (cli, "connected_integrand"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
         (tmp_path / "a_file").write_text("")
         path = tmp_path / target
         code, out, err = run(argv + ["--out", str(path)], capsys)
@@ -395,6 +449,13 @@ class TestSweep:
 
 
 class TestVerify:
+    def test_check_count_matches_the_benchmark_reference(self):
+        # the benchmark gates `verify all` on its check count, so adding or
+        # removing a check must come with a new bench/reference.json
+        reference = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+        expected = json.loads(reference.read_text(encoding="utf-8"))["verify-all"]["checks"]
+        assert len(cli.run_verification("all")) == expected
+
     def test_broken_prefactor_fails_naming_the_component(self, capsys, monkeypatch):
         real = oscqgt.qgt.qgt_component
 

@@ -30,7 +30,7 @@ def records(series):
 def test_components_match_golden_file(model, order):
     space = SPACES[model]
     got = {
-        f"{a},{b}": qgt_component(space, a, b, order, max_order=3)
+        f"{a},{b}": qgt_component(space, a, b, order)
         for a in space.labels
         for b in space.labels
     }

@@ -26,7 +26,6 @@ from oracles import (
 from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import (
     DeformationOperator,
-    OrderOverflow,
     PolynomialPotential,
     _linked_class,
     connected_integrand,
@@ -87,10 +86,9 @@ class TestInteractingGreen:
         }
 
     def test_order_cap(self):
-        with pytest.raises(OrderOverflow):
-            interacting_green([InsertionPoint("tau1", 2)], 4, V4)
-        # explicit override is allowed
-        interacting_green([InsertionPoint("tau1", 1)], 4, V1, max_order=4)
+        # no cap below the CLI: the oracle expands at any order it is given
+        green = interacting_green([InsertionPoint("tau1", 1)], 4, V1)
+        assert sorted(green.ratio) == [0, 1, 2, 3, 4]
 
 
 RAW_PATTERNS = {
@@ -204,11 +202,11 @@ class TestLinearCaseConsistency:
     @pytest.mark.parametrize("pair", [("alpha", "alpha"), ("alpha", "j"), ("j", "alpha"), ("j", "j")])
     def test_linear_component_equals_source_series(self, pair):
         # the compute route stops at order q_a + q_b - 2, whatever `order`
-        # and the cap are; the source series has every power of J
+        # is; the source series has every power of J
         space = ParameterSpace.linear_source()
         exact = _sourced_series(*(LINEAR_OPS[label] for label in pair))
         assert qgt_component(space, *pair) == exact
-        assert qgt_component(space, *pair, order=0, max_order=0) == exact
+        assert qgt_component(space, *pair, order=0) == exact
 
 
 ORACLE_CASES = (
@@ -231,21 +229,24 @@ class TestLinkedClusterAgainstRatioOracle:
     def test_equals_ratio_path(self, potential, order):
         op_l = DeformationOperator.coupling(potential)
         for op_a, op_b in [(O_ALPHA, O_ALPHA), (O_ALPHA, op_l), (op_l, O_ALPHA), (op_l, op_l)]:
-            direct = connected_integrand(op_a, op_b, order, potential, max_order=order)
-            ratio = ratio_connected_integrand(op_a, op_b, order, potential, max_order=order)
+            direct = connected_integrand(op_a, op_b, order, potential)
+            ratio = ratio_connected_integrand(op_a, op_b, order, potential)
             assert to_oracle_form(direct) == to_oracle_form(ratio)
 
     def test_mixed_potential_equals_ratio_path(self):
         # several vertex degrees, one coefficient negative, so terms can cancel
         potential = PolynomialPotential.from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
         for op_b in (O_ALPHA, O_SOURCE):
-            direct = connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
-            ratio = ratio_connected_integrand(O_ALPHA, op_b, 3, potential, max_order=3)
+            direct = connected_integrand(O_ALPHA, op_b, 3, potential)
+            ratio = ratio_connected_integrand(O_ALPHA, op_b, 3, potential)
             assert to_oracle_form(direct) == to_oracle_form(ratio)
 
     def test_order_cap(self):
-        with pytest.raises(OrderOverflow):
-            connected_integrand(O_ALPHA, O_QUARTIC, 4, V4)
+        # no cap below the CLI: the generator expands at any order it is given
+        # (past the CLI's default of 3; a J vertex is a leaf, so q^2 q^2 ends at 2)
+        graded = connected_integrand(O_ALPHA, O_ALPHA, 5, V1)
+        assert sorted(graded) == [0, 1, 2, 3, 4, 5]
+        assert graded[2] and not any(graded[m] for m in (3, 4, 5))
         assert connected_integrand(O_ALPHA, O_QUARTIC, -1, V4) == {}
 
 
@@ -278,7 +279,7 @@ class TestCanonicalForm:
         assert _linked_class(edges, ["s1"]) is None
 
     def test_class_count_matches_the_all_permutation_form(self):
-        graded = connected_integrand(O_ALPHA, O_QUARTIC, 4, V4, max_order=4)
+        graded = connected_integrand(O_ALPHA, O_QUARTIC, 4, V4)
         oracle_classes = {canonical_edges(e, VERTICES_4) for e in _kept_graphs_alpha_lambda_order4()}
         assert len(graded[4]) == len(oracle_classes) == 483
         assert len(to_oracle_form(graded)[4]) == len(graded[4])
@@ -306,8 +307,8 @@ class TestOneGraphPerClass:
     @pytest.mark.parametrize("case", sorted(LABELLED_CASES))
     def test_equals_labelled_walk(self, case):
         op_a, op_b, order, potential = LABELLED_CASES[case]
-        direct = connected_integrand(op_a, op_b, order, potential, max_order=order)
-        labelled = labelled_connected_integrand(op_a, op_b, order, potential, max_order=order)
+        direct = connected_integrand(op_a, op_b, order, potential)
+        labelled = labelled_connected_integrand(op_a, op_b, order, potential)
         assert direct == labelled
         assert direct[order]
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,6 @@ from oscqgt.qgt import (
     ParameterSpace,
     assemble,
     determinant_and_critical,
-    metric_and_curvature,
     qgt_component,
 )
 from oscqgt.scalar_algebra import NonPositiveAlpha, ScalarSeries
@@ -70,57 +70,36 @@ class TestStructure:
             assert qgt_component(space, a, b, order) == qgt_component(space, b, a, order)
 
     def test_metric_symmetric_curvature_zero(self, space, order):
-        result = assemble(space, order)
-        for (a, b), series in result.metric.items():
-            assert series == result.metric[(b, a)]
-        for series in result.curvature.values():
-            assert series.is_zero
+        # every assembled entry against G_ba computed on its own: the metric
+        # is symmetric and the curvature G_ab - G_ba vanishes
+        for (a, b), series in assemble(space, order).items():
+            assert (series - qgt_component(space, b, a, order)).is_zero
 
     def test_positive_diagonal_at_small_coupling(self, space, order):
         result = assemble(space, order)
         for label in space.labels:
-            series = result.metric[(label, label)]
+            series = result[(label, label)]
             for alpha in (0.5, 1.0, 2.0):
                 assert series.evaluate(alpha, 0.05, 0.3) > 0
-
-
-class TestSplit:
-    def test_antisymmetrization_of_generic_map(self):
-        # the split itself must antisymmetrize whatever map it is given
-        comps = {
-            ("a", "a"): s(1),
-            ("a", "b"): s(2),
-            ("b", "a"): s(4),
-            ("b", "b"): s(3),
-        }
-        metric, curvature = metric_and_curvature(comps)
-        assert metric[("a", "b")] == metric[("b", "a")] == s(3)
-        assert curvature[("a", "b")] == s(-2)
-        assert curvature[("b", "a")] == s(2)
-        assert curvature[("a", "a")].is_zero
-
-    def test_single_parameter_curvature_vanishes(self):
-        metric, curvature = metric_and_curvature({("alpha", "alpha"): s(1, 32, a=-4)})
-        assert curvature[("alpha", "alpha")].is_zero
 
 
 class TestDeterminant:
     def test_quartic_first_order(self):
         result = assemble(QUARTIC, 1)
-        det, critical = determinant_and_critical(result.metric, result.labels, 1)
+        det, critical = determinant_and_critical(result, QUARTIC.labels, 1)
         assert det == s(1, 196608, a=-10) + s(-35, 3145728, a=-13, l=1)
         assert critical == s(16, 35, a=3)
 
     def test_quartic_order_zero_has_no_root(self):
         result = assemble(QUARTIC, 0)
-        det, critical = determinant_and_critical(result.metric, result.labels, 0)
+        det, critical = determinant_and_critical(result, QUARTIC.labels, 0)
         assert det == s(1, 196608, a=-10)
         assert critical is None
 
     def test_linear_determinant_exact_cancellation(self):
         # the J^2 cross terms cancel exactly: det = 1/(64 alpha^{7/2})
         result = assemble(LINEAR, 1)
-        det, critical = determinant_and_critical(result.metric, result.labels, 1)
+        det, critical = determinant_and_critical(result, LINEAR.labels, 1)
         assert det == s(1, 64, a=-7)
         assert critical is None
 
@@ -132,10 +111,10 @@ class TestDeterminant:
                 g = np.array(
                     [
                         [
-                            result.metric[(a, b)].evaluate(alpha, float(lam))
-                            for b in result.labels
+                            result[(a, b)].evaluate(alpha, float(lam))
+                            for b in QUARTIC.labels
                         ]
-                        for a in result.labels
+                        for a in QUARTIC.labels
                     ]
                 )
                 assert np.all(np.linalg.eigvalsh(g) > 0), (alpha, lam)
@@ -165,3 +144,31 @@ class TestParameterSpace:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ParameterSpace("cubic")
+
+    @pytest.mark.parametrize(
+        "token,kind,k,labels",
+        [
+            ("linear", "linear", 1, ("alpha", "j")),
+            ("quartic", "quartic", 4, ("alpha", "lambda")),
+            ("monomial:6", "monomial", 6, ("alpha", "lambda")),
+        ],
+    )
+    def test_parse(self, token, kind, k, labels):
+        space = ParameterSpace.parse(token)
+        assert (space.kind, space.k, space.labels) == (kind, k, labels)
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("pentic", "unknown model 'pentic'"),
+            ("monomial", "unknown model 'monomial'"),
+            ("linear:1", "unknown model 'linear:1'"),
+            ("monomial:x", "integer >= 1, not 'x'"),
+            ("monomial:", "integer >= 1, not ''"),
+            ("monomial:0", "integer >= 1, not '0'"),
+            ("monomial:-2", "integer >= 1, not '-2'"),
+        ],
+    )
+    def test_parse_rejects(self, token, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParameterSpace.parse(token)
