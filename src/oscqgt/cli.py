@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
-from .perturbation import connected_integrand
+from .perturbation import connected_grade
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import edges_to_dot
 
@@ -364,7 +364,7 @@ def cmd_diagrams(args) -> int:
     written = []
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        grade = connected_integrand(op_a, op_b, args.order, args.space.potential)[args.order]
+        grade = connected_grade(op_a, op_b, args.order, args.space.potential)
         for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             dot = edges_to_dot(edges, name, f"coefficient {coeff}")
@@ -511,8 +511,10 @@ def _validate(args) -> None:
         raise ValueError(f"--model: {exc}") from None
     if args.order < 0:
         raise ValueError("order must be >= 0")
-    cap = os.environ.get(MAX_ORDER_ENV)
-    max_order = max(int(cap), 0) if cap else DEFAULT_MAX_ORDER
+    cap = os.environ.get(MAX_ORDER_ENV) or str(DEFAULT_MAX_ORDER)
+    if not cap.strip().isdecimal():
+        raise ValueError(f"{MAX_ORDER_ENV} must be a non-negative integer, not {cap!r}")
+    max_order = int(cap)
     # the linear series is exact at any order; only diagrams expands at `order`
     exact = args.space.kind == "linear" and args.command != "diagrams"
     if args.order > max_order and not exact:

@@ -74,20 +74,24 @@ def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Frac
     tau1 and tau2 come first in `names`, so they are bits 0 and 1 of a subset.
     The accumulators are integers over the common denominator scale**n.
     """
-    bit = {name: 1 << i for i, name in enumerate(names)}
     full = (1 << len(names)) - 1
     cut = cut_sizes(edges, names)
-    for s in range(1, full):
-        if cut[s] == 0:
-            members = ", ".join(n for n, b in bit.items() if s & b)
-            raise DivergentIntegral(f"no propagator links {{{members}}} to the other times")
+    if 0 in cut[1:full]:
+        s = cut.index(0, 1)
+        members = ", ".join(n for i, n in enumerate(names) if s >> i & 1)
+        raise DivergentIntegral(f"no propagator links {{{members}}} to the other times")
     scale = math.lcm(*cut[1:full])
     plain, marked = [1] + [0] * full, [0] * (full + 1)
     for s in range(1, full + 1):  # every subset comes after its subsets
         if s & 3 == 2:
             continue  # tau2 before tau1
-        p = sum(plain[s ^ b] for b in bit.values() if s & b)
-        m = sum(marked[s ^ b] for b in bit.values() if s & b)
+        p = m = 0
+        t = s
+        while t:  # the last time of the order is one of the set bits of s
+            b = t & -t
+            t ^= b
+            p += plain[s ^ b]
+            m += marked[s ^ b]
         if s != full:
             w = scale // cut[s]
             if s & 3 == 1:

@@ -8,14 +8,16 @@ linked-cluster theorem the connected correlator is the sum of the Wick graphs
 in which tau1, tau2 and every s_i form one component: vacuum bubbles cancel
 identically against the normalisation, and subtracting the product of the
 one-point functions removes the graphs that keep tau1 and tau2 apart.  So only
-the connected graphs are kept.
+the connected graphs are kept, and the pairing walk drops every branch that
+can only end disconnected.
 
 Vertices of equal degree are interchangeable, so each class of graphs under
 relabelling of s_1..s_m is generated once, from a labelling in which the
-vertices' invariants are sorted, and weighted by 1/|Aut| in place of 1/m!
-times its m!/|Aut| labellings (orbit-stabiliser).  Diagrams are stored per
-coupling order as {edge-multiset: exact coefficient}, each under the
-canonical labelling of its class.
+vertices' ranks (`_walk_rank`) are sorted, and weighted by 1/|Aut|
+in place of 1/m! times its m!/|Aut| labellings (orbit-stabiliser).  Diagrams
+are stored per coupling order as {edge-multiset: exact coefficient}, each
+under one fixed labelling of its class: the sorted one when no two ranks tie,
+otherwise the canonical form of `_linked_class`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .wick import InsertionPoint, enumerate_pairings
 __all__ = [
     "PolynomialPotential",
     "DeformationOperator",
+    "connected_grade",
     "connected_integrand",
 ]
 
@@ -92,23 +95,19 @@ class DeformationOperator:
         return cls(k, -c)
 
 
-def _invariant(row: Sequence[int], i: int, m: int) -> tuple:
-    """What relabelling the internal vertices keeps of vertex i's edge counts.
-
-    Edges to tau1, edges to tau2, self-loops and the sorted multiplicities to
-    the other vertices; row lists vertex i's edges to s_1..s_m, tau1, tau2.
-    """
-    return (row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
-
-
 def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
-    """Rank of the i-th time of the pairing walk: degree, then invariant.
+    """Rank of the i-th time of the pairing walk, kept by relabelling s_1..s_m.
 
-    The walk visits s_1..s_m (in name order) before tau1 and tau2, which stay
-    unranked.  The degree comes first, so the rank-sorted labelling of a class
-    also has the nondecreasing degrees that the walk's vertices are given.
+    row lists the time's edges to s_1..s_m, tau1 and tau2.  The rank is the
+    degree, then the edges to tau1, the edges to tau2, the self-loops and the
+    sorted multiplicities to the other vertices.  The walk visits s_1..s_m (in
+    name order) before tau1 and tau2, which stay unranked.  The degree comes
+    first, so the rank-sorted labelling of a class also has the nondecreasing
+    degrees that the walk's vertices are given.
     """
-    return (sum(row) + row[i], _invariant(row, i, m)) if i < m else None
+    if i >= m:
+        return None
+    return (sum(row) + row[i], row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
 
 
 def _linked_class(
@@ -117,10 +116,12 @@ def _linked_class(
     """Canonical edge multiset and automorphism count of a connected diagram.
 
     Returns None when tau1, tau2 and `names` are not one connected component.
-    The internal vertices are ranked by their invariants; the form is the
-    minimal relabeled edge multiset over the relabelings that keep that
+    The internal vertices are ranked by the walk's key `_walk_rank`; the form
+    is the minimal relabeled edge multiset over the relabelings that keep that
     ranking, so isomorphic diagrams share it, and the number of relabelings
-    that reach it is the order of the diagram's automorphism group.
+    that reach it is the order of the diagram's automorphism group.  When no
+    two ranks tie, one relabeling keeps the ranking: the one that numbers the
+    vertices in rank order, with |Aut| = 1.
     """
     m = len(names)
     n = m + 2
@@ -145,9 +146,9 @@ def _linked_class(
             joined += 1
     if joined != n - 1:
         return None
-    invariant = [_invariant(row, i, m) for i, row in enumerate(count[:m])]
-    ranked = sorted(range(m), key=invariant.__getitem__)
-    classes = [list(group) for _, group in itertools.groupby(ranked, key=invariant.__getitem__)]
+    rank = [_walk_rank(m, i, row) for i, row in enumerate(count[:m])]
+    ranked = sorted(range(m), key=rank.__getitem__)
+    classes = [list(group) for _, group in itertools.groupby(ranked, key=rank.__getitem__)]
     # a relabeled diagram is keyed by the sorted codes lo * n + hi of its edges
     label = list(range(n))
     best, automorphisms = None, 0
@@ -173,6 +174,45 @@ def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
     return tuple(tuple(sorted((a, b))) for a in nodes for b in nodes)
 
 
+def connected_grade(
+    op_a: DeformationOperator,
+    op_b: DeformationOperator,
+    m: int,
+    potential: PolynomialPotential,
+) -> dict[Edges, Fraction]:
+    """Grade m of `connected_integrand`: {edge multiset: coefficient}.
+
+    The pairing walk yields only connected graphs, one sorted labelling or
+    more per class.  A graph whose walk ranks all differ is the only sorted
+    labelling of its class, which is then stored under that labelling with
+    |Aut| = 1; a graph with tied ranks is stored under its `_linked_class`
+    form, on which all its tied labellings land.
+    """
+    externals = [InsertionPoint(TAU1, op_a.q_power), InsertionPoint(TAU2, op_b.q_power)]
+    coefficients = dict(potential.coefficients)
+    grade: dict[Edges, Fraction] = {}
+    names = internal_vertices(m)
+    rank = functools.partial(_walk_rank, m)
+    for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
+        if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
+            continue
+        weight = Fraction((-1) ** m)
+        for d in degrees:
+            weight *= coefficients[d]
+        # nondecreasing degrees in the walk's order, so that the sorted
+        # labelling of every class passes `rank`
+        insertions = externals + [
+            InsertionPoint(name, deg) for name, deg in zip(sorted(names), degrees)
+        ]
+        for diag in enumerate_pairings(insertions, rank=rank, connected=True):
+            if diag.tied:
+                edges, automorphisms = _linked_class(diag.edges, names)
+            else:
+                edges, automorphisms = diag.edges, 1
+            grade[edges] = weight * Fraction(diag.multiplicity, automorphisms)
+    return grade
+
+
 def connected_integrand(
     op_a: DeformationOperator,
     op_b: DeformationOperator,
@@ -185,32 +225,9 @@ def connected_integrand(
     <q^na(tau1) q^nb(tau2)>_int - <q^na(tau1)>_int <q^nb(tau2)>_int with m
     internal vertices: one graph per class of Wick graphs in which tau1, tau2
     and every vertex form one component, weighted by
-    (-1)^m * prod c_deg * multiplicity / |Aut|.  The operator prefactors are
-    not included here (the tensor assembly owns them).
+    (-1)^m * prod c_deg * multiplicity / |Aut|.  The walk drops disconnected
+    branches before they finish, and the canonical search of `_linked_class`
+    runs only on graphs whose vertex ranks tie (see `connected_grade`).  The
+    operator prefactors are not included here (the tensor assembly owns them).
     """
-    externals = [InsertionPoint(TAU1, op_a.q_power), InsertionPoint(TAU2, op_b.q_power)]
-    coefficients = dict(potential.coefficients)
-    out: GradedSum = {}
-    for m in range(order + 1):
-        grade: dict[Edges, Fraction] = {}
-        names = internal_vertices(m)
-        rank = functools.partial(_walk_rank, m)
-        for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
-            if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
-                continue
-            weight = Fraction((-1) ** m)
-            for d in degrees:
-                weight *= coefficients[d]
-            # nondecreasing degrees in the walk's order, so that the sorted
-            # labelling of every class passes `rank`
-            insertions = externals + [
-                InsertionPoint(name, deg) for name, deg in zip(sorted(names), degrees)
-            ]
-            for diag in enumerate_pairings(insertions, rank=rank):
-                linked = _linked_class(diag.edges, names)
-                if linked is not None:
-                    # tied labellings of one class land on the same entry
-                    edges, automorphisms = linked
-                    grade[edges] = weight * Fraction(diag.multiplicity, automorphisms)
-        out[m] = grade
-    return out
+    return {m: connected_grade(op_a, op_b, m, potential) for m in range(order + 1)}

@@ -41,10 +41,14 @@ class InsertionPoint:
 
 @dataclass(frozen=True)
 class WickDiagram:
-    """One pairing class: a multiset of edges and its multiplicity."""
+    """One pairing class: a multiset of edges and its multiplicity.
+
+    `tied` marks a diagram of a ranked walk in which two times share a rank.
+    """
 
     edges: tuple[tuple[str, str], ...]
     multiplicity: int = 1
+    tied: bool = False
 
 
 def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:
@@ -57,6 +61,7 @@ def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:
 def enumerate_pairings(
     points: Sequence[InsertionPoint],
     rank: Callable[[int, list[int]], object] | None = None,
+    connected: bool = False,
 ) -> list[WickDiagram]:
     """All pairing classes of the given insertions, with exact multiplicities.
 
@@ -68,7 +73,15 @@ def enumerate_pairings(
     self-loops), and the walk skips every diagram in which a time's rank sorts
     below the previous ranked time's (None leaves a time unranked).  With a
     rank that relabelling preserves, every class of diagrams under relabelling
-    keeps at least its sorted labelling.
+    keeps at least its sorted labelling.  A diagram is `tied` when two of its
+    ranked times share a rank: other labellings of its class may then sort
+    too.
+
+    With `connected`, only the diagrams that join every time into one
+    component are returned.  The walk places the times in name order and
+    drops a branch as soon as the component of the time just placed has no
+    edge left to a later time: that component can no longer grow, so every
+    diagram below the branch is disconnected.
     """
     nodes = _merge_points(points)
     names = [n for n, _ in nodes]
@@ -86,15 +99,17 @@ def enumerate_pairings(
     # j > i; edges are appended in sorted order, and the denominator of the
     # multiplicity grows with them.  Row i of `links` is complete once node i
     # is placed: earlier nodes filled in its first i entries.
-    def walk(i: int, remaining: list[int], edges: tuple, denom: int, floor):
+    def walk(i: int, remaining: list[int], edges: tuple, denom: int, floor, tied: bool):
         if i == k:
             q, rem = divmod(total, denom)
             assert rem == 0
-            diagrams.append(WickDiagram(edges, q))
+            diagrams.append(WickDiagram(edges, q, tied))
             return
         n_i, name, row = remaining[i], names[i], links[i]
         later = tuple(remaining[i + 1 :])
         for self_i in range(n_i // 2 + 1):
+            if connected and 2 * self_i == n_i and i < k - 1 and closes(i):
+                continue  # no edge leaves node i's component: disconnected below
             head_edges = edges + ((name, name),) * self_i
             head_denom = denom * fact[self_i] * 2**self_i
             row[i] = self_i
@@ -105,9 +120,11 @@ def enumerate_pairings(
                 row[i + 1 :] = combo
                 r = rank(i, row) if rank else None
                 if r is None:
-                    r = floor
+                    r, tie = floor, tied
                 elif floor is not None and r < floor:
                     continue
+                else:
+                    tie = tied or r == floor
                 new_remaining = list(remaining)
                 new_edges, new_denom = head_edges, head_denom
                 for j, e in enumerate(combo, start=i + 1):
@@ -116,9 +133,24 @@ def enumerate_pairings(
                         new_edges += ((name, names[j]),) * e
                         new_denom *= fact[e]
                         new_remaining[j] -= e
-                walk(i + 1, new_remaining, new_edges, new_denom, r)
+                walk(i + 1, new_remaining, new_edges, new_denom, r, tie)
 
-    walk(0, legs, (), 1, None)
+    # whether node i's component among nodes 0..i has no edge to a later node
+    # when node i itself sends none; the earlier nodes' rows are complete
+    def closes(i: int) -> bool:
+        seen, stack = {i}, [i]
+        while stack:
+            j = stack.pop()
+            row = links[j]
+            if j != i and any(row[i + 1 :]):
+                return False
+            for other in range(i):
+                if row[other] and other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return True
+
+    walk(0, legs, (), 1, None, False)
     diagrams.sort(key=lambda d: d.edges)
     return diagrams
 

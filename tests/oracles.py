@@ -3,14 +3,14 @@
 These deliberately avoid the library's own enumeration and integration paths:
 a literal recursive pairing enumerator over individual q-legs (optionally
 routing legs to the mean of a constant source), numeric quadrature of the
-|t - t'| propagator integrands, Gaussian moments of the constant-source
-oscillator with its mean <q> = -J/alpha folded in and their connected
-two-cluster correlators (the linear model without any J vertex), the
-connected integrand built the long way, as numerator/vacuum ratios of
-interacting Green functions minus their graded product, with an all-m!
-canonical form, the connected integrand from every labelled Wick graph
-weighted by 1/m!, and the spectral oracle's dense path: H from dense matrix
-products, solved by a dense symmetric eigensolver.
+|t - t'| propagator integrands and their exact sum over every time order,
+Gaussian moments of the constant-source oscillator with its mean
+<q> = -J/alpha folded in and their connected two-cluster correlators (the
+linear model without any J vertex), the connected integrand built the long
+way, as numerator/vacuum ratios of interacting Green functions minus their
+graded product, with an all-m! canonical form, the connected integrand from
+every labelled Wick graph weighted by 1/m!, and the spectral oracle's dense
+path: H from dense matrix products, solved by a dense symmetric eigensolver.
 """
 
 from __future__ import annotations
@@ -209,6 +209,28 @@ def quad_wedge(alpha: float, edges, n_vertices: int = 0) -> float:
     value, err = integrate.nquad(f, ranges, opts=opts)
     assert err < 1e-8
     return value
+
+
+def brute_force_wedge(edges, names: Sequence[str]) -> Fraction:
+    """Exact wedge weight of a propagator product, one time order at a time.
+
+    Sums prod_g 1/c_g * sum_{gaps between tau1 and tau2} 1/c_j over all
+    len(names)! orders of the times that put tau1 before tau2, where c_g
+    counts the edges with exactly one endpoint among the times before gap g.
+    A disconnected product raises ZeroDivisionError.
+    """
+    links = [(a, b) for a, b in edges if a != b]
+    total = Fraction(0)
+    for order in itertools.permutations(names):
+        lo, hi = order.index("tau1"), order.index("tau2")
+        if lo > hi:
+            continue
+        weights = []
+        for g in range(1, len(order)):
+            before = set(order[:g])
+            weights.append(Fraction(1, sum((a in before) != (b in before) for a, b in links)))
+        total += math.prod(weights) * sum(weights[lo:hi])
+    return total
 
 
 # -- connected integrand by formal ratio division ------------------------------

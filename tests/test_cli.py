@@ -186,6 +186,16 @@ class TestExitCodes:
         code, _, err = run(["compute", "--model", "quartic", "--order", "1"], capsys)
         assert code == cli.EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("cap", ["x", "2.5", "-1"])
+    def test_bad_env_cap_names_the_variable(self, cap, capsys, monkeypatch):
+        monkeypatch.setenv(cli.MAX_ORDER_ENV, cap)
+        code, out, err = run(["compute", "--model", "quartic"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == (
+            f"invalid configuration: QGT_MAX_ORDER must be a non-negative integer, not {cap!r}\n"
+        )
+
     def test_linear_order_is_not_capped(self, tmp_path, capsys):
         # the linear series is exact at any order, so compute and sweep skip
         # the cap; diagrams expands at the order it is given and keeps it
@@ -340,7 +350,7 @@ class TestExitCodes:
         for module, name in [
             (spectral_oracle, "numeric_qim"),
             (oscqgt.qgt, "connected_integrand"),
-            (cli, "connected_integrand"),
+            (cli, "connected_grade"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
         (tmp_path / "a_file").write_text("")

@@ -4,15 +4,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import product_value, propagator_value, quad_separation, quad_wedge
+from oracles import (
+    brute_force_wedge,
+    product_value,
+    propagator_value,
+    quad_separation,
+    quad_wedge,
+)
 from oscqgt.integrator import (
     TAU1,
     TAU2,
     DivergentIntegral,
+    _ordered_sum,
     cut_sizes,
     internal_vertices,
     wedge_integral,
 )
+from oscqgt.perturbation import connected_grade
+from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
 
 (S1,) = internal_vertices(1)
@@ -186,6 +195,39 @@ class TestIntegrateAll:
             series = wedge_integral(graph(edges), n_vertices=n_vertices)
             p, v = len(edges), n_vertices + 2
             assert all(t.alpha_half_pow == -(p + v) for t in series.terms)
+
+
+QUARTIC = ParameterSpace.parse("quartic")
+QUARTIC_PAIRS = [("alpha", "alpha"), ("alpha", "lambda"), ("lambda", "lambda")]
+
+
+def quartic_products(m):
+    """The edge multisets of every quartic component's grade m, sorted."""
+    return sorted(
+        edges
+        for a, b in QUARTIC_PAIRS
+        for edges in connected_grade(
+            QUARTIC.operator(a), QUARTIC.operator(b), m, QUARTIC.potential
+        )
+    )
+
+
+class TestSubsetSumAgainstEveryOrder:
+    # the subset DP must equal the plain sum over all (m + 2)! time orders
+    @pytest.mark.parametrize("m", range(4))
+    def test_every_quartic_product(self, m):
+        names = [TAU1, TAU2] + internal_vertices(m)
+        products = quartic_products(m)
+        assert products
+        for edges in products:
+            assert _ordered_sum(edges, names) == brute_force_wedge(edges, names), edges
+
+    def test_quartic_order_four_sample(self):
+        names = [TAU1, TAU2] + internal_vertices(4)
+        sample = quartic_products(4)[::50]
+        assert len(sample) > 20
+        for edges in sample:
+            assert _ordered_sum(edges, names) == brute_force_wedge(edges, names), edges
 
 
 class TestGreenFunction:

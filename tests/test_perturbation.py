@@ -1,4 +1,5 @@
 import functools
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 from math import factorial
@@ -28,6 +29,8 @@ from oscqgt.perturbation import (
     DeformationOperator,
     PolynomialPotential,
     _linked_class,
+    _walk_rank,
+    connected_grade,
     connected_integrand,
 )
 from oscqgt.qgt import ParameterSpace, qgt_component
@@ -327,3 +330,63 @@ class TestOneGraphPerClass:
         assert any(aut > 1 for aut in automorphisms.values())
         for edges, count in labellings.items():
             assert count * automorphisms[edges] == factorial(m), edges
+
+
+def _walk_points(op_a, op_b, m, potential):
+    """The insertions of each degree multiset that `connected_grade` walks at order m."""
+    externals = [InsertionPoint("tau1", op_a.q_power), InsertionPoint("tau2", op_b.q_power)]
+    degrees = sorted(d for d, _ in potential.coefficients)
+    for combo in itertools.combinations_with_replacement(degrees, m):
+        if (op_a.q_power + op_b.q_power + sum(combo)) % 2 == 0:
+            yield externals + [InsertionPoint(f"s{i}", d) for i, d in enumerate(combo, start=1)]
+
+
+PRUNING_CASES = {
+    **{f"quartic-alpha,lambda-o{m}": (O_ALPHA, O_QUARTIC, m, V4) for m in range(5)},
+    **{case: LABELLED_CASES[case] for case in LABELLED_CASES if not case.startswith("quartic")},
+}
+
+
+class TestPrunedWalk:
+    # dropping a branch once a component closes must lose no connected graph
+    # and keep no disconnected one, with or without the symmetry breaking
+    @pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_equals_filtered_full_walk(self, case, ranked):
+        op_a, op_b, m, potential = PRUNING_CASES[case]
+        rank = functools.partial(_walk_rank, m) if ranked else None
+        walked = 0
+        for points in _walk_points(op_a, op_b, m, potential):
+            pruned = enumerate_pairings(points, rank=rank, connected=True)
+            full = enumerate_pairings(points, rank=rank)
+            assert pruned == [d for d in full if len(connected_components(d.edges)) == 1]
+            walked += len(pruned)
+        assert walked
+
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_untied_graph_is_its_own_class_form(self, case):
+        # when no two ranks tie, the walk's labelling is the canonical one
+        op_a, op_b, m, potential = PRUNING_CASES[case]
+        rank = functools.partial(_walk_rank, m)
+        names = [f"s{i}" for i in range(1, m + 1)]
+        tied = 0
+        for points in _walk_points(op_a, op_b, m, potential):
+            for d in enumerate_pairings(points, rank=rank, connected=True):
+                if d.tied:
+                    tied += 1
+                else:
+                    assert _linked_class(d.edges, names) == (d.edges, 1)
+        assert tied or m < 2
+
+    @pytest.mark.parametrize(
+        "case,leaves,unpruned,classes",
+        [("quartic-alpha,lambda-o4", 577, 1135, 483), ("k6-lambda,lambda-o3", 3860, 4680, 3860)],
+    )
+    def test_walk_work_counts(self, case, leaves, unpruned, classes):
+        # a walk that stops pruning, or a change of the rank, moves these counts
+        op_a, op_b, m, potential = LABELLED_CASES[case]
+        [points] = _walk_points(op_a, op_b, m, potential)
+        rank = functools.partial(_walk_rank, m)
+        assert len(enumerate_pairings(points, rank=rank, connected=True)) == leaves
+        assert len(enumerate_pairings(points, rank=rank)) == unpruned
+        assert len(connected_grade(op_a, op_b, m, potential)) == classes
