@@ -8,10 +8,14 @@ The metric follows from central-difference ground-state derivatives,
     g_ab = <d_a psi | d_b psi> - <d_a psi | psi><psi | d_b psi>,
 
 with sign-gauge-fixed eigenvectors, step-halving error estimates and a
-basis-doubling drift per entry.  q is tridiagonal, so H is built and solved
-in LAPACK lower band storage.  Each point runs one banded eigenvalue solve,
-for the central ground state; the shifted and doubled-basis ground states
-come from inverse iteration warm-started at a nearby known one.  Everything
+basis-doubling drift per entry.  q is tridiagonal, so H is built in lower
+band storage (band[d, c] = H[c + d, c]).  Shifted systems are factored by a
+block cyclic-reduction Cholesky factorisation in numpy, once per shift for
+every inverse-iteration step on it, and a stack of systems is factored and
+iterated as one.  Each point runs one cold eigenvalue solve, for the central
+ground state at N; its other ground states come in two stacks, the central
+one and its eight finite-difference neighbours at N and five at the doubled
+basis, by inverse iteration warm-started at a nearby known state.  Everything
 here is real symmetric, so this oracle is blind to Berry curvature,
 consistent with the models in scope.
 """
@@ -47,6 +51,10 @@ _SHIFT_MARGIN = 1e-10
 _STEP_TOL = 1e-12
 _MAX_STEPS = 8
 _RESIDUAL_TOL = 1e-13  # bound on |(H - E0) psi| / |H|
+_BLOCK = 4  # least rows per diagonal block of the cyclic-reduction factor
+_MAX_ROUNDS = 64  # shifts tried by a cold eigenvalue solve
+_DENSE = 16  # rows left to a dense factorisation after cyclic reduction
+_LEADING = 32  # rows of the block whose ground state starts a cold solve
 
 
 class BasisTooSmall(OracleFailure):
@@ -54,7 +62,7 @@ class BasisTooSmall(OracleFailure):
 
 
 class NoConvergence(OracleFailure):
-    """The banded eigensolver failed or its eigenpair misses the residual bound."""
+    """The eigensolver failed or its eigenpair misses the residual bound."""
 
 
 class StepTooLarge(OracleFailure):
@@ -179,10 +187,11 @@ def build_hamiltonian(
 
 
 def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    out = band[0] * vec
-    for d in range(1, band.shape[0]):
-        out[d:] += band[d, :-d] * vec[:-d]
-        out[:-d] += band[d, :-d] * vec[d:]
+    """H vec for a band, or for each band of a stack."""
+    out = band[..., 0, :] * vec
+    for d in range(1, band.shape[-2]):
+        out[..., d:] += band[..., d, :-d] * vec[..., :-d]
+        out[..., :-d] += band[..., d, :-d] * vec[..., d:]
     return out
 
 
@@ -193,61 +202,251 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _inverse_iteration(band: np.ndarray, shift: float, vec: np.ndarray) -> np.ndarray:
-    """Iterate from vec on band - shift until a step moves the unit vector by
-    at most _STEP_TOL; the Cholesky solve fails unless the shift lies below
-    the whole spectrum."""
-    from scipy import linalg
+@lru_cache(maxsize=16)
+def _block_layout(n: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a band's blocks come from.
 
-    shifted = band.copy()
-    shifted[0] -= shift
-    try:
-        for _ in range(_MAX_STEPS):
-            nxt = linalg.solveh_banded(shifted, vec, lower=True)
-            nxt /= np.linalg.norm(nxt)
-            step = float(np.linalg.norm(nxt - vec))
-            vec = nxt
-            if step <= _STEP_TOL:
-                return vec
-    except linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    raise NoConvergence(f"inverse iteration still moving by {step:.1e} after {_MAX_STEPS} steps")
-
-
-def ground_state(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a symmetric band matrix in lower storage.
-
-    Cold, E0 comes from the banded eigenvalue solver and the vector from
-    inverse iteration shifted just below E0 (positive definite even when H is
-    exactly diagonal).  Warm, inverse iteration starts at the guess, shifted
-    to rho - r - margin * |H| for the guess's Rayleigh quotient rho and
-    residual r, and E0 is the converged vector's Rayleigh quotient.  A shift
-    whose Cholesky solve succeeds lies below the whole spectrum, so the warm
-    iteration cannot settle on an excited state; if it fails, does not settle
-    or misses the residual bound, the solve runs cold.  The vector is
-    normalized with its largest-magnitude entry positive.  Raises
-    NoConvergence when LAPACK fails, the iteration does not settle, or
-    |(H - E0) psi| exceeds the residual bound.
+    The matrix is cut into diagonal blocks of m rows, their count filled up
+    to a power of two with decoupled unit rows.  Returns indices into the
+    band's flattened storage followed by a 0 and a 1 that lay out each
+    diagonal block and the block right of it, A[k, k + 1], and the mask of
+    the matrix's own diagonal within the diagonal blocks.
     """
-    from scipy import linalg  # deferred: only oracle commands solve, and it is slow to load
+    count = 1 << (-(-n // m) - 1).bit_length()
+    zero, one = (b + 1) * n, (b + 1) * n + 1
+    rows = np.arange(count)[:, None, None] * m + np.arange(m)[:, None]
+    cols = np.arange(count)[:, None, None] * m + np.arange(m)
 
+    def entries(r, c):  # H[r, c] = band[|r - c|, min(r, c)]
+        d, low = np.abs(r - c), np.minimum(r, c)
+        return np.where((d <= b) & (np.maximum(r, c) < n), d * n + low, zero)
+
+    diagonal = np.where((rows == cols) & (rows >= n), one, entries(rows, cols))
+    return diagonal, entries(rows, cols + m), ((rows == cols) & (rows < n)).astype(float)
+
+
+def _band_cholesky(band: np.ndarray, shift) -> tuple[list, np.ndarray]:
+    """Block cyclic-reduction Cholesky factor of band - shift (or of each band
+    of a stack minus its shift), for repeated solves.
+
+    In blocks of m = max(_BLOCK, b) rows the matrix is block tridiagonal.
+    Each level eliminates the odd-numbered blocks D_k of the current matrix:
+    with R_k R_k^T = D_k and [X_k | Y_k] = R_k^-1 [A[2k + 1, 2k] | A[2k + 1,
+    2k + 2]], the even blocks' Schur complement is again block tridiagonal,
+    on half the blocks, and a level keeps R_k^-1 and [X_k | Y_k] for the
+    solves.  Once at most _DENSE rows are left, their inverse is formed
+    densely.  This is a Cholesky factorisation of the matrix
+    with its blocks reordered, so it exists exactly when the matrix is
+    positive definite: np.linalg.LinAlgError means the shift is not below the
+    whole spectrum.
+    """
+    *lead, rows, n = band.shape
+    b = min(rows, n) - 1  # diagonals past the last row hold nothing
+    m = max(_BLOCK, b)
+    diagonal, right, on_diagonal = _block_layout(n, b, m)
+    flat = np.concatenate(
+        [band[..., : b + 1, :].reshape(*lead, -1), np.broadcast_to([0.0, 1.0], (*lead, 2))], axis=-1
+    )
+    diag = flat[..., diagonal] - np.asarray(shift)[..., None, None, None] * on_diagonal
+    up = flat[..., right]  # up[k] = A[k, k + 1]
+    levels = []
+    while diag.shape[-3] * m > _DENSE:
+        w = np.linalg.inv(np.linalg.cholesky(diag[..., 1::2, :, :]))  # R_k^-1
+        # [X_k | Y_k] = R_k^-1 [A[2k + 1, 2k] | A[2k + 1, 2k + 2]]; matmul is
+        # much faster on contiguous operands, so transposes are copied
+        xy = w @ np.concatenate([up[..., 0::2, :, :].swapaxes(-1, -2), up[..., 1::2, :, :]], axis=-1)
+        xy_t = xy.swapaxes(-1, -2).copy()
+        gram = xy_t @ xy
+        diag = diag[..., 0::2, :, :] - gram[..., :m, :m]
+        diag[..., 1:, :, :] -= gram[..., :-1, m:, m:]
+        up = -gram[..., :m, m:]
+        levels.append((w, xy))
+    count = diag.shape[-3]  # the rest is solved densely
+    dense = np.zeros((*lead, count * m, count * m))
+    for k in range(count):  # the lower triangle, which is all np.linalg.cholesky reads
+        dense[..., k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[..., k, :, :]
+        if k:
+            dense[..., k * m : (k + 1) * m, (k - 1) * m : k * m] = up[..., k - 1, :, :].swapaxes(-1, -2)
+    w = np.linalg.inv(np.linalg.cholesky(dense))
+    return levels, w.swapaxes(-1, -2).copy() @ w
+
+
+def _band_solve(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve (band - shift) x = rhs with the factor from _band_cholesky."""
+    levels, last = factor
+    lead, n = last.shape[:-2], rhs.shape[-1]
+    f = np.zeros((*lead, last.shape[-1] << len(levels)))
+    f[..., :n] = rhs
+    odd = []
+    for w, xy in levels:  # the even blocks' system: f_e - X^T z - Y^T z(k - 1)
+        m = w.shape[-1]
+        pairs = f.reshape(*lead, -1, 2, m)
+        z = np.einsum("...ij,...j->...i", w, pairs[..., 1, :])  # z_k = R_k^-1 f_o(k)
+        u = np.einsum("...ji,...j->...i", xy, z)
+        f = pairs[..., 0, :] - u[..., :m]
+        f[..., 1:, :] -= u[..., :-1, m:]
+        f = f.reshape(*lead, -1)
+        odd.append(z)
+    x = (last @ f[..., None])[..., 0]
+    for (w, xy), z in zip(reversed(levels), reversed(odd)):
+        m = w.shape[-1]
+        even = np.concatenate([x, np.zeros((*lead, m))], axis=-1)
+        step = even.itemsize
+        neighbours = np.ndarray(  # rows (x_e(k), x_e(k + 1)), as a view
+            (*lead, z.shape[-2], 2 * m), even.dtype, even, 0, (*even.strides[:-1], m * step, step)
+        )
+        # x_o(k) = R_k^-T (z_k - X_k x_e(k) - Y_k x_e(k + 1))
+        odd_x = np.einsum("...ji,...j->...i", w, z - np.einsum("...ij,...j->...i", xy, neighbours))
+        x = np.stack([x.reshape(*lead, -1, m), odd_x], axis=-2).reshape(*lead, -1)
+    return x[..., :n]
+
+
+def _inverse_iteration(factor, vec: np.ndarray, steps: int = _MAX_STEPS):
+    """Iterate from vec (one per factored matrix) with the factor of band -
+    shift; each vector stops once a step moves it by at most _STEP_TOL.
+    Returns the vectors and each one's last step."""
+    vec = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
+    moved = np.full(vec.shape[:-1], np.inf)
+    for _ in range(steps):
+        nxt = _band_solve(factor, vec)
+        nxt /= np.linalg.norm(nxt, axis=-1, keepdims=True)
+        moving = moved > _STEP_TOL
+        moved = np.where(moving, np.linalg.norm(nxt - vec, axis=-1), moved)
+        vec = np.where(moving[..., None], nxt, vec)
+        if not (moved > _STEP_TOL).any():
+            break
+    return vec, moved
+
+
+def _lowest_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a symmetric band matrix in lower storage, and a
+    unit vector that inverse iteration has settled on.
+
+    The iteration starts at the lowest eigenvector of the leading
+    _LEADING x _LEADING block, solved densely, and runs in rounds of three
+    steps, each at the shift rho - r - margin * |H| for the vector's Rayleigh
+    quotient rho and residual r.  A shift is used only if its Cholesky
+    factorisation succeeds, which places it below the whole spectrum;
+    otherwise the next try is halfway down to the highest shift known to lie
+    below it, starting from the Gershgorin bound.  The energy is the
+    Rayleigh quotient once a step moves the vector by at most _STEP_TOL and
+    no failed shift lies below it: an upper bound on E0, which a
+    factorisation at E0 - margin * |H| shows to be within the margin.  Costs
+    O(N b^2) per factorisation, like the solves.
+    """
+    b, n = band.shape[0] - 1, band.shape[1]
     scale = float(np.abs(band).max())
-    if guess is not None:
-        guess = guess / np.linalg.norm(guess)
-        image = _band_matvec(band, guess)
-        rho = float(guess @ image)
-        shift = rho - float(np.linalg.norm(image - rho * guess)) - _SHIFT_MARGIN * scale
-        try:
-            vec = _inverse_iteration(band, shift, guess)
-            return _checked_pair(band, float(vec @ _band_matvec(band, vec)), vec, scale)
-        except NoConvergence:
-            pass
+    k = min(n, _LEADING)
+    leading = np.zeros((k, k))  # the lower triangle, which is all np.linalg.eigh reads
+    for d in range(min(b, k - 1) + 1):
+        leading[np.arange(d, k), np.arange(k - d)] = band[d, : k - d]
+    vec = np.zeros(n)
     try:
-        energy = linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0]
-    except linalg.LinAlgError as exc:
+        vec[:k] = np.linalg.eigh(leading)[1][:, 0]
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    vec = _inverse_iteration(band, energy - _SHIFT_MARGIN * scale, np.ones(band.shape[1]))
-    return _checked_pair(band, float(energy), vec, scale)
+    below, above = None, np.inf  # shifts below the spectrum, and one found not to be
+    for _ in range(_MAX_ROUNDS):
+        image = _band_matvec(band, vec)
+        rho = float(vec @ image)
+        shift = rho - float(np.linalg.norm(image - rho * vec)) - _SHIFT_MARGIN * scale
+        if below is not None:
+            shift = max(shift, below)
+        if shift >= above:
+            if below is None:
+                below = _gershgorin_floor(band) - _SHIFT_MARGIN * scale
+            shift = 0.5 * (below + above)
+        try:
+            factor = _band_cholesky(band, shift)
+        except np.linalg.LinAlgError:
+            above = shift
+            continue
+        below = shift
+        vec, moved = _inverse_iteration(factor, vec, steps=3)
+        if moved <= _STEP_TOL:
+            energy = float(vec @ _band_matvec(band, vec))
+            if energy < above:
+                return energy, vec
+            # a failed shift puts an eigenvalue below this one: the start had
+            # no weight on it, so mix in every basis state
+            vec = vec + 1.0 / np.sqrt(n)
+            vec /= np.linalg.norm(vec)
+    raise NoConvergence(f"no shift below the spectrum settled in {_MAX_ROUNDS} rounds")
+
+
+def _gershgorin_floor(band: np.ndarray) -> float:
+    """A lower bound on the spectrum: the least diagonal entry minus its
+    row's off-diagonal absolute sum."""
+    n = band.shape[1]
+    radius = np.zeros(n)
+    for d in range(1, band.shape[0]):
+        off = np.abs(band[d, : n - d])
+        radius[d:] += off
+        radius[: n - d] += off
+    return float(np.min(band[0] - radius))
+
+
+def _cold_pair(band: np.ndarray) -> tuple[float, np.ndarray]:
+    scale = float(np.abs(band).max())
+    energy, _ = _lowest_eigenpair(band)
+    try:
+        factor = _band_cholesky(band, energy - _SHIFT_MARGIN * scale)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    vec, moved = _inverse_iteration(factor, np.ones(band.shape[1]))
+    if moved > _STEP_TOL:
+        raise NoConvergence(f"inverse iteration still moving by {moved:.1e} after {_MAX_STEPS} steps")
+    return _checked_pair(band, energy, vec, scale)
+
+
+def _warm_pairs(bands: np.ndarray, guess: np.ndarray) -> list:
+    """Warm eigenpairs of a stack of bands from one guess, or one guess per
+    band, all factored and iterated together; None where the solve must run
+    cold."""
+    scale = np.abs(bands).max(axis=(1, 2))
+    guess = np.broadcast_to(guess, (len(bands), bands.shape[2]))
+    guess = guess / np.linalg.norm(guess, axis=1, keepdims=True)
+    image = _band_matvec(bands, guess)
+    rho = np.einsum("sn,sn->s", guess, image)
+    shift = rho - np.linalg.norm(image - rho[:, None] * guess, axis=1) - _SHIFT_MARGIN * scale
+    try:
+        factor = _band_cholesky(bands, shift)
+    except np.linalg.LinAlgError:
+        if len(bands) == 1:
+            return [None]
+        return [_warm_pairs(one[None], g)[0] for one, g in zip(bands, guess)]  # which failed
+    vecs, moved = _inverse_iteration(factor, guess)
+    image = _band_matvec(bands, vecs)
+    energies = np.einsum("sn,sn->s", vecs, image)
+    residuals = np.linalg.norm(image - energies[:, None] * vecs, axis=1)
+    settled = (moved <= _STEP_TOL) & (residuals <= _RESIDUAL_TOL * scale)
+    return [(float(e), gauge_fix(v)) if ok else None for e, v, ok in zip(energies, vecs, settled)]
+
+
+def ground_state(band: np.ndarray, guess: np.ndarray | None = None):
+    """Smallest eigenpair of a symmetric band matrix in lower storage, or the
+    energies and vectors of each band of a stack (shape (S, b + 1, N)).
+
+    Cold, E0 comes from _lowest_eigenpair and the vector from inverse
+    iteration from a vector of ones, shifted just below E0 (positive definite
+    even when H is exactly diagonal).  Warm, inverse iteration starts at the
+    guess (one for all bands, or one per band), shifted to
+    rho - r - margin * |H| for the guess's Rayleigh quotient rho and residual
+    r, and E0 is the converged vector's Rayleigh quotient; a stack is
+    factored and iterated as one.  A shift whose Cholesky factorisation
+    succeeds lies below the whole spectrum, so the warm iteration cannot
+    settle on an excited state; if it fails, does not settle or misses the
+    residual bound, that band is solved cold.  Each vector is normalized with
+    its largest-magnitude entry positive.  Raises NoConvergence when a cold
+    solve finds no shift below the spectrum, the iteration does not settle,
+    or |(H - E0) psi| exceeds the residual bound.
+    """
+    stack = band if band.ndim == 3 else band[None]
+    pairs = [None] * len(stack) if guess is None else _warm_pairs(stack, guess)
+    pairs = [pair or _cold_pair(one) for pair, one in zip(pairs, stack)]
+    if band.ndim == 2:
+        return pairs[0]
+    return np.array([e for e, _ in pairs]), np.stack([v for _, v in pairs])
 
 
 def _checked_pair(band, energy: float, vec: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -257,33 +456,35 @@ def _checked_pair(band, energy: float, vec: np.ndarray, scale: float) -> tuple[f
     return energy, gauge_fix(vec)
 
 
-def _checked_ground_vector(
-    alpha, lam, j, potential, config: OracleConfig, guess=None
-) -> np.ndarray:
-    h = build_hamiltonian(alpha, lam, j, potential, config)
-    _, vec = ground_state(h, guess)
-    n = len(vec)
-    tail = float(np.sum(vec[int(0.9 * n):] ** 2))
-    if tail > 1e-10:
-        raise BasisTooSmall(f"tail weight {tail:.2e} in top 10% of an N={n} basis")
-    return vec
+def _checked_ground_vectors(bands: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Ground states of a stack of band Hamiltonians, solved as one stack
+    from the guess (one per band, or one for all)."""
+    _, vecs = ground_state(bands, guess)
+    _check_tails(vecs)
+    return vecs
 
 
-def _metric_matrix(
-    alpha, lam, j, potential, config: OracleConfig, labels, steps, psi0
-) -> np.ndarray:
-    point = {"alpha": alpha, "lambda": lam, "j": j}
-    derivs = []
+def _check_tails(vecs: np.ndarray) -> None:
+    n = vecs.shape[-1]
+    for vec in vecs.reshape(-1, n):
+        tail = float(np.sum(vec[int(0.9 * n):] ** 2))
+        if tail > 1e-10:
+            raise BasisTooSmall(f"tail weight {tail:.2e} in top 10% of an N={n} basis")
+
+
+def _shifted_points(point: tuple, labels, steps) -> list[tuple]:
+    """The point one step up, then one down, along each label in turn."""
+    out = []
     for label in labels:
-        h = steps[label]
-        shifted = []
         for sign in (+1, -1):
-            p = dict(point)
-            p[label] += sign * h
-            shifted.append(
-                _checked_ground_vector(p["alpha"], p["lambda"], p["j"], potential, config, psi0)
-            )
-        derivs.append((shifted[0] - shifted[1]) / (2.0 * h))
+            p = dict(zip(("alpha", "lambda", "j"), point))
+            p[label] += sign * steps[label]
+            out.append((p["alpha"], p["lambda"], p["j"]))
+    return out
+
+
+def _metric_matrix(vecs: np.ndarray, labels, steps, psi0) -> np.ndarray:
+    derivs = [(vecs[2 * i] - vecs[2 * i + 1]) / (2.0 * steps[label]) for i, label in enumerate(labels)]
     k = len(labels)
     g = np.empty((k, k))
     for i in range(k):
@@ -306,8 +507,10 @@ def numeric_qim(
 
     The reported value uses the halved step; the report carries a Richardson
     error estimate from the step halving and the drift under basis doubling.
-    Only the central ground state at N is solved cold; every other solve is
-    warm-started from it (zero-padded at 2N) or from the central state at 2N.
+    Only the central ground state at N runs a cold eigenvalue solve; the
+    states at N, the central one included, are then solved as one stack
+    warm-started from its vector, and the five at 2N as another, each from
+    its own state at N, zero-padded.
     """
     _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
@@ -315,13 +518,22 @@ def numeric_qim(
     pinned = replace(config, reference_frequency=config.omega(alpha))
     steps = {label: config.step(label, alpha) for label in labels}
     half = {label: 0.5 * h for label, h in steps.items()}
-    psi0 = _checked_ground_vector(alpha, lam, j, potential, pinned)
-    g_full = _metric_matrix(alpha, lam, j, potential, pinned, labels, steps, psi0)
-    g_half = _metric_matrix(alpha, lam, j, potential, pinned, labels, half, psi0)
+    point = (alpha, lam, j)
+    k = 2 * len(labels)
+    points = [point] + _shifted_points(point, labels, steps) + _shifted_points(point, labels, half)
+    bands = np.stack([build_hamiltonian(*p, potential, pinned) for p in points])
+    _, start = _lowest_eigenpair(bands[0])  # the point's one cold eigenvalue solve
+    _check_tails(start)
+    vecs = _checked_ground_vectors(bands, start)
+    psi0 = vecs[0]
+    g_full = _metric_matrix(vecs[1 : k + 1], labels, steps, psi0)
+    g_half = _metric_matrix(vecs[k + 1 :], labels, half, psi0)
     doubled = replace(pinned, basis_size=2 * config.basis_size)
-    padded = np.concatenate([psi0, np.zeros_like(psi0)])  # its tail weight is below 1e-10
-    psi0_big = _checked_ground_vector(alpha, lam, j, potential, doubled, padded)
-    g_big = _metric_matrix(alpha, lam, j, potential, doubled, labels, half, psi0_big)
+    big = np.stack([build_hamiltonian(*p, potential, doubled) for p in [point] + points[k + 1 :]])
+    # each starts at its N-basis ground state, zero-padded: its tail weight is below 1e-10
+    small = vecs[[0, *range(k + 1, 2 * k + 1)]]
+    big_vecs = _checked_ground_vectors(big, np.concatenate([small, np.zeros_like(small)], axis=1))
+    g_big = _metric_matrix(big_vecs[1:], labels, half, big_vecs[0])
     report: dict[tuple[str, str], dict[str, float]] = {}
     for i, a in enumerate(labels):
         for jdx, b in enumerate(labels):

@@ -16,6 +16,7 @@ of the potential V = q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -91,7 +92,6 @@ def enumerate_pairings(
     total = 1
     for c in legs:
         total *= fact[c]
-    compositions: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     links = [[0] * k for _ in range(k)]
     diagrams: list[WickDiagram] = []
 
@@ -113,10 +113,7 @@ def enumerate_pairings(
             head_edges = edges + ((name, name),) * self_i
             head_denom = denom * fact[self_i] * 2**self_i
             row[i] = self_i
-            key = (n_i - 2 * self_i, later)
-            if key not in compositions:
-                compositions[key] = list(_compositions(*key))
-            for combo in compositions[key]:
+            for combo in _compositions(n_i - 2 * self_i, later):
                 row[i + 1 :] = combo
                 r = rank(i, row) if rank else None
                 if r is None:
@@ -155,15 +152,16 @@ def enumerate_pairings(
     return diagrams
 
 
-def _compositions(total: int, caps: Sequence[int]):
+@lru_cache(maxsize=None)  # every walk asks for the same few (total, caps)
+def _compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Ways to write `total` as an ordered sum bounded by caps."""
     if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(min(total, caps[0]) + 1)
+        for rest in _compositions(total - first, caps[1:])
+    )
 
 
 # -- diagram rendering -------------------------------------------------------

@@ -513,7 +513,12 @@ def dense_ground_state(matrix: np.ndarray, guess=None) -> tuple[float, np.ndarra
     """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry.
 
     A warm-start guess is accepted and ignored: this path always solves cold.
+    A stack of matrices gives the energies and vectors of each, stacked, as
+    spectral_oracle.ground_state does for a stack of bands.
     """
+    if matrix.ndim == 3:
+        pairs = [dense_ground_state(one) for one in matrix]
+        return np.array([e for e, _ in pairs]), np.stack([v for _, v in pairs])
     vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
     vec = vecs[:, 0]
     return float(vals[0]), gauge_fix(vec / np.linalg.norm(vec))
@@ -522,7 +527,10 @@ def dense_ground_state(matrix: np.ndarray, guess=None) -> tuple[float, np.ndarra
 def dense_numeric_qim(*args, **kwargs) -> NumericQGT:
     """spectral_oracle.numeric_qim with every H built and solved densely."""
     with mock.patch.multiple(
-        spectral_oracle, build_hamiltonian=dense_hamiltonian, ground_state=dense_ground_state
+        spectral_oracle,
+        build_hamiltonian=dense_hamiltonian,
+        ground_state=dense_ground_state,
+        _lowest_eigenpair=dense_ground_state,
     ):
         return spectral_oracle.numeric_qim(*args, **kwargs)
 

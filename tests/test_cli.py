@@ -544,14 +544,27 @@ def test_submodules_load_on_attribute_access():
         oscqgt.no_such_module
 
 
-def test_verify_leaves_scipy_integrate_unloaded():
-    # the overlap checks integrate on a numpy trapezoid grid; scipy.integrate
-    # would also load scipy.optimize, scipy.special and scipy.sparse
+def _loads_scipy(argv: list[str]) -> str:
+    """Run one CLI command in a fresh interpreter; print its exit code and
+    whether any part of scipy was loaded."""
     probe = (
         "import contextlib, io, sys\n"
         "from oscqgt import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['verify', 'all'])\n"
-        "print(code, 'scipy.integrate' in sys.modules)"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'scipy' in sys.modules)"
     )
-    assert _probe(probe).strip() == "0 False"
+    return _probe(probe).strip()
+
+
+def test_verify_leaves_scipy_integrate_unloaded():
+    # the overlap checks integrate on a numpy trapezoid grid and the band
+    # systems are factored in numpy: scipy.integrate would also load
+    # scipy.optimize, scipy.special and scipy.sparse, and scipy.linalg alone
+    # takes longer to import than verify takes to solve
+    assert _loads_scipy(["verify", "all"]) == "0 False"
+
+
+def test_sweep_leaves_scipy_unloaded():
+    argv = ["sweep", "--alphas", "0.8,1.2", "--lambdas", "0.02", "--basis-size", "64"]
+    assert _loads_scipy(argv) == "0 False"

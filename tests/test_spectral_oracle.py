@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oscqgt import spectral_oracle
 from oracles import dense_ground_state, dense_hamiltonian, dense_numeric_qim, fidelity_qim
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential
@@ -80,15 +81,15 @@ class TestHamiltonian:
 
 
 def count_eigenvalue_solves(monkeypatch) -> list:
-    """Record each scipy.linalg.eigvals_banded call from here on."""
+    """Record each cold eigenvalue solve (spectral_oracle._lowest_eigenpair) from here on."""
     calls = []
-    real = scipy.linalg.eigvals_banded
+    real = spectral_oracle._lowest_eigenpair
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted)
+    monkeypatch.setattr(spectral_oracle, "_lowest_eigenpair", counted)
     return calls
 
 
@@ -155,13 +156,56 @@ class TestGroundState:
     @pytest.mark.parametrize("offset,message", [(-1e-6, "residual"), (0.5, "not positive definite")])
     def test_wrong_eigenvalue_raises_no_convergence(self, offset, message, monkeypatch):
         # an E0 below the spectrum leaves a residual; one above it makes the
-        # shifted matrix indefinite, so the Cholesky solve fails
-        real = scipy.linalg.eigvals_banded
-        monkeypatch.setattr(
-            scipy.linalg, "eigvals_banded", lambda *a, **k: real(*a, **k) + offset
-        )
+        # shifted matrix indefinite, so the Cholesky factorisation fails
+        real = spectral_oracle._lowest_eigenpair
+
+        def offset_pair(*args, **kwargs):
+            energy, vec = real(*args, **kwargs)
+            return energy + offset, vec
+
+        monkeypatch.setattr(spectral_oracle, "_lowest_eigenpair", offset_pair)
         with pytest.raises(NoConvergence, match=message):
             ground_state(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_ground_state_outside_the_leading_block(self):
+        # the cold solve starts at the leading block's ground state, here an
+        # excited state with no weight on the true one
+        diagonal = np.full(64, 5.0)
+        diagonal[40] = 1.0
+        energy, vec = ground_state(diagonal[None, :])
+        assert energy == pytest.approx(1.0)
+        assert vec == pytest.approx(np.eye(64)[40])
+        band = random_spd_band(2, 200, seed=7)
+        band[0, 150:160] -= 3.0  # the lowest state lives around rows 150-160
+        assert spectral_oracle._lowest_eigenpair(band)[0] == pytest.approx(
+            lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max()
+        )
+
+    def test_stack_matches_one_at_a_time(self, monkeypatch):
+        cfg = OracleConfig(basis_size=128)
+        bands = np.stack([build_hamiltonian(1.0, lam, 0.1, V4, cfg) for lam in (0.05, 0.1, 0.2)])
+        singles = [ground_state(band) for band in bands]
+        guess = singles[1][1]
+        calls = count_eigenvalue_solves(monkeypatch)
+        energies, vecs = ground_state(bands, guess)
+        assert calls == []  # every band settled warm
+        for (energy, vec), e, v in zip(singles, energies, vecs):
+            assert e == pytest.approx(energy, rel=1e-12)
+            assert np.abs(v - vec).max() <= 1e-10
+
+    def test_stack_member_with_an_excited_guess_runs_cold(self, monkeypatch):
+        # one guess per band; the second one's warm shift lies above its E0,
+        # so the stack falls back to one band at a time and that band runs cold
+        cfg = OracleConfig(basis_size=64)
+        bands = np.stack([build_hamiltonian(1.0, 0.1, 0.1, V4, cfg)] * 2)
+        cold_energy, cold_vec = ground_state(bands[0])
+        _, excited = scipy.linalg.eigh(dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg))
+        calls = count_eigenvalue_solves(monkeypatch)
+        energies, vecs = ground_state(bands, np.stack([cold_vec, excited[:, 2]]))
+        assert len(calls) == 1
+        assert energies[1] == cold_energy
+        assert np.array_equal(vecs[1], cold_vec)
+        assert energies[0] == pytest.approx(cold_energy, rel=1e-12)
 
     def test_near_degenerate_ground_state_raises_no_convergence(self):
         with pytest.raises(NoConvergence, match="still moving"):
@@ -180,6 +224,90 @@ class TestGroundState:
         _, vec = ground_state(h)
         assert np.array_equal(gauge_fix(-vec), gauge_fix(vec))
         assert np.array_equal(gauge_fix(vec), vec)
+
+
+def random_spd_band(b: int, n: int, seed: int) -> np.ndarray:
+    """A diagonally dominant, hence positive definite, band in lower storage
+    (with random values in the unused storage past the matrix edge)."""
+    band = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(b + 1, n))
+    band[0] = 2.0 * b + 1.0 + np.abs(band[0])
+    return band
+
+
+def lapack_solve(band: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    shifted = band.copy()
+    shifted[0] -= shift
+    return scipy.linalg.solveh_banded(shifted, rhs, lower=True)
+
+
+def lapack_lowest(band: np.ndarray, count: int = 1) -> np.ndarray:
+    return scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(0, count - 1))
+
+
+class TestBandSolve:
+    """The numpy cyclic-reduction Cholesky solve against LAPACK as a reference."""
+
+    @staticmethod
+    def solve(band, shift, rhs):
+        return spectral_oracle._band_solve(spectral_oracle._band_cholesky(band, shift), rhs)
+
+    @pytest.mark.parametrize("b", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [20, 64, 100, 257])  # below, at and off multiples of the block
+    def test_matches_lapack_on_random_bands(self, b, n):
+        band = random_spd_band(b, n, seed=100 * b + n)
+        rhs = np.random.default_rng(n).normal(size=n)
+        expected = lapack_solve(band, -0.5, rhs)
+        got = self.solve(band, -0.5, rhs)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
+    )
+    def test_matches_lapack_just_below_the_spectrum(self, lam, potential, n):
+        # inverse iteration's shift: nearly singular, so compare the directions
+        band = build_hamiltonian(1.0, lam, 0.1, potential, OracleConfig(basis_size=n))
+        shift = lapack_lowest(band)[0] - 1e-10 * np.abs(band).max()
+        expected = lapack_solve(band, shift, np.ones(n))
+        got = self.solve(band, shift, np.ones(n))
+        expected /= np.linalg.norm(expected)
+        assert np.abs(got / np.linalg.norm(got) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    @pytest.mark.parametrize("where", ["first-block", "later-block", "between-eigenvalues"])
+    def test_indefinite_band_raises(self, b, where):
+        band = random_spd_band(b, 100, seed=b)
+        shift = 0.0
+        if where == "first-block":
+            band[0, 3] = -1.0
+        elif where == "later-block":
+            band[0, 90] = -1.0
+        else:  # for b = 4 and 8 every diagonal block stays positive definite
+            shift = lapack_lowest(band, 2).mean()
+        with pytest.raises(np.linalg.LinAlgError):
+            lapack_solve(band, shift, np.ones(100))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            spectral_oracle._band_cholesky(band, shift)
+
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    def test_stack_matches_one_at_a_time(self, b):
+        # each band of a stack is factored with its own shift
+        n = 100
+        bands = np.stack([random_spd_band(b, n, seed=s) for s in range(3)])
+        shifts = np.array([-0.5, 0.0, 0.5])
+        rhs = np.random.default_rng(b).normal(size=(3, n))
+        got = self.solve(bands, shifts, rhs)
+        for band, shift, r, x in zip(bands, shifts, rhs, got):
+            expected = lapack_solve(band, shift, r)
+            assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert np.array_equal(x, self.solve(band, shift, r))
+
+    @pytest.mark.parametrize(
+        "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
+    )
+    def test_cold_eigenvalue_matches_lapack_band_solver(self, lam, potential, n):
+        band = build_hamiltonian(1.0, lam, 0.1, potential, OracleConfig(basis_size=n))
+        got, _ = spectral_oracle._lowest_eigenpair(band)
+        assert got == pytest.approx(lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max())
 
 
 class TestNumericQim:
