@@ -4,8 +4,7 @@ Structured output keeps the exact rational coefficients; floats are attached
 only as convenience evaluations.  Exit codes: 0 success, 1 verification
 failure, 2 invalid configuration (a bad argument or an unwritable `--out`),
 3 divergent integral, 4 oracle failure (basis too small, finite-difference
-step too large, no eigensolver convergence, or an unresolved overlap
-quadrature).
+step too large, or no eigensolver convergence).
 
 `compute` and `diagrams` run the exact symbolic route only; numpy and the
 oracles are imported inside the `verify` and `sweep` code that uses them.
@@ -284,10 +283,12 @@ def _linear_checks() -> list[dict]:
                     checks.append(
                         _check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol)
                     )
-    report = linear_exact.overlap_derivative_checks(1.0, 0.5)
-    checks.append(
-        _check("linear overlap-quadrature", "all", report["max_relative_deviation"], 1e-6)
-    )
+    # the series themselves must be equal, term by term; delta is the largest
+    # coefficient of any difference
+    diffs = {key: series[key] - closed for key, closed in linear_exact.LINEAR_QGT.items()}
+    wrong = ", ".join(f"g({a},{b})" for (a, b), d in diffs.items() if not d.is_zero)
+    delta = max((float(abs(t.coeff)) for d in diffs.values() for t in d.terms), default=0.0)
+    checks.append(_check("linear exact series-vs-closed-form", wrong or "all", delta, 0.0))
     return checks
 
 

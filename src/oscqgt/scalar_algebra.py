@@ -11,7 +11,6 @@ so all arithmetic is exact; floats appear only in `ScalarSeries.evaluate`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -197,43 +196,3 @@ class ScalarSeries:
         return "".join(pieces)
 
     __str__ = render
-
-    @classmethod
-    def parse(cls, text: str) -> "ScalarSeries":
-        """Inverse of render(); accepts the canonical text form."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        lead = 1
-        if text.startswith("-"):
-            lead = -1
-            text = text[1:].strip()
-        # term separators are space-padded; the minus in "a^-2" is not
-        chunks = re.split(r" ([+-]) ", text)
-        it = iter(chunks)
-        parts: list[tuple[int, str]] = [(lead, next(it).strip())]
-        for sign_tok, body in zip(it, it):
-            parts.append((-1 if sign_tok == "-" else 1, body.strip()))
-        terms = []
-        for sign, body in parts:
-            coeff = Fraction(sign)
-            half_pow = 0
-            l_pow = 0
-            j_pow = 0
-            for factor in (f.strip() for f in body.split("*")):
-                m = re.fullmatch(r"([alj])(?:\^(-?\d+(?:/2)?))?", factor)
-                if m:
-                    sym, exp_tok = m.group(1), m.group(2) or "1"
-                    exp = Fraction(exp_tok)
-                    if sym == "a":
-                        if (2 * exp).denominator != 1:
-                            raise ValueError(f"bad alpha exponent in {factor!r}")
-                        half_pow += int(2 * exp)
-                    elif sym == "l":
-                        l_pow += int(exp)
-                    else:
-                        j_pow += int(exp)
-                else:
-                    coeff *= Fraction(factor)
-            terms.append(ScalarTerm(coeff, half_pow, l_pow, j_pow))
-        return cls.from_terms(terms)

@@ -9,14 +9,17 @@ Gaussian moments of the constant-source oscillator with its mean
 linear model without any J vertex), the connected integrand built the long
 way, as numerator/vacuum ratios of interacting Green functions minus their
 graded product, with an all-m! canonical form, the connected integrand from
-every labelled Wick graph weighted by 1/m!, and the spectral oracle's dense
-path: H from dense matrix products, solved by a dense symmetric eigensolver.
+every labelled Wick graph weighted by 1/m!, the spectral oracle's dense
+path: H from dense matrix products, solved by a dense symmetric eigensolver,
+a parser of the canonical series text, and the linear model's shifted
+Gaussian with its metric from finite-difference overlap quadrature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -28,8 +31,9 @@ from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
 from oscqgt.integrator import Edges
+from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import GradedSum, PolynomialPotential, _linked_class
-from oscqgt.scalar_algebra import ScalarSeries
+from oscqgt.scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig, gauge_fix
 from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
 
@@ -585,3 +589,156 @@ def fidelity_qim(
             g_ab = (chi_ab - chi[a] - chi[b]) / (2.0 * steps[a] * steps[b])
             g[i, jdx] = g[jdx, i] = g_ab
     return NumericQGT(tuple(labels), g, {})
+
+
+# -- canonical text form, read back --------------------------------------------
+
+
+def parse_series(text: str) -> ScalarSeries:
+    """Inverse of ScalarSeries.render(); accepts the canonical text form."""
+    text = text.strip()
+    if text == "0":
+        return ScalarSeries.zero()
+    lead = 1
+    if text.startswith("-"):
+        lead = -1
+        text = text[1:].strip()
+    # term separators are space-padded; the minus in "a^-2" is not
+    chunks = re.split(r" ([+-]) ", text)
+    it = iter(chunks)
+    parts: list[tuple[int, str]] = [(lead, next(it).strip())]
+    for sign_tok, body in zip(it, it):
+        parts.append((-1 if sign_tok == "-" else 1, body.strip()))
+    terms = []
+    for sign, body in parts:
+        coeff = Fraction(sign)
+        half_pow = 0
+        l_pow = 0
+        j_pow = 0
+        for factor in (f.strip() for f in body.split("*")):
+            m = re.fullmatch(r"([alj])(?:\^(-?\d+(?:/2)?))?", factor)
+            if m:
+                sym, exp_tok = m.group(1), m.group(2) or "1"
+                exp = Fraction(exp_tok)
+                if sym == "a":
+                    if (2 * exp).denominator != 1:
+                        raise ValueError(f"bad alpha exponent in {factor!r}")
+                    half_pow += int(2 * exp)
+                elif sym == "l":
+                    l_pow += int(exp)
+                else:
+                    j_pow += int(exp)
+            else:
+                coeff *= Fraction(factor)
+        terms.append(ScalarTerm(coeff, half_pow, l_pow, j_pow))
+    return ScalarSeries.from_terms(terms)
+
+
+# -- shifted-Gaussian overlaps by quadrature -----------------------------------
+#
+# The linear model's ground state in closed form, and its metric from
+# finite-difference overlap integrals, each by a trapezoid rule on a fixed
+# grid over the Gaussian's support (exponentially accurate for such an
+# integrand): a numeric check of `oscqgt.linear_exact`'s closed forms.
+
+_INTERVALS = 2048  # trapezoid intervals over the support
+
+
+class QuadratureFailure(OracleFailure):
+    """The overlap integral is not resolved on the quadrature grid."""
+
+
+@dataclass(frozen=True)
+class ShiftedGaussianState:
+    """Normalized ground state of the sourced oscillator."""
+
+    alpha: float
+    j: float
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise NonPositiveAlpha(f"alpha must be > 0, got {self.alpha}")
+
+    @property
+    def center(self) -> float:
+        return -self.j / self.alpha
+
+    def psi(self, q):
+        root = math.sqrt(self.alpha)
+        return (root / math.pi) ** 0.25 * np.exp(-0.5 * root * (q - self.center) ** 2)
+
+
+def _quad(f, lo: float, hi: float) -> float:
+    """Composite trapezoid rule for a vectorised integrand on [lo, hi].
+
+    For a smooth integrand whose tails have decayed at both ends the rule is
+    exponentially accurate, so the gap to the rule on every second sample,
+    |T(h) - T(2h)|, bounds the error of the coarser one.
+    """
+    y = f(np.linspace(lo, hi, _INTERVALS + 1))
+    h = (hi - lo) / _INTERVALS
+    ends = 0.5 * (y[0] + y[-1])
+    value = h * (float(np.sum(y)) - ends)
+    err = abs(value - 2.0 * h * (float(np.sum(y[::2])) - ends))
+    if err > 1e-9:
+        raise QuadratureFailure(f"overlap quadrature error {err:.2e}")
+    return value
+
+
+def _support(alpha: float, j: float, h_j: float) -> tuple[float, float]:
+    # Gaussian tails drop below 1e-30 within 12/alpha^(1/4) of the center
+    center = -j / alpha
+    half = 12.0 / alpha**0.25 + abs(h_j) / alpha
+    return center - half, center + half
+
+
+def overlap_derivative_checks(alpha: float, j: float, step: float = 1e-5) -> dict:
+    """Quadrature + finite-difference evaluation of the overlap matrix.
+
+    Parameter derivatives of Psi are taken by central differences with steps
+    scaled to each parameter; the q-integrals run over the (truncated) support
+    of the Gaussian.  Returns the numeric and closed-form values per entry and
+    the worst relative deviation.
+    """
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    h = {"alpha": step * alpha, "j": step * alpha**0.75}
+    lo, hi = _support(alpha, j, h["j"])
+
+    def dpsi(label):
+        d = h[label]
+        if label == "alpha":
+            plus = ShiftedGaussianState(alpha + d, j)
+            minus = ShiftedGaussianState(alpha - d, j)
+        else:
+            plus = ShiftedGaussianState(alpha, j + d)
+            minus = ShiftedGaussianState(alpha, j - d)
+        return lambda q: (plus.psi(q) - minus.psi(q)) / (2.0 * d)
+
+    state = ShiftedGaussianState(alpha, j)
+    derivs = {label: dpsi(label) for label in ("alpha", "j")}
+    exact = exact_linear_qgt(alpha, j)
+
+    report: dict = {"entries": {}, "connections": {}}
+    worst = 0.0
+    for a in ("alpha", "j"):
+        for b in ("alpha", "j"):
+            if (b, a) in report["entries"]:
+                continue
+            da, db = derivs[a], derivs[b]
+            numeric = _quad(lambda q: da(q) * db(q), lo, hi)
+            target = exact[(a, b)]
+            dev = abs(numeric - target) / max(1.0, abs(target))
+            worst = max(worst, dev)
+            report["entries"][(a, b)] = {
+                "numeric": numeric,
+                "exact": target,
+                "relative_deviation": dev,
+            }
+    for a in ("alpha", "j"):
+        da = derivs[a]
+        conn = _quad(lambda q: da(q) * state.psi(q), lo, hi)
+        worst = max(worst, abs(conn))
+        report["connections"][a] = conn
+    report["max_relative_deviation"] = worst
+    return report

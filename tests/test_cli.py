@@ -13,6 +13,7 @@ import pytest
 
 import oscqgt
 import oscqgt.qgt
+from oracles import parse_series
 from oscqgt import cli
 from oscqgt.scalar_algebra import ScalarSeries
 
@@ -58,7 +59,7 @@ class TestCompute:
             ).terms[0]
             for t in entry
         )
-        assert rebuilt == ScalarSeries.parse(record["components"]["lambda,lambda"]["text"])
+        assert rebuilt == parse_series(record["components"]["lambda,lambda"]["text"])
 
     def test_json_validates_against_schema(self, capsys):
         for argv in (
@@ -104,7 +105,7 @@ class TestCompute:
             lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
             assert len(lines) == n_products
             for line in lines:
-                ScalarSeries.parse(line.rsplit(" = ", 1)[1])
+                parse_series(line.rsplit(" = ", 1)[1])
             assert expected in lines
 
     def test_odd_k_series_is_flagged_formal(self, capsys):
@@ -481,18 +482,21 @@ class TestVerify:
         failing = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert failing
         assert all("g(j,j)" in line for line in failing)
+        # the exact row compares whole series and names only the one that differs
+        exact_row = "FAIL linear exact series-vs-closed-form [g(j,j)] "
+        assert any(line.startswith(exact_row) for line in failing)
 
-    def test_quadrature_failure_is_an_oracle_failure(self, capsys, monkeypatch):
-        from oscqgt import linear_exact
+    def test_oracle_failure_exits_4_with_one_line(self, capsys, monkeypatch):
+        from oscqgt import spectral_oracle
 
-        def unresolved(*args, **kwargs):
-            raise linear_exact.QuadratureFailure("overlap not resolved")
+        def unconverged(*args, **kwargs):
+            raise spectral_oracle.NoConvergence("inverse iteration did not settle")
 
-        monkeypatch.setattr(linear_exact, "_quad", unresolved)
+        monkeypatch.setattr(spectral_oracle, "numeric_qim", unconverged)
         code, out, err = run(["verify", "linear"], capsys)
         assert code == cli.EXIT_ORACLE
         assert out == ""
-        assert err == "oracle failure: QuadratureFailure: overlap not resolved\n"
+        assert err == "oracle failure: NoConvergence: inverse iteration did not settle\n"
 
 
 def _probe(code: str) -> str:
@@ -509,6 +513,12 @@ def test_cli_import_leaves_module_unloaded(module):
     # by the oracles behind verify and sweep; loading any at import time would
     # slow every CLI start, symbolic commands included.
     probe = f"import sys, oscqgt.cli; print({module!r} in sys.modules)"
+    assert _probe(probe).strip() == "False"
+
+
+def test_linear_exact_import_leaves_numpy_unloaded():
+    # the closed forms are exact series; floats come from ScalarSeries.evaluate
+    probe = "import sys, oscqgt.linear_exact; print('numpy' in sys.modules)"
     assert _probe(probe).strip() == "False"
 
 
@@ -558,8 +568,7 @@ def _loads_scipy(argv: list[str]) -> str:
 
 
 def test_verify_leaves_scipy_integrate_unloaded():
-    # the overlap checks integrate on a numpy trapezoid grid and the band
-    # systems are factored in numpy: scipy.integrate would also load
+    # the band systems are factored in numpy: scipy.integrate would also load
     # scipy.optimize, scipy.special and scipy.sparse, and scipy.linalg alone
     # takes longer to import than verify takes to solve
     assert _loads_scipy(["verify", "all"]) == "0 False"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_series
 from oscqgt.scalar_algebra import NonPositiveAlpha, ScalarSeries, ScalarTerm
 
 
@@ -87,7 +88,7 @@ def test_ring_axioms(a, b, c):
 @given(series)
 @settings(max_examples=150, deadline=None)
 def test_render_parse_round_trip(a):
-    assert ScalarSeries.parse(a.render()) == a
+    assert parse_series(a.render()) == a
 
 
 def _gross_scale(a, b, alpha, lam, j):
@@ -137,6 +138,6 @@ def test_truncate_lambda():
 
 def test_render_zero_and_pure_rational():
     assert ScalarSeries.zero().render() == "0"
-    assert ScalarSeries.parse("0") == ScalarSeries.zero()
+    assert parse_series("0") == ScalarSeries.zero()
     assert s(13, 6144).render() == "13/6144"
     assert s(-1, 1, a=2).render() == "-a"
