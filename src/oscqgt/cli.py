@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import io
 import itertools
-import json
 import math
 import os
 import re
@@ -41,6 +39,9 @@ EXIT_ORACLE = 4
 
 DEFAULT_MAX_ORDER = 3
 MAX_ORDER_ENV = "QGT_MAX_ORDER"
+# sweep's basis: the oracle also solves at twice the size, and at 8192 states
+# a degree-8 potential no longer converges even at alpha = 1
+MIN_BASIS_SIZE, MAX_BASIS_SIZE = 16, 4096
 
 _SERIES_ITEM = {
     "type": "object",
@@ -129,11 +130,22 @@ def series_records(series: ScalarSeries) -> list[dict]:
     ]
 
 
+def _evaluate(series: ScalarSeries, alpha: float, lam: float, j: float) -> float:
+    """The series at a point; a value beyond the float range is an invalid configuration."""
+    try:
+        value = series.evaluate(alpha, lam, j)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}")
+    return value
+
+
 def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     block = {"series": series_records(series), "text": series.render()}
     if params is not None:
-        block["numeric_value"] = series.evaluate(
-            params["alpha"], params.get("lambda") or 0.0, params.get("j") or 0.0
+        block["numeric_value"] = _evaluate(
+            series, params["alpha"], params.get("lambda") or 0.0, params.get("j") or 0.0
         )
     return block
 
@@ -191,6 +203,8 @@ def _record_text(record: dict) -> str:
 
 
 def _record_csv(record: dict) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["entry", "text", "numeric_value"])
@@ -244,6 +258,8 @@ def cmd_compute(args) -> int:
     if "formal" in record:
         print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args.out)
     elif args.format == "csv":
         _emit(_record_csv(record), args.out)
@@ -390,10 +406,13 @@ def _sweep_point(space, order, series, point, cfg):
     from . import spectral_oracle
 
     alpha, lam, j = point
-    oracle = spectral_oracle.numeric_qim(alpha, lam, j, space.potential, cfg, labels=space.labels)
+    try:
+        oracle = spectral_oracle.numeric_qim(alpha, lam, j, space.potential, cfg, labels=space.labels)
+    except OverflowError:
+        raise ValueError(f"the oracle overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
     rows = []
     for (a, b), s in sorted(series.items()):
-        sym = s.evaluate(alpha, lam, j)
+        sym = _evaluate(s, alpha, lam, j)
         num = oracle.entry(a, b)
         err = oracle.convergence_report[(a, b)]
         rows.append(
@@ -411,12 +430,13 @@ def _sweep_point(space, order, series, point, cfg):
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
     from . import spectral_oracle
 
     series = qgt.assemble(args.space, args.order)
-    cfg = spectral_oracle.OracleConfig(basis_size=args.basis_size)
-    if args.fd_step is not None:
-        cfg.fd_step = {label: args.fd_step for label in ("alpha", "lambda", "j")}
+    fd_step = None if args.fd_step is None else dict.fromkeys(("alpha", "lambda", "j"), args.fd_step)
+    cfg = spectral_oracle.OracleConfig(args.basis_size, fd_step=fd_step)
     rows = [
         row
         for point in itertools.product(args.alphas, args.lambdas, args.js)
@@ -530,6 +550,10 @@ def _validate(args) -> None:
             reason = errno.ENOTDIR if parent.exists() else errno.ENOENT
             raise ValueError(f"cannot write {out}: {os.strerror(reason)}")
     if args.command == "sweep":
+        if not MIN_BASIS_SIZE <= args.basis_size <= MAX_BASIS_SIZE:
+            raise ValueError(
+                f"--basis-size must be between {MIN_BASIS_SIZE} and {MAX_BASIS_SIZE}, not {args.basis_size}"
+            )
         args.alphas, args.lambdas, args.js = (
             _parse_grid(f"--{name}", getattr(args, name)) for name in ("alphas", "lambdas", "js")
         )

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .integrator import TAU1, TAU2, Edges, internal_vertices
 from .wick import InsertionPoint, enumerate_pairings
@@ -43,17 +42,30 @@ __all__ = [
 GradedSum = dict[int, dict[Edges, Fraction]]
 
 
-@dataclass(frozen=True)
 class PolynomialPotential:
     """V(q) = sum_n c_n q**n with finite support and exact coefficients."""
 
-    coefficients: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(sorted((int(n), Fraction(c)) for n, c in self.coefficients if c != 0))
+    def __init__(self, coefficients: Iterable[tuple[int, Fraction]]):
+        coeffs = tuple(sorted((int(n), Fraction(c)) for n, c in coefficients if c != 0))
         if not coeffs or coeffs[0][0] < 1:
             raise ValueError("potential needs finite support of degree >= 1")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", coeffs)  # the class refuses assignment
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: PolynomialPotential is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.coefficients,)
 
     @classmethod
     def monomial(cls, k: int) -> "PolynomialPotential":
@@ -73,12 +85,28 @@ class PolynomialPotential:
         return len(self.coefficients) == 1
 
 
-@dataclass(frozen=True)
 class DeformationOperator:
     """Operator conjugate to a parameter: prefactor * q**q_power."""
 
-    q_power: int
-    prefactor: Fraction
+    __slots__ = ("q_power", "prefactor")
+
+    def __init__(self, q_power: int, prefactor: Fraction):
+        object.__setattr__(self, "q_power", q_power)  # the class refuses assignment
+        object.__setattr__(self, "prefactor", prefactor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: DeformationOperator is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q_power, self.prefactor) == (other.q_power, other.prefactor)
+
+    def __hash__(self):
+        return hash((self.q_power, self.prefactor))
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.q_power, self.prefactor)
 
     @classmethod
     def stiffness(cls) -> "DeformationOperator":

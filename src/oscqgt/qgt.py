@@ -12,7 +12,6 @@ metric determinant yields the coupling at which the metric degenerates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .integrator import wedge_integral
@@ -45,7 +44,6 @@ QUARTIC = "quartic"
 MONOMIAL = "monomial"
 
 
-@dataclass(frozen=True)
 class ParameterSpace:
     """Model family and its ordered parameter labels.
 
@@ -54,16 +52,31 @@ class ParameterSpace:
     monomial : H = p^2/2 + alpha q^2/2 + l q^k/k! labels (alpha, lambda)
     """
 
-    kind: str
-    k: int = 4
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in (LINEAR, QUARTIC, MONOMIAL):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == QUARTIC:
-            object.__setattr__(self, "k", 4)
-        if self.kind == LINEAR:
-            object.__setattr__(self, "k", 1)
+    def __init__(self, kind: str, k: int = 4):
+        if kind not in (LINEAR, QUARTIC, MONOMIAL):
+            raise ValueError(f"unknown model kind {kind!r}")
+        if kind == QUARTIC:
+            k = 4
+        if kind == LINEAR:
+            k = 1
+        object.__setattr__(self, "kind", kind)  # the class refuses assignment
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ParameterSpace is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.k) == (other.kind, other.k)
+
+    def __hash__(self):
+        return hash((self.kind, self.k))
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.kind, self.k)
 
     @classmethod
     def parse(cls, token: str) -> "ParameterSpace":

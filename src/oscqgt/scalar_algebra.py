@@ -11,7 +11,6 @@ so all arithmetic is exact; floats appear only in `ScalarSeries.evaluate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -39,20 +38,40 @@ class OracleFailure(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class ScalarTerm:
     """One monomial: coeff * alpha**(alpha_half_pow/2) * lambda**lambda_pow * J**j_pow."""
 
-    coeff: Fraction
-    alpha_half_pow: int = 0
-    lambda_pow: int = 0
-    j_pow: int = 0
+    __slots__ = ("coeff", "alpha_half_pow", "lambda_pow", "j_pow")
 
-    def __post_init__(self):
-        if self.lambda_pow < 0 or self.j_pow < 0:
+    def __init__(self, coeff, alpha_half_pow: int = 0, lambda_pow: int = 0, j_pow: int = 0):
+        if lambda_pow < 0 or j_pow < 0:
             raise ValueError("coupling powers must be non-negative")
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        _set = object.__setattr__  # the class refuses assignment
+        _set(self, "coeff", coeff)
+        _set(self, "alpha_half_pow", alpha_half_pow)
+        _set(self, "lambda_pow", lambda_pow)
+        _set(self, "j_pow", j_pow)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ScalarTerm is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow) == (
+            other.coeff, other.alpha_half_pow, other.lambda_pow, other.j_pow
+        )
+
+    def __hash__(self):
+        return hash((self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow))
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow)
+
+    def __repr__(self):
+        return f"ScalarTerm({self.coeff!r}, {self.alpha_half_pow}, {self.lambda_pow}, {self.j_pow})"
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -69,11 +88,30 @@ class ScalarTerm:
         )
 
 
-@dataclass(frozen=True)
 class ScalarSeries:
     """Canonical sum of ScalarTerms, merged and sorted by (lambda_pow, j_pow, alpha_half_pow)."""
 
-    terms: tuple[ScalarTerm, ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[ScalarTerm, ...] = ()):
+        object.__setattr__(self, "terms", terms)  # the class refuses assignment
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: ScalarSeries is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.terms,)
+
+    def __repr__(self):
+        return f"ScalarSeries({self.terms!r})"
 
     @classmethod
     def from_terms(cls, terms: Iterable[ScalarTerm]) -> "ScalarSeries":

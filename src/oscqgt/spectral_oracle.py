@@ -22,7 +22,6 @@ consistent with the models in scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -104,15 +103,23 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
         )
 
 
-@dataclass
 class OracleConfig:
-    basis_size: int = 128
-    reference_frequency: float | None = None  # default sqrt(alpha)
-    fd_step: dict[str, float] = field(default_factory=dict)
+    """Basis size, reference frequency (default sqrt(alpha)) and any
+    finite-difference steps that replace the defaults, by label."""
 
-    def __post_init__(self):
-        if self.basis_size < 16:
+    __slots__ = ("basis_size", "reference_frequency", "fd_step")
+
+    def __init__(
+        self,
+        basis_size: int = 128,
+        reference_frequency: float | None = None,
+        fd_step: dict[str, float] | None = None,
+    ):
+        if basis_size < 16:
             raise ValueError("basis_size must be >= 16")
+        self.basis_size = basis_size
+        self.reference_frequency = reference_frequency
+        self.fd_step = {} if fd_step is None else fd_step
 
     def omega(self, alpha: float) -> float:
         return self.reference_frequency if self.reference_frequency else float(np.sqrt(alpha))
@@ -127,11 +134,20 @@ class OracleConfig:
         }[label]
 
 
-@dataclass
 class NumericQGT:
-    labels: tuple[str, ...]
-    metric: np.ndarray
-    convergence_report: dict[tuple[str, str], dict[str, float]]
+    """The oracle's metric over `labels` and each entry's convergence report."""
+
+    __slots__ = ("labels", "metric", "convergence_report")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        metric: np.ndarray,
+        convergence_report: dict[tuple[str, str], dict[str, float]],
+    ):
+        self.labels = labels
+        self.metric = metric
+        self.convergence_report = convergence_report
 
     def entry(self, a: str, b: str) -> float:
         return float(self.metric[self.labels.index(a), self.labels.index(b)])
@@ -515,7 +531,7 @@ def numeric_qim(
     _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     # pin the basis at the central point; differencing must not rotate it
-    pinned = replace(config, reference_frequency=config.omega(alpha))
+    pinned = OracleConfig(config.basis_size, config.omega(alpha), config.fd_step)
     steps = {label: config.step(label, alpha) for label in labels}
     half = {label: 0.5 * h for label, h in steps.items()}
     point = (alpha, lam, j)
@@ -528,7 +544,7 @@ def numeric_qim(
     psi0 = vecs[0]
     g_full = _metric_matrix(vecs[1 : k + 1], labels, steps, psi0)
     g_half = _metric_matrix(vecs[k + 1 :], labels, half, psi0)
-    doubled = replace(pinned, basis_size=2 * config.basis_size)
+    doubled = OracleConfig(2 * config.basis_size, pinned.reference_frequency, config.fd_step)
     big = np.stack([build_hamiltonian(*p, potential, doubled) for p in [point] + points[k + 1 :]])
     # each starts at its N-basis ground state, zero-padded: its tail weight is below 1e-10
     small = vecs[[0, *range(k + 1, 2 * k + 1)]]

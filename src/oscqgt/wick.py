@@ -15,7 +15,6 @@ of the potential V = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
@@ -28,28 +27,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class InsertionPoint:
     """power q-factors inserted at one Euclidean time."""
 
-    time_var: str
-    power: int
+    __slots__ = ("time_var", "power")
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, time_var: str, power: int):
+        if power < 1:
             raise ValueError("insertion power must be >= 1")
+        object.__setattr__(self, "time_var", time_var)  # the class refuses assignment
+        object.__setattr__(self, "power", power)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: InsertionPoint is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time_var, self.power) == (other.time_var, other.power)
+
+    def __hash__(self):
+        return hash((self.time_var, self.power))
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.time_var, self.power)
 
 
-@dataclass(frozen=True)
 class WickDiagram:
     """One pairing class: a multiset of edges and its multiplicity.
 
     `tied` marks a diagram of a ranked walk in which two times share a rank.
     """
 
-    edges: tuple[tuple[str, str], ...]
-    multiplicity: int = 1
-    tied: bool = False
+    __slots__ = ("edges", "multiplicity", "tied")
+
+    def __init__(self, edges: tuple[tuple[str, str], ...], multiplicity: int = 1, tied: bool = False):
+        _set = object.__setattr__  # the class refuses assignment
+        _set(self, "edges", edges)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "tied", tied)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: WickDiagram is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self.multiplicity, self.tied) == (other.edges, other.multiplicity, other.tied)
+
+    def __hash__(self):
+        return hash((self.edges, self.multiplicity, self.tied))
+
+    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
+        return self.__class__, (self.edges, self.multiplicity, self.tied)
 
 
 def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:

@@ -266,6 +266,42 @@ class TestExitCodes:
         assert out == ""
         assert err == f"invalid configuration: {message}\n"
 
+    @pytest.mark.parametrize("size", ["8", "15", "0", "4097", "100000000"])
+    def test_basis_size_out_of_range_names_the_option(self, size, capsys, monkeypatch):
+        from oscqgt import spectral_oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("the basis size must be rejected before any solve")
+
+        monkeypatch.setattr(spectral_oracle, "numeric_qim", never)
+        code, out, err = run(["sweep", "--alphas", "1", "--lambdas", "0.01", "--basis-size", size], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == f"invalid configuration: --basis-size must be between 16 and 4096, not {size}\n"
+
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            (["--alpha", "1e-200"], "alpha=1e-200, lambda=0.0, j=0.0"),
+            (["--alpha", "1e-320"], "alpha=1e-320, lambda=0.0, j=0.0"),
+            (["--alpha", "1e308", "--lambda", "1e308"], "alpha=1e+308, lambda=1e+308, j=0.0"),
+            # every power is finite, but the product of two is not
+            (["--alpha", "1e-40", "--lambda", "1e280"], "alpha=1e-40, lambda=1e+280, j=0.0"),
+        ],
+        ids=["small-alpha", "subnormal-alpha", "large-lambda", "inf-product"],
+    )
+    def test_float_overflow_names_the_point(self, argv, point, capsys):
+        code, out, err = run(["compute", "--order", "2"] + argv, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == f"invalid configuration: the series overflows a float at {point}\n"
+
+    def test_oracle_float_overflow_names_the_point(self, capsys):
+        code, out, err = run(["sweep", "--alphas", "1e300", "--lambdas", "0.01"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == "invalid configuration: the oracle overflows a float at alpha=1e+300, lambda=0.01, j=0.0\n"
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -507,11 +543,15 @@ def _probe(code: str) -> str:
     return result.stdout
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "numpy"])
+@pytest.mark.parametrize(
+    "module", ["scipy.integrate", "scipy.linalg", "numpy", "dataclasses", "inspect", "json", "csv"]
+)
 def test_cli_import_leaves_module_unloaded(module):
     # scipy.integrate is needed by no command, and numpy and scipy.linalg only
     # by the oracles behind verify and sweep; loading any at import time would
-    # slow every CLI start, symbolic commands included.
+    # slow every CLI start, symbolic commands included.  dataclasses (which
+    # loads inspect, ast and dis) is used nowhere, and json and csv only by
+    # the commands that write them.
     probe = f"import sys, oscqgt.cli; print({module!r} in sys.modules)"
     assert _probe(probe).strip() == "False"
 
@@ -536,9 +576,9 @@ def test_symbolic_commands_leave_numeric_stack_unloaded(argv, tmp_path):
         "from oscqgt import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
-        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+        "print(code, [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect') if m in sys.modules])"
     )
-    assert _probe(probe).strip() == "0 False False"
+    assert _probe(probe).strip() == "0 []"
 
 
 def test_submodules_load_on_attribute_access():
@@ -577,3 +617,20 @@ def test_verify_leaves_scipy_integrate_unloaded():
 def test_sweep_leaves_scipy_unloaded():
     argv = ["sweep", "--alphas", "0.8,1.2", "--lambdas", "0.02", "--basis-size", "64"]
     assert _loads_scipy(argv) == "0 False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all"], ["sweep", "--alphas", "0.8,1.2", "--lambdas", "0.02", "--basis-size", "64"]],
+    ids=["verify", "sweep"],
+)
+def test_oracle_commands_leave_dataclasses_unloaded(argv):
+    # numpy loads inspect, but nothing the oracle commands run needs dataclasses
+    probe = (
+        "import contextlib, io, sys\n"
+        "from oscqgt import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules)"
+    )
+    assert _probe(probe).strip() == "0 False"
