@@ -133,12 +133,9 @@ def series_records(series: ScalarSeries) -> list[dict]:
 def _evaluate(series: ScalarSeries, alpha: float, lam: float, j: float) -> float:
     """The series at a point; a value beyond the float range is an invalid configuration."""
     try:
-        value = series.evaluate(alpha, lam, j)
+        return series.evaluate(alpha, lam, j)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}")
-    return value
+        raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
 
 
 def _series_block(series: ScalarSeries, params: dict | None) -> dict:

@@ -29,6 +29,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .integrator import TAU1, TAU2, Edges, internal_vertices
+from .scalar_algebra import Frozen
 from .wick import InsertionPoint, enumerate_pairings
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 GradedSum = dict[int, dict[Edges, Fraction]]
 
 
-class PolynomialPotential:
+class PolynomialPotential(Frozen):
     """V(q) = sum_n c_n q**n with finite support and exact coefficients."""
 
     __slots__ = ("coefficients",)
@@ -52,20 +53,6 @@ class PolynomialPotential:
         if not coeffs or coeffs[0][0] < 1:
             raise ValueError("potential needs finite support of degree >= 1")
         object.__setattr__(self, "coefficients", coeffs)  # the class refuses assignment
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: PolynomialPotential is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.coefficients,)
 
     @classmethod
     def monomial(cls, k: int) -> "PolynomialPotential":
@@ -85,7 +72,7 @@ class PolynomialPotential:
         return len(self.coefficients) == 1
 
 
-class DeformationOperator:
+class DeformationOperator(Frozen):
     """Operator conjugate to a parameter: prefactor * q**q_power."""
 
     __slots__ = ("q_power", "prefactor")
@@ -93,20 +80,6 @@ class DeformationOperator:
     def __init__(self, q_power: int, prefactor: Fraction):
         object.__setattr__(self, "q_power", q_power)  # the class refuses assignment
         object.__setattr__(self, "prefactor", prefactor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: DeformationOperator is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q_power, self.prefactor) == (other.q_power, other.prefactor)
-
-    def __hash__(self):
-        return hash((self.q_power, self.prefactor))
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.q_power, self.prefactor)
 
     @classmethod
     def stiffness(cls) -> "DeformationOperator":

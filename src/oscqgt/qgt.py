@@ -21,7 +21,7 @@ from .perturbation import (
     PolynomialPotential,
     connected_integrand,
 )
-from .scalar_algebra import ScalarSeries
+from .scalar_algebra import Frozen, ScalarSeries
 
 __all__ = [
     "ParameterSpace",
@@ -44,7 +44,7 @@ QUARTIC = "quartic"
 MONOMIAL = "monomial"
 
 
-class ParameterSpace:
+class ParameterSpace(Frozen):
     """Model family and its ordered parameter labels.
 
     linear   : H = p^2/2 + alpha q^2/2 + J q      labels (alpha, j)
@@ -64,20 +64,6 @@ class ParameterSpace:
         object.__setattr__(self, "kind", kind)  # the class refuses assignment
         object.__setattr__(self, "k", k)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ParameterSpace is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.k) == (other.kind, other.k)
-
-    def __hash__(self):
-        return hash((self.kind, self.k))
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.kind, self.k)
-
     @classmethod
     def parse(cls, token: str) -> "ParameterSpace":
         """The model a token names: linear | quartic | monomial:k with k >= 1."""
@@ -86,7 +72,7 @@ class ParameterSpace:
         kind, colon, degree = token.partition(":")
         if kind != MONOMIAL or not colon:
             raise ValueError(f"unknown model {token!r} (expected linear|quartic|monomial:k)")
-        if not degree.isdigit() or int(degree) < 1:
+        if not degree.isdecimal() or int(degree) < 1:
             raise ValueError(f"the monomial degree must be an integer >= 1, not {degree!r}")
         return cls(MONOMIAL, int(degree))
 

@@ -11,10 +11,12 @@ so all arithmetic is exact; floats appear only in `ScalarSeries.evaluate`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
+    "Frozen",
     "ScalarTerm",
     "ScalarSeries",
     "DivergentIntegral",
@@ -38,7 +40,45 @@ class OracleFailure(RuntimeError):
     """
 
 
-class ScalarTerm:
+class Frozen:
+    """An immutable record: its fields are its `__slots__`, which `__init__`
+    sets by object.__setattr__.  It equals only a record of its own class
+    with equal fields, hashes by them and prints as Name(field, ...).  Copy
+    and pickle rebuild it through `__init__` from its fields in slot order,
+    so each subclass lists `__slots__` in its `__init__` positional order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+
+def _finite(value: float, alpha: float, lam: float, j: float) -> float:
+    """value, unless finite arguments gave a value beyond the float range."""
+    if not math.isfinite(value) and all(map(math.isfinite, (alpha, lam, j))):
+        raise OverflowError(f"the value at alpha={alpha!r}, lambda={lam!r}, j={j!r} overflows a float")
+    return value
+
+
+class ScalarTerm(Frozen):
     """One monomial: coeff * alpha**(alpha_half_pow/2) * lambda**lambda_pow * J**j_pow."""
 
     __slots__ = ("coeff", "alpha_half_pow", "lambda_pow", "j_pow")
@@ -54,25 +94,6 @@ class ScalarTerm:
         _set(self, "lambda_pow", lambda_pow)
         _set(self, "j_pow", j_pow)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ScalarTerm is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow) == (
-            other.coeff, other.alpha_half_pow, other.lambda_pow, other.j_pow
-        )
-
-    def __hash__(self):
-        return hash((self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow))
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.coeff, self.alpha_half_pow, self.lambda_pow, self.j_pow)
-
-    def __repr__(self):
-        return f"ScalarTerm({self.coeff!r}, {self.alpha_half_pow}, {self.lambda_pow}, {self.j_pow})"
-
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.lambda_pow, self.j_pow, self.alpha_half_pow)
@@ -80,38 +101,22 @@ class ScalarTerm:
     def evaluate(self, alpha: float, lam: float = 0.0, j: float = 0.0) -> float:
         if alpha <= 0:
             raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-        return (
+        value = (
             float(self.coeff)
             * float(alpha) ** (self.alpha_half_pow / 2)
             * float(lam) ** self.lambda_pow
             * float(j) ** self.j_pow
         )
+        return _finite(value, alpha, lam, j)
 
 
-class ScalarSeries:
+class ScalarSeries(Frozen):
     """Canonical sum of ScalarTerms, merged and sorted by (lambda_pow, j_pow, alpha_half_pow)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[ScalarTerm, ...] = ()):
         object.__setattr__(self, "terms", terms)  # the class refuses assignment
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: ScalarSeries is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.terms,)
-
-    def __repr__(self):
-        return f"ScalarSeries({self.terms!r})"
 
     @classmethod
     def from_terms(cls, terms: Iterable[ScalarTerm]) -> "ScalarSeries":
@@ -198,7 +203,7 @@ class ScalarSeries:
     def evaluate(self, alpha: float, lam: float = 0.0, j: float = 0.0) -> float:
         if alpha <= 0:
             raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-        return sum(t.evaluate(alpha, lam, j) for t in self.terms)
+        return _finite(sum(t.evaluate(alpha, lam, j) for t in self.terms), alpha, lam, j)
 
     # -- canonical text form ------------------------------------------------
     #

@@ -526,41 +526,46 @@ def numeric_qim(
     Only the central ground state at N runs a cold eigenvalue solve; the
     states at N, the central one included, are then solved as one stack
     warm-started from its vector, and the five at 2N as another, each from
-    its own state at N, zero-padded.
+    its own state at N, zero-padded.  A float overflow or invalid value
+    anywhere in the numerics raises OverflowError.
     """
     _require_ground_state(alpha, lam, potential)
-    config = config or OracleConfig()
-    # pin the basis at the central point; differencing must not rotate it
-    pinned = OracleConfig(config.basis_size, config.omega(alpha), config.fd_step)
-    steps = {label: config.step(label, alpha) for label in labels}
-    half = {label: 0.5 * h for label, h in steps.items()}
-    point = (alpha, lam, j)
-    k = 2 * len(labels)
-    points = [point] + _shifted_points(point, labels, steps) + _shifted_points(point, labels, half)
-    bands = np.stack([build_hamiltonian(*p, potential, pinned) for p in points])
-    _, start = _lowest_eigenpair(bands[0])  # the point's one cold eigenvalue solve
-    _check_tails(start)
-    vecs = _checked_ground_vectors(bands, start)
-    psi0 = vecs[0]
-    g_full = _metric_matrix(vecs[1 : k + 1], labels, steps, psi0)
-    g_half = _metric_matrix(vecs[k + 1 :], labels, half, psi0)
-    doubled = OracleConfig(2 * config.basis_size, pinned.reference_frequency, config.fd_step)
-    big = np.stack([build_hamiltonian(*p, potential, doubled) for p in [point] + points[k + 1 :]])
-    # each starts at its N-basis ground state, zero-padded: its tail weight is below 1e-10
-    small = vecs[[0, *range(k + 1, 2 * k + 1)]]
-    big_vecs = _checked_ground_vectors(big, np.concatenate([small, np.zeros_like(small)], axis=1))
-    g_big = _metric_matrix(big_vecs[1:], labels, half, big_vecs[0])
-    report: dict[tuple[str, str], dict[str, float]] = {}
-    for i, a in enumerate(labels):
-        for jdx, b in enumerate(labels):
-            change = abs(g_full[i, jdx] - g_half[i, jdx])
-            scale = max(abs(g_half[i, jdx]), 1e-8)
-            if change / scale > 0.10:
-                raise StepTooLarge(
-                    f"entry ({a},{b}) moved {change/scale:.1%} under step halving"
-                )
-            report[(a, b)] = {
-                "fd_halving": change / 3.0,  # second-order central differences
-                "basis_doubling": abs(g_half[i, jdx] - g_big[i, jdx]),
-            }
-    return NumericQGT(tuple(labels), g_half, report)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            config = config or OracleConfig()
+            # pin the basis at the central point; differencing must not rotate it
+            pinned = OracleConfig(config.basis_size, config.omega(alpha), config.fd_step)
+            steps = {label: config.step(label, alpha) for label in labels}
+            half = {label: 0.5 * h for label, h in steps.items()}
+            point = (alpha, lam, j)
+            k = 2 * len(labels)
+            points = [point] + _shifted_points(point, labels, steps) + _shifted_points(point, labels, half)
+            bands = np.stack([build_hamiltonian(*p, potential, pinned) for p in points])
+            _, start = _lowest_eigenpair(bands[0])  # the point's one cold eigenvalue solve
+            _check_tails(start)
+            vecs = _checked_ground_vectors(bands, start)
+            psi0 = vecs[0]
+            g_full = _metric_matrix(vecs[1 : k + 1], labels, steps, psi0)
+            g_half = _metric_matrix(vecs[k + 1 :], labels, half, psi0)
+            doubled = OracleConfig(2 * config.basis_size, pinned.reference_frequency, config.fd_step)
+            big = np.stack([build_hamiltonian(*p, potential, doubled) for p in [point] + points[k + 1 :]])
+            # each starts at its N-basis ground state, zero-padded: its tail weight is below 1e-10
+            small = vecs[[0, *range(k + 1, 2 * k + 1)]]
+            big_vecs = _checked_ground_vectors(big, np.concatenate([small, np.zeros_like(small)], axis=1))
+            g_big = _metric_matrix(big_vecs[1:], labels, half, big_vecs[0])
+            report: dict[tuple[str, str], dict[str, float]] = {}
+            for i, a in enumerate(labels):
+                for jdx, b in enumerate(labels):
+                    change = abs(g_full[i, jdx] - g_half[i, jdx])
+                    scale = max(abs(g_half[i, jdx]), 1e-8)
+                    if change / scale > 0.10:
+                        raise StepTooLarge(
+                            f"entry ({a},{b}) moved {change/scale:.1%} under step halving"
+                        )
+                    report[(a, b)] = {
+                        "fd_halving": change / 3.0,  # second-order central differences
+                        "basis_doubling": abs(g_half[i, jdx] - g_big[i, jdx]),
+                    }
+            return NumericQGT(tuple(labels), g_half, report)
+    except FloatingPointError as exc:
+        raise OverflowError(f"the oracle overflows a float: {exc}") from exc

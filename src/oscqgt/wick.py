@@ -19,6 +19,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
+from .scalar_algebra import Frozen
+
 __all__ = [
     "InsertionPoint",
     "WickDiagram",
@@ -27,7 +29,7 @@ __all__ = [
 ]
 
 
-class InsertionPoint:
+class InsertionPoint(Frozen):
     """power q-factors inserted at one Euclidean time."""
 
     __slots__ = ("time_var", "power")
@@ -38,22 +40,8 @@ class InsertionPoint:
         object.__setattr__(self, "time_var", time_var)  # the class refuses assignment
         object.__setattr__(self, "power", power)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: InsertionPoint is immutable")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.time_var, self.power) == (other.time_var, other.power)
-
-    def __hash__(self):
-        return hash((self.time_var, self.power))
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.time_var, self.power)
-
-
-class WickDiagram:
+class WickDiagram(Frozen):
     """One pairing class: a multiset of edges and its multiplicity.
 
     `tied` marks a diagram of a ranked walk in which two times share a rank.
@@ -66,20 +54,6 @@ class WickDiagram:
         _set(self, "edges", edges)
         _set(self, "multiplicity", multiplicity)
         _set(self, "tied", tied)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: WickDiagram is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edges, self.multiplicity, self.tied) == (other.edges, other.multiplicity, other.tied)
-
-    def __hash__(self):
-        return hash((self.edges, self.multiplicity, self.tied))
-
-    def __reduce__(self):  # copy and pickle by __init__: their default assigns the slots
-        return self.__class__, (self.edges, self.multiplicity, self.tied)
 
 
 def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:

@@ -166,6 +166,7 @@ class TestExitCodes:
             ("pentic", "unknown model 'pentic'"),
             ("monomial:x", "integer >= 1, not 'x'"),
             ("monomial:0", "integer >= 1, not '0'"),
+            ("monomial:\u00b2", "integer >= 1, not '\u00b2'"),
         ]:
             code, out, err = run(["compute", "--model", model], capsys)
             assert code == cli.EXIT_BAD_CONFIG
@@ -301,6 +302,16 @@ class TestExitCodes:
         assert code == cli.EXIT_BAD_CONFIG
         assert out == ""
         assert err == "invalid configuration: the oracle overflows a float at alpha=1e+300, lambda=0.01, j=0.0\n"
+
+    def test_oracle_float_overflow_prints_one_line(self):
+        # numpy would warn on stderr before the solver gave up; no warning may precede the error
+        argv = ["sweep", "--alphas", "1e-200", "--lambdas", "0.01"]
+        result = subprocess.run(
+            [sys.executable, "-m", "oscqgt.cli", *argv], env=_child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == cli.EXIT_BAD_CONFIG
+        assert result.stdout == ""
+        assert result.stderr == "invalid configuration: the oracle overflows a float at alpha=1e-200, lambda=0.01, j=0.0\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -535,11 +546,15 @@ class TestVerify:
         assert err == "oracle failure: NoConvergence: inverse iteration did not settle\n"
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this oscqgt."""
+    src = str(Path(oscqgt.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _probe(code: str) -> str:
     """Run `code` in a fresh interpreter that imports this oscqgt; return its stdout."""
-    src = str(Path(oscqgt.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True)
     return result.stdout
 
 

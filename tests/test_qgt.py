@@ -167,6 +167,7 @@ class TestParameterSpace:
             ("monomial:", "integer >= 1, not ''"),
             ("monomial:0", "integer >= 1, not '0'"),
             ("monomial:-2", "integer >= 1, not '-2'"),
+            ("monomial:\u00b2", "integer >= 1, not '\u00b2'"),
         ],
     )
     def test_parse_rejects(self, token, message):

@@ -64,6 +64,27 @@ class TestEvaluate:
         with pytest.raises(NonPositiveAlpha):
             s(1, 2, a=-3).evaluate(-2.0)
 
+    @pytest.mark.parametrize(
+        "alpha,lam",
+        [(1e-200, 0.0), (1e-40, 1e280)],
+        ids=["power-overflows", "product-overflows"],
+    )
+    def test_float_overflow_raises(self, alpha, lam):
+        # quartic order-1 G_aa: one power overflows, or a product of finite powers does
+        series = s(1, 32, a=-4) + s(-11, 512, a=-7, l=1)
+        with pytest.raises(OverflowError):
+            series.evaluate(alpha, lam)
+        with pytest.raises(OverflowError):
+            series.terms[1].evaluate(alpha, lam)
+
+    def test_sum_of_finite_terms_overflowing_raises(self):
+        with pytest.raises(OverflowError, match="alpha=1.0, lambda=0.0, j=0.0"):
+            (s(F(10**308)) + s(F(10**308), a=1)).evaluate(1.0)
+
+    def test_non_finite_arguments_pass_through(self):
+        assert s(1, a=2).evaluate(math.inf) == math.inf
+        assert math.isnan(s(1, l=1).evaluate(1.0, math.nan))
+
 
 terms = st.builds(
     ScalarTerm,

@@ -353,6 +353,11 @@ class TestNumericQim:
         with pytest.raises(StepTooLarge):
             numeric_qim(1.0, 0.0, 0.0, V4, rough)
 
+    def test_float_overflow_raises_overflow_error(self):
+        # numpy overflows inside the solver here, which would otherwise only warn
+        with pytest.raises(OverflowError):
+            numeric_qim(1e-200, 0.01, 0.0, V4, CFG)
+
     def test_basis_too_small_detected(self):
         tiny = OracleConfig(basis_size=16)
         with pytest.raises(BasisTooSmall):

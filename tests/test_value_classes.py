@@ -15,7 +15,7 @@ import pytest
 
 from oscqgt.perturbation import DeformationOperator, PolynomialPotential
 from oscqgt.qgt import ParameterSpace
-from oscqgt.scalar_algebra import ScalarSeries, ScalarTerm
+from oscqgt.scalar_algebra import Frozen, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
 from oscqgt.wick import InsertionPoint, WickDiagram
 
@@ -67,6 +67,17 @@ FROZEN = {
         {"kind": "monomial", "k": 6},
     ),
 }
+
+
+def test_every_frozen_record_is_in_the_table():
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_repr_names_class_and_fields(name):
+    value, _, _, fields = FROZEN[name]
+    assert list(fields) == list(type(value).__slots__)
+    assert repr(value) == f"{name}({', '.join(map(repr, fields.values()))})"
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
