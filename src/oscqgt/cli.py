@@ -3,8 +3,8 @@
 Structured output keeps the exact rational coefficients; floats are attached
 only as convenience evaluations.  Exit codes: 0 success, 1 verification
 failure, 2 invalid configuration (a bad argument or an unwritable `--out`),
-3 divergent integral, 4 oracle failure (basis too small, finite-difference
-step too large, or no eigensolver convergence).
+3 divergent integral, 4 oracle failure (basis too small or no eigensolver
+convergence).
 
 `compute` and `diagrams` run the exact symbolic route only; numpy and the
 oracles are imported inside the `verify` and `sweep` code that uses them.
@@ -419,7 +419,7 @@ def _sweep_point(space, order, series, point, cfg):
                 repr(alpha), repr(lam), repr(j),
                 f"{a},{b}",
                 repr(sym), repr(num),
-                repr(float(err["fd_halving"] + err["basis_doubling"])),
+                repr(float(err["refinement"] + err["basis_doubling"])),
                 repr(abs(sym - num)),
             ]
         )
@@ -432,8 +432,7 @@ def cmd_sweep(args) -> int:
     from . import spectral_oracle
 
     series = qgt.assemble(args.space, args.order)
-    fd_step = None if args.fd_step is None else dict.fromkeys(("alpha", "lambda", "j"), args.fd_step)
-    cfg = spectral_oracle.OracleConfig(args.basis_size, fd_step=fd_step)
+    cfg = spectral_oracle.OracleConfig(args.basis_size)
     rows = [
         row
         for point in itertools.product(args.alphas, args.lambdas, args.js)
@@ -465,7 +464,7 @@ class _Parser(argparse.ArgumentParser):
 
     argparse takes a token that starts with '-' for an option unless it
     matches its negative-number pattern, which misses exponent form and grids
-    (`--fd-step -1e-4`, `--alphas -1,2`).  No option here starts with a digit
+    (`--alphas -1e-3`, `--alphas -1,2`).  No option here starts with a digit
     or spells inf/nan, so every such token is read as a value and reaches
     `_validate`.
     """
@@ -515,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", default="0.0", help="comma-separated grid")
     p_sweep.add_argument("--js", default="0.0", help="comma-separated grid")
     p_sweep.add_argument("--basis-size", type=int, default=128)
-    p_sweep.add_argument("--fd-step", type=float, default=None)
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -569,9 +567,6 @@ def _validate(args) -> None:
     for name, grid in values.items():
         if name not in args.space.labels and any(grid):
             raise ValueError(f"the {args.model} model has no parameter {name}")
-    fd_step = getattr(args, "fd_step", None)
-    if fd_step is not None and not (math.isfinite(fd_step) and fd_step > 0):
-        raise ValueError("fd-step must be finite and > 0")
 
 
 def main(argv=None) -> int:

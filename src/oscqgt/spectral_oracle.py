@@ -3,21 +3,22 @@
 The Hamiltonian H = p^2/2 + alpha q^2/2 + J q + lambda V(q) is represented in
 a truncated number basis of a reference oscillator of frequency omega
 (omega = sqrt(alpha) by default, which makes the free part exactly diagonal).
-The metric follows from central-difference ground-state derivatives,
+The metric is the ground state's first-order response,
 
-    g_ab = <d_a psi | d_b psi> - <d_a psi | psi><psi | d_b psi>,
+    g_ab = <x_a | x_b>,  (H - E0) x_a = -Q dH/da psi,  Q = 1 - |psi><psi|,
 
-with sign-gauge-fixed eigenvectors, step-halving error estimates and a
-basis-doubling drift per entry.  q is tridiagonal, so H is built in lower
-band storage (band[d, c] = H[c + d, c]).  Shifted systems are factored by a
-block cyclic-reduction Cholesky factorisation in numpy, once per shift for
-every inverse-iteration step on it, and a stack of systems is factored and
-iterated as one.  Each point runs one cold eigenvalue solve, for the central
-ground state at N; its other ground states come in two stacks, the central
-one and its eight finite-difference neighbours at N and five at the doubled
-basis, by inverse iteration warm-started at a nearby known state.  Everything
-here is real symmetric, so this oracle is blind to Berry curvature,
-consistent with the models in scope.
+the fidelity susceptibility of Zanardi and Paunkovic (PRE 74, 031123, 2006)
+for the tensor of Provost and Vallee (CMP 76, 289, 1980).  In the basis
+pinned at the point, each dH/da is a fixed band: q^2/2 for alpha, V(q) for
+lambda and q for J.  q is tridiagonal, so H is built in lower band storage
+(band[d, c] = H[c + d, c]), and a shifted system is factored by a block
+cyclic-reduction Cholesky factorisation in numpy.  Each point builds H at N
+and at 2N and runs one cold eigenvalue solve, at N.  At each size one factor,
+shifted just below E0, settles the ground state by inverse iteration and
+solves the response, refined on the complement of psi; the 2N ground state
+starts from the N one, zero-padded, and the drift between the two sizes is
+reported per entry.  Everything here is real symmetric, so this oracle is
+blind to Berry curvature, consistent with the models in scope.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "BasisTooSmall",
     "NoConvergence",
     "NoGroundState",
-    "StepTooLarge",
     "build_hamiltonian",
     "gauge_fix",
     "ground_state",
@@ -54,6 +54,7 @@ _BLOCK = 4  # least rows per diagonal block of the cyclic-reduction factor
 _MAX_ROUNDS = 64  # shifts tried by a cold eigenvalue solve
 _DENSE = 16  # rows left to a dense factorisation after cyclic reduction
 _LEADING = 32  # rows of the block whose ground state starts a cold solve
+_REFINEMENTS = 2  # residual steps after each response solve
 
 
 class BasisTooSmall(OracleFailure):
@@ -62,10 +63,6 @@ class BasisTooSmall(OracleFailure):
 
 class NoConvergence(OracleFailure):
     """The eigensolver failed or its eigenpair misses the residual bound."""
-
-
-class StepTooLarge(OracleFailure):
-    """Halving the finite-difference step moved an entry by more than 10%."""
 
 
 class NoGroundState(ValueError):
@@ -104,34 +101,18 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
 
 
 class OracleConfig:
-    """Basis size, reference frequency (default sqrt(alpha)) and any
-    finite-difference steps that replace the defaults, by label."""
+    """Basis size and reference frequency (default sqrt(alpha))."""
 
-    __slots__ = ("basis_size", "reference_frequency", "fd_step")
+    __slots__ = ("basis_size", "reference_frequency")
 
-    def __init__(
-        self,
-        basis_size: int = 128,
-        reference_frequency: float | None = None,
-        fd_step: dict[str, float] | None = None,
-    ):
+    def __init__(self, basis_size: int = 128, reference_frequency: float | None = None):
         if basis_size < 16:
             raise ValueError("basis_size must be >= 16")
         self.basis_size = basis_size
         self.reference_frequency = reference_frequency
-        self.fd_step = {} if fd_step is None else fd_step
 
     def omega(self, alpha: float) -> float:
         return self.reference_frequency if self.reference_frequency else float(np.sqrt(alpha))
-
-    def step(self, label: str, alpha: float) -> float:
-        if label in self.fd_step:
-            return self.fd_step[label]
-        return {
-            "alpha": 1e-4 * alpha,
-            "lambda": 1e-4 * alpha**1.5,
-            "j": 1e-4 * alpha**0.75,
-        }[label]
 
 
 class NumericQGT:
@@ -203,7 +184,7 @@ def build_hamiltonian(
 
 
 def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """H vec for a band, or for each band of a stack."""
+    """H vec for a band and a vector, or broadcast over a stack of either."""
     out = band[..., 0, :] * vec
     for d in range(1, band.shape[-2]):
         out[..., d:] += band[..., d, :-d] * vec[..., :-d]
@@ -241,9 +222,9 @@ def _block_layout(n: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return diagonal, entries(rows, cols + m), ((rows == cols) & (rows < n)).astype(float)
 
 
-def _band_cholesky(band: np.ndarray, shift) -> tuple[list, np.ndarray]:
-    """Block cyclic-reduction Cholesky factor of band - shift (or of each band
-    of a stack minus its shift), for repeated solves.
+def _band_cholesky(band: np.ndarray, shift: float) -> tuple[list, np.ndarray]:
+    """Block cyclic-reduction Cholesky factor of band - shift, for repeated
+    solves.
 
     In blocks of m = max(_BLOCK, b) rows the matrix is block tridiagonal.
     Each level eliminates the odd-numbered blocks D_k of the current matrix:
@@ -256,54 +237,53 @@ def _band_cholesky(band: np.ndarray, shift) -> tuple[list, np.ndarray]:
     positive definite: np.linalg.LinAlgError means the shift is not below the
     whole spectrum.
     """
-    *lead, rows, n = band.shape
+    rows, n = band.shape
     b = min(rows, n) - 1  # diagonals past the last row hold nothing
     m = max(_BLOCK, b)
     diagonal, right, on_diagonal = _block_layout(n, b, m)
-    flat = np.concatenate(
-        [band[..., : b + 1, :].reshape(*lead, -1), np.broadcast_to([0.0, 1.0], (*lead, 2))], axis=-1
-    )
-    diag = flat[..., diagonal] - np.asarray(shift)[..., None, None, None] * on_diagonal
-    up = flat[..., right]  # up[k] = A[k, k + 1]
+    flat = np.concatenate([band[: b + 1].ravel(), [0.0, 1.0]])
+    diag = flat[diagonal] - shift * on_diagonal
+    up = flat[right]  # up[k] = A[k, k + 1]
     levels = []
-    while diag.shape[-3] * m > _DENSE:
-        w = np.linalg.inv(np.linalg.cholesky(diag[..., 1::2, :, :]))  # R_k^-1
+    while len(diag) * m > _DENSE:
+        w = np.linalg.inv(np.linalg.cholesky(diag[1::2]))  # R_k^-1
         # [X_k | Y_k] = R_k^-1 [A[2k + 1, 2k] | A[2k + 1, 2k + 2]]; matmul is
         # much faster on contiguous operands, so transposes are copied
-        xy = w @ np.concatenate([up[..., 0::2, :, :].swapaxes(-1, -2), up[..., 1::2, :, :]], axis=-1)
+        xy = w @ np.concatenate([up[0::2].swapaxes(-1, -2), up[1::2]], axis=-1)
         xy_t = xy.swapaxes(-1, -2).copy()
         gram = xy_t @ xy
-        diag = diag[..., 0::2, :, :] - gram[..., :m, :m]
-        diag[..., 1:, :, :] -= gram[..., :-1, m:, m:]
-        up = -gram[..., :m, m:]
+        diag = diag[0::2] - gram[:, :m, :m]
+        diag[1:] -= gram[:-1, m:, m:]
+        up = -gram[:, :m, m:]
         levels.append((w, xy))
-    count = diag.shape[-3]  # the rest is solved densely
-    dense = np.zeros((*lead, count * m, count * m))
+    count = len(diag)  # the rest is solved densely
+    dense = np.zeros((count * m, count * m))
     for k in range(count):  # the lower triangle, which is all np.linalg.cholesky reads
-        dense[..., k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[..., k, :, :]
+        dense[k * m : (k + 1) * m, k * m : (k + 1) * m] = diag[k]
         if k:
-            dense[..., k * m : (k + 1) * m, (k - 1) * m : k * m] = up[..., k - 1, :, :].swapaxes(-1, -2)
+            dense[k * m : (k + 1) * m, (k - 1) * m : k * m] = up[k - 1].T
     w = np.linalg.inv(np.linalg.cholesky(dense))
-    return levels, w.swapaxes(-1, -2).copy() @ w
+    return levels, w.T.copy() @ w
 
 
 def _band_solve(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve (band - shift) x = rhs with the factor from _band_cholesky."""
+    """Solve (band - shift) x = rhs, or each row of a stack of right-hand
+    sides, with the factor from _band_cholesky."""
     levels, last = factor
-    lead, n = last.shape[:-2], rhs.shape[-1]
-    f = np.zeros((*lead, last.shape[-1] << len(levels)))
+    lead, n = rhs.shape[:-1], rhs.shape[-1]
+    f = np.zeros((*lead, len(last) << len(levels)))
     f[..., :n] = rhs
     odd = []
     for w, xy in levels:  # the even blocks' system: f_e - X^T z - Y^T z(k - 1)
         m = w.shape[-1]
         pairs = f.reshape(*lead, -1, 2, m)
-        z = np.einsum("...ij,...j->...i", w, pairs[..., 1, :])  # z_k = R_k^-1 f_o(k)
-        u = np.einsum("...ji,...j->...i", xy, z)
+        z = np.einsum("kij,...kj->...ki", w, pairs[..., 1, :])  # z_k = R_k^-1 f_o(k)
+        u = np.einsum("kji,...kj->...ki", xy, z)
         f = pairs[..., 0, :] - u[..., :m]
         f[..., 1:, :] -= u[..., :-1, m:]
         f = f.reshape(*lead, -1)
         odd.append(z)
-    x = (last @ f[..., None])[..., 0]
+    x = f @ last  # last is symmetric
     for (w, xy), z in zip(reversed(levels), reversed(odd)):
         m = w.shape[-1]
         even = np.concatenate([x, np.zeros((*lead, m))], axis=-1)
@@ -312,24 +292,23 @@ def _band_solve(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
             (*lead, z.shape[-2], 2 * m), even.dtype, even, 0, (*even.strides[:-1], m * step, step)
         )
         # x_o(k) = R_k^-T (z_k - X_k x_e(k) - Y_k x_e(k + 1))
-        odd_x = np.einsum("...ji,...j->...i", w, z - np.einsum("...ij,...j->...i", xy, neighbours))
+        odd_x = np.einsum("kji,...kj->...ki", w, z - np.einsum("kij,...kj->...ki", xy, neighbours))
         x = np.stack([x.reshape(*lead, -1, m), odd_x], axis=-2).reshape(*lead, -1)
     return x[..., :n]
 
 
-def _inverse_iteration(factor, vec: np.ndarray, steps: int = _MAX_STEPS):
-    """Iterate from vec (one per factored matrix) with the factor of band -
-    shift; each vector stops once a step moves it by at most _STEP_TOL.
-    Returns the vectors and each one's last step."""
-    vec = vec / np.linalg.norm(vec, axis=-1, keepdims=True)
-    moved = np.full(vec.shape[:-1], np.inf)
+def _inverse_iteration(factor, vec: np.ndarray, steps: int = _MAX_STEPS) -> tuple[np.ndarray, float]:
+    """Iterate from vec with the factor of band - shift until a step moves
+    the unit vector by at most _STEP_TOL.  Returns the vector and its last
+    step."""
+    vec = vec / np.linalg.norm(vec)
+    moved = np.inf
     for _ in range(steps):
         nxt = _band_solve(factor, vec)
-        nxt /= np.linalg.norm(nxt, axis=-1, keepdims=True)
-        moving = moved > _STEP_TOL
-        moved = np.where(moving, np.linalg.norm(nxt - vec, axis=-1), moved)
-        vec = np.where(moving[..., None], nxt, vec)
-        if not (moved > _STEP_TOL).any():
+        nxt /= np.linalg.norm(nxt)
+        moved = float(np.linalg.norm(nxt - vec))
+        vec = nxt
+        if moved <= _STEP_TOL:
             break
     return vec, moved
 
@@ -402,113 +381,117 @@ def _gershgorin_floor(band: np.ndarray) -> float:
     return float(np.min(band[0] - radius))
 
 
-def _cold_pair(band: np.ndarray) -> tuple[float, np.ndarray]:
+def _settled_pair(band: np.ndarray, energy: float, start: np.ndarray) -> tuple[float, np.ndarray, tuple]:
+    """E0 and psi by inverse iteration from start with the factor of
+    band - (E0 - margin * |H|), which is returned too: positive definite
+    even when H is exactly diagonal."""
     scale = float(np.abs(band).max())
-    energy, _ = _lowest_eigenpair(band)
     try:
         factor = _band_cholesky(band, energy - _SHIFT_MARGIN * scale)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    vec, moved = _inverse_iteration(factor, np.ones(band.shape[1]))
+    vec, moved = _inverse_iteration(factor, start)
     if moved > _STEP_TOL:
         raise NoConvergence(f"inverse iteration still moving by {moved:.1e} after {_MAX_STEPS} steps")
-    return _checked_pair(band, energy, vec, scale)
+    residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
+    if residual > _RESIDUAL_TOL * scale:
+        raise NoConvergence(f"residual |(H - E0) psi| = {residual:.2e} for |H| = {scale:.2e}")
+    return energy, gauge_fix(vec), factor
 
 
-def _warm_pairs(bands: np.ndarray, guess: np.ndarray) -> list:
-    """Warm eigenpairs of a stack of bands from one guess, or one guess per
-    band, all factored and iterated together; None where the solve must run
-    cold."""
-    scale = np.abs(bands).max(axis=(1, 2))
-    guess = np.broadcast_to(guess, (len(bands), bands.shape[2]))
-    guess = guess / np.linalg.norm(guess, axis=1, keepdims=True)
-    image = _band_matvec(bands, guess)
-    rho = np.einsum("sn,sn->s", guess, image)
-    shift = rho - np.linalg.norm(image - rho[:, None] * guess, axis=1) - _SHIFT_MARGIN * scale
+def _warm_pair(band: np.ndarray, guess: np.ndarray) -> tuple[float, np.ndarray, tuple] | None:
+    """Like _settled_pair, by inverse iteration from the guess shifted to
+    rho - r - margin * |H| for its Rayleigh quotient rho and residual r;
+    None where the solve must run cold."""
+    scale = float(np.abs(band).max())
+    guess = guess / np.linalg.norm(guess)
+    image = _band_matvec(band, guess)
+    rho = float(guess @ image)
+    shift = rho - float(np.linalg.norm(image - rho * guess)) - _SHIFT_MARGIN * scale
     try:
-        factor = _band_cholesky(bands, shift)
+        factor = _band_cholesky(band, shift)
     except np.linalg.LinAlgError:
-        if len(bands) == 1:
-            return [None]
-        return [_warm_pairs(one[None], g)[0] for one, g in zip(bands, guess)]  # which failed
-    vecs, moved = _inverse_iteration(factor, guess)
-    image = _band_matvec(bands, vecs)
-    energies = np.einsum("sn,sn->s", vecs, image)
-    residuals = np.linalg.norm(image - energies[:, None] * vecs, axis=1)
-    settled = (moved <= _STEP_TOL) & (residuals <= _RESIDUAL_TOL * scale)
-    return [(float(e), gauge_fix(v)) if ok else None for e, v, ok in zip(energies, vecs, settled)]
+        return None
+    vec, moved = _inverse_iteration(factor, guess)
+    image = _band_matvec(band, vec)
+    energy = float(vec @ image)
+    if moved > _STEP_TOL or np.linalg.norm(image - energy * vec) > _RESIDUAL_TOL * scale:
+        return None
+    return energy, gauge_fix(vec), factor
 
 
-def ground_state(band: np.ndarray, guess: np.ndarray | None = None):
-    """Smallest eigenpair of a symmetric band matrix in lower storage, or the
-    energies and vectors of each band of a stack (shape (S, b + 1, N)).
+def _ground_pair(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray, tuple]:
+    """ground_state's eigenpair and the factor that settled it."""
+    pair = None if guess is None else _warm_pair(band, guess)
+    if pair is None:
+        energy, _ = _lowest_eigenpair(band)
+        pair = _settled_pair(band, energy, np.ones(band.shape[1]))
+    return pair
+
+
+def ground_state(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of a symmetric band matrix in lower storage.
 
     Cold, E0 comes from _lowest_eigenpair and the vector from inverse
     iteration from a vector of ones, shifted just below E0 (positive definite
     even when H is exactly diagonal).  Warm, inverse iteration starts at the
-    guess (one for all bands, or one per band), shifted to
-    rho - r - margin * |H| for the guess's Rayleigh quotient rho and residual
-    r, and E0 is the converged vector's Rayleigh quotient; a stack is
-    factored and iterated as one.  A shift whose Cholesky factorisation
-    succeeds lies below the whole spectrum, so the warm iteration cannot
-    settle on an excited state; if it fails, does not settle or misses the
-    residual bound, that band is solved cold.  Each vector is normalized with
-    its largest-magnitude entry positive.  Raises NoConvergence when a cold
-    solve finds no shift below the spectrum, the iteration does not settle,
-    or |(H - E0) psi| exceeds the residual bound.
+    guess, shifted to rho - r - margin * |H| for the guess's Rayleigh
+    quotient rho and residual r, and E0 is the converged vector's Rayleigh
+    quotient.  A shift whose Cholesky factorisation succeeds lies below the
+    whole spectrum, so the warm iteration cannot settle on an excited state;
+    if it fails, does not settle or misses the residual bound, the solve
+    runs cold.  The vector is normalized with its largest-magnitude entry
+    positive.  Raises NoConvergence when a cold solve finds no shift below
+    the spectrum, the iteration does not settle, or |(H - E0) psi| exceeds
+    the residual bound.
     """
-    stack = band if band.ndim == 3 else band[None]
-    pairs = [None] * len(stack) if guess is None else _warm_pairs(stack, guess)
-    pairs = [pair or _cold_pair(one) for pair, one in zip(pairs, stack)]
-    if band.ndim == 2:
-        return pairs[0]
-    return np.array([e for e, _ in pairs]), np.stack([v for _, v in pairs])
+    energy, vec, _ = _ground_pair(band, guess)
+    return energy, vec
 
 
-def _checked_pair(band, energy: float, vec: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
-    residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
-    if residual > _RESIDUAL_TOL * scale:
-        raise NoConvergence(f"residual |(H - E0) psi| = {residual:.2e} for |H| = {scale:.2e}")
-    return energy, gauge_fix(vec)
+def _check_tail(vec: np.ndarray) -> None:
+    n = len(vec)
+    tail = float(np.sum(vec[int(0.9 * n) :] ** 2))
+    if tail > 1e-10:
+        raise BasisTooSmall(f"tail weight {tail:.2e} in top 10% of an N={n} basis")
 
 
-def _checked_ground_vectors(bands: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Ground states of a stack of band Hamiltonians, solved as one stack
-    from the guess (one per band, or one for all)."""
-    _, vecs = ground_state(bands, guess)
-    _check_tails(vecs)
-    return vecs
+def _derivative_bands(
+    labels, potential: PolynomialPotential | None, band: np.ndarray, omega: float
+) -> np.ndarray:
+    """dH/da for each label in the basis of `band`, as a stack of lower bands
+    of its shape: q^2/2 for alpha, V(q) for lambda and q for J."""
+    rows = {"alpha": {2: 0.5}, "lambda": dict(potential.coefficients if potential else ()), "j": {1: 1.0}}
+    b, n = band.shape[0] - 1, band.shape[1]
+    coeffs = np.zeros((len(labels), b + 1))
+    for row, label in zip(coeffs, labels):
+        for deg, c in rows[label].items():
+            row[deg] = float(c)
+    return np.tensordot(coeffs, _power_bands(n, omega, b), axes=1)
 
 
-def _check_tails(vecs: np.ndarray) -> None:
-    n = vecs.shape[-1]
-    for vec in vecs.reshape(-1, n):
-        tail = float(np.sum(vec[int(0.9 * n):] ** 2))
-        if tail > 1e-10:
-            raise BasisTooSmall(f"tail weight {tail:.2e} in top 10% of an N={n} basis")
+def _response(band: np.ndarray, pair: tuple, derivs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metric from the first-order response of the ground state in `pair`
+    (E0, psi and the factor that settled psi) to each derivative band.
 
+    x_a solves (H - E0) x_a = -Q dH_a psi on the complement of psi, with the
+    factor of H - s for a shift s just below E0.  A solve with it is off by
+    a relative (E0 - s) / gap, and each of _REFINEMENTS steps on the residual
+    multiplies that error by the same ratio.  Returns X X^T and the change
+    the last step made to it.
+    """
+    energy, vec, factor = pair
 
-def _shifted_points(point: tuple, labels, steps) -> list[tuple]:
-    """The point one step up, then one down, along each label in turn."""
-    out = []
-    for label in labels:
-        for sign in (+1, -1):
-            p = dict(zip(("alpha", "lambda", "j"), point))
-            p[label] += sign * steps[label]
-            out.append((p["alpha"], p["lambda"], p["j"]))
-    return out
+    def project(x):
+        return x - np.outer(x @ vec, vec)
 
-
-def _metric_matrix(vecs: np.ndarray, labels, steps, psi0) -> np.ndarray:
-    derivs = [(vecs[2 * i] - vecs[2 * i + 1]) / (2.0 * steps[label]) for i, label in enumerate(labels)]
-    k = len(labels)
-    g = np.empty((k, k))
-    for i in range(k):
-        for jdx in range(k):
-            conn_i = float(derivs[i] @ psi0)
-            conn_j = float(derivs[jdx] @ psi0)
-            g[i, jdx] = float(derivs[i] @ derivs[jdx]) - conn_i * conn_j
-    return g
+    rhs = -project(_band_matvec(derivs, vec))
+    x = project(_band_solve(factor, rhs))
+    for _ in range(_REFINEMENTS):
+        last = x
+        x = x + project(_band_solve(factor, rhs - project(_band_matvec(band, x) - energy * x)))
+    metric = x @ x.T
+    return metric, np.abs(metric - last @ last.T)
 
 
 def numeric_qim(
@@ -519,53 +502,40 @@ def numeric_qim(
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
 ) -> NumericQGT:
-    """Metric by central ground-state differences, with convergence estimates.
+    """Metric by linear response of the ground state, with convergence
+    estimates.
 
-    The reported value uses the halved step; the report carries a Richardson
-    error estimate from the step halving and the drift under basis doubling.
-    Only the central ground state at N runs a cold eigenvalue solve; the
-    states at N, the central one included, are then solved as one stack
-    warm-started from its vector, and the five at 2N as another, each from
-    its own state at N, zero-padded.  A float overflow or invalid value
+    H is built at N in the basis pinned at omega(alpha) and solved cold; the
+    factor that settles psi also solves (H - E0) x_a = -Q dH_a psi for each
+    label, and g = X X^T.  The report carries the change made by the last
+    refinement step and the drift under basis doubling: H is built again at
+    2N, solved warm from the N-basis ground state, zero-padded, and its
+    factor solves the response there.  A float overflow or invalid value
     anywhere in the numerics raises OverflowError.
     """
     _require_ground_state(alpha, lam, potential)
     try:
         with np.errstate(over="raise", invalid="raise"):
             config = config or OracleConfig()
-            # pin the basis at the central point; differencing must not rotate it
-            pinned = OracleConfig(config.basis_size, config.omega(alpha), config.fd_step)
-            steps = {label: config.step(label, alpha) for label in labels}
-            half = {label: 0.5 * h for label, h in steps.items()}
-            point = (alpha, lam, j)
-            k = 2 * len(labels)
-            points = [point] + _shifted_points(point, labels, steps) + _shifted_points(point, labels, half)
-            bands = np.stack([build_hamiltonian(*p, potential, pinned) for p in points])
-            _, start = _lowest_eigenpair(bands[0])  # the point's one cold eigenvalue solve
-            _check_tails(start)
-            vecs = _checked_ground_vectors(bands, start)
-            psi0 = vecs[0]
-            g_full = _metric_matrix(vecs[1 : k + 1], labels, steps, psi0)
-            g_half = _metric_matrix(vecs[k + 1 :], labels, half, psi0)
-            doubled = OracleConfig(2 * config.basis_size, pinned.reference_frequency, config.fd_step)
-            big = np.stack([build_hamiltonian(*p, potential, doubled) for p in [point] + points[k + 1 :]])
-            # each starts at its N-basis ground state, zero-padded: its tail weight is below 1e-10
-            small = vecs[[0, *range(k + 1, 2 * k + 1)]]
-            big_vecs = _checked_ground_vectors(big, np.concatenate([small, np.zeros_like(small)], axis=1))
-            g_big = _metric_matrix(big_vecs[1:], labels, half, big_vecs[0])
-            report: dict[tuple[str, str], dict[str, float]] = {}
-            for i, a in enumerate(labels):
-                for jdx, b in enumerate(labels):
-                    change = abs(g_full[i, jdx] - g_half[i, jdx])
-                    scale = max(abs(g_half[i, jdx]), 1e-8)
-                    if change / scale > 0.10:
-                        raise StepTooLarge(
-                            f"entry ({a},{b}) moved {change/scale:.1%} under step halving"
-                        )
-                    report[(a, b)] = {
-                        "fd_halving": change / 3.0,  # second-order central differences
-                        "basis_doubling": abs(g_half[i, jdx] - g_big[i, jdx]),
-                    }
-            return NumericQGT(tuple(labels), g_half, report)
+            omega = config.omega(alpha)
+            band = build_hamiltonian(alpha, lam, j, potential, OracleConfig(config.basis_size, omega))
+            energy, start = _lowest_eigenpair(band)  # the point's one cold eigenvalue solve
+            _check_tail(start)
+            pair = _settled_pair(band, energy, start)
+            metric, refinement = _response(band, pair, _derivative_bands(labels, potential, band, omega))
+            big = build_hamiltonian(alpha, lam, j, potential, OracleConfig(2 * config.basis_size, omega))
+            # the zero-padded guess is close: its tail weight is below 1e-10
+            big_pair = _ground_pair(big, np.concatenate([pair[1], np.zeros_like(pair[1])]))
+            _check_tail(big_pair[1])
+            big_metric, _ = _response(big, big_pair, _derivative_bands(labels, potential, big, omega))
+            report = {
+                (a, b): {
+                    "refinement": float(refinement[i, k]),
+                    "basis_doubling": float(abs(metric[i, k] - big_metric[i, k])),
+                }
+                for i, a in enumerate(labels)
+                for k, b in enumerate(labels)
+            }
+            return NumericQGT(tuple(labels), metric, report)
     except FloatingPointError as exc:
         raise OverflowError(f"the oracle overflows a float: {exc}") from exc

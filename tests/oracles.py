@@ -11,7 +11,9 @@ way, as numerator/vacuum ratios of interacting Green functions minus their
 graded product, with an all-m! canonical form, the connected integrand from
 every labelled Wick graph weighted by 1/m!, the spectral oracle's dense
 path: H from dense matrix products, solved by a dense symmetric eigensolver,
-a parser of the canonical series text, and the linear model's shifted
+and its metric as a sum over every excited state, the metric from
+finite differences of banded ground states with a step-halving guard, a
+parser of the canonical series text, and the linear model's shifted
 Gaussian with its metric from finite-difference overlap quadrature.
 """
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
-from unittest import mock
 
 import numpy as np
 from scipy import integrate, linalg
@@ -481,6 +482,13 @@ def diagram_to_dot(diagram: WickDiagram, name: str = "diagram") -> str:
 # -- dense spectral path ------------------------------------------------------
 
 
+def dense_position(n: int, omega: float) -> np.ndarray:
+    """q in the first n states of the oscillator of frequency omega:
+    q[n, n + 1] = sqrt((n + 1) / (2 omega))."""
+    off = np.sqrt(np.arange(1.0, n) / (2.0 * omega))
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
 def dense_hamiltonian(
     alpha: float,
     lam: float,
@@ -493,13 +501,8 @@ def dense_hamiltonian(
         raise ValueError("potential degree must be <= 8")
     n = config.basis_size
     omega = config.omega(alpha)
-    levels = np.arange(n)
-    h = np.diag(omega * (levels + 0.5))
-    # position operator: q[n, n+1] = sqrt((n+1) / (2 omega))
-    q = np.zeros((n, n))
-    off = np.sqrt((levels[:-1] + 1.0) / (2.0 * omega))
-    q[levels[:-1], levels[:-1] + 1] = off
-    q[levels[:-1] + 1, levels[:-1]] = off
+    h = np.diag(omega * (np.arange(n) + 0.5))
+    q = dense_position(n, omega)
     q2 = q @ q
     h = h + 0.5 * (alpha - omega**2) * q2 + j * q
     if potential is not None and lam != 0.0:
@@ -513,30 +516,103 @@ def dense_hamiltonian(
     return 0.5 * (h + h.T)
 
 
-def dense_ground_state(matrix: np.ndarray, guess=None) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry.
-
-    A warm-start guess is accepted and ignored: this path always solves cold.
-    A stack of matrices gives the energies and vectors of each, stacked, as
-    spectral_oracle.ground_state does for a stack of bands.
-    """
-    if matrix.ndim == 3:
-        pairs = [dense_ground_state(one) for one in matrix]
-        return np.array([e for e, _ in pairs]), np.stack([v for _, v in pairs])
+def dense_ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair, normalized, sign fixed by its largest-magnitude entry."""
     vals, vecs = linalg.eigh(matrix, subset_by_index=(0, 0))
     vec = vecs[:, 0]
     return float(vals[0]), gauge_fix(vec / np.linalg.norm(vec))
 
 
-def dense_numeric_qim(*args, **kwargs) -> NumericQGT:
-    """spectral_oracle.numeric_qim with every H built and solved densely."""
-    with mock.patch.multiple(
-        spectral_oracle,
-        build_hamiltonian=dense_hamiltonian,
-        ground_state=dense_ground_state,
-        _lowest_eigenpair=dense_ground_state,
-    ):
-        return spectral_oracle.numeric_qim(*args, **kwargs)
+def sum_over_states_qim(
+    alpha: float,
+    lam: float,
+    j: float,
+    potential: PolynomialPotential | None,
+    config: OracleConfig | None = None,
+    labels: tuple[str, ...] = ("alpha", "lambda"),
+) -> NumericQGT:
+    """The metric as a sum over every excited state of the dense H,
+
+        g_ab = sum_{n > 0} <0|dH_a|n><n|dH_b|0> / (E_n - E0)^2,
+
+    from scipy's full eigendecomposition, in the basis pinned at the point,
+    with dH_a built densely: q^2/2 for alpha, V(q) for lambda and q for J.
+    """
+    spectral_oracle._require_ground_state(alpha, lam, potential)
+    config = config or OracleConfig()
+    pinned = OracleConfig(config.basis_size, config.omega(alpha))
+    energies, states = linalg.eigh(dense_hamiltonian(alpha, lam, j, potential, pinned))
+    q = dense_position(pinned.basis_size, pinned.reference_frequency)
+    derivative = {"alpha": 0.5 * q @ q, "j": q, "lambda": np.zeros_like(q)}
+    for deg, c in potential.coefficients if potential is not None else ():
+        derivative["lambda"] = derivative["lambda"] + float(c) * np.linalg.matrix_power(q, deg)
+    elements = np.array([states[:, 1:].T @ derivative[a] @ states[:, 0] for a in labels])
+    elements /= energies[1:] - energies[0]
+    return NumericQGT(tuple(labels), elements @ elements.T, {})
+
+
+# -- finite-difference reference ----------------------------------------------
+
+
+class StepTooLarge(OracleFailure):
+    """Halving the finite-difference step moved an entry by more than 10%."""
+
+
+def fd_step(label: str, alpha: float) -> float:
+    """The default central-difference step along a parameter, scaled with
+    alpha as the parameter itself scales."""
+    return {"alpha": 1e-4 * alpha, "lambda": 1e-4 * alpha**1.5, "j": 1e-4 * alpha**0.75}[label]
+
+
+def finite_difference_qim(
+    alpha: float,
+    lam: float,
+    j: float,
+    potential: PolynomialPotential | None,
+    config: OracleConfig | None = None,
+    labels: tuple[str, ...] = ("alpha", "lambda"),
+    steps: dict[str, float] | None = None,
+) -> NumericQGT:
+    """The metric from central differences of banded ground states,
+
+        g_ab = <d_a psi | d_b psi> - <d_a psi | psi><psi | d_b psi>,
+
+    in the basis pinned at the point, each shifted state warm-started at the
+    point's own and sign-gauge-fixed.  `steps` replaces `fd_step`'s defaults
+    by label.  The metric uses the halved step; each entry's report carries
+    the Richardson estimate of its error, fd_halving = |g(h) - g(h/2)| / 3.
+    Raises StepTooLarge when halving moves an entry by more than 10%.
+    """
+    spectral_oracle._require_ground_state(alpha, lam, potential)
+    config = config or OracleConfig()
+    pinned = OracleConfig(config.basis_size, config.omega(alpha))
+    steps = {label: (steps or {}).get(label, fd_step(label, alpha)) for label in labels}
+
+    def state(guess=None, label=None, step=0.0):
+        point = {"alpha": alpha, "lambda": lam, "j": j}
+        if label is not None:
+            point[label] += step
+        band = spectral_oracle.build_hamiltonian(*point.values(), potential, pinned)
+        return spectral_oracle.ground_state(band, guess)[1]
+
+    psi0 = state()
+
+    def metric(scale: float) -> np.ndarray:
+        h = {a: scale * steps[a] for a in labels}
+        derivs = np.array([(state(psi0, a, h[a]) - state(psi0, a, -h[a])) / (2.0 * h[a]) for a in labels])
+        conn = derivs @ psi0
+        return derivs @ derivs.T - np.outer(conn, conn)
+
+    full, half = metric(1.0), metric(0.5)
+    report = {}
+    for i, a in enumerate(labels):
+        for k, b in enumerate(labels):
+            change = abs(full[i, k] - half[i, k])
+            moved = change / max(abs(half[i, k]), 1e-8)
+            if moved > 0.10:
+                raise StepTooLarge(f"entry ({a},{b}) moved {moved:.1%} under step halving")
+            report[(a, b)] = {"fd_halving": change / 3.0}  # second-order central differences
+    return NumericQGT(tuple(labels), half, report)
 
 
 def fidelity_qim(
@@ -551,16 +627,12 @@ def fidelity_qim(
 
     Diagonal entries come directly from the fidelity drop along one parameter;
     off-diagonal entries via the polarization identity along the combined
-    displacement.  Cross-validates the derivative-based estimator, on the
-    dense path.
+    displacement, each with `fd_step`'s steps.  Cross-validates the
+    response estimator, on the dense path.
     """
     spectral_oracle._require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
-    pinned = OracleConfig(
-        basis_size=config.basis_size,
-        reference_frequency=config.omega(alpha),
-        fd_step=config.fd_step,
-    )
+    pinned = OracleConfig(config.basis_size, config.omega(alpha))
     point = {"alpha": alpha, "lambda": lam, "j": j}
 
     def vec_at(displacement: dict[str, float]) -> np.ndarray:
@@ -576,7 +648,7 @@ def fidelity_qim(
         fidelity = abs(float(plus @ minus))
         return 2.0 * (1.0 - fidelity)
 
-    steps = {label: config.step(label, alpha) for label in labels}
+    steps = {label: fd_step(label, alpha) for label in labels}
     k = len(labels)
     g = np.empty((k, k))
     chi = {a: susceptibility({a: steps[a]}) for a in labels}

@@ -245,12 +245,14 @@ class TestExitCodes:
              "the monomial:6 model has no parameter j"),
             (["sweep", "--model", "linear", "--lambdas", "0.3"],
              "the linear model has no parameter lambda"),
-            (["sweep", "--fd-step", "0"], "fd-step must be finite and > 0"),
-            (["sweep", "--fd-step=-1e-4"], "fd-step must be finite and > 0"),
-            (["sweep", "--fd-step", "nan"], "fd-step must be finite and > 0"),
-            (["sweep", "--fd-step", "inf"], "fd-step must be finite and > 0"),
+            # the oracle takes no finite-difference step: each spelling is one
+            # unrecognized option, its value included
+            (["sweep", "--fd-step", "0"], "unrecognized arguments: --fd-step 0"),
+            (["sweep", "--fd-step=-1e-4"], "unrecognized arguments: --fd-step=-1e-4"),
+            (["sweep", "--fd-step", "nan"], "unrecognized arguments: --fd-step nan"),
+            (["sweep", "--fd-step", "inf"], "unrecognized arguments: --fd-step inf"),
+            (["sweep", "--fd-step", "-1e-4"], "unrecognized arguments: --fd-step -1e-4"),
             # exponent form, which argparse alone would read as an option
-            (["sweep", "--fd-step", "-1e-4"], "fd-step must be finite and > 0"),
             (["sweep", "--alphas", "-1e-3"], "alpha must be > 0"),
             # a parse error names the option; an empty entry is an error
             (["sweep", "--alphas", "abc"], "--alphas must be comma-separated numbers, not 'abc'"),
@@ -298,10 +300,21 @@ class TestExitCodes:
         assert err == f"invalid configuration: the series overflows a float at {point}\n"
 
     def test_oracle_float_overflow_names_the_point(self, capsys):
-        code, out, err = run(["sweep", "--alphas", "1e300", "--lambdas", "0.01"], capsys)
+        code, out, err = run(["sweep", "--alphas", "1e-300", "--lambdas", "0.01"], capsys)
         assert code == cli.EXIT_BAD_CONFIG
         assert out == ""
-        assert err == "invalid configuration: the oracle overflows a float at alpha=1e+300, lambda=0.01, j=0.0\n"
+        assert err == "invalid configuration: the oracle overflows a float at alpha=1e-300, lambda=0.01, j=0.0\n"
+
+    def test_huge_alpha_underflows_like_the_series(self, capsys):
+        # g ~ a^-2 / 32 is below the float range at alpha = 1e300: both routes read 0
+        import csv
+        import io
+
+        code, out, err = run(["sweep", "--alphas", "1e300", "--lambdas", "0.01"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        assert all(float(row["series_value"]) == float(row["oracle_value"]) == 0.0 for row in rows)
 
     def test_oracle_float_overflow_prints_one_line(self):
         # numpy would warn on stderr before the solver gave up; no warning may precede the error

@@ -5,7 +5,14 @@ import pytest
 import scipy.linalg
 
 from oscqgt import spectral_oracle
-from oracles import dense_ground_state, dense_hamiltonian, dense_numeric_qim, fidelity_qim
+from oracles import (
+    StepTooLarge,
+    dense_ground_state,
+    dense_hamiltonian,
+    fidelity_qim,
+    finite_difference_qim,
+    sum_over_states_qim,
+)
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import ParameterSpace, qgt_component
@@ -14,7 +21,6 @@ from oscqgt.spectral_oracle import (
     NoConvergence,
     NoGroundState,
     OracleConfig,
-    StepTooLarge,
     build_hamiltonian,
     gauge_fix,
     ground_state,
@@ -25,6 +31,13 @@ V4 = PolynomialPotential.monomial(4)
 V6 = PolynomialPotential.monomial(6)
 MIXED = PolynomialPotential.from_dict({1: F(-1, 3), 3: F(1, 2), 4: F(1, 24)})
 CFG = OracleConfig()
+DENSE_CASES = [
+    (0.7, 0.03, 0.0, V4, ("alpha", "lambda")),
+    (1.6, 0.01, 0.0, V4, ("alpha", "lambda")),
+    (1.0, 0.05, 0.0, V6, ("alpha", "lambda")),
+    (1.0, 0.0, 0.5, None, ("alpha", "j")),
+    (1.2, 0.04, 0.3, MIXED, ("alpha", "j")),
+]
 
 
 class TestHamiltonian:
@@ -110,8 +123,8 @@ class TestGroundState:
         "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
     )
     def test_matches_dense_eigensolver_on_oracle_hamiltonians(self, lam, potential, n):
-        # the iteration must run to the rounding floor: finite differences
-        # divide vector errors by steps of ~1e-4
+        # the iteration must run to the rounding floor: the finite-difference
+        # reference divides vector errors by steps of ~1e-4
         cfg = OracleConfig(basis_size=n)
         band = build_hamiltonian(1.0, lam, 0.1, potential, cfg)
         energy, vec = ground_state(band)
@@ -124,7 +137,7 @@ class TestGroundState:
         "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
     )
     def test_warm_start_matches_cold(self, lam, potential, n, monkeypatch):
-        # the guess is the ground state one finite-difference step away
+        # the guess is the ground state at a nearby coupling
         cfg = OracleConfig(basis_size=n)
         band = build_hamiltonian(1.0, lam, 0.1, potential, cfg)
         cold_energy, cold_vec = ground_state(band)
@@ -180,32 +193,6 @@ class TestGroundState:
         assert spectral_oracle._lowest_eigenpair(band)[0] == pytest.approx(
             lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max()
         )
-
-    def test_stack_matches_one_at_a_time(self, monkeypatch):
-        cfg = OracleConfig(basis_size=128)
-        bands = np.stack([build_hamiltonian(1.0, lam, 0.1, V4, cfg) for lam in (0.05, 0.1, 0.2)])
-        singles = [ground_state(band) for band in bands]
-        guess = singles[1][1]
-        calls = count_eigenvalue_solves(monkeypatch)
-        energies, vecs = ground_state(bands, guess)
-        assert calls == []  # every band settled warm
-        for (energy, vec), e, v in zip(singles, energies, vecs):
-            assert e == pytest.approx(energy, rel=1e-12)
-            assert np.abs(v - vec).max() <= 1e-10
-
-    def test_stack_member_with_an_excited_guess_runs_cold(self, monkeypatch):
-        # one guess per band; the second one's warm shift lies above its E0,
-        # so the stack falls back to one band at a time and that band runs cold
-        cfg = OracleConfig(basis_size=64)
-        bands = np.stack([build_hamiltonian(1.0, 0.1, 0.1, V4, cfg)] * 2)
-        cold_energy, cold_vec = ground_state(bands[0])
-        _, excited = scipy.linalg.eigh(dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg))
-        calls = count_eigenvalue_solves(monkeypatch)
-        energies, vecs = ground_state(bands, np.stack([cold_vec, excited[:, 2]]))
-        assert len(calls) == 1
-        assert energies[1] == cold_energy
-        assert np.array_equal(vecs[1], cold_vec)
-        assert energies[0] == pytest.approx(cold_energy, rel=1e-12)
 
     def test_near_degenerate_ground_state_raises_no_convergence(self):
         with pytest.raises(NoConvergence, match="still moving"):
@@ -290,16 +277,18 @@ class TestBandSolve:
 
     @pytest.mark.parametrize("b", [1, 4, 8])
     def test_stack_matches_one_at_a_time(self, b):
-        # each band of a stack is factored with its own shift
+        # a stack of right-hand sides, one per response label, with one factor
         n = 100
-        bands = np.stack([random_spd_band(b, n, seed=s) for s in range(3)])
-        shifts = np.array([-0.5, 0.0, 0.5])
+        band = random_spd_band(b, n, seed=b)
         rhs = np.random.default_rng(b).normal(size=(3, n))
-        got = self.solve(bands, shifts, rhs)
-        for band, shift, r, x in zip(bands, shifts, rhs, got):
-            expected = lapack_solve(band, shift, r)
-            assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
-            assert np.array_equal(x, self.solve(band, shift, r))
+        factor = spectral_oracle._band_cholesky(band, -0.5)
+        got = spectral_oracle._band_solve(factor, rhs)
+        for r, x in zip(rhs, got):
+            expected = lapack_solve(band, -0.5, r)
+            scale = np.abs(expected).max()
+            assert np.abs(x - expected).max() <= 1e-13 * scale
+            # not bit-equal: numpy multiplies a matrix and a vector by different paths
+            assert np.abs(x - spectral_oracle._band_solve(factor, r)).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize(
         "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
@@ -329,8 +318,40 @@ class TestNumericQim:
     def test_convergence_report_entries(self):
         r = numeric_qim(1.0, 0.0, 0.0, V4, CFG)
         for key, entry in r.convergence_report.items():
-            assert entry["fd_halving"] < 1e-7
+            assert set(entry) == {"refinement", "basis_doubling"}
+            assert entry["refinement"] < 1e-14
             assert entry["basis_doubling"] < 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_free_quartic_closed_forms_to_rounding(self, alpha):
+        # g = a^-2/32, a^-5/2/128 and 13 a^-3/6144 at lambda = 0
+        r = numeric_qim(alpha, 0.0, 0.0, V4, CFG)
+        assert r.entry("alpha", "alpha") == pytest.approx(alpha**-2 / 32, rel=1e-12, abs=0)
+        assert r.entry("alpha", "lambda") == pytest.approx(alpha**-2.5 / 128, rel=1e-12, abs=0)
+        assert r.entry("lambda", "lambda") == pytest.approx(13 * alpha**-3 / 6144, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("j", [0.0, 0.5])
+    def test_linear_closed_form_to_rounding(self, alpha, j):
+        r = numeric_qim(alpha, 0.0, j, None, CFG, labels=("alpha", "j"))
+        exact = exact_linear_qgt(alpha, j)
+        scale = max(abs(value) for value in exact.values())
+        for (a, b), value in exact.items():
+            assert abs(r.entry(a, b) - value) <= 1e-12 * max(abs(value), 1e-3 * scale), (a, b)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_two_hamiltonian_builds_per_call(self, n, monkeypatch):
+        sizes = []
+        real = spectral_oracle.build_hamiltonian
+
+        def counted(*args, **kwargs):
+            band = real(*args, **kwargs)
+            sizes.append(band.shape[1])
+            return band
+
+        monkeypatch.setattr(spectral_oracle, "build_hamiltonian", counted)
+        numeric_qim(1.0, 0.05, 0.0, V4, OracleConfig(basis_size=n))
+        assert sizes == [n, 2 * n]
 
     def test_sourced_linear_model(self):
         r = numeric_qim(1.0, 0.0, 0.5, None, CFG, labels=("alpha", "j"))
@@ -348,11 +369,6 @@ class TestNumericQim:
         assert len(calls) == 1
         assert calls[0][1] == CFG.basis_size
 
-    def test_step_too_large_detected(self):
-        rough = OracleConfig(fd_step={"alpha": 0.6, "lambda": 1e-4, "j": 1e-4})
-        with pytest.raises(StepTooLarge):
-            numeric_qim(1.0, 0.0, 0.0, V4, rough)
-
     def test_float_overflow_raises_overflow_error(self):
         # numpy overflows inside the solver here, which would otherwise only warn
         with pytest.raises(OverflowError):
@@ -363,25 +379,12 @@ class TestNumericQim:
         with pytest.raises(BasisTooSmall):
             numeric_qim(1.0, 0.3, 2.5, V4, tiny)
 
-    @pytest.mark.parametrize(
-        "alpha,lam,j,potential,labels",
-        [
-            (0.7, 0.03, 0.0, V4, ("alpha", "lambda")),
-            (1.6, 0.01, 0.0, V4, ("alpha", "lambda")),
-            (1.0, 0.05, 0.0, V6, ("alpha", "lambda")),
-            (1.0, 0.0, 0.5, None, ("alpha", "j")),
-            (1.2, 0.04, 0.3, MIXED, ("alpha", "j")),
-        ],
-    )
+    @pytest.mark.parametrize("alpha,lam,j,potential,labels", DENSE_CASES)
     def test_matches_dense_path(self, alpha, lam, j, potential, labels):
         band = numeric_qim(alpha, lam, j, potential, CFG, labels=labels)
-        dense = dense_numeric_qim(alpha, lam, j, potential, CFG, labels=labels)
+        dense = sum_over_states_qim(alpha, lam, j, potential, CFG, labels=labels)
         scale = np.abs(dense.metric).max()
         assert np.abs(band.metric - dense.metric).max() <= 1e-10 * scale
-        for key, entry in dense.convergence_report.items():
-            assert band.convergence_report[key]["fd_halving"] == pytest.approx(
-                entry["fd_halving"], rel=1e-2, abs=1e-13
-            )
 
     def test_negative_leading_term_is_rejected(self):
         upside_down = PolynomialPotential.from_dict({2: F(1, 2), 4: F(-1, 24)})
@@ -410,6 +413,30 @@ class TestNumericQim:
             1.0, 0.05, 0.0, V4, OracleConfig(reference_frequency=1.3)
         )
         assert np.allclose(base.metric, skew.metric, atol=1e-8)
+
+
+class TestFiniteDifferenceReference:
+    @pytest.mark.parametrize("alpha,lam,j,potential,labels", DENSE_CASES)
+    def test_agrees_with_the_response_within_its_halving_estimate(self, alpha, lam, j, potential, labels):
+        response = numeric_qim(alpha, lam, j, potential, CFG, labels=labels)
+        fd = finite_difference_qim(alpha, lam, j, potential, CFG, labels=labels)
+        for i, a in enumerate(labels):
+            for k, b in enumerate(labels):
+                bound = 2.0 * fd.convergence_report[(a, b)]["fd_halving"] + 1e-13
+                assert abs(fd.metric[i, k] - response.metric[i, k]) <= bound, (a, b)
+
+    def test_step_too_large_detected(self):
+        with pytest.raises(StepTooLarge):
+            finite_difference_qim(1.0, 0.0, 0.0, V4, CFG, steps={"alpha": 0.6})
+
+
+class TestStrongCoupling:
+    @pytest.mark.parametrize("lam", [16 / 35, 0.5, 1.0, 10.0])
+    def test_determinant_stays_positive(self, lam):
+        # the order-1 series' det vanishes at lambda = 16/35 a^3/2; the oracle's does not
+        dets = [np.linalg.det(numeric_qim(1.0, lam, 0.0, V4, OracleConfig(n)).metric) for n in (256, 512)]
+        assert dets[0] > 0
+        assert dets[0] == pytest.approx(dets[1], rel=1e-12, abs=0)
 
 
 class TestAgreementScaling:

@@ -135,7 +135,7 @@ class TestDefaults:
 
     def test_oracle_config(self):
         cfg = OracleConfig()
-        assert (cfg.basis_size, cfg.reference_frequency, cfg.fd_step) == (128, None, {})
+        assert (cfg.basis_size, cfg.reference_frequency) == (128, None)
 
 
 class TestCoercion:
@@ -194,36 +194,29 @@ class TestValidation:
 
 class TestOracleRecords:
     def test_oracle_config_construction(self):
-        steps = {"alpha": 1e-3}
-        positional = OracleConfig(64, 1.3, steps)
-        keyword = OracleConfig(basis_size=64, reference_frequency=1.3, fd_step=steps)
+        positional = OracleConfig(64, 1.3)
+        keyword = OracleConfig(basis_size=64, reference_frequency=1.3)
         for cfg in (positional, keyword):
-            assert (cfg.basis_size, cfg.reference_frequency, cfg.fd_step) == (64, 1.3, steps)
+            assert (cfg.basis_size, cfg.reference_frequency) == (64, 1.3)
             assert cfg.omega(4.0) == 1.3
-            assert cfg.step("alpha", 4.0) == 1e-3
-            assert cfg.step("lambda", 4.0) == pytest.approx(8e-4)
         assert OracleConfig().omega(4.0) == 2.0
-
-    def test_oracle_configs_do_not_share_fd_step(self):
-        first, second = OracleConfig(), OracleConfig()
-        first.fd_step["alpha"] = 0.5
-        assert second.fd_step == {}
-        assert OracleConfig().fd_step == {}
+        with pytest.raises(TypeError):
+            OracleConfig(64, 1.3, {"alpha": 1e-3})
 
     def test_oracle_config_copy_and_pickle(self):
-        cfg = OracleConfig(64, 1.3, {"alpha": 1e-3})
+        cfg = OracleConfig(64, 1.3)
         for clone in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-            assert (clone.basis_size, clone.reference_frequency, clone.fd_step) == (64, 1.3, {"alpha": 1e-3})
-            assert clone.fd_step is not cfg.fd_step
+            assert (clone.basis_size, clone.reference_frequency) == (64, 1.3)
+            assert clone is not cfg
 
     def test_oracle_config_is_mutable(self):
         cfg = OracleConfig()
-        cfg.fd_step = {"alpha": 0.25}
-        assert cfg.step("alpha", 1.0) == 0.25
+        cfg.reference_frequency = 0.25
+        assert cfg.omega(4.0) == 0.25
 
     def test_numeric_qgt_construction(self):
         metric = np.array([[1.0, 2.0], [2.0, 3.0]])
-        report = {("alpha", "alpha"): {"fd_halving": 0.0, "basis_doubling": 0.0}}
+        report = {("alpha", "alpha"): {"refinement": 0.0, "basis_doubling": 0.0}}
         positional = NumericQGT(("alpha", "lambda"), metric, report)
         keyword = NumericQGT(labels=("alpha", "lambda"), metric=metric, convergence_report=report)
         for result in (positional, keyword):
