@@ -247,8 +247,10 @@ class TestExitCodes:
              "the linear model has no parameter lambda"),
             # the oracle takes no finite-difference step: each spelling is one
             # unrecognized option, its value included
-            (["sweep", "--fd-step", "0"], "unrecognized arguments: --fd-step 0"),
-            (["sweep", "--fd-step=-1e-4"], "unrecognized arguments: --fd-step=-1e-4"),
+            pytest.param(["sweep", "--fd-step", "0"], "unrecognized arguments: --fd-step 0",
+                         id="argv8-fd-step 0 rejected"),
+            pytest.param(["sweep", "--fd-step=-1e-4"], "unrecognized arguments: --fd-step=-1e-4",
+                         id="argv9-fd-step=-1e-4 rejected"),
             (["sweep", "--fd-step", "nan"], "unrecognized arguments: --fd-step nan"),
             (["sweep", "--fd-step", "inf"], "unrecognized arguments: --fd-step inf"),
             (["sweep", "--fd-step", "-1e-4"], "unrecognized arguments: --fd-step -1e-4"),
