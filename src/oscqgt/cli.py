@@ -131,11 +131,14 @@ def series_records(series: ScalarSeries) -> list[dict]:
 
 
 def _evaluate(series: ScalarSeries, alpha: float, lam: float, j: float) -> float:
-    """The series at a point; a value beyond the float range is an invalid configuration."""
+    """The series at a point; a value beyond the float range, or one that
+    underflows to 0, is an invalid configuration."""
     try:
         return series.evaluate(alpha, lam, j)
     except OverflowError:
         raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
+    except FloatingPointError:
+        raise ValueError(f"the series underflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
 
 
 def _series_block(series: ScalarSeries, params: dict | None) -> dict:

@@ -201,9 +201,19 @@ class ScalarSeries(Frozen):
         return ScalarSeries(tuple(t for t in self.terms if t.lambda_pow <= max_pow))
 
     def evaluate(self, alpha: float, lam: float = 0.0, j: float = 0.0) -> float:
+        """The sum at a point.  Raises OverflowError when finite arguments give
+        a value beyond the float range, and FloatingPointError when the sum is
+        0 only because a term with no zero factor underflowed."""
         if alpha <= 0:
             raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-        return _finite(sum(t.evaluate(alpha, lam, j) for t in self.terms), alpha, lam, j)
+        values = [t.evaluate(alpha, lam, j) for t in self.terms]
+        total = _finite(sum(values), alpha, lam, j)
+        if total == 0.0 and any(
+            v == 0.0 and t.coeff and (lam or not t.lambda_pow) and (j or not t.j_pow)
+            for t, v in zip(self.terms, values)
+        ):
+            raise FloatingPointError(f"the value at alpha={alpha!r}, lambda={lam!r}, j={j!r} underflows a float")
+        return total
 
     # -- canonical text form ------------------------------------------------
     #

@@ -13,12 +13,13 @@ pinned at the point, each dH/da is a fixed band: q^2/2 for alpha, V(q) for
 lambda and q for J.  q is tridiagonal, so H is built in lower band storage
 (band[d, c] = H[c + d, c]), and a shifted system is factored by a block
 cyclic-reduction Cholesky factorisation in numpy.  Each point builds H at N
-and at 2N and runs one cold eigenvalue solve, at N.  At each size one factor,
-shifted just below E0, settles the ground state by inverse iteration and
-solves the response, refined on the complement of psi; the 2N ground state
-starts from the N one, zero-padded, and the drift between the two sizes is
-reported per entry.  Everything here is real symmetric, so this oracle is
-blind to Berry curvature, consistent with the models in scope.
+and at 2N and solves each for its ground state by shifted inverse iteration,
+at N from the ground state of a small leading block and at 2N from the N one,
+zero-padded.  The factor of the round that settled psi, shifted just below
+E0, also solves the response, refined on the complement of psi, and the
+drift between the two sizes is reported per entry.  Everything here is real
+symmetric, so this oracle is blind to Berry curvature, consistent with the
+models in scope.
 """
 
 from __future__ import annotations
@@ -37,23 +38,21 @@ __all__ = [
     "NoConvergence",
     "NoGroundState",
     "build_hamiltonian",
-    "gauge_fix",
-    "ground_state",
     "numeric_qim",
 ]
 
-# Cold inverse iteration runs on H - E0 + margin * |H|: far above E0's rounding
-# error, so positive definite, yet each step shrinks excited components by
-# ~margin * |H| / gap.  A warm start shifts by the same margin below its guess's
-# residual interval.  It ends when a step moves the unit vector by < _STEP_TOL.
+# Inverse iteration shifts by margin * |H| below the vector's residual interval:
+# once the vector is close, that is far above E0's rounding error, so positive
+# definite, yet each step shrinks excited components by ~margin * |H| / gap.
+# A round ends when a step moves the unit vector by < _STEP_TOL.
 _SHIFT_MARGIN = 1e-10
 _STEP_TOL = 1e-12
-_MAX_STEPS = 8
+_ROUND_STEPS = 3  # inverse-iteration steps per shift
 _RESIDUAL_TOL = 1e-13  # bound on |(H - E0) psi| / |H|
 _BLOCK = 4  # least rows per diagonal block of the cyclic-reduction factor
-_MAX_ROUNDS = 64  # shifts tried by a cold eigenvalue solve
+_MAX_ROUNDS = 64  # shifts tried by one ground-state solve
 _DENSE = 16  # rows left to a dense factorisation after cyclic reduction
-_LEADING = 32  # rows of the block whose ground state starts a cold solve
+_LEADING = 32  # rows of the block whose ground state starts a solve given no start
 _REFINEMENTS = 2  # residual steps after each response solve
 
 
@@ -192,13 +191,6 @@ def _band_matvec(band: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Fix the overall sign so the largest-magnitude entry is positive."""
-    if vec[int(np.argmax(np.abs(vec)))] < 0:
-        return -vec
-    return vec
-
-
 @lru_cache(maxsize=16)
 def _block_layout(n: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a band's blocks come from.
@@ -297,49 +289,38 @@ def _band_solve(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     return x[..., :n]
 
 
-def _inverse_iteration(factor, vec: np.ndarray, steps: int = _MAX_STEPS) -> tuple[np.ndarray, float]:
-    """Iterate from vec with the factor of band - shift until a step moves
-    the unit vector by at most _STEP_TOL.  Returns the vector and its last
-    step."""
-    vec = vec / np.linalg.norm(vec)
-    moved = np.inf
-    for _ in range(steps):
-        nxt = _band_solve(factor, vec)
-        nxt /= np.linalg.norm(nxt)
-        moved = float(np.linalg.norm(nxt - vec))
-        vec = nxt
-        if moved <= _STEP_TOL:
-            break
-    return vec, moved
+def _ground_pair(band: np.ndarray, start: np.ndarray | None = None) -> tuple[float, np.ndarray, tuple]:
+    """Smallest eigenpair (E0, psi) of a symmetric band matrix in lower
+    storage, and the factor of band - shift that settled psi.
 
-
-def _lowest_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a symmetric band matrix in lower storage, and a
-    unit vector that inverse iteration has settled on.
-
-    The iteration starts at the lowest eigenvector of the leading
-    _LEADING x _LEADING block, solved densely, and runs in rounds of three
-    steps, each at the shift rho - r - margin * |H| for the vector's Rayleigh
-    quotient rho and residual r.  A shift is used only if its Cholesky
-    factorisation succeeds, which places it below the whole spectrum;
-    otherwise the next try is halfway down to the highest shift known to lie
-    below it, starting from the Gershgorin bound.  The energy is the
-    Rayleigh quotient once a step moves the vector by at most _STEP_TOL and
-    no failed shift lies below it: an upper bound on E0, which a
-    factorisation at E0 - margin * |H| shows to be within the margin.  Costs
-    O(N b^2) per factorisation, like the solves.
+    Inverse iteration starts at `start`, or at the lowest eigenvector of the
+    leading _LEADING x _LEADING block, solved densely, and runs in rounds of
+    up to _ROUND_STEPS steps, each at the shift rho - r - margin * |H| for
+    the vector's Rayleigh quotient rho and residual r.  A shift is used only
+    if its Cholesky factorisation succeeds, which places it below the whole
+    spectrum; otherwise the next try is halfway down to the highest shift
+    known to lie below it, starting from the Gershgorin bound.  The pair is
+    the vector and its Rayleigh quotient, an upper bound on E0, once a round
+    began within (margin + _RESIDUAL_TOL) * |H| above its shift, settled the
+    vector (a step moved it by at most _STEP_TOL), lies below every failed
+    shift and meets the residual bound.  A settled vector above a failed
+    shift had no weight on a lower state, so every basis state is mixed in.
+    Costs O(N b^2) per round.  Raises NoConvergence when no round qualifies
+    within _MAX_ROUNDS.
     """
     b, n = band.shape[0] - 1, band.shape[1]
     scale = float(np.abs(band).max())
-    k = min(n, _LEADING)
-    leading = np.zeros((k, k))  # the lower triangle, which is all np.linalg.eigh reads
-    for d in range(min(b, k - 1) + 1):
-        leading[np.arange(d, k), np.arange(k - d)] = band[d, : k - d]
-    vec = np.zeros(n)
-    try:
-        vec[:k] = np.linalg.eigh(leading)[1][:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    if start is None:
+        k = min(n, _LEADING)
+        leading = np.zeros((k, k))  # the lower triangle, which is all np.linalg.eigh reads
+        for d in range(min(b, k - 1) + 1):
+            leading[np.arange(d, k), np.arange(k - d)] = band[d, : k - d]
+        start = np.zeros(n)
+        try:
+            start[:k] = np.linalg.eigh(leading)[1][:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+    vec = start / np.linalg.norm(start)
     below, above = None, np.inf  # shifts below the spectrum, and one found not to be
     for _ in range(_MAX_ROUNDS):
         image = _band_matvec(band, vec)
@@ -357,16 +338,26 @@ def _lowest_eigenpair(band: np.ndarray) -> tuple[float, np.ndarray]:
             above = shift
             continue
         below = shift
-        vec, moved = _inverse_iteration(factor, vec, steps=3)
-        if moved <= _STEP_TOL:
-            energy = float(vec @ _band_matvec(band, vec))
-            if energy < above:
-                return energy, vec
-            # a failed shift puts an eigenvalue below this one: the start had
-            # no weight on it, so mix in every basis state
+        for _ in range(_ROUND_STEPS):
+            nxt = _band_solve(factor, vec)
+            nxt /= np.linalg.norm(nxt)
+            moved = float(np.linalg.norm(nxt - vec))
+            vec = nxt
+            if moved <= _STEP_TOL:
+                break
+        else:
+            continue  # not settled yet
+        image = _band_matvec(band, vec)
+        energy = float(vec @ image)
+        if energy >= above:
             vec = vec + 1.0 / np.sqrt(n)
             vec /= np.linalg.norm(vec)
-    raise NoConvergence(f"no shift below the spectrum settled in {_MAX_ROUNDS} rounds")
+        elif (
+            rho - shift <= (_SHIFT_MARGIN + _RESIDUAL_TOL) * scale
+            and np.linalg.norm(image - energy * vec) <= _RESIDUAL_TOL * scale
+        ):
+            return energy, vec, factor
+    raise NoConvergence(f"inverse iteration settled on no ground state in {_MAX_ROUNDS} rounds")
 
 
 def _gershgorin_floor(band: np.ndarray) -> float:
@@ -379,74 +370,6 @@ def _gershgorin_floor(band: np.ndarray) -> float:
         radius[d:] += off
         radius[: n - d] += off
     return float(np.min(band[0] - radius))
-
-
-def _settled_pair(band: np.ndarray, energy: float, start: np.ndarray) -> tuple[float, np.ndarray, tuple]:
-    """E0 and psi by inverse iteration from start with the factor of
-    band - (E0 - margin * |H|), which is returned too: positive definite
-    even when H is exactly diagonal."""
-    scale = float(np.abs(band).max())
-    try:
-        factor = _band_cholesky(band, energy - _SHIFT_MARGIN * scale)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    vec, moved = _inverse_iteration(factor, start)
-    if moved > _STEP_TOL:
-        raise NoConvergence(f"inverse iteration still moving by {moved:.1e} after {_MAX_STEPS} steps")
-    residual = float(np.linalg.norm(_band_matvec(band, vec) - energy * vec))
-    if residual > _RESIDUAL_TOL * scale:
-        raise NoConvergence(f"residual |(H - E0) psi| = {residual:.2e} for |H| = {scale:.2e}")
-    return energy, gauge_fix(vec), factor
-
-
-def _warm_pair(band: np.ndarray, guess: np.ndarray) -> tuple[float, np.ndarray, tuple] | None:
-    """Like _settled_pair, by inverse iteration from the guess shifted to
-    rho - r - margin * |H| for its Rayleigh quotient rho and residual r;
-    None where the solve must run cold."""
-    scale = float(np.abs(band).max())
-    guess = guess / np.linalg.norm(guess)
-    image = _band_matvec(band, guess)
-    rho = float(guess @ image)
-    shift = rho - float(np.linalg.norm(image - rho * guess)) - _SHIFT_MARGIN * scale
-    try:
-        factor = _band_cholesky(band, shift)
-    except np.linalg.LinAlgError:
-        return None
-    vec, moved = _inverse_iteration(factor, guess)
-    image = _band_matvec(band, vec)
-    energy = float(vec @ image)
-    if moved > _STEP_TOL or np.linalg.norm(image - energy * vec) > _RESIDUAL_TOL * scale:
-        return None
-    return energy, gauge_fix(vec), factor
-
-
-def _ground_pair(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray, tuple]:
-    """ground_state's eigenpair and the factor that settled it."""
-    pair = None if guess is None else _warm_pair(band, guess)
-    if pair is None:
-        energy, _ = _lowest_eigenpair(band)
-        pair = _settled_pair(band, energy, np.ones(band.shape[1]))
-    return pair
-
-
-def ground_state(band: np.ndarray, guess: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a symmetric band matrix in lower storage.
-
-    Cold, E0 comes from _lowest_eigenpair and the vector from inverse
-    iteration from a vector of ones, shifted just below E0 (positive definite
-    even when H is exactly diagonal).  Warm, inverse iteration starts at the
-    guess, shifted to rho - r - margin * |H| for the guess's Rayleigh
-    quotient rho and residual r, and E0 is the converged vector's Rayleigh
-    quotient.  A shift whose Cholesky factorisation succeeds lies below the
-    whole spectrum, so the warm iteration cannot settle on an excited state;
-    if it fails, does not settle or misses the residual bound, the solve
-    runs cold.  The vector is normalized with its largest-magnitude entry
-    positive.  Raises NoConvergence when a cold solve finds no shift below
-    the spectrum, the iteration does not settle, or |(H - E0) psi| exceeds
-    the residual bound.
-    """
-    energy, vec, _ = _ground_pair(band, guess)
-    return energy, vec
 
 
 def _check_tail(vec: np.ndarray) -> None:
@@ -505,12 +428,12 @@ def numeric_qim(
     """Metric by linear response of the ground state, with convergence
     estimates.
 
-    H is built at N in the basis pinned at omega(alpha) and solved cold; the
-    factor that settles psi also solves (H - E0) x_a = -Q dH_a psi for each
-    label, and g = X X^T.  The report carries the change made by the last
-    refinement step and the drift under basis doubling: H is built again at
-    2N, solved warm from the N-basis ground state, zero-padded, and its
-    factor solves the response there.  A float overflow or invalid value
+    H is built at N in the basis pinned at omega(alpha) and solved for its
+    ground state; the factor that settled psi also solves
+    (H - E0) x_a = -Q dH_a psi for each label, and g = X X^T.  The report
+    carries the change made by the last refinement step and the drift under
+    basis doubling: H is built again at 2N, solved from the N-basis ground
+    state, zero-padded, and its factor solves the response there.  A float overflow or invalid value
     anywhere in the numerics raises OverflowError.
     """
     _require_ground_state(alpha, lam, potential)
@@ -519,12 +442,11 @@ def numeric_qim(
             config = config or OracleConfig()
             omega = config.omega(alpha)
             band = build_hamiltonian(alpha, lam, j, potential, OracleConfig(config.basis_size, omega))
-            energy, start = _lowest_eigenpair(band)  # the point's one cold eigenvalue solve
-            _check_tail(start)
-            pair = _settled_pair(band, energy, start)
+            pair = _ground_pair(band)
+            _check_tail(pair[1])
             metric, refinement = _response(band, pair, _derivative_bands(labels, potential, band, omega))
             big = build_hamiltonian(alpha, lam, j, potential, OracleConfig(2 * config.basis_size, omega))
-            # the zero-padded guess is close: its tail weight is below 1e-10
+            # the zero-padded start is close: its tail weight is below 1e-10
             big_pair = _ground_pair(big, np.concatenate([pair[1], np.zeros_like(pair[1])]))
             _check_tail(big_pair[1])
             big_metric, _ = _response(big, big_pair, _derivative_bands(labels, potential, big, omega))

@@ -307,16 +307,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid configuration: the oracle overflows a float at alpha=1e-300, lambda=0.01, j=0.0\n"
 
-    def test_huge_alpha_underflows_like_the_series(self, capsys):
-        # g ~ a^-2 / 32 is below the float range at alpha = 1e300: both routes read 0
-        import csv
-        import io
-
-        code, out, err = run(["sweep", "--alphas", "1e300", "--lambdas", "0.01"], capsys)
-        assert (code, err) == (cli.EXIT_OK, "")
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 4
-        assert all(float(row["series_value"]) == float(row["oracle_value"]) == 0.0 for row in rows)
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            # g ~ a^-2 / 32 is below the float range at alpha = 1e300
+            (["compute", "--alpha", "1e300", "--lambda", "0.01"], "alpha=1e+300, lambda=0.01, j=0.0"),
+            (["sweep", "--alphas", "1e300", "--lambdas", "0.01"], "alpha=1e+300, lambda=0.01, j=0.0"),
+            # every component is a float at alpha = 1e100; det(g) ~ a^-5 / 196608 is not
+            (["compute", "--alpha", "1e100", "--lambda", "0.01"], "alpha=1e+100, lambda=0.01, j=0.0"),
+        ],
+        ids=["compute-huge-alpha", "sweep-huge-alpha", "compute-determinant"],
+    )
+    def test_float_underflow_prints_one_line(self, argv, point):
+        result = subprocess.run(
+            [sys.executable, "-m", "oscqgt.cli", *argv], env=_child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == cli.EXIT_BAD_CONFIG
+        assert result.stdout == ""
+        assert result.stderr == f"invalid configuration: the series underflows a float at {point}\n"
 
     def test_oracle_float_overflow_prints_one_line(self):
         # numpy would warn on stderr before the solver gave up; no warning may precede the error

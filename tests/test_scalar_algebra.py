@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -80,6 +81,23 @@ class TestEvaluate:
     def test_sum_of_finite_terms_overflowing_raises(self):
         with pytest.raises(OverflowError, match="alpha=1.0, lambda=0.0, j=0.0"):
             (s(F(10**308)) + s(F(10**308), a=1)).evaluate(1.0)
+
+    def test_float_underflow_raises(self):
+        # quartic order-1 det(g) at alpha = 1e100: both terms fall below the float range
+        det = s(1, 196608, a=-10) + s(-35, 3145728, a=-13, l=1)
+        with pytest.raises(FloatingPointError, match=re.escape("alpha=1e+100, lambda=0.01, j=0.0")):
+            det.evaluate(1e100, 0.01)
+        assert det.terms[0].evaluate(1e100, 0.01) == 0.0  # a single term does not check
+
+    def test_sum_survives_an_underflowing_term(self):
+        # quartic order-1 G_aa at alpha = 1e100: the lambda term underflows, the sum does not
+        series = s(1, 32, a=-4) + s(-11, 512, a=-7, l=1)
+        assert series.terms[1].evaluate(1e100, 0.01) == 0.0
+        assert series.evaluate(1e100, 0.01) == 1e-200 / 32
+
+    def test_exactly_zero_factor_is_not_an_underflow(self):
+        assert (s(1, 32, a=-7, l=1) + s(1, a=-7, j=2)).evaluate(1e100, 0.0, 0.0) == 0.0
+        assert ScalarSeries().evaluate(1e300) == 0.0
 
     def test_non_finite_arguments_pass_through(self):
         assert s(1, a=2).evaluate(math.inf) == math.inf

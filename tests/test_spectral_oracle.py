@@ -11,6 +11,8 @@ from oracles import (
     dense_hamiltonian,
     fidelity_qim,
     finite_difference_qim,
+    gauge_fix,
+    ground_state,
     sum_over_states_qim,
 )
 from oscqgt.linear_exact import exact_linear_qgt
@@ -22,8 +24,6 @@ from oscqgt.spectral_oracle import (
     NoGroundState,
     OracleConfig,
     build_hamiltonian,
-    gauge_fix,
-    ground_state,
     numeric_qim,
 )
 
@@ -93,17 +93,33 @@ class TestHamiltonian:
         assert energy == pytest.approx(0.5, abs=1e-10)
 
 
-def count_eigenvalue_solves(monkeypatch) -> list:
-    """Record each cold eigenvalue solve (spectral_oracle._lowest_eigenpair) from here on."""
+def count_cold_solves(monkeypatch) -> list:
+    """Record the band shape of each cold ground-state solve
+    (spectral_oracle._ground_pair without a start) from here on."""
     calls = []
-    real = spectral_oracle._lowest_eigenpair
+    real = spectral_oracle._ground_pair
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counted(band, start=None):
+        if start is None:
+            calls.append(band.shape)
+        return real(band, start)
 
-    monkeypatch.setattr(spectral_oracle, "_lowest_eigenpair", counted)
+    monkeypatch.setattr(spectral_oracle, "_ground_pair", counted)
     return calls
+
+
+def count_factorisations(monkeypatch) -> list:
+    """Record the basis size of each spectral_oracle._band_cholesky call,
+    failed or not, from here on."""
+    sizes = []
+    real = spectral_oracle._band_cholesky
+
+    def counted(band, shift):
+        sizes.append(band.shape[1])
+        return real(band, shift)
+
+    monkeypatch.setattr(spectral_oracle, "_band_cholesky", counted)
+    return sizes
 
 
 class TestGroundState:
@@ -142,43 +158,52 @@ class TestGroundState:
         band = build_hamiltonian(1.0, lam, 0.1, potential, cfg)
         cold_energy, cold_vec = ground_state(band)
         _, guess = ground_state(build_hamiltonian(1.0, lam + 1e-4, 0.1, potential, cfg))
-        calls = count_eigenvalue_solves(monkeypatch)
+        calls = count_cold_solves(monkeypatch)
         energy, vec = ground_state(band, guess)
-        assert calls == []  # warm: no eigenvalue solve
+        assert calls == []  # warm: no cold solve
         assert energy == pytest.approx(cold_energy, rel=1e-12)
         assert np.abs(vec - cold_vec).max() <= 1e-10
 
-    def test_excited_guess_returns_the_ground_state(self, monkeypatch):
-        calls = count_eigenvalue_solves(monkeypatch)
+    def test_excited_guess_returns_the_ground_state(self):
         energy, vec = ground_state(np.array([[1.0, 2.0, 3.0]]), np.array([0.0, 1.0, 0.0]))
-        assert len(calls) == 1  # the warm shift sits above E0, so the solve ran cold
         assert energy == pytest.approx(1.0)
         assert vec == pytest.approx(np.array([1.0, 0.0, 0.0]))
 
-    def test_excited_guess_on_an_oracle_hamiltonian(self, monkeypatch):
+    def test_excited_guess_on_an_oracle_hamiltonian(self):
         cfg = OracleConfig(basis_size=64)
         band = build_hamiltonian(1.0, 0.1, 0.1, V4, cfg)
         _, vecs = scipy.linalg.eigh(dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg))
         cold_energy, cold_vec = ground_state(band)
-        calls = count_eigenvalue_solves(monkeypatch)
         energy, vec = ground_state(band, vecs[:, 2])
-        assert len(calls) == 1
-        assert energy == cold_energy
-        assert np.array_equal(vec, cold_vec)
+        assert energy == pytest.approx(cold_energy, rel=1e-15, abs=0)
+        assert np.abs(vec - cold_vec).max() <= 1e-15
 
-    @pytest.mark.parametrize("offset,message", [(-1e-6, "residual"), (0.5, "not positive definite")])
-    def test_wrong_eigenvalue_raises_no_convergence(self, offset, message, monkeypatch):
-        # an E0 below the spectrum leaves a residual; one above it makes the
-        # shifted matrix indefinite, so the Cholesky factorisation fails
-        real = spectral_oracle._lowest_eigenpair
+    @pytest.mark.parametrize("level", [1, 7], ids=["level1", "level7"])
+    def test_excited_start_fails_to_factor(self, level, monkeypatch):
+        # an exact excited eigenvector has no residual, so its first shift
+        # lies above E0 and fails to factor; bisection and the mixing-in of
+        # every basis state must still lead to the ground state
+        cfg = OracleConfig(basis_size=64)
+        band = build_hamiltonian(1.0, 0.1, 0.1, V4, cfg)
+        dense = dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg)
+        dense_energy, dense_vec = dense_ground_state(dense)
+        _, vecs = scipy.linalg.eigh(dense)
+        shifts, failed = [], []
+        real = spectral_oracle._band_cholesky
 
-        def offset_pair(*args, **kwargs):
-            energy, vec = real(*args, **kwargs)
-            return energy + offset, vec
+        def recorded(band, shift):
+            shifts.append(shift)
+            try:
+                return real(band, shift)
+            except np.linalg.LinAlgError:
+                failed.append(shift)
+                raise
 
-        monkeypatch.setattr(spectral_oracle, "_lowest_eigenpair", offset_pair)
-        with pytest.raises(NoConvergence, match=message):
-            ground_state(np.array([[1.0, 2.0, 3.0]]))
+        monkeypatch.setattr(spectral_oracle, "_band_cholesky", recorded)
+        energy, vec = ground_state(band, vecs[:, level])
+        assert failed[0] == shifts[0] > dense_energy
+        assert energy == pytest.approx(dense_energy, abs=1e-14 * np.abs(band).max())
+        assert np.abs(vec - dense_vec).max() <= 1e-13
 
     def test_ground_state_outside_the_leading_block(self):
         # the cold solve starts at the leading block's ground state, here an
@@ -190,13 +215,14 @@ class TestGroundState:
         assert vec == pytest.approx(np.eye(64)[40])
         band = random_spd_band(2, 200, seed=7)
         band[0, 150:160] -= 3.0  # the lowest state lives around rows 150-160
-        assert spectral_oracle._lowest_eigenpair(band)[0] == pytest.approx(
+        assert spectral_oracle._ground_pair(band)[0] == pytest.approx(
             lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max()
         )
 
     def test_near_degenerate_ground_state_raises_no_convergence(self):
-        with pytest.raises(NoConvergence, match="still moving"):
-            ground_state(np.array([[1.0, 1.0 + 1e-12, 3.0]]))
+        # a gap of 1e-12 shrinks the second state by ~0.3% per step
+        with pytest.raises(NoConvergence, match="settled on no ground state in 64 rounds"):
+            ground_state(np.array([[1.0, 1.0 + 1e-12, 3.0]]), np.ones(3))
 
     def test_basis_doubling_self_consistency(self):
         energies = []
@@ -295,7 +321,7 @@ class TestBandSolve:
     )
     def test_cold_eigenvalue_matches_lapack_band_solver(self, lam, potential, n):
         band = build_hamiltonian(1.0, lam, 0.1, potential, OracleConfig(basis_size=n))
-        got, _ = spectral_oracle._lowest_eigenpair(band)
+        got, _, _ = spectral_oracle._ground_pair(band)
         assert got == pytest.approx(lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max())
 
 
@@ -363,11 +389,26 @@ class TestNumericQim:
         [(0.05, 0.0, V4, ("alpha", "lambda")), (0.0, 0.5, None, ("alpha", "j"))],
     )
     def test_one_eigenvalue_solve_per_call(self, lam, j, potential, labels, monkeypatch):
-        calls = count_eigenvalue_solves(monkeypatch)
+        calls = count_cold_solves(monkeypatch)
         numeric_qim(1.0, lam, j, potential, CFG, labels=labels)
-        # only the central ground state at N is solved cold
+        # only the ground state at N is solved cold; 2N starts from it
         assert len(calls) == 1
         assert calls[0][1] == CFG.basis_size
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_factorisations_per_call(self, n, monkeypatch):
+        # a cold start may need a second round to begin within the residual
+        # bound; the zero-padded start at 2N begins there
+        sizes = count_factorisations(monkeypatch)
+        cold = count_cold_solves(monkeypatch)
+        for alpha in (0.5, 1.0, 2.0):
+            for lam in (0.0, 0.005, 0.05, 1.0):
+                sizes.clear()
+                cold.clear()
+                numeric_qim(alpha, lam, 0.0, V4, OracleConfig(n))
+                assert sizes.count(n) <= 2 and sizes.count(2 * n) == 1, (alpha, lam, sizes)
+                assert len(sizes) == sizes.count(n) + 1, (alpha, lam, sizes)
+                assert cold == [(5, n)], (alpha, lam)
 
     def test_float_overflow_raises_overflow_error(self):
         # numpy overflows inside the solver here, which would otherwise only warn
