@@ -279,14 +279,13 @@ def _linear_checks() -> list[dict]:
     from . import linear_exact, spectral_oracle
 
     checks = []
-    series = qgt.assemble(qgt.ParameterSpace.linear_source())
+    space = qgt.ParameterSpace.linear_source()
+    series = qgt.assemble(space)
     cfg = spectral_oracle.OracleConfig()
     for alpha in (0.5, 1.0, 2.0):
         for j in (0.0, 0.5):
             exact = linear_exact.exact_linear_qgt(alpha, j)
-            oracle = spectral_oracle.numeric_qim(
-                alpha, 0.0, j, None, cfg, labels=("alpha", "j")
-            )
+            oracle = spectral_oracle.numeric_qim(alpha, 0.0, j, space.potential, cfg, labels=space.labels)
             for (a, b), closed in exact.items():
                 sym = series[(a, b)].evaluate(alpha, 0.0, j)
                 num = oracle.entry(a, b)
@@ -376,12 +375,12 @@ def cmd_diagrams(args) -> int:
         a, b = (label.strip() for label in args.component.split(","))
     except ValueError:
         raise ValueError("component must look like alpha,lambda")
-    op_a, op_b = args.space.operator(a), args.space.operator(b)
+    (k_a, _), (k_b, _) = args.space.derivative(a), args.space.derivative(b)
     out_dir = Path(args.out or ".")
     written = []
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        grade = connected_grade(op_a, op_b, args.order, args.space.potential)
+        grade = connected_grade(k_a, k_b, args.order, args.space.potential)
         for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             dot = edges_to_dot(edges, name, f"coefficient {coeff}")
@@ -406,10 +405,15 @@ def _sweep_point(space, order, series, point, cfg):
     from . import spectral_oracle
 
     alpha, lam, j = point
+    where = f"alpha={alpha!r}, lambda={lam!r}, j={j!r}"
     try:
         oracle = spectral_oracle.numeric_qim(alpha, lam, j, space.potential, cfg, labels=space.labels)
     except OverflowError:
-        raise ValueError(f"the oracle overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
+        raise ValueError(f"the oracle overflows a float at {where}") from None
+    except FloatingPointError:
+        for s in series.values():  # a series that underflows too is named first
+            _evaluate(s, alpha, lam, j)
+        raise ValueError(f"the oracle underflows a float at {where}") from None
     rows = []
     for (a, b), s in sorted(series.items()):
         sym = _evaluate(s, alpha, lam, j)

@@ -1,7 +1,8 @@
 """Connected integrands of the interacting theory as formal coupling series.
 
-A tensor component needs the connected correlator of the two deformation
-operators in the theory with interaction lambda*V(q).  At order m the free
+A tensor component G_ab needs the connected correlator of q**k_a and q**k_b,
+the monomials of dH/da and dH/db (`hamiltonian_derivative`), in the theory
+with interaction lambda*V(q).  At order m the free
 oscillator expansion inserts m internal vertices s_1..s_m, each carrying
 q**deg and weight (-1)^m/m! times the potential coefficients.  By the
 linked-cluster theorem the connected correlator is the sum of the Wick graphs
@@ -30,11 +31,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .integrator import TAU1, TAU2, Edges, internal_vertices
 from .scalar_algebra import Frozen
-from .wick import InsertionPoint, enumerate_pairings
+from .wick import enumerate_pairings
 
 __all__ = [
     "PolynomialPotential",
-    "DeformationOperator",
+    "hamiltonian_derivative",
     "connected_grade",
     "connected_integrand",
 ]
@@ -67,33 +68,20 @@ class PolynomialPotential(Frozen):
     def degree(self) -> int:
         return self.coefficients[-1][0]
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.coefficients) == 1
 
-
-class DeformationOperator(Frozen):
-    """Operator conjugate to a parameter: prefactor * q**q_power."""
-
-    __slots__ = ("q_power", "prefactor")
-
-    def __init__(self, q_power: int, prefactor: Fraction):
-        object.__setattr__(self, "q_power", q_power)  # the class refuses assignment
-        object.__setattr__(self, "prefactor", prefactor)
-
-    @classmethod
-    def stiffness(cls) -> "DeformationOperator":
-        # conjugate to alpha in H = p^2/2 + alpha q^2/2 + ...
-        return cls(2, Fraction(-1, 2))
-
-    @classmethod
-    def coupling(cls, potential: PolynomialPotential) -> "DeformationOperator":
-        # conjugate to the coupling of a monomial potential: -V(q); with
-        # V = q this is the source J of H -> H + J q
-        if not potential.is_monomial:
-            raise ValueError("the coupling deformation requires a monomial potential")
-        k, c = potential.coefficients[0]
-        return cls(k, -c)
+def hamiltonian_derivative(
+    label: str, potential: PolynomialPotential | None
+) -> tuple[tuple[int, Fraction], ...]:
+    """dH/d(label) of H = p^2/2 + alpha q^2/2 + J q + lambda V(q) as
+    (degree, coefficient) pairs: q^2/2 for alpha, q for j and V(q) for lambda
+    (nothing without a potential)."""
+    if label == "alpha":
+        return ((2, Fraction(1, 2)),)
+    if label == "j":
+        return ((1, Fraction(1)),)
+    if label == "lambda":
+        return potential.coefficients if potential is not None else ()
+    raise ValueError(f"unknown parameter {label!r}")
 
 
 def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
@@ -176,10 +164,7 @@ def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
 
 
 def connected_grade(
-    op_a: DeformationOperator,
-    op_b: DeformationOperator,
-    m: int,
-    potential: PolynomialPotential,
+    k_a: int, k_b: int, m: int, potential: PolynomialPotential
 ) -> dict[Edges, Fraction]:
     """Grade m of `connected_integrand`: {edge multiset: coefficient}.
 
@@ -189,23 +174,20 @@ def connected_grade(
     |Aut| = 1; a graph with tied ranks is stored under its `_linked_class`
     form, on which all its tied labellings land.
     """
-    externals = [InsertionPoint(TAU1, op_a.q_power), InsertionPoint(TAU2, op_b.q_power)]
     coefficients = dict(potential.coefficients)
     grade: dict[Edges, Fraction] = {}
     names = internal_vertices(m)
     rank = functools.partial(_walk_rank, m)
     for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
-        if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
+        if (k_a + k_b + sum(degrees)) % 2:
             continue
         weight = Fraction((-1) ** m)
         for d in degrees:
             weight *= coefficients[d]
         # nondecreasing degrees in the walk's order, so that the sorted
         # labelling of every class passes `rank`
-        insertions = externals + [
-            InsertionPoint(name, deg) for name, deg in zip(sorted(names), degrees)
-        ]
-        for diag in enumerate_pairings(insertions, rank=rank, connected=True):
+        legs = {TAU1: k_a, TAU2: k_b, **dict(zip(sorted(names), degrees))}
+        for diag in enumerate_pairings(legs, rank=rank, connected=True):
             if diag.tied:
                 edges, automorphisms = _linked_class(diag.edges, names)
             else:
@@ -214,21 +196,17 @@ def connected_grade(
     return grade
 
 
-def connected_integrand(
-    op_a: DeformationOperator,
-    op_b: DeformationOperator,
-    order: int,
-    potential: PolynomialPotential,
-) -> GradedSum:
+def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:
     """Two-cluster connected integrand, graded by coupling order.
 
     Grade m holds {edge multiset: coefficient} for the diagrams of
-    <q^na(tau1) q^nb(tau2)>_int - <q^na(tau1)>_int <q^nb(tau2)>_int with m
+    <q^k_a(tau1) q^k_b(tau2)>_int - <q^k_a(tau1)>_int <q^k_b(tau2)>_int with m
     internal vertices: one graph per class of Wick graphs in which tau1, tau2
     and every vertex form one component, weighted by
     (-1)^m * prod c_deg * multiplicity / |Aut|.  The walk drops disconnected
     branches before they finish, and the canonical search of `_linked_class`
     runs only on graphs whose vertex ranks tie (see `connected_grade`).  The
-    operator prefactors are not included here (the tensor assembly owns them).
+    coefficients of dH/da and dH/db are not included here (the tensor
+    assembly owns them).
     """
-    return {m: connected_grade(op_a, op_b, m, potential) for m in range(order + 1)}
+    return {m: connected_grade(k_a, k_b, m, potential) for m in range(order + 1)}

@@ -1,8 +1,8 @@
 """Assembly of the quantum geometric tensor from connected wedge integrals.
 
 A component G_ab is the double integral over tau1 <= 0 <= tau2 of the
-connected correlator of the two deformation operators, times their scalar
-prefactors, expanded in the coupling.  The source J of the linear model is
+connected correlator of dH/da = c_a q**k_a and dH/db = c_b q**k_b, times
+c_a * c_b, expanded in the coupling.  The source J of the linear model is
 the coupling of V = q, whose series ends at a finite order.
 Every deformation here is real, so G_ab = G_ba: the tensor is its own metric
 and the Berry curvature vanishes.  For the two-parameter models the truncated
@@ -12,14 +12,15 @@ metric determinant yields the coupling at which the metric degenerates.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .integrator import wedge_integral
 from .perturbation import (
-    DeformationOperator,
     GradedSum,
     PolynomialPotential,
     connected_integrand,
+    hamiltonian_derivative,
 )
 from .scalar_algebra import Frozen, ScalarSeries
 
@@ -103,12 +104,12 @@ class ParameterSpace(Frozen):
     def potential(self) -> PolynomialPotential:
         return PolynomialPotential.monomial(self.k)
 
-    def operator(self, label: str) -> DeformationOperator:
-        if label == "alpha":
-            return DeformationOperator.stiffness()
-        if label == self.labels[1]:
-            return DeformationOperator.coupling(self.potential)
-        raise ValueError(f"label {label!r} is not a parameter of the {self.kind} model")
+    def derivative(self, label: str) -> tuple[int, Fraction]:
+        """dH/d(label) = c q**k as (k, c)."""
+        if label not in self.labels:
+            raise ValueError(f"label {label!r} is not a parameter of the {self.kind} model")
+        [pair] = hamiltonian_derivative(label, self.potential)
+        return pair
 
 
 def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -> GradedSum:
@@ -117,14 +118,13 @@ def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -
     `order` is the coupling truncation for the polynomial models.  The linear
     model is summed exactly: a J vertex (degree 1) is a leaf on an external
     leg and tau1, tau2 share at least one edge, so every order above
-    q_a + q_b - 2 is empty.  The coupling power m and the operator prefactors
-    are not included.
+    k_a + k_b - 2 is empty.  The coupling power m and the coefficients of
+    dH/da and dH/db are not included.
     """
-    op_a = space.operator(a)
-    op_b = space.operator(b)
+    (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
     if space.kind == LINEAR:
-        order = op_a.q_power + op_b.q_power - 2
-    return connected_integrand(op_a, op_b, order, space.potential)
+        order = k_a + k_b - 2
+    return connected_integrand(k_a, k_b, order, space.potential)
 
 
 def qgt_component(space: ParameterSpace, a: str, b: str, order: int = 1) -> ScalarSeries:
@@ -136,7 +136,7 @@ def qgt_component(space: ParameterSpace, a: str, b: str, order: int = 1) -> Scal
     series = ScalarSeries.zero()
     for m, grade in component_integrand(space, a, b, order).items():
         series = series + wedge_integral(grade, m) * space.coupling**m
-    return series * (space.operator(a).prefactor * space.operator(b).prefactor)
+    return series * (space.derivative(a)[1] * space.derivative(b)[1])
 
 
 def assemble(space: ParameterSpace, order: int = 1) -> dict[tuple[str, str], ScalarSeries]:

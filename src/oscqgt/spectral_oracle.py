@@ -25,10 +25,11 @@ models in scope.
 from __future__ import annotations
 
 from functools import lru_cache
+from sys import float_info
 
 import numpy as np
 
-from .perturbation import PolynomialPotential
+from .perturbation import PolynomialPotential, hamiltonian_derivative
 from .scalar_algebra import OracleFailure
 
 __all__ = [
@@ -383,12 +384,11 @@ def _derivative_bands(
     labels, potential: PolynomialPotential | None, band: np.ndarray, omega: float
 ) -> np.ndarray:
     """dH/da for each label in the basis of `band`, as a stack of lower bands
-    of its shape: q^2/2 for alpha, V(q) for lambda and q for J."""
-    rows = {"alpha": {2: 0.5}, "lambda": dict(potential.coefficients if potential else ()), "j": {1: 1.0}}
+    of its shape (see `hamiltonian_derivative`)."""
     b, n = band.shape[0] - 1, band.shape[1]
     coeffs = np.zeros((len(labels), b + 1))
     for row, label in zip(coeffs, labels):
-        for deg, c in rows[label].items():
+        for deg, c in hamiltonian_derivative(label, potential):
             row[deg] = float(c)
     return np.tensordot(coeffs, _power_bands(n, omega, b), axes=1)
 
@@ -433,8 +433,13 @@ def numeric_qim(
     (H - E0) x_a = -Q dH_a psi for each label, and g = X X^T.  The report
     carries the change made by the last refinement step and the drift under
     basis doubling: H is built again at 2N, solved from the N-basis ground
-    state, zero-padded, and its factor solves the response there.  A float overflow or invalid value
-    anywhere in the numerics raises OverflowError.
+    state, zero-padded, and its factor solves the response there.
+
+    A float overflow or invalid value anywhere in the numerics raises
+    OverflowError.  An entry G_ab has lost its digits to underflow when
+    sqrt(G_aa G_bb) is below the least normal float although dH/da and dH/db
+    are nonzero; that happens to some entry exactly when it happens to a
+    diagonal one, and raises FloatingPointError.
     """
     _require_ground_state(alpha, lam, potential)
     try:
@@ -458,6 +463,11 @@ def numeric_qim(
                 for i, a in enumerate(labels)
                 for k, b in enumerate(labels)
             }
-            return NumericQGT(tuple(labels), metric, report)
     except FloatingPointError as exc:
         raise OverflowError(f"the oracle overflows a float: {exc}") from exc
+    for i, a in enumerate(labels):
+        if metric[i, i] < float_info.min and hamiltonian_derivative(a, potential):
+            raise FloatingPointError(
+                f"the oracle underflows a float: G({a},{a}) = {metric[i, i]:.3g} is not a normal float"
+            )
+    return NumericQGT(tuple(labels), metric, report)

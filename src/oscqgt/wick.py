@@ -17,28 +17,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .scalar_algebra import Frozen
 
 __all__ = [
-    "InsertionPoint",
     "WickDiagram",
     "enumerate_pairings",
     "edges_to_dot",
 ]
-
-
-class InsertionPoint(Frozen):
-    """power q-factors inserted at one Euclidean time."""
-
-    __slots__ = ("time_var", "power")
-
-    def __init__(self, time_var: str, power: int):
-        if power < 1:
-            raise ValueError("insertion power must be >= 1")
-        object.__setattr__(self, "time_var", time_var)  # the class refuses assignment
-        object.__setattr__(self, "power", power)
 
 
 class WickDiagram(Frozen):
@@ -56,19 +43,13 @@ class WickDiagram(Frozen):
         _set(self, "tied", tied)
 
 
-def _merge_points(points: Iterable[InsertionPoint]) -> list[tuple[str, int]]:
-    counts: dict[str, int] = {}
-    for p in points:
-        counts[p.time_var] = counts.get(p.time_var, 0) + p.power
-    return sorted(counts.items())
-
-
 def enumerate_pairings(
-    points: Sequence[InsertionPoint],
+    legs: Mapping[str, int],
     rank: Callable[[int, list[int]], object] | None = None,
     connected: bool = False,
 ) -> list[WickDiagram]:
-    """All pairing classes of the given insertions, with exact multiplicities.
+    """All pairing classes of legs[t] q-factors at each time t, with exact
+    multiplicities.
 
     Multiplicities over all diagrams of 2n legs sum to (2n-1)!!.  An odd
     total yields an empty list (the moment is zero).
@@ -88,13 +69,14 @@ def enumerate_pairings(
     edge left to a later time: that component can no longer grow, so every
     diagram below the branch is disconnected.
     """
-    nodes = _merge_points(points)
-    names = [n for n, _ in nodes]
-    legs = [c for _, c in nodes]
-    k = len(nodes)
-    fact = [factorial(i) for i in range(max(legs, default=0) + 1)]
+    if any(c < 1 for c in legs.values()):
+        raise ValueError("every time needs >= 1 leg")
+    names = sorted(legs)
+    counts = [legs[n] for n in names]
+    k = len(names)
+    fact = [factorial(i) for i in range(max(counts, default=0) + 1)]
     total = 1
-    for c in legs:
+    for c in counts:
         total *= fact[c]
     links = [[0] * k for _ in range(k)]
     diagrams: list[WickDiagram] = []
@@ -151,7 +133,7 @@ def enumerate_pairings(
                     stack.append(other)
         return True
 
-    walk(0, legs, (), 1, None, False)
+    walk(0, counts, (), 1, None, False)
     diagrams.sort(key=lambda d: d.edges)
     return diagrams
 

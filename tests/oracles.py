@@ -27,7 +27,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from collections import Counter
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate, linalg
@@ -38,19 +39,20 @@ from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import GradedSum, PolynomialPotential, _linked_class
 from oscqgt.scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import InsertionPoint, WickDiagram, edges_to_dot, enumerate_pairings
+from oscqgt.wick import WickDiagram, edges_to_dot, enumerate_pairings
 
 
-def brute_force_diagrams(points, with_mean=False):
-    """Enumerate every perfect pairing leg by leg.
+def brute_force_diagrams(points: Mapping[str, int], with_mean=False):
+    """Enumerate every perfect pairing of points[t] legs at each time t, leg
+    by leg.
 
     Returns {(sorted edge tuple, sorted mean-leg tuple): multiplicity}; the
     multiplicities count raw pairings, so they can be compared directly with
     WickDiagram.multiplicity.
     """
     legs: list[str] = []
-    for p in points:
-        legs.extend([p.time_var] * p.power)
+    for name, power in points.items():
+        legs.extend([name] * power)
     acc: dict[tuple, int] = {}
 
     def walk(remaining, edges, means):
@@ -73,10 +75,6 @@ def brute_force_diagrams(points, with_mean=False):
     return acc
 
 
-def points_of(spec: dict[str, int]) -> list[InsertionPoint]:
-    return [InsertionPoint(name, power) for name, power in spec.items()]
-
-
 # -- constant-source Gaussian with mean legs ----------------------------------
 
 
@@ -94,8 +92,8 @@ class GaussianModel:
         return ScalarSeries.zero()
 
 
-def moment(model: GaussianModel, points: Sequence[InsertionPoint]) -> dict[Edges, ScalarSeries]:
-    """<prod q^power(time)> as {edges: coefficient}, a sum of propagator products.
+def moment(model: GaussianModel, points: Mapping[str, int]) -> dict[Edges, ScalarSeries]:
+    """<prod_t q^points[t](t)> as {edges: coefficient}, a sum of propagator products.
 
     With a source, every leg may instead be routed to the mean <q>.
     """
@@ -128,8 +126,8 @@ def product_of_sums(
 
 def connected_pair_correlator(
     model: GaussianModel,
-    a_points: Sequence[InsertionPoint],
-    b_points: Sequence[InsertionPoint],
+    a_points: Mapping[str, int],
+    b_points: Mapping[str, int],
 ) -> dict[Edges, ScalarSeries]:
     """<O_A O_B> - <O_A><O_B>, cancelled exactly term by term.
 
@@ -137,7 +135,7 @@ def connected_pair_correlator(
     B-cluster are joined by at least one chain of propagators; the clusters
     may even share a time variable.
     """
-    joint = moment(model, list(a_points) + list(b_points))
+    joint = moment(model, Counter(a_points) + Counter(b_points))
     disconnected = product_of_sums(moment(model, a_points), moment(model, b_points))
     return _merged([*joint.items(), *((e, -c) for e, c in disconnected.items())])
 
@@ -330,12 +328,10 @@ def _graded_moments(points, order: int, potential) -> dict:
             weight = Fraction((-1) ** m, factorial(m))
             for d in degrees:
                 weight *= dict(potential.coefficients)[d]
-            insertions = list(points) + [
-                InsertionPoint(name, deg) for name, deg in zip(names, degrees)
-            ]
-            if sum(p.power for p in insertions) % 2:
+            legs = {**points, **dict(zip(names, degrees))}
+            if sum(legs.values()) % 2:
                 continue
-            for diag in enumerate_pairings(insertions):
+            for diag in enumerate_pairings(legs):
                 _add(grade, canonical_edges(diag.edges, names), weight * diag.multiplicity)
         out[m] = grade
     return out
@@ -366,7 +362,7 @@ def interacting_green(points, order: int, potential):
     ratio, truncated at the given coupling order.
     """
     numerator = _graded_moments(points, order, potential)
-    denominator = _graded_moments([], order, potential)
+    denominator = _graded_moments({}, order, potential)
     # divide: ratio_m = num_m - sum_{i=1..m} den_i * ratio_{m-i}
     ratio: dict = {}
     for m in range(order + 1):
@@ -379,11 +375,12 @@ def interacting_green(points, order: int, potential):
     return InteractingGreen(numerator, denominator, ratio)
 
 
-def ratio_connected_integrand(op_a, op_b, order: int, potential):
-    """<A(tau1) B(tau2)>_int - <A>_int <B>_int from the three divided series."""
-    a_pts = [InsertionPoint("tau1", op_a.q_power)]
-    b_pts = [InsertionPoint("tau2", op_b.q_power)]
-    g_ab = interacting_green(a_pts + b_pts, order, potential).ratio
+def ratio_connected_integrand(k_a: int, k_b: int, order: int, potential):
+    """<q^k_a(tau1) q^k_b(tau2)>_int - <q^k_a>_int <q^k_b>_int from the three
+    divided series."""
+    a_pts = {"tau1": k_a}
+    b_pts = {"tau2": k_b}
+    g_ab = interacting_green({**a_pts, **b_pts}, order, potential).ratio
     g_a = interacting_green(a_pts, order, potential).ratio
     g_b = interacting_green(b_pts, order, potential).ratio
     product = _graded_product(g_a, g_b, order)
@@ -399,25 +396,23 @@ def ratio_connected_integrand(op_a, op_b, order: int, potential):
 # -- connected integrand from every labelled graph ----------------------------
 
 
-def kept_labelled_graphs(op_a, op_b, m: int, potential):
+def kept_labelled_graphs(k_a: int, k_b: int, m: int, potential):
     """Every labelled Wick graph with m vertices joining tau1, tau2 and all s_i.
 
     Walks each ordering of each vertex-degree multiset (itertools.product) and
     yields (degrees, (canonical edges, automorphisms), multiplicity).
     """
-    externals = [InsertionPoint("tau1", op_a.q_power), InsertionPoint("tau2", op_b.q_power)]
     names = _vertex_names(m)
     for degrees in itertools.product([d for d, _ in potential.coefficients], repeat=m):
-        if (op_a.q_power + op_b.q_power + sum(degrees)) % 2:
+        if (k_a + k_b + sum(degrees)) % 2:
             continue
-        insertions = externals + [InsertionPoint(name, deg) for name, deg in zip(names, degrees)]
-        for diag in enumerate_pairings(insertions):
+        for diag in enumerate_pairings({"tau1": k_a, "tau2": k_b, **dict(zip(names, degrees))}):
             linked = _linked_class(diag.edges, names)
             if linked is not None:
                 yield degrees, linked, diag.multiplicity
 
 
-def labelled_connected_integrand(op_a, op_b, order: int, potential):
+def labelled_connected_integrand(k_a: int, k_b: int, order: int, potential):
     """connected_integrand summed over labelled graphs, each weighted by 1/m!.
 
     Each kept labelled graph adds (-1)^m/m! * prod c_deg * multiplicity to its
@@ -429,7 +424,7 @@ def labelled_connected_integrand(op_a, op_b, order: int, potential):
     for m in range(order + 1):
         grade: dict = {}
         for degrees, (edges, _automorphisms), multiplicity in kept_labelled_graphs(
-            op_a, op_b, m, potential
+            k_a, k_b, m, potential
         ):
             weight = Fraction((-1) ** m, factorial(m))
             for d in degrees:
@@ -489,7 +484,7 @@ def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> l
     plain pairing count, i.e. the diagram coefficient with the (-1/k!)^m/m!
     vertex weights divided out.
     """
-    if not potential.is_monomial:
+    if len(potential.coefficients) != 1:
         raise ValueError("the raw-coefficient view needs a monomial potential")
     k, c = potential.coefficients[0]
     lines = []

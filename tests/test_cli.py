@@ -307,6 +307,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "invalid configuration: the oracle overflows a float at alpha=1e-300, lambda=0.01, j=0.0\n"
 
+    def test_oracle_float_underflow_names_the_point(self, capsys):
+        # G_lambda,lambda ~ 1.7e-308 at alpha = 5e101: the series still gives
+        # a (subnormal) float, the oracle rejects an entry that is no normal float
+        code, out, err = run(["sweep", "--alphas", "5e101", "--lambdas", "0.01"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == "invalid configuration: the oracle underflows a float at alpha=5e+101, lambda=0.01, j=0.0\n"
+
     @pytest.mark.parametrize(
         "argv,point",
         [

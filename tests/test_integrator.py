@@ -207,7 +207,7 @@ def quartic_products(m):
         edges
         for a, b in QUARTIC_PAIRS
         for edges in connected_grade(
-            QUARTIC.operator(a), QUARTIC.operator(b), m, QUARTIC.potential
+            QUARTIC.derivative(a)[0], QUARTIC.derivative(b)[0], m, QUARTIC.potential
         )
     )
 

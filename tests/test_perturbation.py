@@ -20,31 +20,29 @@ from oracles import (
     interacting_green,
     kept_labelled_graphs,
     labelled_connected_integrand,
-    points_of,
     ratio_connected_integrand,
     to_oracle_form,
 )
 from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import (
-    DeformationOperator,
     PolynomialPotential,
     _linked_class,
     _walk_rank,
     connected_grade,
     connected_integrand,
+    hamiltonian_derivative,
 )
 from oscqgt.qgt import ParameterSpace, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import InsertionPoint, enumerate_pairings
+from oscqgt.wick import enumerate_pairings
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
 V4 = PolynomialPotential.monomial(4)
 V6 = PolynomialPotential.monomial(6)
 
-O_ALPHA = DeformationOperator.stiffness()
-O_QUARTIC = DeformationOperator.coupling(V4)
-O_SOURCE = DeformationOperator.coupling(V1)
+# degrees of dH/da: q^2/2 for alpha, q^4/4! for the quartic coupling, q for J
+K_ALPHA, K_QUARTIC, K_SOURCE = 2, 4, 1
 
 
 class TestPotential:
@@ -59,20 +57,25 @@ class TestPotential:
             PolynomialPotential(((0, F(1)),))
 
     def test_operators(self):
-        assert (O_ALPHA.q_power, O_ALPHA.prefactor) == (2, F(-1, 2))
-        assert (O_QUARTIC.q_power, O_QUARTIC.prefactor) == (4, F(-1, 24))
-        assert (O_SOURCE.q_power, O_SOURCE.prefactor) == (1, F(-1))
+        assert hamiltonian_derivative("alpha", V4) == ((2, F(1, 2)),)
+        assert hamiltonian_derivative("lambda", V4) == ((4, F(1, 24)),)
+        assert hamiltonian_derivative("j", None) == ((1, F(1)),)
+        assert hamiltonian_derivative("lambda", None) == ()
+        mixed = PolynomialPotential.from_dict({1: F(1, 3), 4: F(-1, 24)})
+        assert hamiltonian_derivative("lambda", mixed) == mixed.coefficients
+        with pytest.raises(ValueError, match="unknown parameter 'mu'"):
+            hamiltonian_derivative("mu", V4)
 
 
 class TestInteractingGreen:
     def test_order_zero_is_free(self):
-        green = interacting_green([InsertionPoint("tau1", 2)], 0, V4)
+        green = interacting_green({"tau1": 2}, 0, V4)
         assert green.ratio == {0: {(("tau1", "tau1"),): F(1)}}
 
     def test_two_point_first_order_structure(self):
         # after the vacuum division only the vertex-linked diagram remains:
         # -(1/4!) * 12 * D(tau,s)^2 D(s,s)
-        green = interacting_green([InsertionPoint("tau1", 2)], 1, V4)
+        green = interacting_green({"tau1": 2}, 1, V4)
         assert green.ratio[1] == {
             (("s1", "s1"), ("s1", "tau1"), ("s1", "tau1")): F(-1, 2)
         }
@@ -80,7 +83,7 @@ class TestInteractingGreen:
         assert len(green.numerator[1]) == 2
 
     def test_four_point_first_order_structure(self):
-        green = interacting_green(points_of({"tau1": 2, "tau2": 2}), 1, V4)
+        green = interacting_green({"tau1": 2, "tau2": 2}, 1, V4)
         assert green.ratio[1] == {
             (("s1", "s1"), ("s1", "tau2"), ("s1", "tau2"), ("tau1", "tau1")): F(-1, 2),
             (("s1", "s1"), ("s1", "tau1"), ("s1", "tau1"), ("tau2", "tau2")): F(-1, 2),
@@ -90,7 +93,7 @@ class TestInteractingGreen:
 
     def test_order_cap(self):
         # no cap below the CLI: the oracle expands at any order it is given
-        green = interacting_green([InsertionPoint("tau1", 1)], 4, V1)
+        green = interacting_green({"tau1": 1}, 4, V1)
         assert sorted(green.ratio) == [0, 1, 2, 3, 4]
 
 
@@ -101,8 +104,8 @@ RAW_PATTERNS = {
 }
 
 
-def _raw_first_order(op_a, op_b):
-    graded = connected_integrand(op_a, op_b, 1, V4)
+def _raw_first_order(k_a, k_b):
+    graded = connected_integrand(k_a, k_b, 1, V4)
     # strip the -(lambda/4!) vertex weight to recover plain pairing counts
     return {edges: coeff * (-24) for edges, coeff in graded[1].items()}
 
@@ -110,25 +113,24 @@ def _raw_first_order(op_a, op_b):
 class TestIntegrandFidelity:
     @pytest.mark.parametrize("pair", sorted(RAW_PATTERNS))
     def test_coefficient_patterns(self, pair):
-        ops = {"alpha": O_ALPHA, "lambda": O_QUARTIC}
-        raw = _raw_first_order(ops[pair[0]], ops[pair[1]])
+        degrees = {"alpha": K_ALPHA, "lambda": K_QUARTIC}
+        raw = _raw_first_order(degrees[pair[0]], degrees[pair[1]])
         overall, pattern = RAW_PATTERNS[pair]
         assert sorted(raw.values()) == sorted(F(overall * c) for c in pattern)
 
     @pytest.mark.parametrize("pair", sorted(RAW_PATTERNS))
     def test_against_brute_force_filtered_enumeration(self, pair):
-        ops = {"alpha": O_ALPHA, "lambda": O_QUARTIC}
-        op_a, op_b = ops[pair[0]], ops[pair[1]]
-        raw = _raw_first_order(op_a, op_b)
-        spec = {"tau1": op_a.q_power, "tau2": op_b.q_power, "s1": 4}
+        degrees = {"alpha": K_ALPHA, "lambda": K_QUARTIC}
+        k_a, k_b = degrees[pair[0]], degrees[pair[1]]
+        raw = _raw_first_order(k_a, k_b)
         expected = {}
-        for (edges, _means), mult in brute_force_diagrams(points_of(spec)).items():
+        for (edges, _means), mult in brute_force_diagrams({"tau1": k_a, "tau2": k_b, "s1": 4}).items():
             if clusters_linked(edges) and not has_vacuum_component(edges):
                 expected[edges] = F(mult)
         assert raw == expected
 
     def test_term_lines_are_stable(self):
-        graded = connected_integrand(O_ALPHA, O_ALPHA, 1, V4)
+        graded = connected_integrand(K_ALPHA, K_ALPHA, 1, V4)
         assert integrand_term_lines(graded, V4) == [
             "order 0: 2 * D(tau1,tau2) D(tau1,tau2)",
             "order 1: 48 * D(s1,s1) D(s1,tau1) D(s1,tau2) D(tau1,tau2)",
@@ -140,9 +142,9 @@ class TestVacuumCancellation:
     @pytest.mark.parametrize("potential", [V1, V3, V4], ids=["k1", "k3", "k4"])
     @pytest.mark.parametrize("order", [1, 2])
     def test_no_vacuum_or_unlinked_terms_survive(self, potential, order):
-        op_l = DeformationOperator.coupling(potential)
-        for op_a, op_b in [(O_ALPHA, O_ALPHA), (O_ALPHA, op_l), (op_l, op_l)]:
-            graded = connected_integrand(op_a, op_b, order, potential)
+        k_l = potential.degree
+        for k_a, k_b in [(K_ALPHA, K_ALPHA), (K_ALPHA, k_l), (k_l, k_l)]:
+            graded = connected_integrand(k_a, k_b, order, potential)
             for m, grade in graded.items():
                 for edges in grade:
                     assert clusters_linked(edges), (m, edges)
@@ -151,41 +153,38 @@ class TestVacuumCancellation:
 
 class TestOddPotential:
     def test_cubic_coupling_pair_vanishes_at_first_order(self):
-        op_l = DeformationOperator.coupling(V3)
-        graded = connected_integrand(op_l, op_l, 1, V3)
+        graded = connected_integrand(3, 3, 1, V3)
         # 3 + 3 + 3 legs is odd: the engine must return an exact zero
         assert graded[1] == {}
         assert graded[0] != {}
 
     def test_cubic_cross_pair_is_even_and_nonzero(self):
-        op_l = DeformationOperator.coupling(V3)
-        graded = connected_integrand(O_ALPHA, op_l, 1, V3)
+        graded = connected_integrand(K_ALPHA, 3, 1, V3)
         assert graded[0] == {}  # odd at order zero
         assert graded[1] != {}
 
 
 def _perturbative_series(op_a, op_b, order, potential):
-    graded = connected_integrand(op_a, op_b, order, potential)
+    (k_a, c_a), (k_b, c_b) = op_a, op_b
+    graded = connected_integrand(k_a, k_b, order, potential)
     series = ScalarSeries.zero()
     for m, grade in graded.items():
         series = series + wedge_integral(grade, n_vertices=m) * ScalarSeries.term(1, j_pow=m)
-    return series * (op_a.prefactor * op_b.prefactor)
+    return series * (c_a * c_b)
 
 
 def _sourced_series(op_a, op_b):
     """The component from the constant-source Gaussian, with no J vertex."""
-    products = connected_pair_correlator(
-        GaussianModel(source_j=True),
-        [InsertionPoint("tau1", op_a.q_power)],
-        [InsertionPoint("tau2", op_b.q_power)],
-    )
+    (k_a, c_a), (k_b, c_b) = op_a, op_b
+    products = connected_pair_correlator(GaussianModel(source_j=True), {"tau1": k_a}, {"tau2": k_b})
     series = ScalarSeries.zero()
     for edges, coeff in products.items():
         series = series + wedge_integral({edges: 1}) * coeff
-    return series * (op_a.prefactor * op_b.prefactor)
+    return series * (c_a * c_b)
 
 
-LINEAR_OPS = {"alpha": O_ALPHA, "j": O_SOURCE}
+# dH/da = c q^k as (k, c), written out here apart from the library's map
+LINEAR_OPS = {"alpha": (2, F(1, 2)), "j": (1, F(1))}
 
 
 class TestLinearCaseConsistency:
@@ -230,27 +229,27 @@ class TestLinkedClusterAgainstRatioOracle:
         ids=[f"k{p.degree}-o{o}" for p, o in ORACLE_CASES],
     )
     def test_equals_ratio_path(self, potential, order):
-        op_l = DeformationOperator.coupling(potential)
-        for op_a, op_b in [(O_ALPHA, O_ALPHA), (O_ALPHA, op_l), (op_l, O_ALPHA), (op_l, op_l)]:
-            direct = connected_integrand(op_a, op_b, order, potential)
-            ratio = ratio_connected_integrand(op_a, op_b, order, potential)
+        k_l = potential.degree
+        for k_a, k_b in [(K_ALPHA, K_ALPHA), (K_ALPHA, k_l), (k_l, K_ALPHA), (k_l, k_l)]:
+            direct = connected_integrand(k_a, k_b, order, potential)
+            ratio = ratio_connected_integrand(k_a, k_b, order, potential)
             assert to_oracle_form(direct) == to_oracle_form(ratio)
 
     def test_mixed_potential_equals_ratio_path(self):
         # several vertex degrees, one coefficient negative, so terms can cancel
         potential = PolynomialPotential.from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
-        for op_b in (O_ALPHA, O_SOURCE):
-            direct = connected_integrand(O_ALPHA, op_b, 3, potential)
-            ratio = ratio_connected_integrand(O_ALPHA, op_b, 3, potential)
+        for k_b in (K_ALPHA, K_SOURCE):
+            direct = connected_integrand(K_ALPHA, k_b, 3, potential)
+            ratio = ratio_connected_integrand(K_ALPHA, k_b, 3, potential)
             assert to_oracle_form(direct) == to_oracle_form(ratio)
 
     def test_order_cap(self):
         # no cap below the CLI: the generator expands at any order it is given
         # (past the CLI's default of 3; a J vertex is a leaf, so q^2 q^2 ends at 2)
-        graded = connected_integrand(O_ALPHA, O_ALPHA, 5, V1)
+        graded = connected_integrand(K_ALPHA, K_ALPHA, 5, V1)
         assert sorted(graded) == [0, 1, 2, 3, 4, 5]
         assert graded[2] and not any(graded[m] for m in (3, 4, 5))
-        assert connected_integrand(O_ALPHA, O_QUARTIC, -1, V4) == {}
+        assert connected_integrand(K_ALPHA, K_QUARTIC, -1, V4) == {}
 
 
 VERTICES_4 = ["s1", "s2", "s3", "s4"]
@@ -259,8 +258,7 @@ VERTICES_4 = ["s1", "s2", "s3", "s4"]
 @functools.cache
 def _kept_graphs_alpha_lambda_order4() -> tuple:
     """Labelled alpha,lambda order-4 quartic graphs joining every time."""
-    points = [InsertionPoint("tau1", 2), InsertionPoint("tau2", 4)]
-    points += [InsertionPoint(name, 4) for name in VERTICES_4]
+    points = {"tau1": 2, "tau2": 4, **dict.fromkeys(VERTICES_4, 4)}
     return tuple(
         d.edges for d in enumerate_pairings(points) if len(connected_components(d.edges)) == 1
     )
@@ -282,7 +280,7 @@ class TestCanonicalForm:
         assert _linked_class(edges, ["s1"]) is None
 
     def test_class_count_matches_the_all_permutation_form(self):
-        graded = connected_integrand(O_ALPHA, O_QUARTIC, 4, V4)
+        graded = connected_integrand(K_ALPHA, K_QUARTIC, 4, V4)
         oracle_classes = {canonical_edges(e, VERTICES_4) for e in _kept_graphs_alpha_lambda_order4()}
         assert len(graded[4]) == len(oracle_classes) == 483
         assert len(to_oracle_form(graded)[4]) == len(graded[4])
@@ -293,13 +291,11 @@ class TestCanonicalForm:
 MIXED_34 = PolynomialPotential.from_dict({3: F(1, 6), 4: F(-1, 24)})
 
 LABELLED_CASES = {
-    "quartic-alpha,lambda-o4": (O_ALPHA, O_QUARTIC, 4, V4),
-    "k6-lambda,lambda-o3": (
-        DeformationOperator.coupling(V6), DeformationOperator.coupling(V6), 3, V6
-    ),
-    "mixed34-alpha,alpha-o3": (O_ALPHA, O_ALPHA, 3, MIXED_34),
-    "mixed34-alpha,j-o3": (O_ALPHA, O_SOURCE, 3, MIXED_34),
-    "mixed34-lambda,lambda-o3": (O_QUARTIC, O_QUARTIC, 3, MIXED_34),
+    "quartic-alpha,lambda-o4": (K_ALPHA, K_QUARTIC, 4, V4),
+    "k6-lambda,lambda-o3": (6, 6, 3, V6),
+    "mixed34-alpha,alpha-o3": (K_ALPHA, K_ALPHA, 3, MIXED_34),
+    "mixed34-alpha,j-o3": (K_ALPHA, K_SOURCE, 3, MIXED_34),
+    "mixed34-lambda,lambda-o3": (K_QUARTIC, K_QUARTIC, 3, MIXED_34),
 }
 
 
@@ -309,9 +305,9 @@ class TestOneGraphPerClass:
     # same canonical edge tuples.
     @pytest.mark.parametrize("case", sorted(LABELLED_CASES))
     def test_equals_labelled_walk(self, case):
-        op_a, op_b, order, potential = LABELLED_CASES[case]
-        direct = connected_integrand(op_a, op_b, order, potential)
-        labelled = labelled_connected_integrand(op_a, op_b, order, potential)
+        k_a, k_b, order, potential = LABELLED_CASES[case]
+        direct = connected_integrand(k_a, k_b, order, potential)
+        labelled = labelled_connected_integrand(k_a, k_b, order, potential)
         assert direct == labelled
         assert direct[order]
 
@@ -320,10 +316,10 @@ class TestOneGraphPerClass:
     )
     def test_orbit_stabiliser(self, case):
         # every class has m!/|Aut| labellings over all orderings of its degrees
-        op_a, op_b, m, potential = LABELLED_CASES[case]
+        k_a, k_b, m, potential = LABELLED_CASES[case]
         labellings: Counter = Counter()
         automorphisms = {}
-        for _degrees, (edges, aut), _mult in kept_labelled_graphs(op_a, op_b, m, potential):
+        for _degrees, (edges, aut), _mult in kept_labelled_graphs(k_a, k_b, m, potential):
             labellings[edges] += 1
             automorphisms[edges] = aut
         assert labellings
@@ -332,17 +328,16 @@ class TestOneGraphPerClass:
             assert count * automorphisms[edges] == factorial(m), edges
 
 
-def _walk_points(op_a, op_b, m, potential):
-    """The insertions of each degree multiset that `connected_grade` walks at order m."""
-    externals = [InsertionPoint("tau1", op_a.q_power), InsertionPoint("tau2", op_b.q_power)]
+def _walk_points(k_a, k_b, m, potential):
+    """The legs of each degree multiset that `connected_grade` walks at order m."""
     degrees = sorted(d for d, _ in potential.coefficients)
     for combo in itertools.combinations_with_replacement(degrees, m):
-        if (op_a.q_power + op_b.q_power + sum(combo)) % 2 == 0:
-            yield externals + [InsertionPoint(f"s{i}", d) for i, d in enumerate(combo, start=1)]
+        if (k_a + k_b + sum(combo)) % 2 == 0:
+            yield {"tau1": k_a, "tau2": k_b, **{f"s{i}": d for i, d in enumerate(combo, start=1)}}
 
 
 PRUNING_CASES = {
-    **{f"quartic-alpha,lambda-o{m}": (O_ALPHA, O_QUARTIC, m, V4) for m in range(5)},
+    **{f"quartic-alpha,lambda-o{m}": (K_ALPHA, K_QUARTIC, m, V4) for m in range(5)},
     **{case: LABELLED_CASES[case] for case in LABELLED_CASES if not case.startswith("quartic")},
 }
 
@@ -353,10 +348,10 @@ class TestPrunedWalk:
     @pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_equals_filtered_full_walk(self, case, ranked):
-        op_a, op_b, m, potential = PRUNING_CASES[case]
+        k_a, k_b, m, potential = PRUNING_CASES[case]
         rank = functools.partial(_walk_rank, m) if ranked else None
         walked = 0
-        for points in _walk_points(op_a, op_b, m, potential):
+        for points in _walk_points(k_a, k_b, m, potential):
             pruned = enumerate_pairings(points, rank=rank, connected=True)
             full = enumerate_pairings(points, rank=rank)
             assert pruned == [d for d in full if len(connected_components(d.edges)) == 1]
@@ -366,11 +361,11 @@ class TestPrunedWalk:
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_untied_graph_is_its_own_class_form(self, case):
         # when no two ranks tie, the walk's labelling is the canonical one
-        op_a, op_b, m, potential = PRUNING_CASES[case]
+        k_a, k_b, m, potential = PRUNING_CASES[case]
         rank = functools.partial(_walk_rank, m)
         names = [f"s{i}" for i in range(1, m + 1)]
         tied = 0
-        for points in _walk_points(op_a, op_b, m, potential):
+        for points in _walk_points(k_a, k_b, m, potential):
             for d in enumerate_pairings(points, rank=rank, connected=True):
                 if d.tied:
                     tied += 1
@@ -384,9 +379,9 @@ class TestPrunedWalk:
     )
     def test_walk_work_counts(self, case, leaves, unpruned, classes):
         # a walk that stops pruning, or a change of the rank, moves these counts
-        op_a, op_b, m, potential = LABELLED_CASES[case]
-        [points] = _walk_points(op_a, op_b, m, potential)
+        k_a, k_b, m, potential = LABELLED_CASES[case]
+        [points] = _walk_points(k_a, k_b, m, potential)
         rank = functools.partial(_walk_rank, m)
         assert len(enumerate_pairings(points, rank=rank, connected=True)) == leaves
         assert len(enumerate_pairings(points, rank=rank)) == unpruned
-        assert len(connected_grade(op_a, op_b, m, potential)) == classes
+        assert len(connected_grade(k_a, k_b, m, potential)) == classes

@@ -136,10 +136,16 @@ class TestParameterSpace:
         assert QUARTIC.labels == ("alpha", "lambda")
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            LINEAR.operator("lambda")
-        with pytest.raises(ValueError):
-            QUARTIC.operator("j")
+        with pytest.raises(ValueError, match="not a parameter of the linear model"):
+            LINEAR.derivative("lambda")
+        with pytest.raises(ValueError, match="not a parameter of the quartic model"):
+            QUARTIC.derivative("j")
+
+    def test_derivative(self):
+        assert QUARTIC.derivative("alpha") == (2, F(1, 2))
+        assert QUARTIC.derivative("lambda") == (4, F(1, 24))
+        assert LINEAR.derivative("j") == (1, F(1))
+        assert ParameterSpace.monomial(6).derivative("lambda") == (6, F(1, 720))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -415,6 +415,24 @@ class TestNumericQim:
         with pytest.raises(OverflowError):
             numeric_qim(1e-200, 0.01, 0.0, V4, CFG)
 
+    @pytest.mark.parametrize("alpha,label", [(1e150, "lambda"), (1e300, "alpha")])
+    def test_metric_below_the_float_range_raises(self, alpha, label):
+        # G_lambda,lambda ~ (13/6144) alpha^-3 is 0 in floats at alpha = 1e150,
+        # and at alpha = 1e300 so is G_alpha,alpha ~ alpha^-2 / 32
+        with pytest.raises(FloatingPointError, match=rf"G\({label},{label}\) = 0 is not a normal float"):
+            numeric_qim(alpha, 0.01, 0.0, V4, CFG)
+
+    def test_small_normal_metric_is_kept(self):
+        # G_lambda,lambda ~ 2e-303 at alpha = 1e100 is a normal float and exact to rounding
+        oracle = numeric_qim(1e100, 0.01, 0.0, V4, CFG)
+        series = qgt_component(ParameterSpace.quartic(), "lambda", "lambda", 2).evaluate(1e100, 0.01)
+        assert oracle.entry("lambda", "lambda") == pytest.approx(series, rel=1e-12)
+
+    def test_vanishing_derivative_gives_an_exact_zero(self):
+        # without a potential dH/dlambda = 0, so G_lambda,lambda = 0 is no underflow
+        oracle = numeric_qim(1.0, 0.0, 0.0, None, CFG)
+        assert oracle.entry("lambda", "lambda") == 0.0
+
     def test_basis_too_small_detected(self):
         tiny = OracleConfig(basis_size=16)
         with pytest.raises(BasisTooSmall):

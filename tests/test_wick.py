@@ -9,11 +9,10 @@ from oracles import (
     connected_pair_correlator,
     diagram_to_dot,
     moment,
-    points_of,
     product_of_sums,
 )
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import InsertionPoint, enumerate_pairings
+from oscqgt.wick import enumerate_pairings
 
 FREE = GaussianModel(source_j=False)
 SOURCED = GaussianModel(source_j=True)
@@ -23,12 +22,12 @@ MEAN = ScalarSeries.term(-1, alpha_half_pow=-2, j_pow=1)  # <q> = -J/alpha
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_pairing_count_double_factorial(n):
-    diagrams = enumerate_pairings([InsertionPoint("t", 2 * n)])
+    diagrams = enumerate_pairings({"t": 2 * n})
     assert sum(d.multiplicity for d in diagrams) == prod(range(2 * n - 1, 0, -2))
 
 
 def test_two_by_two_diagrams():
-    diagrams = enumerate_pairings(points_of({"tau1": 2, "tau2": 2}))
+    diagrams = enumerate_pairings({"tau1": 2, "tau2": 2})
     by_edges = {d.edges: d.multiplicity for d in diagrams}
     assert by_edges == {
         (("tau1", "tau2"), ("tau1", "tau2")): 2,
@@ -37,7 +36,7 @@ def test_two_by_two_diagrams():
 
 
 def test_single_propagator():
-    diagrams = enumerate_pairings(points_of({"tau1": 1, "tau2": 1}))
+    diagrams = enumerate_pairings({"tau1": 1, "tau2": 1})
     assert len(diagrams) == 1
     assert diagrams[0].edges == (("tau1", "tau2"),)
     assert diagrams[0].multiplicity == 1
@@ -45,7 +44,7 @@ def test_single_propagator():
 
 def test_quartic_vertex_vacuum_factor():
     # all three pairings of four equal-time legs give the same self-loop pair
-    diagrams = enumerate_pairings([InsertionPoint("s", 4)])
+    diagrams = enumerate_pairings({"s": 4})
     assert len(diagrams) == 1
     assert diagrams[0].edges == (("s", "s"), ("s", "s"))
     assert diagrams[0].multiplicity == 3
@@ -71,7 +70,7 @@ def test_matches_brute_force_enumeration(legs, with_mean):
     got = {}
     for n_sources in range(total % 2, total + 1, 2) if with_mean else [0]:
         sources = [f"j{i}" for i in range(1, n_sources + 1)]
-        points = points_of(legs) + [InsertionPoint(name, 1) for name in sources]
+        points = {**legs, **dict.fromkeys(sources, 1)}
         for d in enumerate_pairings(points):
             if any(a in sources and b in sources for a, b in d.edges):
                 continue
@@ -79,16 +78,16 @@ def test_matches_brute_force_enumeration(legs, with_mean):
             means = tuple(sorted(b for a, b in d.edges if a in sources))
             key = (edges, means)
             got[key] = got.get(key, 0) + F(d.multiplicity, factorial(n_sources))
-    assert got == brute_force_diagrams(points_of(legs), with_mean=with_mean)
+    assert got == brute_force_diagrams(legs, with_mean=with_mean)
 
 
 @pytest.mark.parametrize("power", [1, 3, 5])
 def test_odd_free_moments_vanish(power):
-    assert moment(FREE, [InsertionPoint("t", power)]) == {}
+    assert moment(FREE, {"t": power}) == {}
 
 
 def test_one_point_function_with_source():
-    terms = moment(SOURCED, [InsertionPoint("t", 1)])
+    terms = moment(SOURCED, {"t": 1})
     assert len(terms) == 1
     [(edges, coeff)] = terms.items()
     assert edges == ()
@@ -98,7 +97,7 @@ def test_one_point_function_with_source():
 def test_sourced_two_point_subtraction():
     # <q q> - <q><q> = D(tau1, tau2): the mean contributions cancel
     connected = connected_pair_correlator(
-        SOURCED, [InsertionPoint("tau1", 1)], [InsertionPoint("tau2", 1)]
+        SOURCED, {"tau1": 1}, {"tau2": 1}
     )
     assert len(connected) == 1
     [(edges, coeff)] = connected.items()
@@ -108,7 +107,7 @@ def test_sourced_two_point_subtraction():
 
 def test_connected_q2_q2_free():
     connected = connected_pair_correlator(
-        FREE, [InsertionPoint("tau1", 2)], [InsertionPoint("tau2", 2)]
+        FREE, {"tau1": 2}, {"tau2": 2}
     )
     assert len(connected) == 1
     [(edges, coeff)] = connected.items()
@@ -118,7 +117,7 @@ def test_connected_q2_q2_free():
 
 def test_connected_q2_q_with_source():
     connected = connected_pair_correlator(
-        SOURCED, [InsertionPoint("tau1", 2)], [InsertionPoint("tau2", 1)]
+        SOURCED, {"tau1": 2}, {"tau2": 1}
     )
     assert len(connected) == 1
     [(edges, coeff)] = connected.items()
@@ -129,7 +128,7 @@ def test_connected_q2_q_with_source():
 def test_clusters_sharing_a_time_variable():
     # artificial split of one cluster: the disconnected algebra still cancels
     connected = connected_pair_correlator(
-        SOURCED, [InsertionPoint("tau1", 1)], [InsertionPoint("tau1", 1)]
+        SOURCED, {"tau1": 1}, {"tau1": 1}
     )
     assert len(connected) == 1
     [(edges, coeff)] = connected.items()
@@ -158,10 +157,10 @@ def _relabel(products, mapping):
 )
 @pytest.mark.parametrize("model", [FREE, SOURCED])
 def test_cluster_swap_is_a_relabeling(legs_a, legs_b, model):
-    ab = connected_pair_correlator(model, points_of(legs_a), points_of(legs_b))
+    ab = connected_pair_correlator(model, legs_a, legs_b)
     swap_a = {k.replace("tau1", "tau2"): v for k, v in legs_a.items()}
     swap_b = {k.replace("tau2", "tau1"): v for k, v in legs_b.items()}
-    ba = connected_pair_correlator(model, points_of(swap_b), points_of(swap_a))
+    ba = connected_pair_correlator(model, swap_b, swap_a)
     swap = {"tau1": "tau2", "tau2": "tau1"}
     assert _relabel(ab, swap) == _relabel(ba, {})
 
@@ -188,8 +187,8 @@ def _component_nodes(edges):
 def test_subtraction_equals_connectivity_filter(legs_a, legs_b):
     # the subtracted correlator must equal the linked-diagram part of the
     # joint moment, computed here with an independent component filter
-    connected = connected_pair_correlator(FREE, points_of(legs_a), points_of(legs_b))
-    joint = moment(FREE, points_of(legs_a) + points_of(legs_b))
+    connected = connected_pair_correlator(FREE, legs_a, legs_b)
+    joint = moment(FREE, {**legs_a, **legs_b})
     filtered = {}
     for edges, coeff in joint.items():
         linked = any(
@@ -202,7 +201,7 @@ def test_subtraction_equals_connectivity_filter(legs_a, legs_b):
 
 def test_moment_with_source_reduces_to_free_at_zero_mean():
     # J = 0 evaluation of the sourced moment equals the free moment
-    pts = points_of({"tau1": 2, "tau2": 2})
+    pts = {"tau1": 2, "tau2": 2}
     sourced = moment(SOURCED, pts)
     free = moment(FREE, pts)
     for edges, coeff in sourced.items():
@@ -214,14 +213,14 @@ def test_moment_with_source_reduces_to_free_at_zero_mean():
 
 
 def test_product_of_sums_merges_duplicates():
-    a = moment(FREE, points_of({"tau1": 2}))
+    a = moment(FREE, {"tau1": 2})
     combined = product_of_sums(a, a)
     assert len(combined) == 1
     assert list(combined.values()) == [ScalarSeries.one()]
 
 
 def test_dot_export():
-    diagram = enumerate_pairings(points_of({"tau1": 2, "tau2": 2}))[1]
+    diagram = enumerate_pairings({"tau1": 2, "tau2": 2})[1]
     dot = diagram_to_dot(diagram, "pair")
     assert "graph pair" in dot
     assert dot.count("tau1 -- tau2") == 2
