@@ -40,7 +40,8 @@ EXIT_ORACLE = 4
 DEFAULT_MAX_ORDER = 3
 MAX_ORDER_ENV = "QGT_MAX_ORDER"
 # sweep's basis: the oracle also solves at twice the size, and at 8192 states
-# a degree-8 potential no longer converges even at alpha = 1
+# a degree-8 potential no longer converges even at alpha = 1; a larger basis
+# also loses digits, as the solver's tolerances scale with max|band| ~ N^(k/2)
 MIN_BASIS_SIZE, MAX_BASIS_SIZE = 16, 4096
 
 _SERIES_ITEM = {
@@ -268,6 +269,36 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+# -- series versus oracle -----------------------------------------------------
+
+
+def _compare(space: qgt.ParameterSpace, series: dict, point: tuple, config=None) -> list[tuple]:
+    """(a, b, series value, oracle value, oracle error estimate) for each
+    entry of `series` at point = (alpha, lambda, j), in sorted order, from an
+    oracle with basis `config` (its default when None).
+
+    The oracle runs first, so a point beyond its float range is named as the
+    oracle's; a series that underflows there too is named before the oracle.
+    """
+    from . import spectral_oracle
+
+    where = "alpha={!r}, lambda={!r}, j={!r}".format(*point)
+    try:
+        oracle = spectral_oracle.numeric_qim(*point, space.potential, config, labels=space.labels)
+    except OverflowError:
+        raise ValueError(f"the oracle overflows a float at {where}") from None
+    except FloatingPointError:
+        for s in series.values():
+            _evaluate(s, *point)
+        raise ValueError(f"the oracle underflows a float at {where}") from None
+    rows = []
+    for (a, b), s in sorted(series.items()):
+        report = oracle.convergence_report[(a, b)]
+        err = report["refinement"] + report["basis_doubling"]
+        rows.append((a, b, _evaluate(s, *point), oracle.entry(a, b), err))
+    return rows
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -276,28 +307,22 @@ def _check(name: str, component: str, delta: float, tol: float) -> dict:
 
 
 def _linear_checks() -> list[dict]:
-    from . import linear_exact, spectral_oracle
+    from . import linear_exact
 
     checks = []
     space = qgt.ParameterSpace.linear_source()
     series = qgt.assemble(space)
-    cfg = spectral_oracle.OracleConfig()
-    for alpha in (0.5, 1.0, 2.0):
-        for j in (0.0, 0.5):
-            exact = linear_exact.exact_linear_qgt(alpha, j)
-            oracle = spectral_oracle.numeric_qim(alpha, 0.0, j, space.potential, cfg, labels=space.labels)
-            for (a, b), closed in exact.items():
-                sym = series[(a, b)].evaluate(alpha, 0.0, j)
-                num = oracle.entry(a, b)
-                tol = 1e-6 * max(1.0, abs(closed))
-                for kind, x, y in (
-                    ("series-vs-closed-form", sym, closed),
-                    ("oracle-vs-closed-form", num, closed),
-                    ("series-vs-oracle", sym, num),
-                ):
-                    checks.append(
-                        _check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol)
-                    )
+    for alpha, j in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5)):
+        exact = linear_exact.exact_linear_qgt(alpha, j)
+        for a, b, sym, num, _ in _compare(space, series, (alpha, 0.0, j)):
+            closed = exact[(a, b)]
+            tol = 1e-6 * max(1.0, abs(closed))
+            for kind, x, y in (
+                ("series-vs-closed-form", sym, closed),
+                ("oracle-vs-closed-form", num, closed),
+                ("series-vs-oracle", sym, num),
+            ):
+                checks.append(_check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol))
     # the series themselves must be equal, term by term; delta is the largest
     # coefficient of any difference
     diffs = {key: series[key] - closed for key, closed in linear_exact.LINEAR_QGT.items()}
@@ -310,40 +335,23 @@ def _linear_checks() -> list[dict]:
 def _quartic_checks() -> list[dict]:
     import numpy as np
 
-    from . import spectral_oracle
-
-    checks = []
     space = qgt.ParameterSpace.quartic()
     series = qgt.assemble(space, 1)
-    cfg = spectral_oracle.OracleConfig()
-    potential = space.potential
     # free-theory agreement
-    for alpha in (0.5, 1.0, 2.0):
-        oracle = spectral_oracle.numeric_qim(alpha, 0.0, 0.0, potential, cfg)
-        for (a, b), s in series.items():
-            sym = s.evaluate(alpha, 0.0)
-            num = oracle.entry(a, b)
-            tol = 1e-6 * max(1.0, abs(sym))
-            checks.append(
-                _check(f"quartic free-theory alpha={alpha}", f"g({a},{b})", abs(sym - num), tol)
-            )
+    checks = [
+        _check(f"quartic free-theory alpha={alpha}", f"g({a},{b})", abs(sym - num), 1e-6 * max(1.0, abs(sym)))
+        for alpha in (0.5, 1.0, 2.0)
+        for a, b, sym, num, _ in _compare(space, series, (alpha, 0.0, 0.0))
+    ]
     # interacting: quadratic remainder scaling, plus the absolute bound at 0.05
     lams = (0.02, 0.04, 0.08)
-    devs = {key: [] for key in series}
-    for lam in lams:
-        oracle = spectral_oracle.numeric_qim(1.0, lam, 0.0, potential, cfg)
-        for key, s in series.items():
-            devs[key].append(abs(oracle.entry(*key) - s.evaluate(1.0, lam)))
-    for (a, b), values in devs.items():
-        slope = float(np.polyfit(np.log(lams), np.log(values), 1)[0])
-        checks.append(
-            _check("quartic remainder-scaling slope", f"g({a},{b})", abs(slope - 2.0), 0.3)
-        )
-    oracle = spectral_oracle.numeric_qim(1.0, 0.05, 0.0, potential, cfg)
-    dev = abs(
-        oracle.entry("lambda", "lambda") - series[("lambda", "lambda")].evaluate(1.0, 0.05)
-    )
-    checks.append(_check("quartic absolute deviation lambda=0.05", "g(lambda,lambda)", dev, 5e-5))
+    for per_lambda in zip(*(_compare(space, series, (1.0, lam, 0.0)) for lam in lams)):
+        devs = [abs(sym - num) for _, _, sym, num, _ in per_lambda]
+        slope = float(np.polyfit(np.log(lams), np.log(devs), 1)[0])
+        a, b = per_lambda[0][:2]
+        checks.append(_check("quartic remainder-scaling slope", f"g({a},{b})", abs(slope - 2.0), 0.3))
+    *_, (_, _, sym, num, _) = _compare(space, series, (1.0, 0.05, 0.0))  # g(lambda,lambda) sorts last
+    checks.append(_check("quartic absolute deviation lambda=0.05", "g(lambda,lambda)", abs(sym - num), 5e-5))
     return checks
 
 
@@ -401,38 +409,6 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(space, order, series, point, cfg):
-    from . import spectral_oracle
-
-    alpha, lam, j = point
-    where = f"alpha={alpha!r}, lambda={lam!r}, j={j!r}"
-    try:
-        oracle = spectral_oracle.numeric_qim(alpha, lam, j, space.potential, cfg, labels=space.labels)
-    except OverflowError:
-        raise ValueError(f"the oracle overflows a float at {where}") from None
-    except FloatingPointError:
-        for s in series.values():  # a series that underflows too is named first
-            _evaluate(s, alpha, lam, j)
-        raise ValueError(f"the oracle underflows a float at {where}") from None
-    rows = []
-    for (a, b), s in sorted(series.items()):
-        sym = _evaluate(s, alpha, lam, j)
-        num = oracle.entry(a, b)
-        err = oracle.convergence_report[(a, b)]
-        rows.append(
-            [
-                space.kind,
-                str(order),
-                repr(alpha), repr(lam), repr(j),
-                f"{a},{b}",
-                repr(sym), repr(num),
-                repr(float(err["refinement"] + err["basis_doubling"])),
-                repr(abs(sym - num)),
-            ]
-        )
-    return rows
-
-
 def cmd_sweep(args) -> int:
     import csv
 
@@ -440,15 +416,15 @@ def cmd_sweep(args) -> int:
 
     series = qgt.assemble(args.space, args.order)
     cfg = spectral_oracle.OracleConfig(args.basis_size)
-    rows = [
-        row
-        for point in itertools.product(args.alphas, args.lambdas, args.js)
-        for row in _sweep_point(args.space, args.order, series, point, cfg)
-    ]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(rows)
+    for point in itertools.product(args.alphas, args.lambdas, args.js):
+        for a, b, sym, num, err in _compare(args.space, series, point, cfg):
+            writer.writerow(
+                [args.space.kind, args.order, *map(repr, point), f"{a},{b}"]
+                + [repr(x) for x in (sym, num, err, abs(sym - num))]
+            )
     _emit(out.getvalue(), args.out)
     return EXIT_OK
 

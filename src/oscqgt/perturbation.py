@@ -99,12 +99,9 @@ def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
     return (sum(row) + row[i], row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
 
 
-def _linked_class(
-    edges: Sequence[tuple[str, str]], names: Sequence[str]
-) -> tuple[Edges, int] | None:
+def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> tuple[Edges, int]:
     """Canonical edge multiset and automorphism count of a connected diagram.
 
-    Returns None when tau1, tau2 and `names` are not one connected component.
     The internal vertices are ranked by the walk's key `_walk_rank`; the form
     is the minimal relabeled edge multiset over the relabelings that keep that
     ranking, so isomorphic diagrams share it, and the number of relabelings
@@ -117,24 +114,11 @@ def _linked_class(
     index = dict(zip(names, range(m)))
     index[TAU1], index[TAU2] = m, m + 1
     count = [[0] * n for _ in range(n)]
-    root = list(range(n))
-    pairs = []
-    joined = 0
-    for a, b in edges:
-        i, j = index[a], index[b]
-        pairs.append((i, j))
+    pairs = [(index[a], index[b]) for a, b in edges]
+    for i, j in pairs:
         count[i][j] += 1
         if i != j:
             count[j][i] += 1
-        while root[i] != i:
-            i = root[i]
-        while root[j] != j:
-            j = root[j]
-        if i != j:
-            root[i] = j
-            joined += 1
-    if joined != n - 1:
-        return None
     rank = [_walk_rank(m, i, row) for i, row in enumerate(count[:m])]
     ranked = sorted(range(m), key=rank.__getitem__)
     classes = [list(group) for _, group in itertools.groupby(ranked, key=rank.__getitem__)]

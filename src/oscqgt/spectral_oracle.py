@@ -80,9 +80,10 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
     """
     if potential is None or lam == 0.0:
         return
-    full = {2: 0.5 * alpha}
-    for deg, c in potential.coefficients:
-        full[deg] = full.get(deg, 0.0) + lam * float(c)
+    full: dict[int, float] = {}
+    for label, value in (("alpha", alpha), ("lambda", lam)):
+        for deg, c in hamiltonian_derivative(label, potential):
+            full[deg] = full.get(deg, 0.0) + value * float(c)
     k = max((deg for deg, c in full.items() if c != 0.0), default=0)
     if k == 0:
         raise NoGroundState(
@@ -173,11 +174,10 @@ def build_hamiltonian(
     omega = config.omega(alpha)
     b = max(2, potential.degree) if potential is not None else 2
     coeffs = np.zeros(b + 1)
-    coeffs[1] = j
-    coeffs[2] = 0.5 * (alpha - omega**2)
-    if potential is not None and lam != 0.0:
-        for deg, c in potential.coefficients:
-            coeffs[deg] += lam * float(c)
+    coeffs[2] = -0.5 * omega**2  # p^2/2 + omega^2 q^2/2 is the diagonal added below
+    for label, value in (("alpha", alpha), ("j", j), ("lambda", lam)):
+        for deg, c in hamiltonian_derivative(label, potential):
+            coeffs[deg] += value * float(c)
     band = np.tensordot(coeffs, _power_bands(n, omega, b), axes=1)
     band[0] += omega * (np.arange(n) + 0.5)
     return band

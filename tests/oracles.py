@@ -407,9 +407,8 @@ def kept_labelled_graphs(k_a: int, k_b: int, m: int, potential):
         if (k_a + k_b + sum(degrees)) % 2:
             continue
         for diag in enumerate_pairings({"tau1": k_a, "tau2": k_b, **dict(zip(names, degrees))}):
-            linked = _linked_class(diag.edges, names)
-            if linked is not None:
-                yield degrees, linked, diag.multiplicity
+            if len(connected_components(diag.edges)) == 1:
+                yield degrees, _linked_class(diag.edges, names), diag.multiplicity
 
 
 def labelled_connected_integrand(k_a: int, k_b: int, order: int, potential):

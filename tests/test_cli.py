@@ -537,13 +537,39 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+@pytest.fixture(scope="module")
+def verify_all():
+    return cli.run_verification("all")
+
+
+LINEAR_ENTRIES = ("g(alpha,alpha)", "g(alpha,j)", "g(j,alpha)", "g(j,j)")
+QUARTIC_ENTRIES = ("g(alpha,alpha)", "g(alpha,lambda)", "g(lambda,alpha)", "g(lambda,lambda)")
+# every check `verify all` runs, in order
+VERIFY_ALL_CHECKS = [
+    *(
+        (f"linear {kind} alpha={alpha} j={j}", entry)
+        for alpha in (0.5, 1.0, 2.0)
+        for j in (0.0, 0.5)
+        for entry in LINEAR_ENTRIES
+        for kind in ("series-vs-closed-form", "oracle-vs-closed-form", "series-vs-oracle")
+    ),
+    ("linear exact series-vs-closed-form", "all"),
+    *((f"quartic free-theory alpha={alpha}", e) for alpha in (0.5, 1.0, 2.0) for e in QUARTIC_ENTRIES),
+    *(("quartic remainder-scaling slope", e) for e in QUARTIC_ENTRIES),
+    ("quartic absolute deviation lambda=0.05", "g(lambda,lambda)"),
+]
+
+
 class TestVerify:
-    def test_check_count_matches_the_benchmark_reference(self):
+    def test_check_count_matches_the_benchmark_reference(self, verify_all):
         # the benchmark gates `verify all` on its check count, so adding or
         # removing a check must come with a new bench/reference.json
         reference = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
         expected = json.loads(reference.read_text(encoding="utf-8"))["verify-all"]["checks"]
-        assert len(cli.run_verification("all")) == expected
+        assert len(verify_all) == expected
+
+    def test_checks_are_pinned_by_name_and_component(self, verify_all):
+        assert [(c["name"], c["component"]) for c in verify_all] == VERIFY_ALL_CHECKS
 
     def test_broken_prefactor_fails_naming_the_component(self, capsys, monkeypatch):
         real = oscqgt.qgt.qgt_component
