@@ -22,7 +22,9 @@ diverges.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -45,37 +47,37 @@ def internal_vertices(m: int) -> list[str]:
     return [f"s{i}" for i in range(1, m + 1)]
 
 
-def cut_sizes(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> list[int]:
-    """c[s], the number of propagators with one endpoint in subset s (bit i = names[i]).
+def cut_sizes(links: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """c[s], the number of propagators with one endpoint in subset s of n times
+    (bit i = time i), for propagators given as index pairs (i, j).
 
-    Adding the highest member v to the rest r of s changes the cut by
-    deg(v) - 2 * (edges from v into r); both tables are built by doubling.
+    The table is summed as one integer with a 32-bit field per subset.
     """
-    index = {name: i for i, name in enumerate(names)}
-    links = [[0] * len(names) for _ in names]
-    for a, b in edges:
-        if a != b:
-            i, j = index[a], index[b]
-            links[i][j] += 1
-            links[j][i] += 1
-    cut = [0]
-    for v, row in enumerate(links):
-        into = [0]
-        for w in row[:v]:
-            into += [e + w for e in into] if w else into
-        degree = sum(row)
-        cut += [c + degree - 2 * e for c, e in zip(cut, into)]
-    return cut
+    crossings = _crossings(n)
+    packed = sum(crossings[i][j] for i, j in links)
+    return memoryview(packed.to_bytes(4 << n, sys.byteorder)).cast("I").tolist()
 
 
-def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Fraction:
+@functools.cache
+def _crossings(n: int) -> tuple[tuple[int, ...], ...]:
+    """[i][j] has field s set to 1 when a propagator between times i and j
+    crosses the cut of subset s (never for a loop, i = j)."""
+    return tuple(
+        tuple(sum(1 << 32 * s for s in range(1 << n) if (s >> i ^ s >> j) & 1) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ordered_sum(links: Sequence[tuple[int, int]], names: Sequence[str]) -> Fraction:
     """Sum over orders with tau1 before tau2 of prod_g 1/c_g * sum_j 1/c_j.
 
-    tau1 and tau2 come first in `names`, so they are bits 0 and 1 of a subset.
-    The accumulators are integers over the common denominator scale**n.
+    `links` are the propagators between distinct times, as index pairs into
+    `names`.  tau1 and tau2 come first in `names`, so they are bits 0 and 1
+    of a subset.  The accumulators are integers over the common denominator
+    scale**n.
     """
     full = (1 << len(names)) - 1
-    cut = cut_sizes(edges, names)
+    cut = cut_sizes(links, len(names))
     if 0 in cut[1:full]:
         s = cut.index(0, 1)
         members = ", ".join(n for i, n in enumerate(names) if s >> i & 1)
@@ -101,17 +103,31 @@ def _ordered_sum(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> Frac
     return Fraction(marked[full], scale ** len(names))
 
 
-def wedge_integral(graphs: Mapping[Edges, Fraction], n_vertices: int = 0) -> ScalarSeries:
+def wedge_integral(
+    graphs: Mapping[Edges, Fraction], n_vertices: int = 0, sums: dict | None = None
+) -> ScalarSeries:
     """Exact integral of sum_edges coeff * prod_edges D over the wedge, a series in alpha.
 
-    The edges may reference tau1, tau2 and internal vertices s1..s_n.
+    The edges may reference tau1, tau2 and internal vertices s1..s_n.  A
+    self-loop only contributes its constant, so graphs with one loop-free
+    skeleton share one ordered sum; `sums` keeps those sums by (vertex count,
+    skeleton) and may be passed to several calls to share them.
     """
     names = [TAU1, TAU2] + internal_vertices(n_vertices)
-    terms = []
+    # the index pair of each propagator between two times, None for a loop
+    links = {(a, b): (i, j) if i != j else None for i, a in enumerate(names) for j, b in enumerate(names)}
+    sums = {} if sums is None else sums
+    totals: dict[int, Fraction] = {}  # by alpha power
     for edges, coeff in graphs.items():
-        unknown = {t for edge in edges for t in edge} - set(names)
-        if unknown:
-            raise ValueError(f"propagator endpoints {sorted(unknown)} are not active variables")
-        value = _ordered_sum(edges, names) / 2 ** len(edges)
-        terms.append(ScalarTerm(coeff * value, -len(edges) - len(names)))
-    return ScalarSeries.from_terms(terms)
+        try:
+            skeleton = tuple(filter(None, map(links.__getitem__, edges)))
+        except KeyError:
+            unknown = sorted({t for edge in edges for t in edge} - set(names))
+            raise ValueError(f"propagator endpoints {unknown} are not active variables") from None
+        value = sums.get((len(names), skeleton))
+        if value is None:
+            value = sums[len(names), skeleton] = _ordered_sum(skeleton, names)
+        power = -len(edges) - len(names)
+        term = Fraction(coeff.numerator * value.numerator, coeff.denominator * value.denominator << len(edges))
+        totals[power] = totals.get(power, 0) + term
+    return ScalarSeries.from_terms(ScalarTerm(c, power) for power, c in totals.items())

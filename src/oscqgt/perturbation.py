@@ -18,7 +18,7 @@ vertices' ranks (`_walk_rank`) are sorted, and weighted by 1/|Aut|
 in place of 1/m! times its m!/|Aut| labellings (orbit-stabiliser).  Diagrams
 are stored per coupling order as {edge-multiset: exact coefficient}, each
 under one fixed labelling of its class: the sorted one when no two ranks tie,
-otherwise the canonical form of `_linked_class`.
+otherwise the canonical form of `_class_form`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .integrator import TAU1, TAU2, Edges, internal_vertices
 from .scalar_algebra import Frozen
-from .wick import enumerate_pairings
+from .wick import edges_of, walk_pairings
 
 __all__ = [
     "PolynomialPotential",
@@ -84,7 +84,7 @@ def hamiltonian_derivative(
     raise ValueError(f"unknown parameter {label!r}")
 
 
-def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
+def _walk_rank(m: int, i: int, row: list[int]) -> tuple | None:
     """Rank of the i-th time of the pairing walk, kept by relabelling s_1..s_m.
 
     row lists the time's edges to s_1..s_m, tau1 and tau2.  The rank is the
@@ -96,11 +96,15 @@ def _walk_rank(m: int, i: int, row: Sequence[int]) -> tuple | None:
     """
     if i >= m:
         return None
-    return (sum(row) + row[i], row[m], row[m + 1], row[i], sorted(row[:i] + row[i + 1 : m]))
+    others = row[:m]
+    del others[i]
+    others.sort()
+    return (sum(row) + row[i], row[m], row[m + 1], row[i], others)
 
 
-def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> tuple[Edges, int]:
-    """Canonical edge multiset and automorphism count of a connected diagram.
+def _class_form(pairs: Sequence[tuple[int, int]], m: int) -> tuple[Edges, int]:
+    """Canonical edge multiset and automorphism count of a connected diagram
+    whose edges are index pairs over s_1..s_m (0..m-1), tau1 (m) and tau2 (m + 1).
 
     The internal vertices are ranked by the walk's key `_walk_rank`; the form
     is the minimal relabeled edge multiset over the relabelings that keep that
@@ -109,12 +113,8 @@ def _linked_class(edges: Sequence[tuple[str, str]], names: Sequence[str]) -> tup
     two ranks tie, one relabeling keeps the ranking: the one that numbers the
     vertices in rank order, with |Aut| = 1.
     """
-    m = len(names)
     n = m + 2
-    index = dict(zip(names, range(m)))
-    index[TAU1], index[TAU2] = m, m + 1
     count = [[0] * n for _ in range(n)]
-    pairs = [(index[a], index[b]) for a, b in edges]
     for i, j in pairs:
         count[i][j] += 1
         if i != j:
@@ -155,12 +155,12 @@ def connected_grade(
     The pairing walk yields only connected graphs, one sorted labelling or
     more per class.  A graph whose walk ranks all differ is the only sorted
     labelling of its class, which is then stored under that labelling with
-    |Aut| = 1; a graph with tied ranks is stored under its `_linked_class`
+    |Aut| = 1; a graph with tied ranks is stored under its `_class_form`
     form, on which all its tied labellings land.
     """
     coefficients = dict(potential.coefficients)
     grade: dict[Edges, Fraction] = {}
-    names = internal_vertices(m)
+    order = (*sorted(internal_vertices(m)), TAU1, TAU2)  # the walk's order of the times
     rank = functools.partial(_walk_rank, m)
     for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
         if (k_a + k_b + sum(degrees)) % 2:
@@ -170,13 +170,12 @@ def connected_grade(
             weight *= coefficients[d]
         # nondecreasing degrees in the walk's order, so that the sorted
         # labelling of every class passes `rank`
-        legs = {TAU1: k_a, TAU2: k_b, **dict(zip(sorted(names), degrees))}
-        for diag in enumerate_pairings(legs, rank=rank, connected=True):
-            if diag.tied:
-                edges, automorphisms = _linked_class(diag.edges, names)
+        for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], rank, connected=True):
+            if tied:
+                edges, automorphisms = _class_form(edges_of(counts, range(m + 2)), m)
             else:
-                edges, automorphisms = diag.edges, 1
-            grade[edges] = weight * Fraction(diag.multiplicity, automorphisms)
+                edges, automorphisms = edges_of(counts, order), 1
+            grade[edges] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
     return grade
 
 
@@ -188,7 +187,7 @@ def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPot
     internal vertices: one graph per class of Wick graphs in which tau1, tau2
     and every vertex form one component, weighted by
     (-1)^m * prod c_deg * multiplicity / |Aut|.  The walk drops disconnected
-    branches before they finish, and the canonical search of `_linked_class`
+    branches before they finish, and the canonical search of `_class_form`
     runs only on graphs whose vertex ranks tie (see `connected_grade`).  The
     coefficients of dH/da and dH/db are not included here (the tensor
     assembly owns them).

@@ -127,15 +127,18 @@ def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -
     return connected_integrand(k_a, k_b, order, space.potential)
 
 
-def qgt_component(space: ParameterSpace, a: str, b: str, order: int = 1) -> ScalarSeries:
+def qgt_component(
+    space: ParameterSpace, a: str, b: str, order: int = 1, sums: dict | None = None
+) -> ScalarSeries:
     """One tensor component as an exact series in (alpha, coupling).
 
     The linear-source model is summed exactly (the expansion in J terminates);
-    `order` is the coupling truncation for the polynomial models.
+    `order` is the coupling truncation for the polynomial models.  `sums` is
+    `wedge_integral`'s memo of ordered sums.
     """
     series = ScalarSeries.zero()
     for m, grade in component_integrand(space, a, b, order).items():
-        series = series + wedge_integral(grade, m) * space.coupling**m
+        series = series + wedge_integral(grade, m, sums) * space.coupling**m
     return series * (space.derivative(a)[1] * space.derivative(b)[1])
 
 
@@ -143,11 +146,13 @@ def assemble(space: ParameterSpace, order: int = 1) -> dict[tuple[str, str], Sca
     """Every component G_ab of the tensor, keyed (a, b).
 
     Each unordered pair is computed once and stored under both orders: the
-    real correlators in scope are symmetric in the two operators.
+    real correlators in scope are symmetric in the two operators.  The
+    components share their ordered sums: many graphs of one component differ
+    from graphs of another only in self-loops.
     """
-    components = {}
+    components, sums = {}, {}
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
-        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order)
+        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums)
     return components
 
 

@@ -16,7 +16,9 @@ of the potential V = q.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import chain, repeat
+from math import factorial, prod
+from operator import itemgetter, sub
 from typing import Callable, Mapping, Sequence
 
 from .scalar_algebra import Frozen
@@ -24,6 +26,8 @@ from .scalar_algebra import Frozen
 __all__ = [
     "WickDiagram",
     "enumerate_pairings",
+    "walk_pairings",
+    "edges_of",
     "edges_to_dot",
 ]
 
@@ -43,63 +47,91 @@ class WickDiagram(Frozen):
         _set(self, "tied", tied)
 
 
+# a diagram over times 0..k-1 as its edge counts e_ij for i <= j, row by row:
+# (e_00, e_01, ..., e_11, ...); e_ii counts the self-loops of time i
+EdgeCounts = tuple[int, ...]
+
+
 def enumerate_pairings(
     legs: Mapping[str, int],
     rank: Callable[[int, list[int]], object] | None = None,
     connected: bool = False,
 ) -> list[WickDiagram]:
     """All pairing classes of legs[t] q-factors at each time t, with exact
-    multiplicities.
+    multiplicities, sorted by edges.
 
     Multiplicities over all diagrams of 2n legs sum to (2n-1)!!.  An odd
-    total yields an empty list (the moment is zero).
+    total yields an empty list (the moment is zero).  The times are walked
+    in name order; `rank` and `connected` are those of `walk_pairings`.
+    """
+    names = sorted(legs)
+    diagrams = [
+        WickDiagram(edges_of(counts, names), multiplicity, tied)
+        for counts, multiplicity, tied in walk_pairings([legs[n] for n in names], rank, connected)
+    ]
+    diagrams.sort(key=lambda d: d.edges)
+    return diagrams
+
+
+def edges_of(counts: EdgeCounts, names: Sequence) -> tuple[tuple, ...]:
+    """The edge multiset of a diagram, as (names[i], names[j]) pairs with
+    i <= j; sorted when `names` is."""
+    return tuple(chain.from_iterable(map(repeat, _upper_pairs(tuple(names)), counts)))
+
+
+@lru_cache(maxsize=None)  # a walk's few name orders
+def _upper_pairs(names: tuple) -> tuple[tuple, ...]:
+    return tuple((a, b) for i, a in enumerate(names) for b in names[i:])
+
+
+def walk_pairings(
+    legs: Sequence[int],
+    rank: Callable[[int, list[int]], object] | None = None,
+    connected: bool = False,
+) -> list[tuple[EdgeCounts, int, bool]]:
+    """Every pairing class of legs[i] q-factors at the i-th time, as
+    (edge counts, multiplicity, tied), in walk order.
 
     `rank(i, row)` breaks the symmetry between interchangeable times: row[j]
-    counts the edges between the i-th and j-th time in name order (row[i] the
-    self-loops), and the walk skips every diagram in which a time's rank sorts
-    below the previous ranked time's (None leaves a time unranked).  With a
-    rank that relabelling preserves, every class of diagrams under relabelling
-    keeps at least its sorted labelling.  A diagram is `tied` when two of its
-    ranked times share a rank: other labellings of its class may then sort
-    too.
+    counts the edges between the i-th and j-th time (row[i] the self-loops),
+    and the walk skips every diagram in which a time's rank sorts below the
+    previous ranked time's (None leaves a time unranked).  With a rank that
+    relabelling preserves, every class of diagrams under relabelling keeps at
+    least its sorted labelling.  A diagram is `tied` when two of its ranked
+    times share a rank: other labellings of its class may then sort too.
 
     With `connected`, only the diagrams that join every time into one
-    component are returned.  The walk places the times in name order and
-    drops a branch as soon as the component of the time just placed has no
-    edge left to a later time: that component can no longer grow, so every
-    diagram below the branch is disconnected.
+    component are returned.  The walk places the times in order and drops a
+    branch as soon as the component of the time just placed has no edge left
+    to a later time: that component can no longer grow, so every diagram
+    below the branch is disconnected.
     """
-    if any(c < 1 for c in legs.values()):
+    if any(c < 1 for c in legs):
         raise ValueError("every time needs >= 1 leg")
-    names = sorted(legs)
-    counts = [legs[n] for n in names]
-    k = len(names)
-    fact = [factorial(i) for i in range(max(counts, default=0) + 1)]
-    total = 1
-    for c in counts:
-        total *= fact[c]
+    if not legs:
+        return [((), 1, False)]  # the empty product
+    k = len(legs)
+    fact = [factorial(i) for i in range(max(legs) + 1)]
+    total = prod(fact[c] for c in legs)
     links = [[0] * k for _ in range(k)]
-    diagrams: list[WickDiagram] = []
+    found: list[tuple[EdgeCounts, int, bool]] = []
+    last = k - 1
 
-    # assign node i's remaining legs to self-loops and edges toward nodes
-    # j > i; edges are appended in sorted order, and the denominator of the
-    # multiplicity grows with them.  Row i of `links` is complete once node i
-    # is placed: earlier nodes filled in its first i entries.
-    def walk(i: int, remaining: list[int], edges: tuple, denom: int, floor, tied: bool):
-        if i == k:
-            q, rem = divmod(total, denom)
-            assert rem == 0
-            diagrams.append(WickDiagram(edges, q, tied))
-            return
-        n_i, name, row = remaining[i], names[i], links[i]
-        later = tuple(remaining[i + 1 :])
-        for self_i in range(n_i // 2 + 1):
-            if connected and 2 * self_i == n_i and i < k - 1 and closes(i):
+    # assign node i's remaining legs rest[0] to self-loops and edges toward
+    # the nodes after it, which have rest[1:] legs left; `upper` holds the
+    # earlier nodes' edge counts, and the denominator of the multiplicity
+    # grows with them.  Node i's edges to earlier nodes are copied into its
+    # row of `links` on entry, so the row is complete once node i is placed.
+    # The last node can only close its legs into self-loops.
+    def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, floor, tied: bool):
+        n_i, later, row = rest[0], rest[1:], links[i]
+        row[:i] = map(itemgetter(i), links[:i])
+        for self_i in range(n_i // 2 if i == last else 0, n_i // 2 + 1):
+            if connected and 2 * self_i == n_i and i < last and closes(i):
                 continue  # no edge leaves node i's component: disconnected below
-            head_edges = edges + ((name, name),) * self_i
-            head_denom = denom * fact[self_i] * 2**self_i
+            head, head_denom = upper + (self_i,), denom * fact[self_i] << self_i
             row[i] = self_i
-            for combo in _compositions(n_i - 2 * self_i, later):
+            for combo, combo_denom in _compositions(n_i - 2 * self_i, later):
                 row[i + 1 :] = combo
                 r = rank(i, row) if rank else None
                 if r is None:
@@ -108,15 +140,10 @@ def enumerate_pairings(
                     continue
                 else:
                     tie = tied or r == floor
-                new_remaining = list(remaining)
-                new_edges, new_denom = head_edges, head_denom
-                for j, e in enumerate(combo, start=i + 1):
-                    links[j][i] = e
-                    if e:
-                        new_edges += ((name, names[j]),) * e
-                        new_denom *= fact[e]
-                        new_remaining[j] -= e
-                walk(i + 1, new_remaining, new_edges, new_denom, r, tie)
+                if i == last:
+                    found.append((head, total // head_denom, tie))
+                else:
+                    walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, r, tie)
 
     # whether node i's component among nodes 0..i has no edge to a later node
     # when node i itself sends none; the earlier nodes' rows are complete
@@ -133,20 +160,20 @@ def enumerate_pairings(
                     stack.append(other)
         return True
 
-    walk(0, counts, (), 1, None, False)
-    diagrams.sort(key=lambda d: d.edges)
-    return diagrams
+    walk(0, tuple(legs), (), 1, None, False)
+    return found
 
 
 @lru_cache(maxsize=None)  # every walk asks for the same few (total, caps)
-def _compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Ways to write `total` as an ordered sum bounded by caps."""
+def _compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Ways to write `total` as an ordered sum bounded by caps, each with the
+    product of the factorials of its parts."""
     if not caps:
-        return ((),) if total == 0 else ()
+        return (((), 1),) if total == 0 else ()
     return tuple(
-        (first,) + rest
+        ((first,) + rest, factorial(first) * denom)
         for first in range(min(total, caps[0]) + 1)
-        for rest in _compositions(total - first, caps[1:])
+        for rest, denom in _compositions(total - first, caps[1:])
     )
 
 

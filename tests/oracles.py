@@ -34,9 +34,9 @@ import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
-from oscqgt.integrator import Edges
+from oscqgt.integrator import TAU1, TAU2, Edges
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.perturbation import GradedSum, PolynomialPotential, _linked_class
+from oscqgt.perturbation import GradedSum, PolynomialPotential, _class_form
 from oscqgt.scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
 from oscqgt.wick import WickDiagram, edges_to_dot, enumerate_pairings
@@ -279,6 +279,13 @@ def _vertex_names(m: int, offset: int = 0) -> list[str]:
     return [f"s{i}" for i in range(offset + 1, offset + m + 1)]
 
 
+def linked_class(edges, names: Sequence[str]) -> tuple[Edges, int]:
+    """`perturbation._class_form` of a connected diagram given by its edges
+    over tau1, tau2 and the internal vertices `names`."""
+    index = {**{name: i for i, name in enumerate(names)}, TAU1: len(names), TAU2: len(names) + 1}
+    return _class_form([(index[a], index[b]) for a, b in edges], len(names))
+
+
 def canonical_edges(edges, vertices: Sequence[str]):
     """Minimal edge multiset over all m! relabelings of the internal vertices."""
     edges = tuple(sorted(tuple(sorted(e)) for e in edges))
@@ -408,7 +415,7 @@ def kept_labelled_graphs(k_a: int, k_b: int, m: int, potential):
             continue
         for diag in enumerate_pairings({"tau1": k_a, "tau2": k_b, **dict(zip(names, degrees))}):
             if len(connected_components(diag.edges)) == 1:
-                yield degrees, _linked_class(diag.edges, names), diag.multiplicity
+                yield degrees, linked_class(diag.edges, names), diag.multiplicity
 
 
 def labelled_connected_integrand(k_a: int, k_b: int, order: int, potential):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -491,6 +492,32 @@ class TestDiagrams:
         assert code == 0
         assert len(list(tmp_path.glob("*.dot"))) == 1
 
+    @pytest.mark.parametrize(
+        "model,component,order,files,digest",
+        [
+            ("quartic", "alpha,lambda", "3", 90,
+             "c61c13d53b003c8ff8132ac43dca5e01ecddc831748d51b257696a9cfba57978"),
+            ("monomial:6", "lambda,lambda", "2", 287,
+             "e3e791279dd40912aaaf2d014cf8299d02b5df5025fd32edfae077e720fa245c"),
+        ],
+    )
+    def test_output_is_pinned(self, model, component, order, files, digest, tmp_path, capsys):
+        # the digest of a `sha256sum *.dot` manifest: one line per file with
+        # the sha256 of its contents and its name, so a renumbered, renamed or
+        # re-rendered diagram changes it
+        code, _, _ = run(
+            ["diagrams", "--model", model, "--component", component, "--order", order,
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        paths = sorted(tmp_path.glob("*.dot"))
+        manifest = "".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in paths
+        )
+        assert len(paths) == files
+        assert hashlib.sha256(manifest.encode()).hexdigest() == digest
+
 
 class TestSweep:
     def test_free_theory_rows(self, tmp_path, capsys):
@@ -639,8 +666,10 @@ def test_linear_exact_import_leaves_numpy_unloaded():
     [
         ["compute", "--model", "quartic", "--order", "2", "--format", "json"],
         ["diagrams", "--model", "quartic", "--component", "alpha,lambda", "--order", "2"],
+        # request a of the series-o3 benchmark workload
+        ["compute", "--model", "quartic", "--order", "3", "--format", "json"],
     ],
-    ids=["compute", "diagrams"],
+    ids=["compute", "diagrams", "compute-order3"],
 )
 def test_symbolic_commands_leave_numeric_stack_unloaded(argv, tmp_path):
     probe = (

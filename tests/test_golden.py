@@ -2,11 +2,11 @@
 
 `golden_series.json` holds every ordered component as exact
 [num, den, alpha_half_pow, lambda_pow, j_pow] terms: quartic at coupling
-orders 0-4 and monomial:6 at orders 0-3.  Orders 0-3 and 0-2 were written
+orders 0-5 and monomial:6 at orders 0-3.  Orders 0-3 and 0-2 were written
 with the earlier chamber-decomposition integrator, which evaluated the wedge
 integrals by iterated closed-form integration, independently of the subset
-DP; quartic order 4 and monomial:6 order 3 were added from the subset DP once
-they equalled the Rayleigh-Schrodinger expansion of `rs_oracle`.
+DP; quartic orders 4 and 5 and monomial:6 order 3 were added from the subset
+DP once they equalled the Rayleigh-Schrodinger expansion of `rs_oracle`.
 """
 
 import json

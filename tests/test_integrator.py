@@ -11,20 +11,19 @@ from oracles import (
     quad_separation,
     quad_wedge,
 )
-from oscqgt.integrator import (
-    TAU1,
-    TAU2,
-    DivergentIntegral,
-    _ordered_sum,
-    cut_sizes,
-    internal_vertices,
-    wedge_integral,
-)
+from oscqgt.integrator import TAU1, TAU2, DivergentIntegral, internal_vertices, wedge_integral
+from oscqgt.integrator import cut_sizes as indexed_cut_sizes
 from oscqgt.perturbation import connected_grade
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
 
 (S1,) = internal_vertices(1)
+
+
+def cut_sizes(edges, names):
+    """The integrator's cut table of propagators between named times."""
+    index = {name: i for i, name in enumerate(names)}
+    return indexed_cut_sizes([(index[a], index[b]) for a, b in edges], len(names))
 
 
 def graph(edges, coeff=1):
@@ -212,22 +211,57 @@ def quartic_products(m):
     )
 
 
+def assert_equals_every_order(products, m):
+    """wedge_integral of each product, all sharing one memo of ordered sums,
+    against the plain sum over all (m + 2)! time orders."""
+    names = [TAU1, TAU2] + internal_vertices(m)
+    sums = {}
+    for edges in products:
+        want = brute_force_wedge(edges, names) / 2 ** len(edges)
+        got = wedge_integral(graph(edges), m, sums)
+        assert got == ScalarSeries.term(want, -len(edges) - len(names)), edges
+
+
 class TestSubsetSumAgainstEveryOrder:
     # the subset DP must equal the plain sum over all (m + 2)! time orders
     @pytest.mark.parametrize("m", range(4))
     def test_every_quartic_product(self, m):
-        names = [TAU1, TAU2] + internal_vertices(m)
         products = quartic_products(m)
         assert products
-        for edges in products:
-            assert _ordered_sum(edges, names) == brute_force_wedge(edges, names), edges
+        assert_equals_every_order(products, m)
 
     def test_quartic_order_four_sample(self):
-        names = [TAU1, TAU2] + internal_vertices(4)
         sample = quartic_products(4)[::50]
         assert len(sample) > 20
-        for edges in sample:
-            assert _ordered_sum(edges, names) == brute_force_wedge(edges, names), edges
+        assert_equals_every_order(sample, 4)
+
+    def test_graphs_differing_in_self_loops(self):
+        # one skeleton, so one shared ordered sum; the loops change only the
+        # 2^-|E| and the alpha power
+        skeleton = [("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")]
+        loops = [[], [("s1", "s1")], [("s1", "s1"), ("s2", "s2")], [("tau1", "tau1")] * 2]
+        products = [tuple(sorted(skeleton + extra)) for extra in loops]
+        sums = {}
+        assert_equals_every_order(products, 2)
+        wedge_integral({p: F(1) for p in products}, 2, sums)
+        assert len(sums) == 1
+
+    def test_unknown_loop_is_rejected_after_its_skeleton_is_summed(self):
+        skeleton = [("s1", "tau1"), ("s1", "tau2"), ("s2", "tau1"), ("s2", "tau2")]
+        sums = {}
+        wedge_integral(graph(skeleton), 2, sums)
+        assert len(sums) == 1
+        with pytest.raises(ValueError, match="s9"):
+            wedge_integral(graph(skeleton + [("s9", "s9")]), 2, sums)
+
+    def test_divergent_skeleton_raises_on_every_call(self):
+        # a memo of ordered sums must not hide the exception on a second call
+        sums = {}
+        for _ in range(3):
+            with pytest.raises(DivergentIntegral):
+                wedge_integral(graph([("s1", "s2"), ("tau1", "tau2")]), 2, sums)
+            with pytest.raises(DivergentIntegral):
+                wedge_integral(graph([("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")]), 2, sums)
 
 
 class TestGreenFunction:

@@ -20,13 +20,13 @@ from oracles import (
     interacting_green,
     kept_labelled_graphs,
     labelled_connected_integrand,
+    linked_class,
     ratio_connected_integrand,
     to_oracle_form,
 )
 from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import (
     PolynomialPotential,
-    _linked_class,
     _walk_rank,
     connected_grade,
     connected_integrand,
@@ -273,7 +273,7 @@ class TestCanonicalForm:
         perm = data.draw(st.permutations(VERTICES_4), label="relabelling")
         mapping = dict(zip(VERTICES_4, perm))
         moved = [(mapping.get(a, a), mapping.get(b, b)) for a, b in edges]
-        assert _linked_class(moved, VERTICES_4) == _linked_class(edges, VERTICES_4)
+        assert linked_class(moved, VERTICES_4) == linked_class(edges, VERTICES_4)
 
     def test_class_count_matches_the_all_permutation_form(self):
         graded = connected_integrand(K_ALPHA, K_QUARTIC, 4, V4)
@@ -366,7 +366,7 @@ class TestPrunedWalk:
                 if d.tied:
                     tied += 1
                 else:
-                    assert _linked_class(d.edges, names) == (d.edges, 1)
+                    assert linked_class(d.edges, names) == (d.edges, 1)
         assert tied or m < 2
 
     @pytest.mark.parametrize(
