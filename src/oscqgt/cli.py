@@ -27,7 +27,7 @@ from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
 from .perturbation import connected_grade
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
-from .wick import edges_to_dot
+from .wick import edge_names, edges_to_dot
 
 __all__ = ["main", "RECORD_SCHEMA", "run_verification"]
 
@@ -242,9 +242,9 @@ def _debug_integrands(space: qgt.ParameterSpace, order: int) -> str:
         graded = qgt.component_integrand(space, a, b, order)
         for m, grade in sorted(graded.items()):
             power = space.coupling**m
-            for edges, coeff in sorted(grade.items()):
+            for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
                 pattern = " ".join(f"D({x},{y})" for x, y in edges)
-                value = wedge_integral({edges: coeff}, m) * power
+                value = wedge_integral({counts: coeff}, m) * power
                 lines.append(f"  {coeff * power} * {pattern} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -389,7 +389,8 @@ def cmd_diagrams(args) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         grade = connected_grade(k_a, k_b, args.order, args.space.potential)
-        for idx, (edges, coeff) in enumerate(sorted(grade.items()), start=1):
+        named = sorted((edge_names(counts), coeff) for counts, coeff in grade.items())
+        for idx, (edges, coeff) in enumerate(named, start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             dot = edges_to_dot(edges, name, f"coefficient {coeff}")
             path = out_dir / f"{name}.dot"

@@ -16,7 +16,8 @@ Vertices of equal degree are interchangeable, so each class of graphs under
 relabelling of s_1..s_m is generated once, from a labelling in which the
 vertices' ranks (`_walk_rank`) are sorted, and weighted by 1/|Aut|
 in place of 1/m! times its m!/|Aut| labellings (orbit-stabiliser).  Diagrams
-are stored per coupling order as {edge-multiset: exact coefficient}, each
+are stored per coupling order as {edge counts: exact coefficient}, keyed by
+the walk's `EdgeCounts` over s_1..s_m, tau1 and tau2 (times 0..m+1), each
 under one fixed labelling of its class: the sorted one when no two ranks tie,
 otherwise the canonical form of `_class_form`.
 """
@@ -27,11 +28,10 @@ import functools
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .integrator import TAU1, TAU2, Edges, internal_vertices
 from .scalar_algebra import Frozen
-from .wick import edges_of, walk_pairings
+from .wick import EdgeCounts, walk_pairings
 
 __all__ = [
     "PolynomialPotential",
@@ -40,17 +40,21 @@ __all__ = [
     "connected_integrand",
 ]
 
-# coupling-graded diagram sum: order -> {edges: coefficient}
-GradedSum = dict[int, dict[Edges, Fraction]]
+# coupling-graded diagram sum: order -> {edge counts: coefficient}
+GradedSum = dict[int, dict[EdgeCounts, Fraction]]
 
 
 class PolynomialPotential(Frozen):
-    """V(q) = sum_n c_n q**n with finite support and exact coefficients."""
+    """V(q) = sum_n c_n q**n with finite support and exact coefficients;
+    the coefficients of a repeated degree are summed."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[tuple[int, Fraction]]):
-        coeffs = tuple(sorted((int(n), Fraction(c)) for n, c in coefficients if c != 0))
+        summed: dict[int, Fraction] = {}
+        for n, c in coefficients:
+            summed[int(n)] = summed.get(int(n), 0) + Fraction(c)
+        coeffs = tuple(sorted((n, c) for n, c in summed.items() if c != 0))
         if not coeffs or coeffs[0][0] < 1:
             raise ValueError("potential needs finite support of degree >= 1")
         object.__setattr__(self, "coefficients", coeffs)  # the class refuses assignment
@@ -59,10 +63,6 @@ class PolynomialPotential(Frozen):
     def monomial(cls, k: int) -> "PolynomialPotential":
         """V(q) = q**k / k!"""
         return cls(((k, Fraction(1, factorial(k))),))
-
-    @classmethod
-    def from_dict(cls, coeffs: Mapping[int, Fraction]) -> "PolynomialPotential":
-        return cls(tuple(coeffs.items()))
 
     @property
     def degree(self) -> int:
@@ -89,8 +89,8 @@ def _walk_rank(m: int, i: int, row: list[int]) -> tuple | None:
 
     row lists the time's edges to s_1..s_m, tau1 and tau2.  The rank is the
     degree, then the edges to tau1, the edges to tau2, the self-loops and the
-    sorted multiplicities to the other vertices.  The walk visits s_1..s_m (in
-    name order) before tau1 and tau2, which stay unranked.  The degree comes
+    sorted multiplicities to the other vertices.  The walk visits s_1..s_m, in
+    that order, before tau1 and tau2, which stay unranked.  The degree comes
     first, so the rank-sorted labelling of a class also has the nondecreasing
     degrees that the walk's vertices are given.
     """
@@ -102,9 +102,9 @@ def _walk_rank(m: int, i: int, row: list[int]) -> tuple | None:
     return (sum(row) + row[i], row[m], row[m + 1], row[i], others)
 
 
-def _class_form(pairs: Sequence[tuple[int, int]], m: int) -> tuple[Edges, int]:
-    """Canonical edge multiset and automorphism count of a connected diagram
-    whose edges are index pairs over s_1..s_m (0..m-1), tau1 (m) and tau2 (m + 1).
+def _class_form(counts: EdgeCounts, m: int) -> tuple[EdgeCounts, int]:
+    """Canonical edge counts and automorphism count of a connected diagram
+    given by its edge counts over s_1..s_m (0..m-1), tau1 (m) and tau2 (m + 1).
 
     The internal vertices are ranked by the walk's key `_walk_rank`; the form
     is the minimal relabeled edge multiset over the relabelings that keep that
@@ -114,43 +114,43 @@ def _class_form(pairs: Sequence[tuple[int, int]], m: int) -> tuple[Edges, int]:
     vertices in rank order, with |Aut| = 1.
     """
     n = m + 2
-    count = [[0] * n for _ in range(n)]
-    for i, j in pairs:
-        count[i][j] += 1
-        if i != j:
-            count[j][i] += 1
-    rank = [_walk_rank(m, i, row) for i, row in enumerate(count[:m])]
+    position = _positions(n)
+    layout = itertools.combinations_with_replacement(range(n), 2)
+    pairs = [pair for pair, c in zip(layout, counts) for _ in range(c)]
+    rank = [_walk_rank(m, i, [counts[p] for p in row]) for i, row in enumerate(position[:m])]
     ranked = sorted(range(m), key=rank.__getitem__)
     classes = [list(group) for _, group in itertools.groupby(ranked, key=rank.__getitem__)]
-    # a relabeled diagram is keyed by the sorted codes lo * n + hi of its edges
+    # a relabeled diagram is keyed by the sorted positions of its edges
     label = list(range(n))
     best, automorphisms = None, 0
     for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
         for new, old in enumerate(itertools.chain.from_iterable(choice)):
             label[old] = new
-        key = sorted(
-            label[i] * n + label[j] if label[i] <= label[j] else label[j] * n + label[i]
-            for i, j in pairs
-        )
+        key = sorted(position[label[i]][label[j]] for i, j in pairs)
         if best is None or key < best:
             best, automorphisms = key, 1
         elif key == best:
             automorphisms += 1
-    pair_names = _pair_names(m)
-    return tuple(sorted(pair_names[c] for c in best)), automorphisms
+    form = [0] * len(counts)
+    for p in best:
+        form[p] += 1
+    return tuple(form), automorphisms
 
 
 @functools.cache
-def _pair_names(m: int) -> tuple[tuple[str, str], ...]:
-    """Sorted name pair of each edge code lo * (m + 2) + hi."""
-    nodes = internal_vertices(m) + [TAU1, TAU2]
-    return tuple(tuple(sorted((a, b))) for a in nodes for b in nodes)
+def _positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """[i][j], the position of the edges between times i and j in the edge
+    counts over n times."""
+    position = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(itertools.combinations_with_replacement(range(n), 2)):
+        position[i][j] = position[j][i] = p
+    return tuple(map(tuple, position))
 
 
 def connected_grade(
     k_a: int, k_b: int, m: int, potential: PolynomialPotential
-) -> dict[Edges, Fraction]:
-    """Grade m of `connected_integrand`: {edge multiset: coefficient}.
+) -> dict[EdgeCounts, Fraction]:
+    """Grade m of `connected_integrand`: {edge counts: coefficient}.
 
     The pairing walk yields only connected graphs, one sorted labelling or
     more per class.  A graph whose walk ranks all differ is the only sorted
@@ -159,8 +159,7 @@ def connected_grade(
     form, on which all its tied labellings land.
     """
     coefficients = dict(potential.coefficients)
-    grade: dict[Edges, Fraction] = {}
-    order = (*sorted(internal_vertices(m)), TAU1, TAU2)  # the walk's order of the times
+    grade: dict[EdgeCounts, Fraction] = {}
     rank = functools.partial(_walk_rank, m)
     for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
         if (k_a + k_b + sum(degrees)) % 2:
@@ -171,18 +170,17 @@ def connected_grade(
         # nondecreasing degrees in the walk's order, so that the sorted
         # labelling of every class passes `rank`
         for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], rank, connected=True):
+            automorphisms = 1
             if tied:
-                edges, automorphisms = _class_form(edges_of(counts, range(m + 2)), m)
-            else:
-                edges, automorphisms = edges_of(counts, order), 1
-            grade[edges] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
+                counts, automorphisms = _class_form(counts, m)
+            grade[counts] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
     return grade
 
 
 def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:
     """Two-cluster connected integrand, graded by coupling order.
 
-    Grade m holds {edge multiset: coefficient} for the diagrams of
+    Grade m holds {edge counts: coefficient} for the diagrams of
     <q^k_a(tau1) q^k_b(tau2)>_int - <q^k_a(tau1)>_int <q^k_b(tau2)>_int with m
     internal vertices: one graph per class of Wick graphs in which tau1, tau2
     and every vertex form one component, weighted by

@@ -113,7 +113,7 @@ class ParameterSpace(Frozen):
 
 
 def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -> GradedSum:
-    """The connected integrand of G_ab: {edges: coefficient} per vertex count m.
+    """The connected integrand of G_ab: {edge counts: coefficient} per vertex count m.
 
     `order` is the coupling truncation for the polynomial models.  The linear
     model is summed exactly: a J vertex (degree 1) is a leaf on an external

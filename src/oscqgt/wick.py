@@ -9,6 +9,11 @@ at time i, e_ij edges between times i and j and e_ii self-loops is
 
     prod_i n_i! / ( prod_{i<j} e_ij! * prod_i 2**e_ii e_ii! ).
 
+A diagram over k times is the tuple of its edge counts e_ij for i <= j, row
+by row (`EdgeCounts`), and stays in that form through the symbolic route.
+`edge_names` names the times s_1..s_m, tau1 and tau2 where a user reads a
+diagram: the `diagrams` files, the `--verbose` dump and error messages.
+
 A constant source J needs no separate treatment: it is the degree-1 vertex
 of the potential V = q.
 """
@@ -16,72 +21,34 @@ of the potential V = q.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
-from math import factorial, prod
+from itertools import chain, combinations_with_replacement, repeat
+from math import factorial, isqrt, prod
 from operator import itemgetter, sub
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .scalar_algebra import Frozen
-
-__all__ = [
-    "WickDiagram",
-    "enumerate_pairings",
-    "walk_pairings",
-    "edges_of",
-    "edges_to_dot",
-]
-
-
-class WickDiagram(Frozen):
-    """One pairing class: a multiset of edges and its multiplicity.
-
-    `tied` marks a diagram of a ranked walk in which two times share a rank.
-    """
-
-    __slots__ = ("edges", "multiplicity", "tied")
-
-    def __init__(self, edges: tuple[tuple[str, str], ...], multiplicity: int = 1, tied: bool = False):
-        _set = object.__setattr__  # the class refuses assignment
-        _set(self, "edges", edges)
-        _set(self, "multiplicity", multiplicity)
-        _set(self, "tied", tied)
-
+__all__ = ["EdgeCounts", "walk_pairings", "edge_names", "edges_to_dot"]
 
 # a diagram over times 0..k-1 as its edge counts e_ij for i <= j, row by row:
 # (e_00, e_01, ..., e_11, ...); e_ii counts the self-loops of time i
 EdgeCounts = tuple[int, ...]
 
 
-def enumerate_pairings(
-    legs: Mapping[str, int],
-    rank: Callable[[int, list[int]], object] | None = None,
-    connected: bool = False,
-) -> list[WickDiagram]:
-    """All pairing classes of legs[t] q-factors at each time t, with exact
-    multiplicities, sorted by edges.
-
-    Multiplicities over all diagrams of 2n legs sum to (2n-1)!!.  An odd
-    total yields an empty list (the moment is zero).  The times are walked
-    in name order; `rank` and `connected` are those of `walk_pairings`.
-    """
-    names = sorted(legs)
-    diagrams = [
-        WickDiagram(edges_of(counts, names), multiplicity, tied)
-        for counts, multiplicity, tied in walk_pairings([legs[n] for n in names], rank, connected)
-    ]
-    diagrams.sort(key=lambda d: d.edges)
-    return diagrams
+def edge_names(counts: EdgeCounts) -> tuple[tuple[str, str], ...]:
+    """The edges of a diagram over s_1..s_m, tau1 and tau2 (times 0..m+1) as
+    sorted name pairs, sorted: time i is s{i+1}, m is tau1 and m+1 is tau2."""
+    pairs, in_order = _named_layout(len(counts))
+    edges = tuple(chain.from_iterable(map(repeat, pairs, counts)))
+    return edges if in_order else tuple(sorted(edges))
 
 
-def edges_of(counts: EdgeCounts, names: Sequence) -> tuple[tuple, ...]:
-    """The edge multiset of a diagram, as (names[i], names[j]) pairs with
-    i <= j; sorted when `names` is."""
-    return tuple(chain.from_iterable(map(repeat, _upper_pairs(tuple(names)), counts)))
-
-
-@lru_cache(maxsize=None)  # a walk's few name orders
-def _upper_pairs(names: tuple) -> tuple[tuple, ...]:
-    return tuple((a, b) for i, a in enumerate(names) for b in names[i:])
+@lru_cache(maxsize=None)  # one layout per vertex count
+def _named_layout(size: int) -> tuple[tuple[tuple[str, str], ...], bool]:
+    """The name pair of each position of a counts tuple of this size, and
+    whether the pairs are in name order (up to s9)."""
+    n = (isqrt(8 * size + 1) - 1) // 2
+    names = [f"s{i}" for i in range(1, n - 1)] + ["tau1", "tau2"]
+    pairs = tuple(tuple(sorted(pair)) for pair in combinations_with_replacement(names[:n], 2))
+    return pairs, list(pairs) == sorted(pairs)
 
 
 def walk_pairings(

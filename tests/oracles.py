@@ -1,6 +1,12 @@
 """Independent oracles for the test-suite.
 
-These deliberately avoid the library's own enumeration and integration paths:
+The library keys a graph by its integer edge counts; `counts_of` turns named
+edges into those counts and `edge_names` turns them back.  The test-only
+`enumerate_pairings` names the diagrams of the library's pairing walk for any
+{time: legs} map, as sorted `WickDiagram`s.
+
+The oracles below deliberately avoid the library's own enumeration and
+integration paths:
 a literal recursive pairing enumerator over individual q-legs (optionally
 routing legs to the mean of a constant source), numeric quadrature of the
 |t - t'| propagator integrands and their exact sum over every time order,
@@ -28,18 +34,96 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
-from oscqgt.integrator import TAU1, TAU2, Edges
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import GradedSum, PolynomialPotential, _class_form
-from oscqgt.scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
+from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import WickDiagram, edges_to_dot, enumerate_pairings
+from oscqgt.wick import EdgeCounts, edge_names, edges_to_dot, walk_pairings
+
+# edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
+Edges = tuple[tuple[str, str], ...]
+
+
+def potential_from_dict(coeffs: Mapping[int, Fraction]) -> PolynomialPotential:
+    return PolynomialPotential(tuple(coeffs.items()))
+
+
+# -- named diagrams -------------------------------------------------------------
+
+
+def time_names(m: int) -> list[str]:
+    """The names of the library's times 0..m+1: s1..sm, tau1, tau2."""
+    return [*_vertex_names(m), "tau1", "tau2"]
+
+
+def counts_of(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> EdgeCounts:
+    """The edge counts of a diagram given by named edges, over the times
+    `names` (time i is names[i]): e_ij for i <= j, row by row."""
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    counts = [0] * (n * (n + 1) // 2)
+    for a, b in edges:
+        i, j = index[a], index[b]
+        if i > j:
+            i, j = j, i
+        counts[i * n - i * (i - 1) // 2 + j - i] += 1
+    return tuple(counts)
+
+
+def named(graded: GradedSum) -> dict[int, dict[Edges, Fraction]]:
+    """A graded diagram sum re-keyed by `edge_names`."""
+    return {m: {edge_names(counts): c for counts, c in grade.items()} for m, grade in graded.items()}
+
+
+class WickDiagram(Frozen):
+    """One pairing class: a multiset of edges and its multiplicity.
+
+    `tied` marks a diagram of a ranked walk in which two times share a rank.
+    """
+
+    __slots__ = ("edges", "multiplicity", "tied")
+
+    def __init__(self, edges: Edges, multiplicity: int = 1, tied: bool = False):
+        _set = object.__setattr__  # the class refuses assignment
+        _set(self, "edges", edges)
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "tied", tied)
+
+
+def enumerate_pairings(
+    legs: Mapping[str, int],
+    rank: Callable[[int, list[int]], object] | None = None,
+    connected: bool = False,
+) -> list[WickDiagram]:
+    """All pairing classes of legs[t] q-factors at each time t, with exact
+    multiplicities, sorted by edges.
+
+    Multiplicities over all diagrams of 2n legs sum to (2n-1)!!.  An odd
+    total yields an empty list (the moment is zero).  The times are walked
+    in name order; `rank` and `connected` are those of `walk_pairings`.
+    The walk's diagrams are named by `edge_names`, whose names of the times
+    in walk order are then replaced by the keys of `legs`.
+    """
+    names = sorted(legs)
+    k = len(names)
+    rename = dict(zip(time_names(k - 2), names))
+    # every name pair of the walk's times, as a sorted pair of names of `legs`
+    pair_of = {
+        pair: tuple(sorted(map(rename.__getitem__, pair)))
+        for pair in edge_names((1,) * (k * (k + 1) // 2))
+    }
+    diagrams = [
+        WickDiagram(tuple(sorted(map(pair_of.__getitem__, edge_names(counts)))), multiplicity, tied)
+        for counts, multiplicity, tied in walk_pairings([legs[n] for n in names], rank, connected)
+    ]
+    diagrams.sort(key=lambda d: d.edges)
+    return diagrams
 
 
 def brute_force_diagrams(points: Mapping[str, int], with_mean=False):
@@ -279,11 +363,10 @@ def _vertex_names(m: int, offset: int = 0) -> list[str]:
     return [f"s{i}" for i in range(offset + 1, offset + m + 1)]
 
 
-def linked_class(edges, names: Sequence[str]) -> tuple[Edges, int]:
+def linked_class(edges, names: Sequence[str]) -> tuple[EdgeCounts, int]:
     """`perturbation._class_form` of a connected diagram given by its edges
     over tau1, tau2 and the internal vertices `names`."""
-    index = {**{name: i for i, name in enumerate(names)}, TAU1: len(names), TAU2: len(names) + 1}
-    return _class_form([(index[a], index[b]) for a, b in edges], len(names))
+    return _class_form(counts_of(edges, [*names, "tau1", "tau2"]), len(names))
 
 
 def canonical_edges(edges, vertices: Sequence[str]):
@@ -494,7 +577,7 @@ def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> l
         raise ValueError("the raw-coefficient view needs a monomial potential")
     k, c = potential.coefficients[0]
     lines = []
-    for m, grade in sorted(graded.items()):
+    for m, grade in sorted(named(graded).items()):
         strip = (Fraction(-1) / c) ** m * factorial(m)
         for edges, coeff in sorted(grade.items()):
             raw = coeff * strip

@@ -17,8 +17,12 @@ from oracles import (
     brute_force_diagrams,
     clusters_linked,
     connected_pair_correlator,
+    counts_of,
+    enumerate_pairings,
     has_vacuum_component,
     moment,
+    named,
+    time_names,
 )
 from oscqgt.integrator import DivergentIntegral, wedge_integral
 from oscqgt.linear_exact import exact_linear_qgt
@@ -31,7 +35,6 @@ from oscqgt.qgt import (
 )
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.spectral_oracle import OracleConfig, numeric_qim
-from oscqgt.wick import enumerate_pairings
 
 V4 = PolynomialPotential.monomial(4)
 
@@ -97,7 +100,7 @@ def test_criterion_3_integrand_fidelity():
     ok = True
     details = []
     for (la, lb), (overall, coeffs) in patterns.items():
-        graded = connected_integrand(degrees[la], degrees[lb], 1, V4)
+        graded = named(connected_integrand(degrees[la], degrees[lb], 1, V4))
         raw = {edges: c * (-24) for edges, c in graded[1].items()}
         ok &= sorted(raw.values()) == sorted(F(overall * c) for c in coeffs)
         spec = {"tau1": degrees[la], "tau2": degrees[lb], "s1": 4}
@@ -257,13 +260,13 @@ def test_criterion_8_structural_properties():
     details.append("divergence raised")
     # Fubini: s1 and s2 are both integrated over the whole axis, so swapping
     # their names (their order of integration) keeps every two-vertex value
-    graded = connected_integrand(4, 4, 2, V4)
-    swap = {"s1": "s2", "s2": "s1"}
+    graded = named(connected_integrand(4, 4, 2, V4))
+    swapped_names = ["s2", "s1", "tau1", "tau2"]
     moved = 0
     for edges, coeff in graded[2].items():
-        swapped = tuple(sorted(tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges))
-        moved += swapped != edges
-        value = wedge_integral({edges: coeff}, n_vertices=2)
+        counts, swapped = counts_of(edges, time_names(2)), counts_of(edges, swapped_names)
+        moved += swapped != counts
+        value = wedge_integral({counts: coeff}, n_vertices=2)
         ok &= wedge_integral({swapped: coeff}, n_vertices=2) == value
     ok &= moved > 0
     details.append(f"Fubini ok ({moved} graphs moved by the swap)")

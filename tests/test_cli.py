@@ -109,6 +109,22 @@ class TestCompute:
                 parse_series(line.rsplit(" = ", 1)[1])
             assert expected in lines
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--model", "quartic", "--order", "3"],
+             "82f289463d9ba8f671e74b7016669147ed647ee189556be8c5f024a274ca5ad5"),
+            (["--model", "linear"],
+             "d0abea34e29b7d86135a9190f92135186522299850fd25423e39d017a042a6f6"),
+        ],
+    )
+    def test_verbose_dump_is_pinned(self, argv, digest, capsys):
+        # the sha256 of the whole stderr: the order of the graphs, their
+        # names, coefficients and wedge values
+        code, _, err = run(["--verbose", "compute"] + argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(err.encode()).hexdigest() == digest
+
     def test_odd_k_series_is_flagged_formal(self, capsys):
         code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)
         assert code == cli.EXIT_OK

@@ -29,15 +29,12 @@ def records(series):
 
 
 @pytest.mark.parametrize("model,order", CASES)
-def test_components_match_golden_file(model, order):
+def test_components_match_golden_file(model, order, assembled):
     space = SPACES[model]
-    got = {
-        f"{a},{b}": qgt_component(space, a, b, order)
-        for a in space.labels
-        for b in space.labels
-    }
+    got = {f"{a},{b}": series for (a, b), series in assembled(model, order).items()}
     assert {key: records(s) for key, s in got.items()} == GOLDEN[model][str(order)]
-    assert got["alpha,lambda"] == got["lambda,alpha"]
+    # `assemble` stores one series under both orders: build G_ba on its own
+    assert got["alpha,lambda"] == qgt_component(space, "lambda", "alpha", order)
     # q -> q alpha^(-1/4) maps H to sqrt(alpha) times the alpha = 1 Hamiltonian
     # at coupling lambda alpha^(-(k+2)/4), so the alpha power of G_ab drops by
     # 1 per alpha label and by (k+2)/4 per lambda label and power of lambda

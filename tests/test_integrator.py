@@ -6,29 +6,31 @@ import pytest
 
 from oracles import (
     brute_force_wedge,
+    counts_of,
     product_value,
     propagator_value,
     quad_separation,
     quad_wedge,
+    time_names,
 )
-from oscqgt.integrator import TAU1, TAU2, DivergentIntegral, internal_vertices, wedge_integral
-from oscqgt.integrator import cut_sizes as indexed_cut_sizes
+from oscqgt.integrator import DivergentIntegral, wedge_integral
+from oscqgt.integrator import cut_sizes as counted_cut_sizes
 from oscqgt.perturbation import connected_grade
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
+from oscqgt.wick import edge_names
 
-(S1,) = internal_vertices(1)
+TAU1, TAU2, S1 = "tau1", "tau2", "s1"
 
 
 def cut_sizes(edges, names):
     """The integrator's cut table of propagators between named times."""
-    index = {name: i for i, name in enumerate(names)}
-    return indexed_cut_sizes([(index[a], index[b]) for a, b in edges], len(names))
+    return counted_cut_sizes(counts_of(edges, names), len(names))
 
 
-def graph(edges, coeff=1):
-    """One graph of a grade: {edges: coefficient}."""
-    return {tuple(edges): F(coeff)}
+def graph(edges, coeff=1, m=0):
+    """One graph of a grade with m vertices: {edge counts: coefficient}."""
+    return {counts_of(edges, time_names(m)): F(coeff)}
 
 
 def order_weight(edges, order):
@@ -61,7 +63,7 @@ class TestResolve:
         cut = cut_sizes(edges, [TAU1, S1, TAU2])
         assert cut[0b001] == cut[0b011] == 1
         # the DP sums exactly these three chambers, times 1/2 per propagator
-        assert wedge_integral(graph(edges), n_vertices=1) == ScalarSeries.term(
+        assert wedge_integral(graph(edges, m=1), n_vertices=1) == ScalarSeries.term(
             sum(weights.values()) / 4, -5
         )
 
@@ -111,7 +113,7 @@ class TestKernels:
             [("s1", "tau1"), ("tau1", "tau2")],
         ]
         for edges in cases:
-            series = wedge_integral(graph(edges), n_vertices=1)
+            series = wedge_integral(graph(edges, m=1), n_vertices=1)
             assert series.evaluate(alpha) == pytest.approx(
                 quad_separation(alpha, edges, "s1"), rel=1e-8
             )
@@ -130,7 +132,7 @@ class TestIntegrateAll:
 
     def test_wedge_with_internal_vertex(self):
         # "-2J * D(s,tau1) D(tau1,tau2)" integrand times the 1/2 prefactor
-        prod = graph([("s1", "tau1"), ("tau1", "tau2")], -1)
+        prod = graph([("s1", "tau1"), ("tau1", "tau2")], -1, m=1)
         j = ScalarSeries.term(1, j_pow=1)
         assert wedge_integral(prod, n_vertices=1) * j == ScalarSeries.term(F(-1, 2), -5, j_pow=1)
 
@@ -146,7 +148,7 @@ class TestIntegrateAll:
     )
     @pytest.mark.parametrize("alpha", [0.8, 1.7])
     def test_full_wedge_matches_quadrature(self, edges, n_vertices, alpha):
-        series = wedge_integral(graph(edges), n_vertices=n_vertices)
+        series = wedge_integral(graph(edges, m=n_vertices), n_vertices=n_vertices)
         assert series.evaluate(alpha) == pytest.approx(
             quad_wedge(alpha, edges, n_vertices), rel=1e-8
         )
@@ -155,9 +157,12 @@ class TestIntegrateAll:
         with pytest.raises(DivergentIntegral):
             wedge_integral(graph([("tau1", "tau1")]))
 
-    def test_origin_endpoint_is_rejected(self):
-        with pytest.raises(ValueError):
-            wedge_integral(graph([("0", "tau1"), ("0", "tau2")]))
+    def test_key_of_wrong_length_is_rejected(self):
+        # edge counts over one vertex do not fit a grade of zero or two
+        one_vertex = graph([("s1", "tau1"), ("s1", "tau2")], m=1)
+        for n_vertices in (0, 2):
+            with pytest.raises(ValueError, match="6 edge counts does not fit"):
+                wedge_integral(one_vertex, n_vertices)
 
     @pytest.mark.parametrize(
         "edges",
@@ -168,16 +173,17 @@ class TestIntegrateAll:
     )
     def test_disconnected_graph_diverges(self, edges):
         with pytest.raises(DivergentIntegral):
-            wedge_integral(graph(edges), n_vertices=2)
+            wedge_integral(graph(edges, m=2), n_vertices=2)
 
     def test_fubini_vertex_order_independence(self):
-        # s1 and s2 both run over the whole axis, so swapping their names
+        # s1 and s2 both run over the whole axis, so swapping their indices
         # (their order of integration) must keep the value, although it moves
         # their bits in the subset DP
         edges = [("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")]
-        swapped = [("s2", "tau1"), ("s1", "s2"), ("s1", "tau2"), ("tau1", "tau2")]
-        assert wedge_integral(graph(swapped), n_vertices=2) == wedge_integral(
-            graph(edges), n_vertices=2
+        swapped = counts_of(edges, ["s2", "s1", "tau1", "tau2"])
+        assert swapped != counts_of(edges, time_names(2))
+        assert wedge_integral({swapped: F(1)}, n_vertices=2) == wedge_integral(
+            graph(edges, m=2), n_vertices=2
         )
 
     def test_scaling_law_alpha_exponent(self):
@@ -191,7 +197,7 @@ class TestIntegrateAll:
             ([("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")], 2),
         ]
         for edges, n_vertices in cases:
-            series = wedge_integral(graph(edges), n_vertices=n_vertices)
+            series = wedge_integral(graph(edges, m=n_vertices), n_vertices=n_vertices)
             p, v = len(edges), n_vertices + 2
             assert all(t.alpha_half_pow == -(p + v) for t in series.terms)
 
@@ -201,7 +207,7 @@ QUARTIC_PAIRS = [("alpha", "alpha"), ("alpha", "lambda"), ("lambda", "lambda")]
 
 
 def quartic_products(m):
-    """The edge multisets of every quartic component's grade m, sorted."""
+    """The edge counts of every quartic component's grade m, sorted."""
     return sorted(
         edges
         for a, b in QUARTIC_PAIRS
@@ -214,12 +220,12 @@ def quartic_products(m):
 def assert_equals_every_order(products, m):
     """wedge_integral of each product, all sharing one memo of ordered sums,
     against the plain sum over all (m + 2)! time orders."""
-    names = [TAU1, TAU2] + internal_vertices(m)
     sums = {}
-    for edges in products:
-        want = brute_force_wedge(edges, names) / 2 ** len(edges)
-        got = wedge_integral(graph(edges), m, sums)
-        assert got == ScalarSeries.term(want, -len(edges) - len(names)), edges
+    for counts in products:
+        edges = edge_names(counts)
+        want = brute_force_wedge(edges, time_names(m)) / 2 ** len(edges)
+        got = wedge_integral({counts: F(1)}, m, sums)
+        assert got == ScalarSeries.term(want, -len(edges) - m - 2), edges
 
 
 class TestSubsetSumAgainstEveryOrder:
@@ -240,28 +246,29 @@ class TestSubsetSumAgainstEveryOrder:
         # 2^-|E| and the alpha power
         skeleton = [("s1", "tau1"), ("s1", "s2"), ("s2", "tau2"), ("tau1", "tau2")]
         loops = [[], [("s1", "s1")], [("s1", "s1"), ("s2", "s2")], [("tau1", "tau1")] * 2]
-        products = [tuple(sorted(skeleton + extra)) for extra in loops]
+        products = [counts_of(skeleton + extra, time_names(2)) for extra in loops]
         sums = {}
         assert_equals_every_order(products, 2)
-        wedge_integral({p: F(1) for p in products}, 2, sums)
+        wedge_integral(dict.fromkeys(products, F(1)), 2, sums)
         assert len(sums) == 1
 
     def test_unknown_loop_is_rejected_after_its_skeleton_is_summed(self):
         skeleton = [("s1", "tau1"), ("s1", "tau2"), ("s2", "tau1"), ("s2", "tau2")]
         sums = {}
-        wedge_integral(graph(skeleton), 2, sums)
+        wedge_integral(graph(skeleton, m=2), 2, sums)
         assert len(sums) == 1
-        with pytest.raises(ValueError, match="s9"):
-            wedge_integral(graph(skeleton + [("s9", "s9")]), 2, sums)
+        # a loop at s3 needs the edge counts over three vertices
+        with pytest.raises(ValueError, match="15 edge counts does not fit 2 vertices"):
+            wedge_integral(graph(skeleton + [("s3", "s3")], m=3), 2, sums)
 
     def test_divergent_skeleton_raises_on_every_call(self):
         # a memo of ordered sums must not hide the exception on a second call
         sums = {}
         for _ in range(3):
             with pytest.raises(DivergentIntegral):
-                wedge_integral(graph([("s1", "s2"), ("tau1", "tau2")]), 2, sums)
+                wedge_integral(graph([("s1", "s2"), ("tau1", "tau2")], m=2), 2, sums)
             with pytest.raises(DivergentIntegral):
-                wedge_integral(graph([("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")]), 2, sums)
+                wedge_integral(graph([("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")], m=2), 2, sums)
 
 
 class TestGreenFunction:

@@ -15,13 +15,18 @@ from oracles import (
     clusters_linked,
     connected_components,
     connected_pair_correlator,
+    counts_of,
+    enumerate_pairings,
     has_vacuum_component,
     integrand_term_lines,
     interacting_green,
     kept_labelled_graphs,
     labelled_connected_integrand,
     linked_class,
+    named,
+    potential_from_dict,
     ratio_connected_integrand,
+    time_names,
     to_oracle_form,
 )
 from oscqgt.integrator import wedge_integral
@@ -32,9 +37,8 @@ from oscqgt.perturbation import (
     connected_integrand,
     hamiltonian_derivative,
 )
-from oscqgt.qgt import ParameterSpace, qgt_component
+from oscqgt.qgt import ParameterSpace, assemble, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import enumerate_pairings
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
@@ -61,10 +65,24 @@ class TestPotential:
         assert hamiltonian_derivative("lambda", V4) == ((4, F(1, 24)),)
         assert hamiltonian_derivative("j", None) == ((1, F(1)),)
         assert hamiltonian_derivative("lambda", None) == ()
-        mixed = PolynomialPotential.from_dict({1: F(1, 3), 4: F(-1, 24)})
+        mixed = potential_from_dict({1: F(1, 3), 4: F(-1, 24)})
         assert hamiltonian_derivative("lambda", mixed) == mixed.coefficients
         with pytest.raises(ValueError, match="unknown parameter 'mu'"):
             hamiltonian_derivative("mu", V4)
+
+    def test_repeated_degrees_are_summed(self):
+        halves = PolynomialPotential(((4, F(1, 48)), (4, F(1, 48))))
+        assert halves == V4
+        cancelled = PolynomialPotential(((4, F(1)), (2, F(1, 2)), (4, F(-1))))
+        assert cancelled.coefficients == ((2, F(1, 2)),)
+        # the route summed bilinearly over the pairs of dH/da and dH/db
+        for (a, b), series in assemble(ParameterSpace.quartic(), 2).items():
+            got = ScalarSeries.zero()
+            for k_a, c_a in hamiltonian_derivative(a, halves):
+                for k_b, c_b in hamiltonian_derivative(b, halves):
+                    for m, grade in connected_integrand(k_a, k_b, 2, halves).items():
+                        got = got + wedge_integral(grade, m) * ScalarSeries.term(c_a * c_b, lambda_pow=m)
+            assert got == series, (a, b)
 
 
 class TestInteractingGreen:
@@ -105,7 +123,7 @@ RAW_PATTERNS = {
 
 
 def _raw_first_order(k_a, k_b):
-    graded = connected_integrand(k_a, k_b, 1, V4)
+    graded = named(connected_integrand(k_a, k_b, 1, V4))
     # strip the -(lambda/4!) vertex weight to recover plain pairing counts
     return {edges: coeff * (-24) for edges, coeff in graded[1].items()}
 
@@ -144,7 +162,7 @@ class TestVacuumCancellation:
     def test_no_vacuum_or_unlinked_terms_survive(self, potential, order):
         k_l = potential.degree
         for k_a, k_b in [(K_ALPHA, K_ALPHA), (K_ALPHA, k_l), (k_l, k_l)]:
-            graded = connected_integrand(k_a, k_b, order, potential)
+            graded = named(connected_integrand(k_a, k_b, order, potential))
             for m, grade in graded.items():
                 for edges in grade:
                     assert clusters_linked(edges), (m, edges)
@@ -179,7 +197,7 @@ def _sourced_series(op_a, op_b):
     products = connected_pair_correlator(GaussianModel(source_j=True), {"tau1": k_a}, {"tau2": k_b})
     series = ScalarSeries.zero()
     for edges, coeff in products.items():
-        series = series + wedge_integral({edges: 1}) * coeff
+        series = series + wedge_integral({counts_of(edges, time_names(0)): F(1)}) * coeff
     return series * (c_a * c_b)
 
 
@@ -233,15 +251,15 @@ class TestLinkedClusterAgainstRatioOracle:
         for k_a, k_b in [(K_ALPHA, K_ALPHA), (K_ALPHA, k_l), (k_l, K_ALPHA), (k_l, k_l)]:
             direct = connected_integrand(k_a, k_b, order, potential)
             ratio = ratio_connected_integrand(k_a, k_b, order, potential)
-            assert to_oracle_form(direct) == to_oracle_form(ratio)
+            assert to_oracle_form(named(direct)) == to_oracle_form(ratio)
 
     def test_mixed_potential_equals_ratio_path(self):
         # several vertex degrees, one coefficient negative, so terms can cancel
-        potential = PolynomialPotential.from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
+        potential = potential_from_dict({1: F(1, 3), 2: F(-1, 2), 4: F(1, 24)})
         for k_b in (K_ALPHA, K_SOURCE):
             direct = connected_integrand(K_ALPHA, k_b, 3, potential)
             ratio = ratio_connected_integrand(K_ALPHA, k_b, 3, potential)
-            assert to_oracle_form(direct) == to_oracle_form(ratio)
+            assert to_oracle_form(named(direct)) == to_oracle_form(ratio)
 
     def test_order_cap(self):
         # no cap below the CLI: the generator expands at any order it is given
@@ -279,12 +297,12 @@ class TestCanonicalForm:
         graded = connected_integrand(K_ALPHA, K_QUARTIC, 4, V4)
         oracle_classes = {canonical_edges(e, VERTICES_4) for e in _kept_graphs_alpha_lambda_order4()}
         assert len(graded[4]) == len(oracle_classes) == 483
-        assert len(to_oracle_form(graded)[4]) == len(graded[4])
+        assert len(to_oracle_form(named(graded))[4]) == len(graded[4])
 
 
 # two vertex degrees, one coefficient negative: the walk runs over degree
 # multisets, and at order 3 both {3, 3, 4} and {3, 4, 4} occur
-MIXED_34 = PolynomialPotential.from_dict({3: F(1, 6), 4: F(-1, 24)})
+MIXED_34 = potential_from_dict({3: F(1, 6), 4: F(-1, 24)})
 
 LABELLED_CASES = {
     "quartic-alpha,lambda-o4": (K_ALPHA, K_QUARTIC, 4, V4),
@@ -366,7 +384,7 @@ class TestPrunedWalk:
                 if d.tied:
                     tied += 1
                 else:
-                    assert linked_class(d.edges, names) == (d.edges, 1)
+                    assert linked_class(d.edges, names) == (counts_of(d.edges, time_names(m)), 1)
         assert tied or m < 2
 
     @pytest.mark.parametrize(

@@ -22,16 +22,16 @@ def test_quartic_energies_are_bender_wu():
     ]
 
 
-@pytest.mark.parametrize("order", range(6))  # order 5 takes about 4.5 s
-def test_quartic_series(order):
+@pytest.mark.parametrize("order", range(6))
+def test_quartic_series(order, assembled):
     space = ParameterSpace.quartic()
-    assert assemble(space, order) == rs_metric(4, space.labels, order)
+    assert assembled("quartic", order) == rs_metric(4, space.labels, order)
 
 
 @pytest.mark.parametrize("order", range(4))
-def test_monomial_6_series(order):
+def test_monomial_6_series(order, assembled):
     space = ParameterSpace.monomial(6)
-    assert assemble(space, order) == rs_metric(6, space.labels, order)
+    assert assembled("monomial:6", order) == rs_metric(6, space.labels, order)
 
 
 def test_linear_series():

@@ -13,6 +13,7 @@ from oracles import (
     finite_difference_qim,
     gauge_fix,
     ground_state,
+    potential_from_dict,
     sum_over_states_qim,
 )
 from oscqgt.linear_exact import exact_linear_qgt
@@ -29,7 +30,7 @@ from oscqgt.spectral_oracle import (
 
 V4 = PolynomialPotential.monomial(4)
 V6 = PolynomialPotential.monomial(6)
-MIXED = PolynomialPotential.from_dict({1: F(-1, 3), 3: F(1, 2), 4: F(1, 24)})
+MIXED = potential_from_dict({1: F(-1, 3), 3: F(1, 2), 4: F(1, 24)})
 CFG = OracleConfig()
 DENSE_CASES = [
     (0.7, 0.03, 0.0, V4, ("alpha", "lambda")),
@@ -59,7 +60,7 @@ class TestHamiltonian:
         assert energy == pytest.approx(0.503125, abs=1e-4)
 
     def test_degree_cap(self):
-        v9 = PolynomialPotential.from_dict({9: 1})
+        v9 = potential_from_dict({9: 1})
         with pytest.raises(ValueError):
             build_hamiltonian(1.0, 0.1, 0.0, v9, CFG)
 
@@ -446,7 +447,7 @@ class TestNumericQim:
         assert np.abs(band.metric - dense.metric).max() <= 1e-10 * scale
 
     def test_negative_leading_term_is_rejected(self):
-        upside_down = PolynomialPotential.from_dict({2: F(1, 2), 4: F(-1, 24)})
+        upside_down = potential_from_dict({2: F(1, 2), 4: F(-1, 24)})
         # at alpha = 1, lambda = -2 turns alpha q^2/2 + lambda q^2/2 into -q^2/2
         quadratic = PolynomialPotential.monomial(2)
         for lam, potential in ((-0.3, V4), (-0.01, V6), (0.1, upside_down), (-2.0, quadratic)):
@@ -454,7 +455,7 @@ class TestNumericQim:
                 numeric_qim(1.0, lam, 0.0, potential, CFG)
 
     def test_negative_coupling_of_a_negative_leading_term_stays_valid(self):
-        upside_down = PolynomialPotential.from_dict({4: F(-1, 24)})
+        upside_down = potential_from_dict({4: F(-1, 24)})
         flipped = numeric_qim(1.0, -0.05, 0.0, upside_down, CFG)
         plain = numeric_qim(1.0, 0.05, 0.0, V4, CFG)
         assert np.allclose(flipped.metric * [[1, -1], [-1, 1]], plain.metric, atol=1e-12)

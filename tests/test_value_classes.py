@@ -13,11 +13,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import WickDiagram, enumerate_pairings, potential_from_dict
 from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import Frozen, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import WickDiagram, enumerate_pairings
 
 TERM = ScalarTerm(F(1, 2), -3, 1, 0)
 EDGES = (("s1", "tau1"), ("s1", "tau2"))
@@ -137,7 +137,7 @@ class TestCoercion:
         v = PolynomialPotential(((6, 1), (2, 0), (4, F(1, 2)), (3, 0.0)))
         assert v.coefficients == ((4, F(1, 2)), (6, F(1)))
         assert all(type(c) is F for _, c in v.coefficients)
-        assert v == PolynomialPotential.from_dict({6: F(1), 4: F(1, 2)})
+        assert v == potential_from_dict({6: F(1), 4: F(1, 2)})
         assert v.degree == 6
 
     @pytest.mark.parametrize("kind,k,expected", [("quartic", 6, 4), ("linear", 3, 1), ("monomial", 3, 3)])

@@ -7,12 +7,15 @@ from oracles import (
     GaussianModel,
     brute_force_diagrams,
     connected_pair_correlator,
+    counts_of,
     diagram_to_dot,
+    enumerate_pairings,
     moment,
     product_of_sums,
+    time_names,
 )
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import enumerate_pairings
+from oscqgt.wick import edge_names
 
 FREE = GaussianModel(source_j=False)
 SOURCED = GaussianModel(source_j=True)
@@ -217,6 +220,18 @@ def test_product_of_sums_merges_duplicates():
     combined = product_of_sums(a, a)
     assert len(combined) == 1
     assert list(combined.values()) == [ScalarSeries.one()]
+
+
+def test_edge_names():
+    # times 0..m+1 are s1..sm, tau1, tau2; the pairs and the edges are sorted
+    assert edge_names((0, 2, 0)) == (("tau1", "tau2"), ("tau1", "tau2"))
+    assert edge_names((1, 1, 0, 0, 0, 1)) == (("s1", "s1"), ("s1", "tau1"), ("tau2", "tau2"))
+    # past s9 the names sort out of index order: s10 < s2
+    edges = (("s10", "tau1"), ("s2", "s2"), ("s2", "s9"))
+    counts = counts_of(edges, time_names(10))
+    assert edge_names(counts) == edges
+    full = edge_names((1,) * len(counts))
+    assert list(full) == sorted(full) and len(full) == len(counts)
 
 
 def test_dot_export():
