@@ -151,8 +151,12 @@ def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     return block
 
 
-def compute_record(space: qgt.ParameterSpace, order: int, params: dict | None) -> dict:
-    components = qgt.assemble(space, order)
+def compute_record(
+    space: qgt.ParameterSpace, order: int, params: dict | None, integrands=None, sums=None
+) -> dict:
+    """The structured record of `compute`; `integrands` and `sums` pass work
+    already done to `qgt.assemble`."""
+    components = qgt.assemble(space, order, integrands, sums)
     det, critical = qgt.determinant_and_critical(components, space.labels, order)
     blocks = {f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(components.items())}
     # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
@@ -234,17 +238,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _debug_integrands(space: qgt.ParameterSpace, order: int) -> str:
-    """One line per integrand graph: coefficient, edge pattern, exact wedge value."""
+def _debug_integrands(space: qgt.ParameterSpace, integrands: dict, sums: dict) -> str:
+    """One line per integrand graph: coefficient, edge pattern, exact wedge
+    value, for the integrands of each pair (a, b), with `sums` the memo of
+    ordered sums."""
     lines = []
-    for a, b in itertools.combinations_with_replacement(space.labels, 2):
+    for (a, b), graded in integrands.items():
         lines.append(f"# integrand g({a},{b})")
-        graded = qgt.component_integrand(space, a, b, order)
         for m, grade in sorted(graded.items()):
             power = space.coupling**m
             for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
                 pattern = " ".join(f"D({x},{y})" for x, y in edges)
-                value = wedge_integral({counts: coeff}, m) * power
+                value = wedge_integral({counts: coeff}, m, sums) * power
                 lines.append(f"  {coeff * power} * {pattern} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -253,9 +258,13 @@ def cmd_compute(args) -> int:
     params = None
     if args.alpha is not None:
         params = {"alpha": args.alpha, "lambda": args.lambda_, "j": args.j}
-    if args.verbose:
-        sys.stderr.write(_debug_integrands(args.space, args.order))
-    record = compute_record(args.space, args.order, params)
+    integrands = sums = None
+    if args.verbose:  # the record reuses the dump's integrands and ordered sums
+        integrands, sums = {}, {}
+        for a, b in itertools.combinations_with_replacement(args.space.labels, 2):
+            integrands[(a, b)] = qgt.component_integrand(args.space, a, b, args.order)
+        sys.stderr.write(_debug_integrands(args.space, integrands, sums))
+    record = compute_record(args.space, args.order, params, integrands, sums)
     if "formal" in record:
         print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
@@ -272,31 +281,37 @@ def cmd_compute(args) -> int:
 # -- series versus oracle -----------------------------------------------------
 
 
-def _compare(space: qgt.ParameterSpace, series: dict, point: tuple, config=None) -> list[tuple]:
-    """(a, b, series value, oracle value, oracle error estimate) for each
-    entry of `series` at point = (alpha, lambda, j), in sorted order, from an
-    oracle with basis `config` (its default when None).
+def _compare(space: qgt.ParameterSpace, series: dict, points: list, config=None) -> list[list[tuple]]:
+    """For each point = (alpha, lambda, j) of `points`, (a, b, series value,
+    oracle value, oracle error estimate) for each entry of `series`, in
+    sorted order, from an oracle with basis `config` (its default when None).
 
-    The oracle runs first, so a point beyond its float range is named as the
-    oracle's; a series that underflows there too is named before the oracle.
+    One oracle call solves every point.  A point that fails raises its error
+    only after every earlier point's rows were made, and the oracle's comes
+    first, so a point beyond its float range is named as the oracle's; a
+    series that underflows there too is named before the oracle.
     """
     from . import spectral_oracle
 
-    where = "alpha={!r}, lambda={!r}, j={!r}".format(*point)
-    try:
-        oracle = spectral_oracle.numeric_qim(*point, space.potential, config, labels=space.labels)
-    except OverflowError:
-        raise ValueError(f"the oracle overflows a float at {where}") from None
-    except FloatingPointError:
-        for s in series.values():
-            _evaluate(s, *point)
-        raise ValueError(f"the oracle underflows a float at {where}") from None
-    rows = []
-    for (a, b), s in sorted(series.items()):
-        report = oracle.convergence_report[(a, b)]
-        err = report["refinement"] + report["basis_doubling"]
-        rows.append((a, b, _evaluate(s, *point), oracle.entry(a, b), err))
-    return rows
+    oracles = spectral_oracle.numeric_qim_grid(points, space.potential, config, labels=space.labels)
+    grid = []
+    for point, oracle in zip(points, oracles):
+        where = "alpha={!r}, lambda={!r}, j={!r}".format(*point)
+        if isinstance(oracle, OverflowError):
+            raise ValueError(f"the oracle overflows a float at {where}")
+        if isinstance(oracle, FloatingPointError):
+            for s in series.values():
+                _evaluate(s, *point)
+            raise ValueError(f"the oracle underflows a float at {where}")
+        if isinstance(oracle, Exception):
+            raise oracle
+        rows = []
+        for (a, b), s in sorted(series.items()):
+            report = oracle.convergence_report[(a, b)]
+            err = report["refinement"] + report["basis_doubling"]
+            rows.append((a, b, _evaluate(s, *point), oracle.entry(a, b), err))
+        grid.append(rows)
+    return grid
 
 
 # -- verify -------------------------------------------------------------------
@@ -312,9 +327,10 @@ def _linear_checks() -> list[dict]:
     checks = []
     space = qgt.ParameterSpace.linear_source()
     series = qgt.assemble(space)
-    for alpha, j in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5)):
+    points = [(alpha, 0.0, j) for alpha, j in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5))]
+    for (alpha, _, j), rows in zip(points, _compare(space, series, points)):
         exact = linear_exact.exact_linear_qgt(alpha, j)
-        for a, b, sym, num, _ in _compare(space, series, (alpha, 0.0, j)):
+        for a, b, sym, num, _ in rows:
             closed = exact[(a, b)]
             tol = 1e-6 * max(1.0, abs(closed))
             for kind, x, y in (
@@ -337,20 +353,22 @@ def _quartic_checks() -> list[dict]:
 
     space = qgt.ParameterSpace.quartic()
     series = qgt.assemble(space, 1)
+    alphas, lams = (0.5, 1.0, 2.0), (0.02, 0.04, 0.08)
+    points = [(alpha, 0.0, 0.0) for alpha in alphas] + [(1.0, lam, 0.0) for lam in (*lams, 0.05)]
+    *free, low, mid, high, bounded = _compare(space, series, points)
     # free-theory agreement
     checks = [
         _check(f"quartic free-theory alpha={alpha}", f"g({a},{b})", abs(sym - num), 1e-6 * max(1.0, abs(sym)))
-        for alpha in (0.5, 1.0, 2.0)
-        for a, b, sym, num, _ in _compare(space, series, (alpha, 0.0, 0.0))
+        for alpha, rows in zip(alphas, free)
+        for a, b, sym, num, _ in rows
     ]
     # interacting: quadratic remainder scaling, plus the absolute bound at 0.05
-    lams = (0.02, 0.04, 0.08)
-    for per_lambda in zip(*(_compare(space, series, (1.0, lam, 0.0)) for lam in lams)):
+    for per_lambda in zip(low, mid, high):
         devs = [abs(sym - num) for _, _, sym, num, _ in per_lambda]
         slope = float(np.polyfit(np.log(lams), np.log(devs), 1)[0])
         a, b = per_lambda[0][:2]
         checks.append(_check("quartic remainder-scaling slope", f"g({a},{b})", abs(slope - 2.0), 0.3))
-    *_, (_, _, sym, num, _) = _compare(space, series, (1.0, 0.05, 0.0))  # g(lambda,lambda) sorts last
+    *_, (_, _, sym, num, _) = bounded  # g(lambda,lambda) sorts last
     checks.append(_check("quartic absolute deviation lambda=0.05", "g(lambda,lambda)", abs(sym - num), 5e-5))
     return checks
 
@@ -420,8 +438,9 @@ def cmd_sweep(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for point in itertools.product(args.alphas, args.lambdas, args.js):
-        for a, b, sym, num, err in _compare(args.space, series, point, cfg):
+    points = list(itertools.product(args.alphas, args.lambdas, args.js))
+    for point, rows in zip(points, _compare(args.space, series, points, cfg)):
+        for a, b, sym, num, err in rows:
             writer.writerow(
                 [args.space.kind, args.order, *map(repr, point), f"{a},{b}"]
                 + [repr(x) for x in (sym, num, err, abs(sym - num))]

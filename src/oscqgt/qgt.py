@@ -128,31 +128,43 @@ def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -
 
 
 def qgt_component(
-    space: ParameterSpace, a: str, b: str, order: int = 1, sums: dict | None = None
+    space: ParameterSpace,
+    a: str,
+    b: str,
+    order: int = 1,
+    sums: dict | None = None,
+    graded: GradedSum | None = None,
 ) -> ScalarSeries:
     """One tensor component as an exact series in (alpha, coupling).
 
     The linear-source model is summed exactly (the expansion in J terminates);
     `order` is the coupling truncation for the polynomial models.  `sums` is
-    `wedge_integral`'s memo of ordered sums.
+    `wedge_integral`'s memo of ordered sums, and `graded` the component's
+    `component_integrand` when already built.
     """
     series = ScalarSeries.zero()
-    for m, grade in component_integrand(space, a, b, order).items():
+    if graded is None:
+        graded = component_integrand(space, a, b, order)
+    for m, grade in graded.items():
         series = series + wedge_integral(grade, m, sums) * space.coupling**m
     return series * (space.derivative(a)[1] * space.derivative(b)[1])
 
 
-def assemble(space: ParameterSpace, order: int = 1) -> dict[tuple[str, str], ScalarSeries]:
+def assemble(
+    space: ParameterSpace, order: int = 1, integrands: Mapping | None = None, sums: dict | None = None
+) -> dict[tuple[str, str], ScalarSeries]:
     """Every component G_ab of the tensor, keyed (a, b).
 
     Each unordered pair is computed once and stored under both orders: the
     real correlators in scope are symmetric in the two operators.  The
     components share their ordered sums: many graphs of one component differ
-    from graphs of another only in self-loops.
+    from graphs of another only in self-loops.  A caller that already built
+    every pair's integrand, keyed (a, b), or some ordered sums passes them in.
     """
-    components, sums = {}, {}
+    components, sums = {}, {} if sums is None else sums
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
-        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums)
+        graded = integrands[(a, b)] if integrands else None
+        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums, graded)
     return components
 
 

@@ -636,9 +636,12 @@ def gauge_fix(vec: np.ndarray) -> np.ndarray:
 
 def ground_state(band: np.ndarray, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """The spectral oracle's ground state of a band matrix in lower storage,
-    from `start` or solved cold, with its sign fixed by gauge_fix."""
-    energy, vec, _ = spectral_oracle._ground_pair(band, start)
-    return energy, gauge_fix(vec)
+    from `start` or solved cold, with its sign fixed by gauge_fix; raises
+    the solve's NoConvergence."""
+    energy, vec, _, [failure] = spectral_oracle._ground_pair(band[None], None if start is None else start[None])
+    if failure is not None:
+        raise failure
+    return float(energy[0]), gauge_fix(vec[0])
 
 
 def dense_ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray]:

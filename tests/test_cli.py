@@ -125,6 +125,30 @@ class TestCompute:
         assert code == 0
         assert hashlib.sha256(err.encode()).hexdigest() == digest
 
+    def test_verbose_integrates_each_skeleton_once(self, capsys, monkeypatch):
+        # the dump and the record share one build of the integrands and one
+        # memo of ordered sums: 1,784 distinct skeletons at quartic order 4
+        from oscqgt import integrator
+
+        calls = []
+        real = integrator._ordered_sum
+
+        def counted(counts, n):
+            calls.append(n)
+            return real(counts, n)
+
+        monkeypatch.setattr(integrator, "_ordered_sum", counted)
+        monkeypatch.setenv(cli.MAX_ORDER_ENV, "4")
+        argv = ["compute", "--model", "quartic", "--order", "4"]
+        _, plain, _ = run(argv, capsys)
+        assert len(calls) == 1784
+        calls.clear()
+        code, out, err = run(["--verbose"] + argv, capsys)
+        assert code == 0
+        assert out == plain
+        assert err.startswith("# integrand g(alpha,alpha)\n")
+        assert len(calls) == 1784
+
     def test_odd_k_series_is_flagged_formal(self, capsys):
         code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)
         assert code == cli.EXIT_OK
@@ -250,6 +274,24 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "alphas,code,message",
+        [
+            ("0.01,1e-300", cli.EXIT_ORACLE,
+             "oracle failure: BasisTooSmall: tail weight 5.24e-08 in top 10% of an N=16 basis"),
+            ("1e-300,0.01", cli.EXIT_BAD_CONFIG,
+             "invalid configuration: the oracle overflows a float at alpha=1e-300, lambda=0.01, j=0.0"),
+            ("1,0.01", cli.EXIT_ORACLE,
+             "oracle failure: BasisTooSmall: tail weight 5.24e-08 in top 10% of an N=16 basis"),
+        ],
+        ids=["first-of-two-failures", "overflow-first", "only-the-later-point-fails"],
+    )
+    def test_grid_reports_its_first_failing_point(self, alphas, code, message, capsys):
+        # the grid is solved in one oracle call; its first failing point, in
+        # row order, decides the exit code and the one line
+        argv = ["sweep", "--order", "1", "--basis-size", "16", "--alphas", alphas, "--lambdas", "0.01"]
+        assert run(argv, capsys) == (code, "", message + "\n")
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["sweep", "--alphas", "-1", "--lambdas", "0.1"], "alpha must be > 0"),
@@ -295,7 +337,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("the basis size must be rejected before any solve")
 
-        monkeypatch.setattr(spectral_oracle, "numeric_qim", never)
+        monkeypatch.setattr(spectral_oracle, "numeric_qim_grid", never)
         code, out, err = run(["sweep", "--alphas", "1", "--lambdas", "0.01", "--basis-size", size], capsys)
         assert code == cli.EXIT_BAD_CONFIG
         assert out == ""
@@ -444,7 +486,7 @@ class TestExitCodes:
             raise AssertionError("work started before --out was checked")
 
         for module, name in [
-            (spectral_oracle, "numeric_qim"),
+            (spectral_oracle, "numeric_qim_grid"),
             (oscqgt.qgt, "connected_integrand"),
             (cli, "connected_grade"),
         ]:
@@ -535,6 +577,22 @@ class TestDiagrams:
         assert hashlib.sha256(manifest.encode()).hexdigest() == digest
 
 
+def count_oracle_grids(monkeypatch) -> list:
+    """Record the point count of each spectral_oracle.numeric_qim_grid call
+    from here on."""
+    from oscqgt import spectral_oracle
+
+    counts = []
+    real = spectral_oracle.numeric_qim_grid
+
+    def counted(points, *args, **kwargs):
+        counts.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_oracle, "numeric_qim_grid", counted)
+    return counts
+
+
 class TestSweep:
     def test_free_theory_rows(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -555,6 +613,13 @@ class TestSweep:
         with open(out_path) as fh:
             for row in _csv.DictReader(fh):
                 assert abs(float(row["abs_deviation"])) < 1e-6
+
+    def test_one_oracle_call_per_grid(self, capsys, monkeypatch):
+        grids = count_oracle_grids(monkeypatch)
+        code, out, _ = run(["sweep", "--alphas", "0.5,1,2", "--lambdas", "0.005,0.01,0.05"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 9 * 4
+        assert grids == [9]
 
     def test_empty_grid_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "empty.csv"
@@ -614,6 +679,13 @@ class TestVerify:
     def test_checks_are_pinned_by_name_and_component(self, verify_all):
         assert [(c["name"], c["component"]) for c in verify_all] == VERIFY_ALL_CHECKS
 
+    def test_one_oracle_call_per_model(self, monkeypatch):
+        grids = count_oracle_grids(monkeypatch)
+        checks = cli.run_verification("all")
+        assert [(c["name"], c["component"]) for c in checks] == VERIFY_ALL_CHECKS
+        assert all(c["passed"] for c in checks)
+        assert grids == [6, 7]  # linear, then quartic
+
     def test_broken_prefactor_fails_naming_the_component(self, capsys, monkeypatch):
         real = oscqgt.qgt.qgt_component
 
@@ -636,10 +708,10 @@ class TestVerify:
     def test_oracle_failure_exits_4_with_one_line(self, capsys, monkeypatch):
         from oscqgt import spectral_oracle
 
-        def unconverged(*args, **kwargs):
-            raise spectral_oracle.NoConvergence("inverse iteration did not settle")
+        def unconverged(points, *args, **kwargs):
+            return [spectral_oracle.NoConvergence("inverse iteration did not settle") for _ in points]
 
-        monkeypatch.setattr(spectral_oracle, "numeric_qim", unconverged)
+        monkeypatch.setattr(spectral_oracle, "numeric_qim_grid", unconverged)
         code, out, err = run(["verify", "linear"], capsys)
         assert code == cli.EXIT_ORACLE
         assert out == ""

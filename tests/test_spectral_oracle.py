@@ -26,6 +26,7 @@ from oscqgt.spectral_oracle import (
     OracleConfig,
     build_hamiltonian,
     numeric_qim,
+    numeric_qim_grid,
 )
 
 V4 = PolynomialPotential.monomial(4)
@@ -95,14 +96,14 @@ class TestHamiltonian:
 
 
 def count_cold_solves(monkeypatch) -> list:
-    """Record the band shape of each cold ground-state solve
+    """Record the band shape of each point of each cold ground-state solve
     (spectral_oracle._ground_pair without a start) from here on."""
     calls = []
     real = spectral_oracle._ground_pair
 
     def counted(band, start=None):
         if start is None:
-            calls.append(band.shape)
+            calls.extend([band.shape[1:]] * len(band))
         return real(band, start)
 
     monkeypatch.setattr(spectral_oracle, "_ground_pair", counted)
@@ -110,13 +111,13 @@ def count_cold_solves(monkeypatch) -> list:
 
 
 def count_factorisations(monkeypatch) -> list:
-    """Record the basis size of each spectral_oracle._band_cholesky call,
-    failed or not, from here on."""
+    """Record the basis size of each point of each
+    spectral_oracle._band_cholesky call, failed or not, from here on."""
     sizes = []
     real = spectral_oracle._band_cholesky
 
     def counted(band, shift):
-        sizes.append(band.shape[1])
+        sizes.extend([band.shape[-1]] * len(band))
         return real(band, shift)
 
     monkeypatch.setattr(spectral_oracle, "_band_cholesky", counted)
@@ -193,11 +194,12 @@ class TestGroundState:
         real = spectral_oracle._band_cholesky
 
         def recorded(band, shift):
-            shifts.append(shift)
+            [value] = shift
+            shifts.append(value)
             try:
                 return real(band, shift)
             except np.linalg.LinAlgError:
-                failed.append(shift)
+                failed.append(value)
                 raise
 
         monkeypatch.setattr(spectral_oracle, "_band_cholesky", recorded)
@@ -205,6 +207,25 @@ class TestGroundState:
         assert failed[0] == shifts[0] > dense_energy
         assert energy == pytest.approx(dense_energy, abs=1e-14 * np.abs(band).max())
         assert np.abs(vec - dense_vec).max() <= 1e-13
+
+    def test_stacked_points_take_their_own_rounds(self, monkeypatch):
+        # an exact excited start fails to factor and bisects while the other
+        # points settle at once: each gets the pair and factor it gets alone
+        cfg = OracleConfig(basis_size=64)
+        bands = np.stack([build_hamiltonian(1.0, lam, 0.1, V4, cfg) for lam in (0.1, 0.05, 0.2)])
+        _, vecs = scipy.linalg.eigh(dense_hamiltonian(1.0, 0.1, 0.1, V4, cfg))
+        starts = np.stack([vecs[:, 1], vecs[:, 0], vecs[:, 0]])
+        sizes = count_factorisations(monkeypatch)
+        alone = [spectral_oracle._ground_pair(bands[p : p + 1], starts[p : p + 1]) for p in range(3)]
+        factored_alone = len(sizes)
+        sizes.clear()
+        energy, vec, factor, failures = spectral_oracle._ground_pair(bands, starts)
+        assert failures == [None] * 3
+        assert len(sizes) > factored_alone  # a failed stack was retried in halves
+        for p, (e, v, f, _) in enumerate(alone):
+            assert np.array_equal(e, energy[p : p + 1])
+            assert np.array_equal(v, vec[p : p + 1])
+            assert all(np.array_equal(a, b[p : p + 1]) for a, b in zip(f, factor))
 
     def test_ground_state_outside_the_leading_block(self):
         # the cold solve starts at the leading block's ground state, here an
@@ -216,7 +237,7 @@ class TestGroundState:
         assert vec == pytest.approx(np.eye(64)[40])
         band = random_spd_band(2, 200, seed=7)
         band[0, 150:160] -= 3.0  # the lowest state lives around rows 150-160
-        assert spectral_oracle._ground_pair(band)[0] == pytest.approx(
+        assert ground_state(band)[0] == pytest.approx(
             lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max()
         )
 
@@ -262,8 +283,12 @@ class TestBandSolve:
     """The numpy cyclic-reduction Cholesky solve against LAPACK as a reference."""
 
     @staticmethod
-    def solve(band, shift, rhs):
-        return spectral_oracle._band_solve(spectral_oracle._band_cholesky(band, shift), rhs)
+    def factor(band, shift):
+        return spectral_oracle._band_cholesky(band[None], np.array([shift]))
+
+    @classmethod
+    def solve(cls, band, shift, rhs):
+        return spectral_oracle._band_solve(cls.factor(band, shift), rhs[None, None])[0, 0]
 
     @pytest.mark.parametrize("b", [1, 2, 4, 6, 8])
     @pytest.mark.parametrize("n", [20, 64, 100, 257])  # below, at and off multiples of the block
@@ -300,7 +325,7 @@ class TestBandSolve:
         with pytest.raises(np.linalg.LinAlgError):
             lapack_solve(band, shift, np.ones(100))
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            spectral_oracle._band_cholesky(band, shift)
+            self.factor(band, shift)
 
     @pytest.mark.parametrize("b", [1, 4, 8])
     def test_stack_matches_one_at_a_time(self, b):
@@ -308,21 +333,21 @@ class TestBandSolve:
         n = 100
         band = random_spd_band(b, n, seed=b)
         rhs = np.random.default_rng(b).normal(size=(3, n))
-        factor = spectral_oracle._band_cholesky(band, -0.5)
-        got = spectral_oracle._band_solve(factor, rhs)
+        factor = self.factor(band, -0.5)
+        got = spectral_oracle._band_solve(factor, rhs[None])[0]
         for r, x in zip(rhs, got):
             expected = lapack_solve(band, -0.5, r)
             scale = np.abs(expected).max()
             assert np.abs(x - expected).max() <= 1e-13 * scale
             # not bit-equal: numpy multiplies a matrix and a vector by different paths
-            assert np.abs(x - spectral_oracle._band_solve(factor, r)).max() <= 1e-15 * scale
+            assert np.abs(x - spectral_oracle._band_solve(factor, r[None, None])[0, 0]).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize(
         "lam,potential,n", [(0.1, V4, 128), (0.3, V6, 256), (0.2, MIXED, 128)]
     )
     def test_cold_eigenvalue_matches_lapack_band_solver(self, lam, potential, n):
         band = build_hamiltonian(1.0, lam, 0.1, potential, OracleConfig(basis_size=n))
-        got, _, _ = spectral_oracle._ground_pair(band)
+        got, _ = ground_state(band)
         assert got == pytest.approx(lapack_lowest(band)[0], abs=1e-14 * np.abs(band).max())
 
 
@@ -373,7 +398,7 @@ class TestNumericQim:
 
         def counted(*args, **kwargs):
             band = real(*args, **kwargs)
-            sizes.append(band.shape[1])
+            sizes.extend([band.shape[-1]] * len(band))
             return band
 
         monkeypatch.setattr(spectral_oracle, "build_hamiltonian", counted)
@@ -473,6 +498,95 @@ class TestNumericQim:
             1.0, 0.05, 0.0, V4, OracleConfig(reference_frequency=1.3)
         )
         assert np.allclose(base.metric, skew.metric, atol=1e-8)
+
+
+def solved_alone(points, potential, config, labels) -> list:
+    """numeric_qim at each point on its own: its result or its exception."""
+    results = []
+    for point in points:
+        try:
+            results.append(numeric_qim(*point, potential, config, labels=labels))
+        except Exception as exc:
+            results.append(exc)
+    return results
+
+
+def assert_same_result(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert isinstance(got, spectral_oracle.NumericQGT)
+        assert got.labels == expected.labels
+        assert np.array_equal(got.metric, expected.metric)
+        assert got.convergence_report == expected.convergence_report
+
+
+GRIDS = [
+    # the cold solve at N takes one round or two here, and the strong
+    # couplings more factorisations: points settle in different rounds
+    (V4, ("alpha", "lambda"), [(a, lam, 0.0) for a in (0.5, 1.3, 2.0) for lam in (0.0, 0.005, 0.05, 1.0, 10.0)]),
+    (V6, ("alpha", "lambda"), [(a, lam, 0.0) for a in (0.5, 1.0, 2.0) for lam in (0.0, 0.01, 0.3)]),
+    (None, ("alpha", "j"), [(a, 0.0, j) for a in (0.5, 1.0, 2.0) for j in (0.0, 0.5, 2.0)]),
+]
+
+
+class TestGrid:
+    @pytest.mark.parametrize("potential,labels,points", GRIDS, ids=["quartic", "monomial6", "linear"])
+    def test_point_is_bit_identical_alone_in_a_grid_and_permuted(self, potential, labels, points):
+        alone = solved_alone(points, potential, CFG, labels)
+        for got, expected in zip(numeric_qim_grid(points, potential, CFG, labels), alone):
+            assert_same_result(got, expected)
+        order = np.random.default_rng(3).permutation(len(points))
+        permuted = numeric_qim_grid([points[i] for i in order], potential, CFG, labels)
+        for got, i in zip(permuted, order):
+            assert_same_result(got, alone[i])
+
+    def test_each_point_keeps_its_own_failure(self):
+        # overflow, basis too small, no ground state and underflow among
+        # points that solve: each gets what it gets alone
+        points = [
+            (1.0, 0.01, 0.0), (1e-300, 0.01, 0.0), (0.01, 0.01, 0.0), (1.0, -0.3, 0.0),
+            (2.0, 0.05, 0.0), (1e150, 0.01, 0.0), (1e-200, 0.01, 0.0), (0.7, 0.3, 0.0),
+        ]
+        config = OracleConfig(16)
+        alone = solved_alone(points, V4, config, ("alpha", "lambda"))
+        assert [type(r).__name__ for r in alone] == [
+            "NumericQGT", "OverflowError", "BasisTooSmall", "NoGroundState",
+            "NumericQGT", "FloatingPointError", "OverflowError", "NumericQGT",
+        ]
+        for got, expected in zip(numeric_qim_grid(points, V4, config), alone):
+            assert_same_result(got, expected)
+
+    def test_stacks_stay_within_the_storage_bound(self, monkeypatch):
+        points = GRIDS[0][2]
+        alone = solved_alone(points, V4, CFG, ("alpha", "lambda"))
+        stacks = []
+        real = spectral_oracle._ground_pair
+
+        def recorded(band, start=None):
+            stacks.append(band.shape)
+            return real(band, start)
+
+        monkeypatch.setattr(spectral_oracle, "_ground_pair", recorded)
+        monkeypatch.setattr(spectral_oracle, "_STACK_STATES", 4 * 2 * CFG.basis_size)
+        for got, expected in zip(numeric_qim_grid(points, V4, CFG), alone):
+            assert_same_result(got, expected)
+        assert [shape[0] for shape in stacks] == [4, 4, 4, 4, 4, 4, 3, 3]
+        assert {shape[-1] for shape in stacks} == {CFG.basis_size, 2 * CFG.basis_size}
+
+    def test_failed_factorisation_is_found_point_by_point(self):
+        # a stack fails to factor when any point does; the retry on halves
+        # finds exactly those points and factors the rest as they are alone
+        bands = np.stack([random_spd_band(4, 100, seed=s) for s in range(5)])
+        bands[1, 0, 40] = bands[4, 0, 7] = -1.0
+        factor, ok = spectral_oracle._factor_each(bands, np.full(5, -0.5))
+        assert ok.tolist() == [True, False, True, True, False]
+        rhs = np.random.default_rng(0).normal(size=(3, 1, 100))
+        got = spectral_oracle._band_solve(factor, rhs)
+        for x, r, band in zip(got, rhs, bands[ok]):
+            assert np.array_equal(x, TestBandSolve.solve(band, -0.5, r[0])[None])
+            expected = lapack_solve(band, -0.5, r[0])
+            assert np.abs(x[0] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestFiniteDifferenceReference:
