@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
-from .perturbation import connected_grade
+from .perturbation import NoGroundState, _require_ground_state, connected_grade
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import edge_names, edges_to_dot
 
@@ -180,6 +180,11 @@ def compute_record(
             f"the series is formal: odd k={space.k} has no ground state for lambda != 0 "
             f"(the potential is unbounded below)"
         )
+    elif params is not None:
+        try:
+            _require_ground_state(params["alpha"], params.get("lambda") or 0.0, space.potential)
+        except NoGroundState as exc:
+            record["formal"] = f"the series is formal: {exc}"
     if critical is not None:
         block = _series_block(critical, None)
         block["truncation_order"] = order

@@ -25,7 +25,6 @@ diverges.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -33,7 +32,7 @@ from operator import itemgetter, mul
 from typing import Mapping
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
-from .wick import EdgeCounts, edge_names
+from .wick import EdgeCounts, edge_layout, edge_names
 
 __all__ = ["DivergentIntegral", "cut_sizes", "wedge_integral"]
 
@@ -54,16 +53,14 @@ def _crossings(n: int) -> tuple[int, ...]:
     table with field s set to 1 when an edge between times i and j crosses
     the cut of subset s (never for a loop, i = j)."""
     return tuple(
-        sum(1 << 32 * s for s in range(1 << n) if (s >> i ^ s >> j) & 1)
-        for i, j in itertools.combinations_with_replacement(range(n), 2)
+        sum(1 << 32 * s for s in range(1 << n) if (s >> i ^ s >> j) & 1) for i, j in edge_layout(n)[0]
     )
 
 
 @functools.cache
 def _skeleton(n: int) -> itemgetter:
     """Picks the edge counts between distinct times, which fix the ordered sum."""
-    pairs = itertools.combinations_with_replacement(range(n), 2)
-    return itemgetter(*(p for p, (i, j) in enumerate(pairs) if i != j))
+    return itemgetter(*(p for p, (i, j) in enumerate(edge_layout(n)[0]) if i != j))
 
 
 def _ordered_sum(counts: EdgeCounts, n: int) -> Fraction:

@@ -38,7 +38,7 @@ from sys import float_info
 
 import numpy as np
 
-from .perturbation import PolynomialPotential, hamiltonian_derivative
+from .perturbation import NoGroundState, PolynomialPotential, _require_ground_state, hamiltonian_derivative
 from .scalar_algebra import OracleFailure
 
 __all__ = [
@@ -77,42 +77,6 @@ class BasisTooSmall(OracleFailure):
 
 class NoConvergence(OracleFailure):
     """The eigensolver failed or its eigenpair misses the residual bound."""
-
-
-class NoGroundState(ValueError):
-    """The Hamiltonian is unbounded below, so there is no ground state to probe."""
-
-
-def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotential | None) -> None:
-    """Reject a potential that leaves H unbounded below before any solve.
-
-    The leading term of alpha q**2/2 + lambda V(q) decides: an odd degree is
-    unbounded below for either sign of its coefficient, and so is an even
-    degree with a negative coefficient; a truncated basis would still return
-    a lowest eigenvector, but it describes the basis edge, not a ground state.
-    lambda q (k = 1) and a q**2 term that alpha outweighs keep the oscillator.
-    """
-    if potential is None or lam == 0.0:
-        return
-    full: dict[int, float] = {}
-    for label, value in (("alpha", alpha), ("lambda", lam)):
-        for deg, c in hamiltonian_derivative(label, potential):
-            full[deg] = full.get(deg, 0.0) + value * float(c)
-    k = max((deg for deg, c in full.items() if c != 0.0), default=0)
-    if k == 0:
-        raise NoGroundState(
-            f"a vanishing potential has no ground state (lambda={lam!r}, alpha={alpha!r})"
-        )
-    if k % 2:
-        raise NoGroundState(
-            f"odd k has no ground state for lambda != 0 "
-            f"(k={k}, lambda={lam!r}: the potential is unbounded below)"
-        )
-    if full[k] < 0:
-        raise NoGroundState(
-            f"a negative leading term has no ground state (k={k}, lambda={lam!r}: "
-            f"the q**{k} coefficient {full[k]:.6g} leaves the potential unbounded below)"
-        )
 
 
 class OracleConfig:

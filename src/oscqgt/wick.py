@@ -10,9 +10,16 @@ at time i, e_ij edges between times i and j and e_ii self-loops is
     prod_i n_i! / ( prod_{i<j} e_ij! * prod_i 2**e_ii e_ii! ).
 
 A diagram over k times is the tuple of its edge counts e_ij for i <= j, row
-by row (`EdgeCounts`), and stays in that form through the symbolic route.
-`edge_names` names the times s_1..s_m, tau1 and tau2 where a user reads a
-diagram: the `diagrams` files, the `--verbose` dump and error messages.
+by row (`EdgeCounts`), and stays in that form through the symbolic route;
+`edge_layout` gives the pair of times of each position.  `edge_names` names
+the times s_1..s_m, tau1 and tau2 where a user reads a diagram: the
+`diagrams` files, the `--verbose` dump and error messages.
+
+The internal vertices s_1..s_m are interchangeable, so `connected_classes`
+walks each class of connected diagrams under their relabelling from the
+labellings in which the vertices' ranks (`_walk_rank`) are sorted, and
+returns it once, under its canonical form (`_class_form`), with its
+automorphism count |Aut|.
 
 A constant source J needs no separate treatment: it is the degree-1 vertex
 of the potential V = q.
@@ -21,16 +28,28 @@ of the potential V = q.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, groupby, permutations, product, repeat
 from math import factorial, isqrt, prod
 from operator import itemgetter, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
-__all__ = ["EdgeCounts", "walk_pairings", "edge_names", "edges_to_dot"]
+__all__ = ["EdgeCounts", "edge_layout", "connected_classes", "edge_names", "edges_to_dot"]
 
 # a diagram over times 0..k-1 as its edge counts e_ij for i <= j, row by row:
 # (e_00, e_01, ..., e_11, ...); e_ii counts the self-loops of time i
 EdgeCounts = tuple[int, ...]
+
+
+@lru_cache(maxsize=None)  # one layout per time count
+def edge_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The layout of the edge counts over n times: the times (i, j), i <= j,
+    of each position, and [i][j], the position of the edges between times i
+    and j."""
+    pairs = tuple(combinations_with_replacement(range(n), 2))
+    position = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        position[i][j] = position[j][i] = p
+    return pairs, tuple(map(tuple, position))
 
 
 def edge_names(counts: EdgeCounts) -> tuple[tuple[str, str], ...]:
@@ -47,70 +66,64 @@ def _named_layout(size: int) -> tuple[tuple[tuple[str, str], ...], bool]:
     whether the pairs are in name order (up to s9)."""
     n = (isqrt(8 * size + 1) - 1) // 2
     names = [f"s{i}" for i in range(1, n - 1)] + ["tau1", "tau2"]
-    pairs = tuple(tuple(sorted(pair)) for pair in combinations_with_replacement(names[:n], 2))
+    pairs = tuple(tuple(sorted((names[i], names[j]))) for i, j in edge_layout(n)[0])
     return pairs, list(pairs) == sorted(pairs)
 
 
-def walk_pairings(
-    legs: Sequence[int],
-    rank: Callable[[int, list[int]], object] | None = None,
-    connected: bool = False,
-) -> list[tuple[EdgeCounts, int, bool]]:
-    """Every pairing class of legs[i] q-factors at the i-th time, as
-    (edge counts, multiplicity, tied), in walk order.
+def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int]]:
+    """Every class of connected pairings of s_1..s_m, with degrees[i] legs at
+    s_{i+1}, tau1 with k_a legs and tau2 with k_b, under relabelling of
+    s_1..s_m, as {canonical edge counts: (multiplicity, |Aut|)} in walk order.
+    The degrees must be nondecreasing.
 
-    `rank(i, row)` breaks the symmetry between interchangeable times: row[j]
-    counts the edges between the i-th and j-th time (row[i] the self-loops),
-    and the walk skips every diagram in which a time's rank sorts below the
-    previous ranked time's (None leaves a time unranked).  With a rank that
-    relabelling preserves, every class of diagrams under relabelling keeps at
-    least its sorted labelling.  A diagram is `tied` when two of its ranked
-    times share a rank: other labellings of its class may then sort too.
-
-    With `connected`, only the diagrams that join every time into one
-    component are returned.  The walk places the times in order and drops a
+    The walk places the times in order s_1..s_m, tau1, tau2.  It skips every
+    diagram in which a vertex's rank sorts below the previous vertex's, so
+    each class keeps at least its rank-sorted labellings, and it drops a
     branch as soon as the component of the time just placed has no edge left
     to a later time: that component can no longer grow, so every diagram
-    below the branch is disconnected.
+    below the branch is disconnected.  A diagram whose ranks all differ is
+    the only sorted labelling of its class, and its own canonical form with
+    |Aut| = 1; one with tied ranks is put in the form of `_class_form`, on
+    which all its tied labellings land.
     """
-    if any(c < 1 for c in legs):
-        raise ValueError("every time needs >= 1 leg")
-    if not legs:
-        return [((), 1, False)]  # the empty product
+    legs = (*degrees, k_a, k_b)
     k = len(legs)
+    m, last = k - 2, k - 1
     fact = [factorial(i) for i in range(max(legs) + 1)]
     total = prod(fact[c] for c in legs)
     links = [[0] * k for _ in range(k)]
-    found: list[tuple[EdgeCounts, int, bool]] = []
-    last = k - 1
+    found: dict[EdgeCounts, tuple[int, int]] = {}
 
     # assign node i's remaining legs rest[0] to self-loops and edges toward
     # the nodes after it, which have rest[1:] legs left; `upper` holds the
     # earlier nodes' edge counts, and the denominator of the multiplicity
     # grows with them.  Node i's edges to earlier nodes are copied into its
     # row of `links` on entry, so the row is complete once node i is placed.
+    # `floor` is the previous vertex's rank and `tied` whether two ranks met.
     # The last node can only close its legs into self-loops.
     def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, floor, tied: bool):
         n_i, later, row = rest[0], rest[1:], links[i]
         row[:i] = map(itemgetter(i), links[:i])
         for self_i in range(n_i // 2 if i == last else 0, n_i // 2 + 1):
-            if connected and 2 * self_i == n_i and i < last and closes(i):
+            if 2 * self_i == n_i and i < last and closes(i):
                 continue  # no edge leaves node i's component: disconnected below
             head, head_denom = upper + (self_i,), denom * fact[self_i] << self_i
             row[i] = self_i
             for combo, combo_denom in _compositions(n_i - 2 * self_i, later):
                 row[i + 1 :] = combo
-                r = rank(i, row) if rank else None
-                if r is None:
-                    r, tie = floor, tied
-                elif floor is not None and r < floor:
-                    continue
-                else:
+                r, tie = floor, tied
+                if i < m:
+                    r = _walk_rank(m, i, row)
+                    if floor is not None and r < floor:
+                        continue
                     tie = tied or r == floor
-                if i == last:
-                    found.append((head, total // head_denom, tie))
-                else:
+                if i < last:
                     walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, r, tie)
+                elif not tie:
+                    found[head] = (total // head_denom, 1)
+                else:
+                    form, automorphisms = _class_form(head, m)
+                    found.setdefault(form, (total // head_denom, automorphisms))
 
     # whether node i's component among nodes 0..i has no edge to a later node
     # when node i itself sends none; the earlier nodes' rows are complete
@@ -127,7 +140,7 @@ def walk_pairings(
                     stack.append(other)
         return True
 
-    walk(0, tuple(legs), (), 1, None, False)
+    walk(0, legs, (), 1, None, False)
     return found
 
 
@@ -142,6 +155,55 @@ def _compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[tuple[int, .
         for first in range(min(total, caps[0]) + 1)
         for rest, denom in _compositions(total - first, caps[1:])
     )
+
+
+def _walk_rank(m: int, i: int, row: list[int]) -> tuple:
+    """Rank of the vertex s_{i+1} of a diagram over s_1..s_m, tau1 and tau2,
+    kept by relabelling s_1..s_m.
+
+    row lists the vertex's edges to s_1..s_m, tau1 and tau2.  The rank is the
+    degree, then the edges to tau1, the edges to tau2, the self-loops and the
+    sorted multiplicities to the other vertices.  The degree comes first, so
+    the rank-sorted labelling of a class also has nondecreasing degrees.
+    """
+    others = row[:m]
+    del others[i]
+    others.sort()
+    return (sum(row) + row[i], row[m], row[m + 1], row[i], others)
+
+
+def _class_form(counts: EdgeCounts, m: int) -> tuple[EdgeCounts, int]:
+    """Canonical edge counts and automorphism count of a connected diagram
+    given by its edge counts over s_1..s_m (0..m-1), tau1 (m) and tau2 (m + 1).
+
+    The form is the minimal relabeled edge multiset over the relabelings that
+    keep the vertices' ranks (`_walk_rank`) sorted, so isomorphic diagrams
+    share it, and the number of relabelings that reach it is the order of the
+    diagram's automorphism group.  When no two ranks tie, one relabeling
+    keeps the ranking: the one that numbers the vertices in rank order, with
+    |Aut| = 1.
+    """
+    n = m + 2
+    pairs, position = edge_layout(n)
+    edges = [pair for pair, c in zip(pairs, counts) for _ in range(c)]
+    rank = [_walk_rank(m, i, [counts[p] for p in row]) for i, row in enumerate(position[:m])]
+    ranked = sorted(range(m), key=rank.__getitem__)
+    classes = [list(group) for _, group in groupby(ranked, key=rank.__getitem__)]
+    # a relabeled diagram is keyed by the sorted positions of its edges
+    label = list(range(n))
+    best, automorphisms = None, 0
+    for choice in product(*(permutations(c) for c in classes)):
+        for new, old in enumerate(chain.from_iterable(choice)):
+            label[old] = new
+        key = sorted(position[label[i]][label[j]] for i, j in edges)
+        if best is None or key < best:
+            best, automorphisms = key, 1
+        elif key == best:
+            automorphisms += 1
+    form = [0] * len(counts)
+    for p in best:
+        form[p] += 1
+    return tuple(form), automorphisms
 
 
 # -- diagram rendering -------------------------------------------------------

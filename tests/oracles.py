@@ -1,9 +1,11 @@
 """Independent oracles for the test-suite.
 
 The library keys a graph by its integer edge counts; `counts_of` turns named
-edges into those counts and `edge_names` turns them back.  The test-only
-`enumerate_pairings` names the diagrams of the library's pairing walk for any
-{time: legs} map, as sorted `WickDiagram`s.
+edges into those counts and `edge_names` turns them back.  `walk_pairings` is
+the generic pairing walk that `wick.connected_classes` specialises: any legs,
+an optional rank callback and an optional connectivity cut, with the ties of
+the rank reported per diagram.  `enumerate_pairings` names its diagrams for
+any {time: legs} map, as sorted `WickDiagram`s.
 
 The oracles below deliberately avoid the library's own enumeration and
 integration paths:
@@ -32,7 +34,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter, sub
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,10 +44,10 @@ from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.perturbation import GradedSum, PolynomialPotential, _class_form
+from oscqgt.perturbation import GradedSum, PolynomialPotential, _require_ground_state
 from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import EdgeCounts, edge_names, edges_to_dot, walk_pairings
+from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_names, edges_to_dot
 
 # edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
 Edges = tuple[tuple[str, str], ...]
@@ -94,6 +97,92 @@ class WickDiagram(Frozen):
         _set(self, "edges", edges)
         _set(self, "multiplicity", multiplicity)
         _set(self, "tied", tied)
+
+
+def walk_pairings(
+    legs: Sequence[int],
+    rank: Callable[[int, list[int]], object] | None = None,
+    connected: bool = False,
+) -> list[tuple[EdgeCounts, int, bool]]:
+    """Every pairing class of legs[i] q-factors at the i-th time, as
+    (edge counts, multiplicity, tied), in walk order.
+
+    `rank(i, row)` breaks the symmetry between interchangeable times: row[j]
+    counts the edges between the i-th and j-th time (row[i] the self-loops),
+    and the walk skips every diagram in which a time's rank sorts below the
+    previous ranked time's (None leaves a time unranked).  With a rank that
+    relabelling preserves, every class of diagrams under relabelling keeps at
+    least its sorted labelling.  A diagram is `tied` when two of its ranked
+    times share a rank: other labellings of its class may then sort too.
+
+    With `connected`, only the diagrams that join every time into one
+    component are returned.  The walk places the times in order and drops a
+    branch as soon as the component of the time just placed has no edge left
+    to a later time: that component can no longer grow, so every diagram
+    below the branch is disconnected.
+    """
+    if any(c < 1 for c in legs):
+        raise ValueError("every time needs >= 1 leg")
+    if not legs:
+        return [((), 1, False)]  # the empty product
+    k = len(legs)
+    fact = [factorial(i) for i in range(max(legs) + 1)]
+    total = prod(fact[c] for c in legs)
+    links = [[0] * k for _ in range(k)]
+    found: list[tuple[EdgeCounts, int, bool]] = []
+    last = k - 1
+
+    # assign node i's remaining legs rest[0] to self-loops and edges toward
+    # the nodes after it, which have rest[1:] legs left; `upper` holds the
+    # earlier nodes' edge counts, and the denominator of the multiplicity
+    # grows with them.  Node i's edges to earlier nodes are copied into its
+    # row of `links` on entry, so the row is complete once node i is placed.
+    # The last node can only close its legs into self-loops.
+    def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, floor, tied: bool):
+        n_i, later, row = rest[0], rest[1:], links[i]
+        row[:i] = map(itemgetter(i), links[:i])
+        for self_i in range(n_i // 2 if i == last else 0, n_i // 2 + 1):
+            if connected and 2 * self_i == n_i and i < last and closes(i):
+                continue  # no edge leaves node i's component: disconnected below
+            head, head_denom = upper + (self_i,), denom * fact[self_i] << self_i
+            row[i] = self_i
+            for combo, combo_denom in _compositions(n_i - 2 * self_i, later):
+                row[i + 1 :] = combo
+                r = rank(i, row) if rank else None
+                if r is None:
+                    r, tie = floor, tied
+                elif floor is not None and r < floor:
+                    continue
+                else:
+                    tie = tied or r == floor
+                if i == last:
+                    found.append((head, total // head_denom, tie))
+                else:
+                    walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, r, tie)
+
+    # whether node i's component among nodes 0..i has no edge to a later node
+    # when node i itself sends none; the earlier nodes' rows are complete
+    def closes(i: int) -> bool:
+        seen, stack = {i}, [i]
+        while stack:
+            j = stack.pop()
+            row = links[j]
+            if j != i and any(row[i + 1 :]):
+                return False
+            for other in range(i):
+                if row[other] and other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return True
+
+    walk(0, tuple(legs), (), 1, None, False)
+    return found
+
+
+def walk_rank(m: int) -> Callable[[int, list[int]], tuple | None]:
+    """The rank of `wick.connected_classes` as a `rank` of `walk_pairings`
+    over s_1..s_m, tau1 and tau2: tau1 and tau2 stay unranked."""
+    return lambda i, row: _walk_rank(m, i, row) if i < m else None
 
 
 def enumerate_pairings(
@@ -364,7 +453,7 @@ def _vertex_names(m: int, offset: int = 0) -> list[str]:
 
 
 def linked_class(edges, names: Sequence[str]) -> tuple[EdgeCounts, int]:
-    """`perturbation._class_form` of a connected diagram given by its edges
+    """`wick._class_form` of a connected diagram given by its edges
     over tau1, tau2 and the internal vertices `names`."""
     return _class_form(counts_of(edges, [*names, "tau1", "tau2"]), len(names))
 
@@ -666,7 +755,7 @@ def sum_over_states_qim(
     from scipy's full eigendecomposition, in the basis pinned at the point,
     with dH_a built densely: q^2/2 for alpha, V(q) for lambda and q for J.
     """
-    spectral_oracle._require_ground_state(alpha, lam, potential)
+    _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     pinned = OracleConfig(config.basis_size, config.omega(alpha))
     energies, states = linalg.eigh(dense_hamiltonian(alpha, lam, j, potential, pinned))
@@ -711,7 +800,7 @@ def finite_difference_qim(
     the Richardson estimate of its error, fd_halving = |g(h) - g(h/2)| / 3.
     Raises StepTooLarge when halving moves an entry by more than 10%.
     """
-    spectral_oracle._require_ground_state(alpha, lam, potential)
+    _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     pinned = OracleConfig(config.basis_size, config.omega(alpha))
     steps = {label: (steps or {}).get(label, fd_step(label, alpha)) for label in labels}
@@ -758,7 +847,7 @@ def fidelity_qim(
     displacement, each with `fd_step`'s steps.  Cross-validates the
     response estimator, on the dense path.
     """
-    spectral_oracle._require_ground_state(alpha, lam, potential)
+    _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
     pinned = OracleConfig(config.basis_size, config.omega(alpha))
     point = {"alpha": alpha, "lambda": lam, "j": j}

@@ -157,6 +157,27 @@ class TestCompute:
         assert "odd k=3 has no ground state for lambda != 0" in record["formal"]
         assert err == f"note: {record['formal']}\n"
 
+    @pytest.mark.parametrize(
+        "model,lam,reason",
+        [
+            ("quartic", "-0.1", "a negative leading term has no ground state"),
+            ("monomial:2", "-1", "a vanishing potential has no ground state"),
+        ],
+    )
+    def test_point_without_a_ground_state_is_flagged_formal(self, model, lam, reason, capsys):
+        # the check that makes `sweep` reject the point flags the series there
+        argv = ["--model", model, "--alpha", "1", "--lambda", lam]
+        code, out, err = run(["compute", *argv, "--order", "1", "--format", "json"], capsys)
+        assert code == cli.EXIT_OK
+        record = json.loads(out)
+        jsonschema.validate(record, cli.RECORD_SCHEMA)
+        prefix = "the series is formal: "
+        assert record["formal"].startswith(prefix + reason)
+        assert err == f"note: {record['formal']}\n"
+        code, _, err = run(["sweep", "--model", model, "--alphas", "1", "--lambdas", lam], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert err == f"invalid configuration: {record['formal'][len(prefix):]}\n"
+
     @pytest.mark.parametrize("model", ["linear", "quartic", "monomial:6", "monomial:1"])
     def test_series_with_a_ground_state_is_not_flagged(self, model, capsys):
         # lambda q with alpha > 0 is a shifted oscillator, so k = 1 has one
@@ -557,12 +578,19 @@ class TestDiagrams:
              "c61c13d53b003c8ff8132ac43dca5e01ecddc831748d51b257696a9cfba57978"),
             ("monomial:6", "lambda,lambda", "2", 287,
              "e3e791279dd40912aaaf2d014cf8299d02b5df5025fd32edfae077e720fa245c"),
+            # the only case whose walk reaches a class through several sorted
+            # labellings (577 for 483 classes), so it pins the canonical form
+            ("quartic", "alpha,lambda", "4", 483,
+             "8898ecc2ffc28d749dd57a67fd86ad32ff8ec792d4600f1508735ae1c39c21c2"),
         ],
     )
-    def test_output_is_pinned(self, model, component, order, files, digest, tmp_path, capsys):
+    def test_output_is_pinned(
+        self, model, component, order, files, digest, tmp_path, capsys, monkeypatch
+    ):
         # the digest of a `sha256sum *.dot` manifest: one line per file with
         # the sha256 of its contents and its name, so a renumbered, renamed or
         # re-rendered diagram changes it
+        monkeypatch.setenv(cli.MAX_ORDER_ENV, order)
         code, _, _ = run(
             ["diagrams", "--model", model, "--component", component, "--order", order,
              "--out", str(tmp_path)],
@@ -756,8 +784,10 @@ def test_linear_exact_import_leaves_numpy_unloaded():
         ["diagrams", "--model", "quartic", "--component", "alpha,lambda", "--order", "2"],
         # request a of the series-o3 benchmark workload
         ["compute", "--model", "quartic", "--order", "3", "--format", "json"],
+        # flagged formal by the ground-state check, which needs no numpy
+        ["compute", "--model", "quartic", "--order", "1", "--alpha", "1", "--lambda", "-0.1"],
     ],
-    ids=["compute", "diagrams", "compute-order3"],
+    ids=["compute", "diagrams", "compute-order3", "compute-no-ground-state"],
 )
 def test_symbolic_commands_leave_numeric_stack_unloaded(argv, tmp_path):
     probe = (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -269,6 +270,34 @@ class TestSubsetSumAgainstEveryOrder:
                 wedge_integral(graph([("s1", "s2"), ("tau1", "tau2")], m=2), 2, sums)
             with pytest.raises(DivergentIntegral):
                 wedge_integral(graph([("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")], m=2), 2, sums)
+
+
+def loop_free_skeletons(model, m):
+    """The loop-free skeleton of every graph of grade m of the model's
+    components, as edge counts over time_names(m)."""
+    space = ParameterSpace.parse(model)
+    skeletons = set()
+    for a, b in itertools.combinations_with_replacement(space.labels, 2):
+        k_a, k_b = space.derivative(a)[0], space.derivative(b)[0]
+        for counts in connected_grade(k_a, k_b, m, space.potential):
+            skeletons.add(counts_of([(x, y) for x, y in edge_names(counts) if x != y], time_names(m)))
+    return sorted(skeletons)
+
+
+class TestTimeReversal:
+    # t -> -t with tau1 and tau2 swapped maps the orders with tau1 before
+    # tau2 onto themselves, so a skeleton and its tau-swapped image have one
+    # ordered sum
+    @pytest.mark.parametrize(
+        "model,m", [("quartic", m) for m in range(5)] + [("monomial:6", m) for m in range(4)]
+    )
+    def test_swapping_tau1_and_tau2_keeps_each_ordered_sum(self, model, m):
+        swapped_names = [*time_names(m)[:m], TAU2, TAU1]
+        skeletons = loop_free_skeletons(model, m)
+        assert skeletons
+        for counts in skeletons:
+            swapped = counts_of(edge_names(counts), swapped_names)
+            assert wedge_integral({swapped: F(1)}, m) == wedge_integral({counts: F(1)}, m), edge_names(counts)
 
 
 class TestGreenFunction:

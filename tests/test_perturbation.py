@@ -28,17 +28,19 @@ from oracles import (
     ratio_connected_integrand,
     time_names,
     to_oracle_form,
+    walk_pairings,
+    walk_rank,
 )
 from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import (
     PolynomialPotential,
-    _walk_rank,
     connected_grade,
     connected_integrand,
     hamiltonian_derivative,
 )
 from oscqgt.qgt import ParameterSpace, assemble, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
+from oscqgt.wick import _class_form, connected_classes
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
@@ -359,11 +361,26 @@ PRUNING_CASES = {
 class TestPrunedWalk:
     # dropping a branch once a component closes must lose no connected graph
     # and keep no disconnected one, with or without the symmetry breaking
+    @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
+    def test_classes_equal_the_generic_walk(self, case):
+        # the library's walk is the generic one, ranked, cut to connected
+        # graphs, with each tied graph put in its class form: class for
+        # class, in order of first appearance
+        k_a, k_b, m, potential = PRUNING_CASES[case]
+        for points in _walk_points(k_a, k_b, m, potential):
+            degrees = [points[f"s{i}"] for i in range(1, m + 1)]
+            reference = {}
+            for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], walk_rank(m), True):
+                counts, automorphisms = _class_form(counts, m) if tied else (counts, 1)
+                reference.setdefault(counts, (multiplicity, automorphisms))
+            got = connected_classes(degrees, k_a, k_b)
+            assert list(got.items()) == list(reference.items())
+
     @pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_equals_filtered_full_walk(self, case, ranked):
         k_a, k_b, m, potential = PRUNING_CASES[case]
-        rank = functools.partial(_walk_rank, m) if ranked else None
+        rank = walk_rank(m) if ranked else None
         walked = 0
         for points in _walk_points(k_a, k_b, m, potential):
             pruned = enumerate_pairings(points, rank=rank, connected=True)
@@ -376,7 +393,7 @@ class TestPrunedWalk:
     def test_untied_graph_is_its_own_class_form(self, case):
         # when no two ranks tie, the walk's labelling is the canonical one
         k_a, k_b, m, potential = PRUNING_CASES[case]
-        rank = functools.partial(_walk_rank, m)
+        rank = walk_rank(m)
         names = [f"s{i}" for i in range(1, m + 1)]
         tied = 0
         for points in _walk_points(k_a, k_b, m, potential):
@@ -395,7 +412,7 @@ class TestPrunedWalk:
         # a walk that stops pruning, or a change of the rank, moves these counts
         k_a, k_b, m, potential = LABELLED_CASES[case]
         [points] = _walk_points(k_a, k_b, m, potential)
-        rank = functools.partial(_walk_rank, m)
+        rank = walk_rank(m)
         assert len(enumerate_pairings(points, rank=rank, connected=True)) == leaves
         assert len(enumerate_pairings(points, rank=rank)) == unpruned
         assert len(connected_grade(k_a, k_b, m, potential)) == classes
