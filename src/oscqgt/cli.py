@@ -2,17 +2,24 @@
 
 Structured output keeps the exact rational coefficients; floats are attached
 only as convenience evaluations.  Exit codes: 0 success, 1 verification
-failure, 2 invalid configuration (a bad argument or an unwritable `--out`),
-3 divergent integral, 4 oracle failure (basis too small or no eigensolver
-convergence).
+failure, 2 invalid configuration (a bad argument, an unwritable `--out`, or
+an unwritable stdout, reported in one line), 3 divergent integral, 4 oracle
+failure (basis too small or no eigensolver convergence).
 
 `compute` and `diagrams` run the exact symbolic route only; numpy and the
 oracles are imported inside the `verify` and `sweep` code that uses them.
+
+`run` is the process entry point: once `main` has returned, the atexit
+handlers have run and the output is flushed, it ends the process with
+`os._exit`, skipping the interpreter's teardown, which costs 4-12 ms per
+command (most of it numpy's modules).  `main` is the in-process API: it
+returns the exit code, and only argparse's `--help` raises `SystemExit`.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import errno
 import io
@@ -29,7 +36,7 @@ from .perturbation import NoGroundState, _require_ground_state, connected_grade
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import edge_names, edges_to_dot
 
-__all__ = ["main", "RECORD_SCHEMA", "run_verification"]
+__all__ = ["main", "run", "RECORD_SCHEMA", "run_verification"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -236,11 +243,13 @@ def _writing(path):
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write `text` to `out_path`, or to stdout when it is None."""
     if out_path:
         with _writing(out_path):
             Path(out_path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        with _writing("stdout"):
+            sys.stdout.write(text)
 
 
 def _debug_integrands(space: qgt.ParameterSpace, integrands: dict, sums: dict) -> str:
@@ -390,11 +399,12 @@ def run_verification(which: str) -> list[dict]:
 def cmd_verify(args) -> int:
     checks = run_verification(args.which)
     failed = [c for c in checks if not c["passed"]]
+    lines = []
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
-        line = f"{status} {c['name']} [{c['component']}] delta={c['delta']:.3e} tol={c['tol']:.3e}"
-        print(line)
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+        lines.append(f"{status} {c['name']} [{c['component']}] delta={c['delta']:.3e} tol={c['tol']:.3e}\n")
+    lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
+    _emit("".join(lines), None)
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
@@ -418,10 +428,8 @@ def cmd_diagrams(args) -> int:
             dot = edges_to_dot(edges, name, f"coefficient {coeff}")
             path = out_dir / f"{name}.dot"
             path.write_text(dot, encoding="utf-8")
-            written.append(str(path))
-    for path in written:
-        print(path)
-    print(f"{len(written)} diagram(s) written")
+            written.append(f"{path}\n")
+    _emit("".join(written) + f"{len(written)} diagram(s) written\n", None)
     return EXIT_OK
 
 
@@ -594,5 +602,27 @@ def main(argv=None) -> int:
         return EXIT_ORACLE
 
 
+def run():
+    """The process entry point of `python -m oscqgt.cli` and the `qgt` script.
+
+    After `main`, the atexit handlers run and stdout and stderr are flushed,
+    as at Python's own exit; then `os._exit` ends the process with main's
+    code, skipping module teardown and the final garbage collection.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        with _writing("stdout"):
+            sys.stdout.flush()
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        code = EXIT_BAD_CONFIG
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -853,3 +854,109 @@ def test_oracle_commands_leave_dataclasses_unloaded(argv):
         "print(code, 'dataclasses' in sys.modules)"
     )
     assert _probe(probe).strip() == "0 False"
+
+
+# -- the process entry point ---------------------------------------------------
+
+_SEED1_GRID = ["--alphas", "0.7642,0.7954,1.1995", "--lambdas", "0.01637,0.02807,0.03524"]
+# a CSV of 198 KB, beyond a 64 KB pipe buffer
+_WIDE_GRID = [
+    "--alphas", ",".join(f"{0.5 + 0.1 * i:.1f}" for i in range(20)),
+    "--lambdas", ",".join(f"{0.001 * (i + 1):.3f}" for i in range(20)),
+]
+
+
+def _buffered_env(unbuffered: bool = False) -> dict:
+    """`_child_env` with stdout block-buffered, so that output the process
+    did not flush is lost, or unbuffered."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+def _child(argv: list[str], unbuffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m oscqgt.cli argv` in a fresh interpreter, its output as bytes."""
+    return subprocess.run([sys.executable, "-m", "oscqgt.cli", *argv], env=_buffered_env(unbuffered), **kwargs)
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, bytes, bytes]:
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["compute", "--model", "quartic", "--order", "3", "--format", "json"], cli.EXIT_OK),
+        (["sweep", "--model", "quartic", "--order", "2", "--basis-size", "256", *_SEED1_GRID], cli.EXIT_OK),
+        (["sweep", "--model", "quartic", "--order", "1", "--basis-size", "64", *_WIDE_GRID], cli.EXIT_OK),
+        (["verify", "linear"], cli.EXIT_OK),
+        (["diagrams", "--model", "quartic", "--component", "alpha,lambda", "--order", "2", "--out", "d"], cli.EXIT_OK),
+        (["compute", "--bogus"], cli.EXIT_BAD_CONFIG),
+        (["sweep", "--model", "quartic", "--order", "1", "--basis-size", "16", "--alphas", "1", "--lambdas", "5"],
+         cli.EXIT_ORACLE),
+    ],
+    ids=["compute", "sweep-seed1-grid", "sweep-beyond-pipe-buffer", "verify", "diagrams", "unknown-option",
+         "basis-too-small"],
+)
+def test_process_exit_loses_no_output(argv, code, tmp_path, capsys, monkeypatch):
+    # the process ends with os._exit once its output is flushed: it must write
+    # exactly what main() writes, files included, and exit with main's code
+    (tmp_path / "child").mkdir()
+    (tmp_path / "main").mkdir()
+    result = _child(argv, cwd=tmp_path / "child", capture_output=True)
+    monkeypatch.chdir(tmp_path / "main")
+    assert _in_process(argv, capsys) == (code, result.stdout, result.stderr)
+    assert result.returncode == code
+    written = {
+        side: {p.relative_to(tmp_path / side): p.read_bytes() for p in (tmp_path / side).rglob("*.dot")}
+        for side in ("child", "main")
+    }
+    assert written["child"] == written["main"]
+    assert bool(written["main"]) == (argv[0] == "diagrams")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "linear"],
+        ["sweep", "--model", "quartic", "--order", "1", "--basis-size", "16", "--alphas", "1", "--lambdas", "5"],
+        ["compute", "--help"],
+    ],
+    ids=["verify", "oracle-failure", "help"],
+)
+def test_process_exit_runs_atexit_handlers(argv, capsys, monkeypatch):
+    # coverage's subprocess hook saves its data from an atexit handler
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    code, out, err = _in_process(argv, capsys)
+    probe = (
+        "import atexit, sys\n"
+        "from oscqgt import cli\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        f"sys.argv = ['qgt', *{argv!r}]\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=_buffered_env(), capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out + b"atexit handler ran\n", err)
+    if argv[-1] == "--help":
+        assert code == cli.EXIT_OK
+        assert out.startswith(b"usage: qgt compute")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["compute"], ["sweep"], ["verify", "linear"], ["diagrams", "--out", "d"]],
+    ids=["compute", "sweep", "verify", "diagrams"],
+)
+def test_unwritable_stdout_exits_2_with_one_line(argv, unbuffered, tmp_path):
+    # a buffered stdout fails at the final flush, an unbuffered one at the write
+    with open("/dev/full", "wb") as full:
+        result = _child(argv, unbuffered, cwd=tmp_path, stdout=full, stderr=subprocess.PIPE)
+    assert result.returncode == cli.EXIT_BAD_CONFIG
+    reason = os.strerror(errno.ENOSPC)
+    assert result.stderr == f"invalid configuration: cannot write stdout: {reason}\n".encode()
