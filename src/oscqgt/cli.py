@@ -34,7 +34,7 @@ from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
 from .perturbation import NoGroundState, _require_ground_state, connected_grade
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
-from .wick import edge_names, edges_to_dot
+from .wick import connected_dot, edge_names, name_key
 
 __all__ = ["main", "run", "RECORD_SCHEMA", "run_verification"]
 
@@ -242,11 +242,22 @@ def _writing(path):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Create or truncate the file `path` and write `data` to it: one open,
+    as many writes as it takes, one close."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write `text` to `out_path`, or to stdout when it is None."""
     if out_path:
         with _writing(out_path):
-            Path(out_path).write_text(text, encoding="utf-8")
+            _write_file(out_path, text.encode())
     else:
         with _writing("stdout"):
             sys.stdout.write(text)
@@ -418,16 +429,16 @@ def cmd_diagrams(args) -> int:
         raise ValueError("component must look like alpha,lambda")
     (k_a, _), (k_b, _) = args.space.derivative(a), args.space.derivative(b)
     out_dir = Path(args.out or ".")
+    # each file's path as `out_dir / file` spells it: bare in the current directory
+    prefix = os.path.join(out_dir, "") if out_dir.parts else ""
     written = []
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         grade = connected_grade(k_a, k_b, args.order, args.space.potential)
-        named = sorted((edge_names(counts), coeff) for counts, coeff in grade.items())
-        for idx, (edges, coeff) in enumerate(named, start=1):
+        for idx, counts in enumerate(sorted(grade, key=name_key), start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
-            dot = edges_to_dot(edges, name, f"coefficient {coeff}")
-            path = out_dir / f"{name}.dot"
-            path.write_text(dot, encoding="utf-8")
+            path = f"{prefix}{name}.dot"
+            _write_file(path, connected_dot(counts, name, f"coefficient {grade[counts]}").encode())
             written.append(f"{path}\n")
     _emit("".join(written) + f"{len(written)} diagram(s) written\n", None)
     return EXIT_OK
@@ -491,6 +502,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; `--help` on an unwritable stdout is
+        # reported as one line, as every other command's output is
+        if message and file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,13 @@ at time i, e_ij edges between times i and j and e_ii self-loops is
 
 A diagram over k times is the tuple of its edge counts e_ij for i <= j, row
 by row (`EdgeCounts`), and stays in that form through the symbolic route;
-`edge_layout` gives the pair of times of each position.  `edge_names` names
-the times s_1..s_m, tau1 and tau2 where a user reads a diagram: the
-`diagrams` files, the `--verbose` dump and error messages.
+`edge_layout` gives the pair of times of each position.  The times are
+named s_1..s_m, tau1 and tau2 only where a user reads a diagram, from one
+table per counts size that lists the positions in the order of their name
+pairs: `edge_names` gives the named edges (the `--verbose` dump and error
+messages), `name_key` sorts diagrams as their named edges sort, and
+`connected_dot` writes a connected diagram as the DOT text of a `diagrams`
+file.
 
 The internal vertices s_1..s_m are interchangeable, so `connected_classes`
 walks each class of connected diagrams under their relabelling from the
@@ -30,10 +34,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, permutations, product, repeat
 from math import factorial, isqrt, prod
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
-__all__ = ["EdgeCounts", "edge_layout", "connected_classes", "edge_names", "edges_to_dot"]
+__all__ = ["EdgeCounts", "edge_layout", "connected_classes", "edge_names", "name_key", "connected_dot"]
 
 # a diagram over times 0..k-1 as its edge counts e_ij for i <= j, row by row:
 # (e_00, e_01, ..., e_11, ...); e_ii counts the self-loops of time i
@@ -55,19 +59,36 @@ def edge_layout(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, .
 def edge_names(counts: EdgeCounts) -> tuple[tuple[str, str], ...]:
     """The edges of a diagram over s_1..s_m, tau1 and tau2 (times 0..m+1) as
     sorted name pairs, sorted: time i is s{i+1}, m is tau1 and m+1 is tau2."""
-    pairs, in_order = _named_layout(len(counts))
-    edges = tuple(chain.from_iterable(map(repeat, pairs, counts)))
-    return edges if in_order else tuple(sorted(edges))
+    order, pairs, _, _ = _named_table(len(counts))
+    return tuple(chain.from_iterable(map(repeat, pairs, map(counts.__getitem__, order))))
 
 
-@lru_cache(maxsize=None)  # one layout per vertex count
-def _named_layout(size: int) -> tuple[tuple[tuple[str, str], ...], bool]:
-    """The name pair of each position of a counts tuple of this size, and
-    whether the pairs are in name order (up to s9)."""
+def name_key(counts: EdgeCounts) -> tuple[int, ...]:
+    """A key that sorts diagrams as their `edge_names` sort: the name-order
+    rank of each edge position, repeated by its count."""
+    order = _named_table(len(counts))[0]
+    return tuple(chain.from_iterable(map(repeat, range(len(order)), map(counts.__getitem__, order))))
+
+
+def connected_dot(counts: EdgeCounts, name: str, label: str) -> str:
+    """The Graphviz DOT text of a connected diagram: every time, since each
+    has an edge, then one line per edge, both in name order."""
+    order, _, nodes, lines = _named_table(len(counts))
+    edges = "".join(map(mul, lines, map(counts.__getitem__, order)))
+    return f'graph {name} {{\n  label="{label}";\n{nodes}{edges}}}\n'
+
+
+@lru_cache(maxsize=None)  # one table per counts size
+def _named_table(size: int) -> tuple[tuple[int, ...], tuple[tuple[str, str], ...], str, tuple[str, ...]]:
+    """The positions of a counts tuple of this size sorted by their name
+    pairs, those pairs, the DOT lines of the times in name order, and the DOT
+    line of each pair."""
     n = (isqrt(8 * size + 1) - 1) // 2
     names = [f"s{i}" for i in range(1, n - 1)] + ["tau1", "tau2"]
-    pairs = tuple(tuple(sorted((names[i], names[j]))) for i, j in edge_layout(n)[0])
-    return pairs, list(pairs) == sorted(pairs)
+    named = sorted((tuple(sorted((names[i], names[j]))), p) for p, (i, j) in enumerate(edge_layout(n)[0]))
+    pairs = tuple(pair for pair, _ in named)
+    nodes = "".join(f"  {x};\n" for x in sorted(names))
+    return tuple(p for _, p in named), pairs, nodes, tuple(f"  {a} -- {b};\n" for a, b in pairs)
 
 
 def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int]]:
@@ -204,16 +225,3 @@ def _class_form(counts: EdgeCounts, m: int) -> tuple[EdgeCounts, int]:
     for p in best:
         form[p] += 1
     return tuple(form), automorphisms
-
-
-# -- diagram rendering -------------------------------------------------------
-
-
-def edges_to_dot(edges: Sequence[tuple[str, str]], name: str, label: str) -> str:
-    lines = [f"graph {name} {{", f'  label="{label}";']
-    for n in sorted({e for pair in edges for e in pair}):
-        lines.append(f"  {n};")
-    for a, b in sorted(edges):
-        lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -47,7 +47,7 @@ from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import GradedSum, PolynomialPotential, _require_ground_state
 from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_names, edges_to_dot
+from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_names
 
 # edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
 Edges = tuple[tuple[str, str], ...]
@@ -77,6 +77,14 @@ def counts_of(edges: Iterable[tuple[str, str]], names: Sequence[str]) -> EdgeCou
             i, j = j, i
         counts[i * n - i * (i - 1) // 2 + j - i] += 1
     return tuple(counts)
+
+
+def named_edges(counts: EdgeCounts) -> Edges:
+    """`edge_names` the long way: every edge named by its pair of times, in
+    the order `counts_of` reads them, then sorted."""
+    n = (math.isqrt(8 * len(counts) + 1) - 1) // 2
+    pairs = itertools.combinations_with_replacement(time_names(n - 2), 2)
+    return tuple(sorted(tuple(sorted(pair)) for pair, c in zip(pairs, counts) for _ in range(c)))
 
 
 def named(graded: GradedSum) -> dict[int, dict[Edges, Fraction]]:
@@ -673,6 +681,18 @@ def integrand_term_lines(graded: GradedSum, potential: PolynomialPotential) -> l
             pattern = " ".join(f"D({a},{b})" for a, b in edges)
             lines.append(f"order {m}: {raw} * {pattern}")
     return lines
+
+
+def edges_to_dot(edges: Sequence[tuple[str, str]], name: str, label: str) -> str:
+    """Graphviz DOT text of a diagram given by named edges, built line by line:
+    the reference for `wick.connected_dot`."""
+    lines = [f"graph {name} {{", f'  label="{label}";']
+    for n in sorted({e for pair in edges for e in pair}):
+        lines.append(f"  {n};")
+    for a, b in sorted(edges):
+        lines.append(f"  {a} -- {b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def diagram_to_dot(diagram: WickDiagram, name: str = "diagram") -> str:

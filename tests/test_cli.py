@@ -521,6 +521,14 @@ class TestExitCodes:
         assert err.startswith(f"invalid configuration: cannot write {path}: ")
         assert err.count("\n") == 1
 
+    def test_failed_diagram_write_names_the_directory(self, tmp_path, capsys):
+        # `--out` exists, but the first diagram's file is a directory
+        (tmp_path / "g_alpha_alpha_order0_term01.dot").mkdir()
+        code, out, err = run(["diagrams", "--order", "0", "--out", str(tmp_path)], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert out == ""
+        assert err == f"invalid configuration: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
     def test_odd_k_oracle_run_is_rejected(self, capsys):
         code, out, err = run(["sweep", "--model", "monomial:3", "--lambdas", "0.3"], capsys)
         assert code == cli.EXIT_BAD_CONFIG
@@ -950,11 +958,12 @@ def test_process_exit_runs_atexit_handlers(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [["compute"], ["sweep"], ["verify", "linear"], ["diagrams", "--out", "d"]],
-    ids=["compute", "sweep", "verify", "diagrams"],
+    [["compute"], ["sweep"], ["verify", "linear"], ["diagrams", "--out", "d"], ["compute", "--help"]],
+    ids=["compute", "sweep", "verify", "diagrams", "help"],
 )
 def test_unwritable_stdout_exits_2_with_one_line(argv, unbuffered, tmp_path):
-    # a buffered stdout fails at the final flush, an unbuffered one at the write
+    # a buffered stdout fails at the final flush, an unbuffered one at the
+    # write, which argparse's own `--help` writer would drop
     with open("/dev/full", "wb") as full:
         result = _child(argv, unbuffered, cwd=tmp_path, stdout=full, stderr=subprocess.PIPE)
     assert result.returncode == cli.EXIT_BAD_CONFIG

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial, prod
 
@@ -9,13 +10,17 @@ from oracles import (
     connected_pair_correlator,
     counts_of,
     diagram_to_dot,
+    edges_to_dot,
     enumerate_pairings,
     moment,
+    named_edges,
     product_of_sums,
     time_names,
 )
+from oscqgt.perturbation import connected_grade
+from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import edge_names
+from oscqgt.wick import connected_dot, edge_names, name_key
 
 FREE = GaussianModel(source_j=False)
 SOURCED = GaussianModel(source_j=True)
@@ -240,3 +245,43 @@ def test_dot_export():
     assert "graph pair" in dot
     assert dot.count("tau1 -- tau2") == 2
     assert "multiplicity 2" in dot
+
+
+def _twelve_time_graphs() -> list:
+    """Connected graphs over s1..s10, tau1 and tau2, where the names sort out
+    of index order: a chain in index order, then seeded random spanning trees
+    with extra edges and self-loops."""
+    names = time_names(10)
+    graphs = [counts_of(zip(names, names[1:]), names)]
+    rng = random.Random(12)
+    for _ in range(40):
+        shuffled = rng.sample(names, len(names))
+        edges = [(name, rng.choice(shuffled[:i])) for i, name in enumerate(shuffled) if i]
+        edges += [tuple(rng.choices(names, k=2)) for _ in range(rng.randrange(8))]
+        graphs.append(counts_of(edges, names))
+    return graphs
+
+
+def _grade(model: str, a: str, b: str, order: int) -> dict:
+    space = ParameterSpace.parse(model)
+    (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
+    return connected_grade(k_a, k_b, order, space.potential)
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(lambda: list(_grade("quartic", "alpha", "lambda", 4)), id="quartic-alpha-lambda-o4"),
+        pytest.param(lambda: list(_grade("monomial:6", "lambda", "lambda", 3)), id="monomial6-lambda-lambda-o3"),
+        pytest.param(_twelve_time_graphs, id="twelve-times"),
+    ],
+)
+def test_dot_table_matches_the_named_reference(graphs):
+    # the one table per counts size names, sorts and renders as the edges
+    # named one by one do, past s9 too, where s10 sorts before s2
+    graphs = graphs()
+    assert sorted(graphs, key=name_key) == sorted(graphs, key=named_edges)
+    for idx, counts in enumerate(graphs):
+        edges, name, label = named_edges(counts), f"g_{idx}", f"coefficient {idx}/7"
+        assert edge_names(counts) == edges
+        assert connected_dot(counts, name, label) == edges_to_dot(edges, name, label)
