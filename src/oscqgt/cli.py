@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import qgt
 from .integrator import DivergentIntegral, wedge_integral
-from .perturbation import NoGroundState, _require_ground_state, connected_grade
+from .perturbation import NoGroundState, _require_ground_state, connected_grades
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import connected_dot, edge_names, name_key
 
@@ -284,12 +284,11 @@ def cmd_compute(args) -> int:
     if args.alpha is not None:
         params = {"alpha": args.alpha, "lambda": args.lambda_, "j": args.j}
     integrands = sums = None
-    if args.verbose:  # the record reuses the dump's integrands and ordered sums
-        integrands, sums = {}, {}
-        for a, b in itertools.combinations_with_replacement(args.space.labels, 2):
-            integrands[(a, b)] = qgt.component_integrand(args.space, a, b, args.order)
-        sys.stderr.write(_debug_integrands(args.space, integrands, sums))
+    if args.verbose:  # the dump reuses the record's integrands and ordered sums
+        integrands, sums = qgt.integrands(args.space, args.order), {}
     record = compute_record(args.space, args.order, params, integrands, sums)
+    if args.verbose:
+        sys.stderr.write(_debug_integrands(args.space, integrands, sums))
     if "formal" in record:
         print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
@@ -434,7 +433,7 @@ def cmd_diagrams(args) -> int:
     written = []
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        grade = connected_grade(k_a, k_b, args.order, args.space.potential)
+        [grade] = connected_grades([(k_a, k_b)], args.order, args.space.potential).values()
         for idx, counts in enumerate(sorted(grade, key=name_key), start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             path = f"{prefix}{name}.dot"

@@ -17,7 +17,8 @@ constant 1/(2 sqrt(alpha)).  A graph arrives as the pairing walk's edge counts
 over s_1..s_m, tau1 and tau2 (times 0..m+1), so its loops sit on the diagonal
 positions and cut no gap.  As c_g depends on the set of earlier times and
 not on their order, the sum over all orders is a dynamic programme over the
-2^n subsets with two exact accumulators: plain, and with one gap marked.  A
+2^n subsets with two exact accumulators: plain, and with one gap marked.
+One pass runs every graph of a call whose skeleton is not yet summed.  A
 zero cut on a proper subset means the graph is disconnected and the integral
 diverges.
 """
@@ -28,7 +29,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Mapping
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
@@ -63,39 +64,50 @@ def _skeleton(n: int) -> itemgetter:
     return itemgetter(*(p for p, (i, j) in enumerate(edge_layout(n)[0]) if i != j))
 
 
-def _ordered_sum(counts: EdgeCounts, n: int) -> Fraction:
-    """Sum over orders with tau1 before tau2 of prod_g 1/c_g * sum_j 1/c_j.
+@functools.cache
+def _plan(n: int) -> tuple[tuple[int, list[int], bool], ...]:
+    """The subset pass over n times: each subset s (after its subsets), the
+    subsets one time smaller that an order with tau1 (bit n - 2) before tau2
+    (bit n - 1) passes on its way to s, and whether the gap after s lies
+    between tau1 and tau2."""
+    taus, tau2 = 3 << n - 2, 1 << n - 1
+    return tuple(
+        (s, [s ^ 1 << i for i in range(n) if s >> i & 1 and (s ^ 1 << i) & taus != tau2], s & taus == taus ^ tau2)
+        for s in range(1, 1 << n) if s & taus != tau2
+    )
 
-    tau1 and tau2 are the last two of the n times, bits n - 2 and n - 1 of a
-    subset.  The accumulators are integers over the common denominator
-    scale**n.
-    """
-    full = (1 << n) - 1
-    cut = cut_sizes(counts, n)
-    if 0 in cut[1:full]:
-        pattern = " ".join(f"D({a},{b})" for a, b in edge_names(counts))
-        raise DivergentIntegral(f"the graph {pattern} leaves some of its {n} times unlinked")
-    scale = math.lcm(*cut[1:full])
-    tau1, tau2 = 1 << n - 2, 1 << n - 1
-    taus = tau1 | tau2
-    plain, marked = [1] + [0] * full, [0] * (full + 1)
-    for s in range(1, full + 1):  # every subset comes after its subsets
-        if s & taus == tau2:
-            continue  # tau2 before tau1
-        p = m = 0
-        t = s
-        while t:  # the last time of the order is one of the set bits of s
-            b = t & -t
-            t ^= b
-            p += plain[s ^ b]
-            m += marked[s ^ b]
-        if s != full:
-            w = scale // cut[s]
-            if s & taus == tau1:
-                m += p * w  # the gap after s lies between tau1 and tau2
-            p, m = p * w, m * w
-        plain[s], marked[s] = p, m
-    return Fraction(marked[full], scale**n)
+
+def _ordered_sums(batch: list[EdgeCounts], n: int) -> list[Fraction]:
+    """For each graph of the batch, given by its edge counts over the n times,
+    the sum over orders with tau1 before tau2 of prod_g 1/c_g * sum_j 1/c_j.
+    The accumulators of a subset are rows of integers, one per graph over its
+    own denominator scale**n, added and weighted by scale // c[s] with `map`;
+    a large batch runs in pieces, to bound the rows' memory."""
+    full, step, sums = (1 << n) - 1, max(1, (1 << 14) >> n), []  # 2^14 integers per accumulator
+    for start in range(0, len(batch), step):
+        piece, weights, denominators = batch[start : start + step], [()], []
+        for counts in piece:
+            cut = cut_sizes(counts, n)[1:full]
+            if 0 in cut:
+                pattern = " ".join(f"D({a},{b})" for a, b in edge_names(counts))
+                raise DivergentIntegral(f"the graph {pattern} leaves some of its {n} times unlinked")
+            scale = math.lcm(*cut)
+            weights.append(list(map(scale.__floordiv__, cut)))
+            denominators.append(scale**n)
+        weights[1:] = zip(*weights[1:])  # by subset, one weight per graph
+        plain, marked = [[1] * len(piece)] + [None] * full, [[0] * len(piece)] + [None] * full
+        for s, earlier, between in _plan(n):
+            p, m = plain[earlier[0]], marked[earlier[0]]
+            for t in earlier[1:]:
+                p, m = list(map(add, p, plain[t])), list(map(add, m, marked[t]))
+            if s != full:
+                w = weights[s]
+                if between:
+                    m = map(add, m, map(mul, p, w))
+                p, m = list(map(mul, p, w)), list(map(mul, m, w))
+            plain[s], marked[s] = p, m
+        sums += map(Fraction, marked[full], denominators)
+    return sums
 
 
 def wedge_integral(
@@ -107,20 +119,23 @@ def wedge_integral(
     n = `n_vertices`.  A self-loop only contributes its constant, so graphs
     with one loop-free skeleton share one ordered sum; `sums` keeps those
     sums by (vertex count, skeleton) and may be passed to several calls to
-    share them.
+    share them.  The skeletons missing from it are summed in one batch.
     """
     n = n_vertices + 2
     size = n * (n + 1) // 2
     skeleton_of = _skeleton(n)
     sums = {} if sums is None else sums
-    totals: dict[int, Fraction] = {}  # by alpha power
-    for counts, coeff in graphs.items():
+    keys, missing = [], {}
+    for counts in graphs:
         if len(counts) != size:
             raise ValueError(f"a graph of {len(counts)} edge counts does not fit {n_vertices} vertices")
-        key = (n, skeleton_of(counts))
-        value = sums.get(key)
-        if value is None:
-            value = sums[key] = _ordered_sum(counts, n)
+        keys.append(key := (n, skeleton_of(counts)))
+        if key not in sums:
+            missing.setdefault(key, counts)
+    sums.update(zip(missing, _ordered_sums(list(missing.values()), n)))
+    totals: dict[int, Fraction] = {}  # by alpha power
+    for key, (counts, coeff) in zip(keys, graphs.items()):
+        value = sums[key]
         edges = sum(counts)
         term = Fraction(coeff.numerator * value.numerator, coeff.denominator * value.denominator << edges)
         power = -edges - n

@@ -15,28 +15,26 @@ the connected graphs are kept.
 The internal vertices are interchangeable, so each class of graphs under
 relabelling of s_1..s_m comes from `wick.connected_classes` once, under its
 canonical form, and is weighted by 1/|Aut| in place of 1/m! times its
-m!/|Aut| labellings (orbit-stabiliser).  Diagrams are stored per coupling
-order as {edge counts: exact coefficient}, keyed by `EdgeCounts` over
-s_1..s_m, tau1 and tau2 (times 0..m+1).
+m!/|Aut| labellings (orbit-stabiliser).  Pairs (k_a, k_b) of one parity
+share the walk at their largest degrees (K_a, K_b): a graph of (k_a, k_b) is
+a class with p_a = (K_a - k_a)/2 loops at tau1 and p_b at tau2 removed.  A
+loop links no times and enters no rank, so the class, form and |Aut| carry
+over; l loops at tau1 scale the multiplicity by k_a!/K_a! * 2^p_a * l!/(l - p_a)!
+(likewise at tau2).  Diagrams are stored per coupling order as {edge counts:
+exact coefficient}, keyed by `EdgeCounts` over s_1..s_m, tau1 and tau2.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 from typing import Iterable
 
 from .scalar_algebra import Frozen
 from .wick import EdgeCounts, connected_classes
 
-__all__ = [
-    "PolynomialPotential",
-    "NoGroundState",
-    "hamiltonian_derivative",
-    "connected_grade",
-    "connected_integrand",
-]
+__all__ = ["PolynomialPotential", "NoGroundState", "hamiltonian_derivative", "connected_grades"]
 
 # coupling-graded diagram sum: order -> {edge counts: coefficient}
 GradedSum = dict[int, dict[EdgeCounts, Fraction]]
@@ -118,32 +116,34 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
         )
 
 
-def connected_grade(
-    k_a: int, k_b: int, m: int, potential: PolynomialPotential
-) -> dict[EdgeCounts, Fraction]:
-    """Grade m of `connected_integrand`: {edge counts: coefficient}, the
-    classes of `wick.connected_classes` for each multiset of vertex degrees."""
-    coefficients = dict(potential.coefficients)
-    grade: dict[EdgeCounts, Fraction] = {}
-    for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
-        if (k_a + k_b + sum(degrees)) % 2:
-            continue
-        weight = Fraction((-1) ** m)
-        for d in degrees:
-            weight *= coefficients[d]
-        for counts, (multiplicity, automorphisms) in connected_classes(degrees, k_a, k_b).items():
-            grade[counts] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
-    return grade
-
-
-def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:
-    """Two-cluster connected integrand, graded by coupling order.
-
-    Grade m holds {edge counts: coefficient} for the diagrams of
-    <q^k_a(tau1) q^k_b(tau2)>_int - <q^k_a(tau1)>_int <q^k_b(tau2)>_int with m
-    internal vertices: one graph per class of Wick graphs in which tau1, tau2
-    and every vertex form one component, weighted by
-    (-1)^m * prod c_deg * multiplicity / |Aut|.  The coefficients of dH/da and
-    dH/db are not included here (the tensor assembly owns them).
-    """
-    return {m: connected_grade(k_a, k_b, m, potential) for m in range(order + 1)}
+def connected_grades(
+    pairs: Iterable[tuple[int, int]], m: int, potential: PolynomialPotential
+) -> dict[tuple[int, int], dict[EdgeCounts, Fraction]]:
+    """Grade m of the connected integrand of <q^k_a(tau1) q^k_b(tau2)>_int
+    for each (k_a, k_b) in `pairs`, as {(k_a, k_b): {edge counts: coefficient}}:
+    one graph per class, weighted by (-1)^m * prod c_deg * multiplicity / |Aut|.
+    The coefficients of dH/da and dH/db are not included here."""
+    coefficients, groups = dict(potential.coefficients), {}
+    grades: dict[tuple[int, int], dict[EdgeCounts, Fraction]] = {pair: {} for pair in pairs}
+    for k_a, k_b in grades:
+        groups.setdefault((k_a % 2, k_b % 2), []).append((k_a, k_b))
+    for group in groups.values():
+        top_a, top_b = map(max, zip(*group))
+        top = factorial(top_a) * factorial(top_b)
+        for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
+            if (top_a + top_b + sum(degrees)) % 2:
+                continue
+            weight = prod(map(coefficients.get, degrees), start=Fraction((-1) ** m))
+            classes = connected_classes(degrees, top_a, top_b)
+            for k_a, k_b in group:
+                p_a, p_b, grade = (top_a - k_a) // 2, (top_b - k_b) // 2, grades[k_a, k_b]
+                scale = weight * Fraction(factorial(k_a) * factorial(k_b) << p_a + p_b, top)
+                for counts, (multiplicity, automorphisms) in classes.items():
+                    if p_a or p_b:
+                        loops_a, loops_b = counts[-3], counts[-1]  # the (tau1, tau1) and (tau2, tau2) edges
+                        if loops_a < p_a or loops_b < p_b:
+                            continue
+                        counts = (*counts[:-3], loops_a - p_a, counts[-2], loops_b - p_b)
+                        multiplicity *= perm(loops_a, p_a) * perm(loops_b, p_b)
+                    grade[counts] = Fraction(scale.numerator * multiplicity, scale.denominator * automorphisms)
+    return grades

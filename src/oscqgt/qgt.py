@@ -16,22 +16,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .integrator import wedge_integral
-from .perturbation import (
-    GradedSum,
-    PolynomialPotential,
-    connected_integrand,
-    hamiltonian_derivative,
-)
+from .perturbation import GradedSum, PolynomialPotential, connected_grades, hamiltonian_derivative
 from .scalar_algebra import Frozen, ScalarSeries
 
-__all__ = [
-    "ParameterSpace",
-    "CONVENTION",
-    "component_integrand",
-    "qgt_component",
-    "assemble",
-    "determinant_and_critical",
-]
+__all__ = ["ParameterSpace", "CONVENTION", "integrands", "qgt_component", "assemble", "determinant_and_critical"]
 
 # The fidelity expansion kept here is F = 1 - (1/2) G_ab dl^a dl^b + ...;
 # the 1/2 is NOT absorbed into the tensor.  Recorded in all structured output.
@@ -112,59 +100,55 @@ class ParameterSpace(Frozen):
         return pair
 
 
-def component_integrand(space: ParameterSpace, a: str, b: str, order: int = 1) -> GradedSum:
-    """The connected integrand of G_ab: {edge counts: coefficient} per vertex count m.
-
-    `order` is the coupling truncation for the polynomial models.  The linear
-    model is summed exactly: a J vertex (degree 1) is a leaf on an external
-    leg and tau1, tau2 share at least one edge, so every order above
+def integrands(
+    space: ParameterSpace, order: int = 1, pairs: Sequence[tuple[str, str]] | None = None
+) -> dict[tuple[str, str], GradedSum]:
+    """The connected integrand of G_ab for each pair (a, b), by default every
+    unordered pair: {edge counts: coefficient} per vertex count m, up to the
+    coupling truncation `order`, each grade built for all pairs at once.  The
+    linear model is summed exactly: a J vertex (degree 1) is a leaf on an
+    external leg and tau1, tau2 share an edge, so every order above
     k_a + k_b - 2 is empty.  The coupling power m and the coefficients of
-    dH/da and dH/db are not included.
-    """
-    (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
-    if space.kind == LINEAR:
-        order = k_a + k_b - 2
-    return connected_integrand(k_a, k_b, order, space.potential)
+    dH/da and dH/db are not included."""
+    pairs = pairs or list(itertools.combinations_with_replacement(space.labels, 2))
+    degrees = {(a, b): (space.derivative(a)[0], space.derivative(b)[0]) for a, b in pairs}
+    top = {ks: sum(ks) - 2 if space.kind == LINEAR else order for ks in degrees.values()}
+    orders = range(max(top.values()) + 1)
+    grades = [connected_grades([ks for ks in top if top[ks] >= m], m, space.potential) for m in orders]
+    return {pair: {m: grade[ks] for m, grade in enumerate(grades) if ks in grade} for pair, ks in degrees.items()}
 
 
 def qgt_component(
-    space: ParameterSpace,
-    a: str,
-    b: str,
-    order: int = 1,
-    sums: dict | None = None,
-    graded: GradedSum | None = None,
+    space: ParameterSpace, a: str, b: str, order: int = 1,
+    sums: dict | None = None, graded: GradedSum | None = None,
 ) -> ScalarSeries:
     """One tensor component as an exact series in (alpha, coupling).
 
     The linear-source model is summed exactly (the expansion in J terminates);
     `order` is the coupling truncation for the polynomial models.  `sums` is
     `wedge_integral`'s memo of ordered sums, and `graded` the component's
-    `component_integrand` when already built.
+    integrand (`integrands`) when already built.
     """
-    series = ScalarSeries.zero()
     if graded is None:
-        graded = component_integrand(space, a, b, order)
-    for m, grade in graded.items():
-        series = series + wedge_integral(grade, m, sums) * space.coupling**m
-    return series * (space.derivative(a)[1] * space.derivative(b)[1])
+        graded = integrands(space, order, [(a, b)])[(a, b)]
+    terms = (wedge_integral(grade, m, sums) * space.coupling**m for m, grade in graded.items())
+    return sum(terms, ScalarSeries.zero()) * (space.derivative(a)[1] * space.derivative(b)[1])
 
 
 def assemble(
-    space: ParameterSpace, order: int = 1, integrands: Mapping | None = None, sums: dict | None = None
+    space: ParameterSpace, order: int = 1, built: Mapping | None = None, sums: dict | None = None
 ) -> dict[tuple[str, str], ScalarSeries]:
     """Every component G_ab of the tensor, keyed (a, b).
 
     Each unordered pair is computed once and stored under both orders: the
-    real correlators in scope are symmetric in the two operators.  The
-    components share their ordered sums: many graphs of one component differ
-    from graphs of another only in self-loops.  A caller that already built
-    every pair's integrand, keyed (a, b), or some ordered sums passes them in.
+    real correlators in scope are symmetric in the two operators.  The pairs
+    share one walk per grade and their ordered sums (their graphs differ
+    mostly in self-loops); a caller passes in `integrands` or sums it built.
     """
     components, sums = {}, {} if sums is None else sums
+    built = built or integrands(space, order)
     for a, b in itertools.combinations_with_replacement(space.labels, 2):
-        graded = integrands[(a, b)] if integrands else None
-        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums, graded)
+        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums, built[(a, b)])
     return components
 
 

@@ -5,7 +5,11 @@ edges into those counts and `edge_names` turns them back.  `walk_pairings` is
 the generic pairing walk that `wick.connected_classes` specialises: any legs,
 an optional rank callback and an optional connectivity cut, with the ties of
 the rank reported per diagram.  `enumerate_pairings` names its diagrams for
-any {time: legs} map, as sorted `WickDiagram`s.
+any {time: legs} map, as sorted `WickDiagram`s.  `connected_grade` walks one
+pair's grade on its own, the reference for the shared walk of
+`perturbation.connected_grades`, and `ordered_sum` runs one graph's subset
+DP, the reference for the batched pass of `integrator._ordered_sums`;
+`connected_integrand` builds one pair's integrand through the library.
 
 The oracles below deliberately avoid the library's own enumeration and
 integration paths:
@@ -43,11 +47,12 @@ import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
+from oscqgt.integrator import DivergentIntegral, cut_sizes
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.perturbation import GradedSum, PolynomialPotential, _require_ground_state
+from oscqgt.perturbation import GradedSum, PolynomialPotential, _require_ground_state, connected_grades
 from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_names
+from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, connected_classes, edge_names
 
 # edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
 Edges = tuple[tuple[str, str], ...]
@@ -618,6 +623,71 @@ def labelled_connected_integrand(k_a: int, k_b: int, order: int, potential):
             _add(grade, edges, weight * multiplicity)
         out[m] = grade
     return out
+
+
+# -- per-pair connected integrand and one-graph ordered sums --------------------
+
+
+def connected_grade(k_a: int, k_b: int, m: int, potential: PolynomialPotential) -> dict[EdgeCounts, Fraction]:
+    """Grade m of one pair's connected integrand, walked on its own:
+    {edge counts: coefficient}, the classes of `wick.connected_classes` at
+    (k_a, k_b) for each multiset of vertex degrees, weighted by
+    (-1)^m * prod c_deg * multiplicity / |Aut|.  The reference for the
+    shared walk of `perturbation.connected_grades`."""
+    coefficients = dict(potential.coefficients)
+    grade: dict[EdgeCounts, Fraction] = {}
+    for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
+        if (k_a + k_b + sum(degrees)) % 2:
+            continue
+        weight = Fraction((-1) ** m)
+        for d in degrees:
+            weight *= coefficients[d]
+        for counts, (multiplicity, automorphisms) in connected_classes(degrees, k_a, k_b).items():
+            grade[counts] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
+    return grade
+
+
+def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:
+    """One pair's connected integrand per coupling order, from the library's
+    `connected_grades` with that pair alone."""
+    return {m: connected_grades([(k_a, k_b)], m, potential)[k_a, k_b] for m in range(order + 1)}
+
+
+def ordered_sum(counts: EdgeCounts, n: int) -> Fraction:
+    """One graph's sum over orders with tau1 before tau2 of
+    prod_g 1/c_g * sum_j 1/c_j, by its own subset DP: the reference for the
+    batched pass of `integrator._ordered_sums`.
+
+    tau1 and tau2 are the last two of the n times, bits n - 2 and n - 1 of a
+    subset.  The accumulators are integers over the common denominator
+    scale**n.
+    """
+    full = (1 << n) - 1
+    cut = cut_sizes(counts, n)
+    if 0 in cut[1:full]:
+        pattern = " ".join(f"D({a},{b})" for a, b in edge_names(counts))
+        raise DivergentIntegral(f"the graph {pattern} leaves some of its {n} times unlinked")
+    scale = math.lcm(*cut[1:full])
+    tau1, tau2 = 1 << n - 2, 1 << n - 1
+    taus = tau1 | tau2
+    plain, marked = [1] + [0] * full, [0] * (full + 1)
+    for s in range(1, full + 1):  # every subset comes after its subsets
+        if s & taus == tau2:
+            continue  # tau2 before tau1
+        p = m = 0
+        t = s
+        while t:  # the last time of the order is one of the set bits of s
+            b = t & -t
+            t ^= b
+            p += plain[s ^ b]
+            m += marked[s ^ b]
+        if s != full:
+            w = scale // cut[s]
+            if s & taus == tau1:
+                m += p * w  # the gap after s lies between tau1 and tau2
+            p, m = p * w, m * w
+        plain[s], marked[s] = p, m
+    return Fraction(marked[full], scale**n)
 
 
 # -- connectivity of edge multisets -------------------------------------------

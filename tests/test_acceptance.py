@@ -16,6 +16,7 @@ from oracles import (
     GaussianModel,
     brute_force_diagrams,
     clusters_linked,
+    connected_integrand,
     connected_pair_correlator,
     counts_of,
     enumerate_pairings,
@@ -26,7 +27,7 @@ from oracles import (
 )
 from oscqgt.integrator import DivergentIntegral, wedge_integral
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.perturbation import PolynomialPotential, connected_integrand
+from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import (
     ParameterSpace,
     assemble,

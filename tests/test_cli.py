@@ -102,7 +102,7 @@ class TestCompute:
             n_products = sum(
                 len(products)
                 for a, b in itertools.combinations_with_replacement(space.labels, 2)
-                for products in oscqgt.qgt.component_integrand(space, a, b, 1).values()
+                for products in oscqgt.qgt.integrands(space, 1)[(a, b)].values()
             )
             lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
             assert len(lines) == n_products
@@ -132,13 +132,13 @@ class TestCompute:
         from oscqgt import integrator
 
         calls = []
-        real = integrator._ordered_sum
+        real = integrator._ordered_sums
 
-        def counted(counts, n):
-            calls.append(n)
-            return real(counts, n)
+        def counted(batch, n):
+            calls.extend(batch)  # one entry per skeleton summed
+            return real(batch, n)
 
-        monkeypatch.setattr(integrator, "_ordered_sum", counted)
+        monkeypatch.setattr(integrator, "_ordered_sums", counted)
         monkeypatch.setenv(cli.MAX_ORDER_ENV, "4")
         argv = ["compute", "--model", "quartic", "--order", "4"]
         _, plain, _ = run(argv, capsys)
@@ -509,8 +509,8 @@ class TestExitCodes:
 
         for module, name in [
             (spectral_oracle, "numeric_qim_grid"),
-            (oscqgt.qgt, "connected_integrand"),
-            (cli, "connected_grade"),
+            (oscqgt.qgt, "connected_grades"),
+            (cli, "connected_grades"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
         (tmp_path / "a_file").write_text("")

@@ -7,16 +7,18 @@ import pytest
 
 from oracles import (
     brute_force_wedge,
+    connected_grade,
     counts_of,
+    ordered_sum,
     product_value,
     propagator_value,
     quad_separation,
     quad_wedge,
     time_names,
 )
+from oscqgt import integrator
 from oscqgt.integrator import DivergentIntegral, wedge_integral
 from oscqgt.integrator import cut_sizes as counted_cut_sizes
-from oscqgt.perturbation import connected_grade
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.wick import edge_names
@@ -270,6 +272,44 @@ class TestSubsetSumAgainstEveryOrder:
                 wedge_integral(graph([("s1", "s2"), ("tau1", "tau2")], m=2), 2, sums)
             with pytest.raises(DivergentIntegral):
                 wedge_integral(graph([("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")], m=2), 2, sums)
+
+
+class TestBatchedPass:
+    # one subset pass over a batch of graphs against each graph's own pass
+    def test_every_quartic_order_four_skeleton(self):
+        batches = {}  # n -> one graph per skeleton, in first-seen order
+        for m in range(5):
+            skeleton_of = integrator._skeleton(m + 2)
+            for counts in quartic_products(m):
+                batches.setdefault(m + 2, {}).setdefault(skeleton_of(counts), counts)
+        assert sum(map(len, batches.values())) == 1784
+        for n, graphs in batches.items():
+            batch = list(graphs.values())
+            assert integrator._ordered_sums(batch, n) == [ordered_sum(counts, n) for counts in batch], n
+
+    def test_pieces_of_a_large_batch(self):
+        # at n = 6 a pass holds 256 graphs, so 600 graphs run in three pieces
+        batch = sorted(set(quartic_products(4)))[:600]
+        assert integrator._ordered_sums(batch, 6) == [ordered_sum(counts, 6) for counts in batch]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_empty_batch(self, n):
+        assert integrator._ordered_sums([], n) == []
+
+    def test_first_divergent_graph_names_itself(self):
+        good = graph([("s1", "tau1"), ("s1", "tau2"), ("s2", "tau1"), ("s2", "tau2")], m=2)
+        bubble = graph([("s1", "s2"), ("s1", "s2"), ("tau1", "tau2")], m=2)
+        looped = graph([("s1", "s2"), ("s1", "s2"), ("s1", "s1"), ("tau1", "tau2")], m=2)  # bubble's skeleton
+        split = graph([("s1", "tau1"), ("s2", "tau2")], m=2)
+        batch = [*good, *bubble, *looped, *split]
+        with pytest.raises(DivergentIntegral) as want:
+            ordered_sum(batch[1], 4)
+        with pytest.raises(DivergentIntegral) as got:
+            integrator._ordered_sums(batch, 4)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DivergentIntegral) as got:
+            wedge_integral(dict.fromkeys(batch, F(1)), 2)
+        assert str(got.value) == str(want.value)
 
 
 def loop_free_skeletons(model, m):

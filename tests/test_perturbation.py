@@ -14,6 +14,8 @@ from oracles import (
     canonical_edges,
     clusters_linked,
     connected_components,
+    connected_grade,
+    connected_integrand,
     connected_pair_correlator,
     counts_of,
     enumerate_pairings,
@@ -32,13 +34,8 @@ from oracles import (
     walk_rank,
 )
 from oscqgt.integrator import wedge_integral
-from oscqgt.perturbation import (
-    PolynomialPotential,
-    connected_grade,
-    connected_integrand,
-    hamiltonian_derivative,
-)
-from oscqgt.qgt import ParameterSpace, assemble, qgt_component
+from oscqgt.perturbation import PolynomialPotential, connected_grades, hamiltonian_derivative
+from oscqgt.qgt import ParameterSpace, assemble, integrands, qgt_component
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.wick import _class_form, connected_classes
 
@@ -416,3 +413,63 @@ class TestPrunedWalk:
         assert len(enumerate_pairings(points, rank=rank, connected=True)) == leaves
         assert len(enumerate_pairings(points, rank=rank)) == unpruned
         assert len(connected_grade(k_a, k_b, m, potential)) == classes
+
+
+SHARED_WALK_CASES = [
+    *(("quartic", m) for m in range(5)),
+    *(("monomial:6", m) for m in range(4)),
+    *(("monomial:3", m) for m in range(4)),  # odd k: each pair walks its own parities
+    *(("monomial:8", m) for m in range(3)),
+    ("linear", None),  # every pair to its last order
+]
+
+
+class TestSharedWalk:
+    # the pairs of one parity read their graphs off one walk at the largest
+    # degrees; each pair's grade must equal the walk of that pair alone
+    @pytest.mark.parametrize("swapped", [False, True], ids=["alpha-first", "lambda-first"])
+    @pytest.mark.parametrize("model,order", SHARED_WALK_CASES)
+    def test_grades_equal_the_per_pair_walk(self, model, order, swapped):
+        space = ParameterSpace.parse(model)
+        labels = space.labels[::-1] if swapped else space.labels
+        pairs = list(itertools.combinations_with_replacement(labels, 2))
+        built = integrands(space, order, pairs)
+        assert list(built) == pairs
+        for a, b in pairs:
+            (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
+            top = k_a + k_b - 2 if order is None else order
+            assert list(built[a, b]) == list(range(top + 1))
+            for m, grade in built[a, b].items():
+                assert grade == connected_grade(k_a, k_b, m, space.potential), (a, b, m)
+
+    @pytest.mark.parametrize("model,m", [("quartic", 3), ("monomial:3", 2), ("monomial:6", 2)])
+    def test_every_ordered_pair_at_once(self, model, m):
+        # (k_a, k_b) and (k_b, k_a) in one call, so one walk serves loops
+        # removed at tau1 for one pair and at tau2 for the other
+        space = ParameterSpace.parse(model)
+        ks = [space.derivative(label)[0] for label in space.labels]
+        pairs = list(itertools.product(ks, repeat=2))
+        grades = connected_grades(pairs, m, space.potential)
+        assert list(grades) == pairs
+        for k_a, k_b in pairs:
+            assert grades[k_a, k_b] == connected_grade(k_a, k_b, m, space.potential)
+        assert connected_grades([], m, space.potential) == {}
+
+    def test_one_walk_per_grade_for_even_degrees(self, monkeypatch):
+        # quartic: every pair has even degrees, so one walk per degree
+        # multiset at (4, 4); monomial:3 walks (2, 2), (2, 3) and (3, 3) apart
+        import oscqgt.perturbation as perturbation
+
+        walked = []
+        real = perturbation.connected_classes
+
+        def counted(degrees, k_a, k_b):
+            walked.append((k_a, k_b))
+            return real(degrees, k_a, k_b)
+
+        monkeypatch.setattr(perturbation, "connected_classes", counted)
+        integrands(ParameterSpace.quartic(), 3)
+        assert walked == [(4, 4)] * 4
+        walked.clear()
+        integrands(ParameterSpace.parse("monomial:3"), 1)
+        assert sorted(set(walked)) == [(2, 2), (2, 3), (3, 3)]

@@ -28,7 +28,7 @@ def test_quartic_series(order, assembled):
     assert assembled("quartic", order) == rs_metric(4, space.labels, order)
 
 
-@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("order", range(5))
 def test_monomial_6_series(order, assembled):
     space = ParameterSpace.monomial(6)
     assert assembled("monomial:6", order) == rs_metric(6, space.labels, order)

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     GaussianModel,
     brute_force_diagrams,
+    connected_grade,
     connected_pair_correlator,
     counts_of,
     diagram_to_dot,
@@ -17,7 +18,6 @@ from oracles import (
     product_of_sums,
     time_names,
 )
-from oscqgt.perturbation import connected_grade
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.wick import connected_dot, edge_names, name_key
