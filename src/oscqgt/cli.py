@@ -462,10 +462,11 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     points = list(itertools.product(args.alphas, args.lambdas, args.js))
+    model = args.space.kind + (f":{args.space.k}" if args.space.kind == qgt.MONOMIAL else "")  # as --model spells it
     for point, rows in zip(points, _compare(args.space, series, points, cfg)):
         for a, b, sym, num, err in rows:
             writer.writerow(
-                [args.space.kind, args.order, *map(repr, point), f"{a},{b}"]
+                [model, args.order, *map(repr, point), f"{a},{b}"]
                 + [repr(x) for x in (sym, num, err, abs(sym - num))]
             )
     _emit(out.getvalue(), args.out)

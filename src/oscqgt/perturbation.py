@@ -65,18 +65,15 @@ class PolynomialPotential(Frozen):
         return self.coefficients[-1][0]
 
 
-def hamiltonian_derivative(
-    label: str, potential: PolynomialPotential | None
-) -> tuple[tuple[int, Fraction], ...]:
+def hamiltonian_derivative(label: str, potential: PolynomialPotential) -> tuple[tuple[int, Fraction], ...]:
     """dH/d(label) of H = p^2/2 + alpha q^2/2 + J q + lambda V(q) as
-    (degree, coefficient) pairs: q^2/2 for alpha, q for j and V(q) for lambda
-    (nothing without a potential)."""
+    (degree, coefficient) pairs: q^2/2 for alpha, q for j and V(q) for lambda."""
     if label == "alpha":
         return ((2, Fraction(1, 2)),)
     if label == "j":
         return ((1, Fraction(1)),)
     if label == "lambda":
-        return potential.coefficients if potential is not None else ()
+        return potential.coefficients
     raise ValueError(f"unknown parameter {label!r}")
 
 
@@ -84,7 +81,7 @@ class NoGroundState(ValueError):
     """The Hamiltonian is unbounded below, so there is no ground state to probe."""
 
 
-def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotential | None) -> None:
+def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotential) -> None:
     """Reject a potential that leaves H unbounded below before any solve.
 
     The leading term of alpha q**2/2 + lambda V(q) decides: an odd degree is
@@ -93,7 +90,7 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
     a lowest eigenvector, but it describes the basis edge, not a ground state.
     lambda q (k = 1) and a q**2 term that alpha outweighs keep the oscillator.
     """
-    if potential is None or lam == 0.0:
+    if lam == 0.0:
         return
     full: dict[int, float] = {}
     for label, value in (("alpha", alpha), ("lambda", lam)):

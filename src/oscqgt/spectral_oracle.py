@@ -1,16 +1,18 @@
 """Independent spectral check of the metric components.
 
 The Hamiltonian H = p^2/2 + alpha q^2/2 + J q + lambda V(q) is represented in
-a truncated number basis of a reference oscillator of frequency omega
-(omega = sqrt(alpha) by default, which makes the free part exactly diagonal).
-The metric is the ground state's first-order response,
+a truncated number basis of the oscillator of frequency omega = sqrt(alpha),
+in which its free part is exactly diagonal: H = omega (n + 1/2) + J q +
+lambda V(q).  The metric is the ground state's first-order response,
 
     g_ab = <x_a | x_b>,  (H - E0) x_a = -Q dH/da psi,  Q = 1 - |psi><psi|,
 
 the fidelity susceptibility of Zanardi and Paunkovic (PRE 74, 031123, 2006)
 for the tensor of Provost and Vallee (CMP 76, 289, 1980).  In the basis
 pinned at the point, each dH/da is a fixed band: q^2/2 for alpha, V(q) for
-lambda and q for J.  q is tridiagonal, so H is built in lower band storage
+lambda and q for J.  Each band, of H or of a dH/da, sums the powers of
+x = sqrt(omega) q from one table per basis size and degree.  q is
+tridiagonal, so H is built in lower band storage
 (band[d, c] = H[c + d, c]), and a shifted system is factored by a block
 cyclic-reduction Cholesky factorisation in numpy.  Each point builds H at N
 and at 2N and solves each for its ground state by shifted inverse iteration,
@@ -80,19 +82,14 @@ class NoConvergence(OracleFailure):
 
 
 class OracleConfig:
-    """Basis size and reference frequency (default sqrt(alpha))."""
+    """The size N of the truncated number basis."""
 
-    __slots__ = ("basis_size", "reference_frequency")
+    __slots__ = ("basis_size",)
 
-    def __init__(self, basis_size: int = 128, reference_frequency: float | None = None):
+    def __init__(self, basis_size: int = 128):
         if basis_size < 16:
             raise ValueError("basis_size must be >= 16")
         self.basis_size = basis_size
-        self.reference_frequency = reference_frequency
-
-    def omega(self, alpha):
-        """The reference frequency at alpha, or at each alpha of an array."""
-        return self.reference_frequency if self.reference_frequency else np.sqrt(alpha)
 
 
 class NumericQGT:
@@ -114,14 +111,14 @@ class NumericQGT:
         return float(self.metric[self.labels.index(a), self.labels.index(b)])
 
 
-@lru_cache(maxsize=32)
-def _power_bands(n: int, omega: float, b: int) -> np.ndarray:
-    """powers[k, d, c] = (q**k)[c + d, c] for k, d = 0..b, in O(n * b**2).
+@lru_cache(maxsize=8)
+def _power_bands(n: int, b: int) -> np.ndarray:
+    """powers[k, d, c] = (x**k)[c + d, c] for k, d = 0..b and x = sqrt(omega) q.
 
-    Each power is the last one times the tridiagonal q.  The array is shared
-    by every caller, so it is read-only.
+    Each power is the last one times the tridiagonal x, in O(n * b**2).  The
+    array is shared by every caller, so it is read-only.
     """
-    sub = np.sqrt(np.arange(1, n) / (2.0 * omega))  # q[c + 1, c]
+    sub = np.sqrt(np.arange(1, n) / 2.0)  # x[c + 1, c]
     full = np.zeros((2 * b + 1, n))  # full[b + d, c] = M[c + d, c], d = -b..b
     full[b] = 1.0
     powers = np.empty((b + 1, b + 1, n))
@@ -136,13 +133,26 @@ def _power_bands(n: int, omega: float, b: int) -> np.ndarray:
     return powers
 
 
-def _check_degree(potential: PolynomialPotential | None) -> None:
-    if potential is not None and potential.degree > 8:
+def _check_degree(potential: PolynomialPotential) -> None:
+    if potential.degree > 8:
         raise ValueError("potential degree must be <= 8")
 
 
-def build_hamiltonian(alpha, lam, j, potential: PolynomialPotential | None, config: OracleConfig) -> np.ndarray:
-    """H in the reference oscillator number basis, as lower band storage.
+def _polynomial_bands(coeffs: np.ndarray, omega: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeffs[..., k] q**k at frequency omega[...] on n states, as band
+    storage (*P, b + 1, n): q**k = omega**(-k/2) x**k, one dot per point."""
+    b = coeffs.shape[-1] - 1
+    powers = _power_bands(n, b).reshape(b + 1, -1)
+    scaled = coeffs * omega[..., None] ** (-0.5 * np.arange(b + 1))
+    band = np.empty((*coeffs.shape[:-1], b + 1, n))
+    for out, c in zip(band.reshape(-1, (b + 1) * n), scaled.reshape(-1, b + 1)):
+        np.dot(c, powers, out=out)
+    return band
+
+
+def build_hamiltonian(alpha, lam, j, potential: PolynomialPotential, config: OracleConfig) -> np.ndarray:
+    """H = omega (n + 1/2) + J q + lambda V(q) in the number basis of the
+    oscillator of frequency omega = sqrt(alpha), as lower band storage.
 
     band[..., d, c] = H[c + d, c], shape (*P, b + 1, N) with b = max(2, degree)
     and P the common shape of the parameters: one band for scalars, a stack
@@ -150,17 +160,12 @@ def build_hamiltonian(alpha, lam, j, potential: PolynomialPotential | None, conf
     """
     _check_degree(potential)
     alpha, lam, j = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (alpha, lam, j)))
-    n = config.basis_size
-    omega = np.broadcast_to(config.omega(alpha), alpha.shape)
-    b = max(2, potential.degree) if potential is not None else 2
-    coeffs = np.zeros((*alpha.shape, b + 1))
-    coeffs[..., 2] = -0.5 * omega**2  # p^2/2 + omega^2 q^2/2 is the diagonal added below
-    for label, value in (("alpha", alpha), ("j", j), ("lambda", lam)):
+    n, omega = config.basis_size, np.sqrt(alpha)
+    coeffs = np.zeros((*alpha.shape, max(2, potential.degree) + 1))
+    for label, value in (("j", j), ("lambda", lam)):
         for deg, c in hamiltonian_derivative(label, potential):
             coeffs[..., deg] += value * float(c)
-    band = np.empty((*alpha.shape, b + 1, n))
-    for out, c, w in zip(band.reshape(-1, (b + 1) * n), coeffs.reshape(-1, b + 1), omega.flat):
-        np.dot(c, _power_bands(n, w, b).reshape(b + 1, -1), out=out)
+    band = _polynomial_bands(coeffs, omega, n)
     band[..., 0, :] += omega[..., None] * (np.arange(n) + 0.5)
     return band
 
@@ -416,20 +421,17 @@ def _gershgorin_floor(band: np.ndarray) -> np.ndarray:
     return np.min(band[..., 0, :] - radius, axis=-1)
 
 
-def _derivative_images(labels, potential: PolynomialPotential | None, band: np.ndarray, omega, vec) -> np.ndarray:
+def _derivative_images(labels, potential: PolynomialPotential, band: np.ndarray, alpha, vec) -> np.ndarray:
     """dH_a psi for each label, images[p, a], with dH_a (see
-    `hamiltonian_derivative`) in the basis of band[p] at frequency omega[p]
-    and psi = vec[p]; the bands of one label at a time."""
+    `hamiltonian_derivative`) in the basis of band[p], at frequency
+    sqrt(alpha[p]), and psi = vec[p]; the bands of one label at a time."""
     b, n = band.shape[-2] - 1, band.shape[-1]
     images = np.empty((len(band), len(labels), n))
-    derivs = np.empty((len(band), b + 1, n))
     for i, label in enumerate(labels):
-        coeffs = np.zeros(b + 1)
+        coeffs = np.zeros((len(band), b + 1))
         for deg, c in hamiltonian_derivative(label, potential):
-            coeffs[deg] = float(c)
-        for out, w in zip(derivs.reshape(len(band), -1), omega):
-            np.dot(coeffs, _power_bands(n, w, b).reshape(b + 1, -1), out=out)
-        images[:, i] = _band_matvec(derivs, vec)
+            coeffs[:, deg] = float(c)
+        images[:, i] = _band_matvec(_polynomial_bands(coeffs, np.sqrt(alpha), n), vec)
     return images
 
 
@@ -476,8 +478,7 @@ def _ground_response(alpha, lam, j, potential, config, labels, start=None) -> tu
     if len(keep) < len(failures):
         band, alpha, energy, vec = band[keep], alpha[keep], energy[keep], vec[keep]
         factor = [a[keep] for a in factor]
-    omega = np.broadcast_to(config.omega(alpha), alpha.shape)
-    metric, change = _response(band, energy, vec, factor, _derivative_images(labels, potential, band, omega, vec))
+    metric, change = _response(band, energy, vec, factor, _derivative_images(labels, potential, band, alpha, vec))
     return failures, vec, metric, change
 
 
@@ -489,7 +490,7 @@ def _solve(points, potential, config: OracleConfig, labels) -> list:
     solved = [i for i, failure in enumerate(results) if failure is None]
     if not solved:
         return results
-    big = OracleConfig(2 * config.basis_size, config.reference_frequency)
+    big = OracleConfig(2 * config.basis_size)
     # the zero-padded start is close: its tail weight is below 1e-10
     start = np.concatenate([vec, np.zeros_like(vec)], axis=-1)
     failures, _, big_metric, _ = _ground_response(
@@ -497,15 +498,15 @@ def _solve(points, potential, config: OracleConfig, labels) -> list:
     )
     doubled = iter(big_metric)
     for i, small, change, failure in zip(solved, metric, refinement, failures):
-        results[i] = failure or _checked(labels, potential, small, change, np.abs(small - next(doubled)))
+        results[i] = failure or _checked(labels, small, change, np.abs(small - next(doubled)))
     return results
 
 
-def _checked(labels, potential, metric: np.ndarray, refinement: np.ndarray, drift: np.ndarray):
+def _checked(labels, metric: np.ndarray, refinement: np.ndarray, drift: np.ndarray):
     """A point's NumericQGT, or the FloatingPointError of an entry lost to
     underflow."""
     for i, a in enumerate(labels):
-        if metric[i, i] < float_info.min and hamiltonian_derivative(a, potential):
+        if metric[i, i] < float_info.min:
             return FloatingPointError(
                 f"the oracle underflows a float: G({a},{a}) = {metric[i, i]:.3g} is not a normal float"
             )
@@ -539,7 +540,7 @@ def _solve_each(points, potential, config: OracleConfig, labels) -> list:
 
 def numeric_qim_grid(
     points,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
 ) -> list:
@@ -574,15 +575,15 @@ def numeric_qim(
     alpha: float,
     lam: float,
     j: float,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
 ) -> NumericQGT:
     """Metric by linear response of the ground state, with convergence
     estimates.
 
-    H is built at N in the basis pinned at omega(alpha) and solved for its
-    ground state; the factor that settled psi also solves
+    H is built at N in the basis pinned at omega = sqrt(alpha) and solved
+    for its ground state; the factor that settled psi also solves
     (H - E0) x_a = -Q dH_a psi for each label, and g = X X^T.  The report
     carries the change made by the last refinement step and the drift under
     basis doubling: H is built again at 2N, solved from the N-basis ground
@@ -590,10 +591,9 @@ def numeric_qim(
 
     A float overflow or invalid value anywhere in the numerics raises
     OverflowError.  An entry G_ab has lost its digits to underflow when
-    sqrt(G_aa G_bb) is below the least normal float although dH/da and dH/db
-    are nonzero; that happens to some entry exactly when it happens to a
-    diagonal one, and raises FloatingPointError.  This is numeric_qim_grid
-    on a grid of one point.
+    sqrt(G_aa G_bb) is below the least normal float; that happens to some
+    entry exactly when it happens to a diagonal one, and raises
+    FloatingPointError.  This is numeric_qim_grid on a grid of one point.
     """
     [result] = numeric_qim_grid([(alpha, lam, j)], potential, config, labels)
     if isinstance(result, Exception):

@@ -783,19 +783,22 @@ def dense_hamiltonian(
     alpha: float,
     lam: float,
     j: float,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig,
+    omega: float | None = None,
 ) -> np.ndarray:
-    """Dense symmetric matrix of H in the reference oscillator number basis."""
-    if potential is not None and potential.degree > 8:
+    """Dense symmetric matrix of H in the number basis of the oscillator of
+    frequency omega, sqrt(alpha) unless given: omega (n + 1/2) is
+    p^2/2 + omega^2 q^2/2, and (alpha - omega^2) q^2/2 is added to it."""
+    if potential.degree > 8:
         raise ValueError("potential degree must be <= 8")
     n = config.basis_size
-    omega = config.omega(alpha)
+    omega = np.sqrt(alpha) if omega is None else omega
     h = np.diag(omega * (np.arange(n) + 0.5))
     q = dense_position(n, omega)
     q2 = q @ q
     h = h + 0.5 * (alpha - omega**2) * q2 + j * q
-    if potential is not None and lam != 0.0:
+    if lam != 0.0:
         powers = {1: q, 2: q2}
         qk = q2
         for deg in range(3, potential.degree + 1):
@@ -804,6 +807,20 @@ def dense_hamiltonian(
         for deg, c in potential.coefficients:
             h = h + lam * float(c) * powers[deg]
     return 0.5 * (h + h.T)
+
+
+def pinned_band(alpha: float, lam: float, j: float, potential: PolynomialPotential, n: int, omega: float) -> np.ndarray:
+    """H in the first n number states of the oscillator of frequency omega,
+    whatever alpha is, as the oracle's lower band storage: its band of
+    J q + lambda V(q) + (alpha - omega^2) q^2/2 plus the diagonal
+    omega (n + 1/2)."""
+    coeffs = np.zeros(max(2, potential.degree) + 1)
+    coeffs[1], coeffs[2] = j, 0.5 * (alpha - omega**2)
+    for deg, c in potential.coefficients:
+        coeffs[deg] += lam * float(c)
+    band = spectral_oracle._polynomial_bands(coeffs, np.asarray(omega), n)
+    band[0] += omega * (np.arange(n) + 0.5)
+    return band
 
 
 def gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -834,24 +851,26 @@ def sum_over_states_qim(
     alpha: float,
     lam: float,
     j: float,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
+    omega: float | None = None,
 ) -> NumericQGT:
     """The metric as a sum over every excited state of the dense H,
 
         g_ab = sum_{n > 0} <0|dH_a|n><n|dH_b|0> / (E_n - E0)^2,
 
-    from scipy's full eigendecomposition, in the basis pinned at the point,
-    with dH_a built densely: q^2/2 for alpha, V(q) for lambda and q for J.
+    from scipy's full eigendecomposition, in the number basis of frequency
+    omega (sqrt(alpha) unless given), with dH_a built densely: q^2/2 for
+    alpha, V(q) for lambda and q for J.
     """
     _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
-    pinned = OracleConfig(config.basis_size, config.omega(alpha))
-    energies, states = linalg.eigh(dense_hamiltonian(alpha, lam, j, potential, pinned))
-    q = dense_position(pinned.basis_size, pinned.reference_frequency)
+    omega = np.sqrt(alpha) if omega is None else omega
+    energies, states = linalg.eigh(dense_hamiltonian(alpha, lam, j, potential, config, omega))
+    q = dense_position(config.basis_size, omega)
     derivative = {"alpha": 0.5 * q @ q, "j": q, "lambda": np.zeros_like(q)}
-    for deg, c in potential.coefficients if potential is not None else ():
+    for deg, c in potential.coefficients:
         derivative["lambda"] = derivative["lambda"] + float(c) * np.linalg.matrix_power(q, deg)
     elements = np.array([states[:, 1:].T @ derivative[a] @ states[:, 0] for a in labels])
     elements /= energies[1:] - energies[0]
@@ -875,7 +894,7 @@ def finite_difference_qim(
     alpha: float,
     lam: float,
     j: float,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
     steps: dict[str, float] | None = None,
@@ -884,22 +903,23 @@ def finite_difference_qim(
 
         g_ab = <d_a psi | d_b psi> - <d_a psi | psi><psi | d_b psi>,
 
-    in the basis pinned at the point, each shifted state started from the
-    point's own and sign-gauge-fixed.  `steps` replaces `fd_step`'s defaults
-    by label.  The metric uses the halved step; each entry's report carries
-    the Richardson estimate of its error, fd_halving = |g(h) - g(h/2)| / 3.
+    in the basis pinned at omega = sqrt(alpha) of the point (`pinned_band`),
+    each shifted state started from the point's own and sign-gauge-fixed.
+    `steps` replaces `fd_step`'s defaults by label.  The metric uses the
+    halved step; each entry's report carries the Richardson estimate of its
+    error, fd_halving = |g(h) - g(h/2)| / 3.
     Raises StepTooLarge when halving moves an entry by more than 10%.
     """
     _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
-    pinned = OracleConfig(config.basis_size, config.omega(alpha))
+    omega = np.sqrt(alpha)
     steps = {label: (steps or {}).get(label, fd_step(label, alpha)) for label in labels}
 
     def state(guess=None, label=None, step=0.0):
         point = {"alpha": alpha, "lambda": lam, "j": j}
         if label is not None:
             point[label] += step
-        band = spectral_oracle.build_hamiltonian(*point.values(), potential, pinned)
+        band = pinned_band(*point.values(), potential, config.basis_size, omega)
         return ground_state(band, guess)[1]
 
     psi0 = state()
@@ -926,7 +946,7 @@ def fidelity_qim(
     alpha: float,
     lam: float,
     j: float,
-    potential: PolynomialPotential | None,
+    potential: PolynomialPotential,
     config: OracleConfig | None = None,
     labels: tuple[str, ...] = ("alpha", "lambda"),
 ) -> NumericQGT:
@@ -935,18 +955,19 @@ def fidelity_qim(
     Diagonal entries come directly from the fidelity drop along one parameter;
     off-diagonal entries via the polarization identity along the combined
     displacement, each with `fd_step`'s steps.  Cross-validates the
-    response estimator, on the dense path.
+    response estimator, on the dense path in the basis pinned at
+    omega = sqrt(alpha) of the point.
     """
     _require_ground_state(alpha, lam, potential)
     config = config or OracleConfig()
-    pinned = OracleConfig(config.basis_size, config.omega(alpha))
+    omega = np.sqrt(alpha)
     point = {"alpha": alpha, "lambda": lam, "j": j}
 
     def vec_at(displacement: dict[str, float]) -> np.ndarray:
         p = dict(point)
         for k, v in displacement.items():
             p[k] += v
-        h = dense_hamiltonian(p["alpha"], p["lambda"], p["j"], potential, pinned)
+        h = dense_hamiltonian(p["alpha"], p["lambda"], p["j"], potential, config, omega)
         return dense_ground_state(h)[1]
 
     def susceptibility(displacement: dict[str, float]) -> float:

@@ -158,15 +158,15 @@ def test_criterion_5_oracle_agreement_free_theory():
     ok = True
     worst = 0.0
     spaces = [
-        (ParameterSpace.quartic(), V4, ("alpha", "lambda"), 0.0, 0.0),
-        (ParameterSpace.linear_source(), None, ("alpha", "j"), 0.0, 0.0),
+        (ParameterSpace.quartic(), ("alpha", "lambda"), 0.0, 0.0),
+        (ParameterSpace.linear_source(), ("alpha", "j"), 0.0, 0.0),
     ]
-    for space, potential, labels, lam, j in spaces:
+    for space, labels, lam, j in spaces:
         symbolic = {
             (a, b): qgt_component(space, a, b, 1) for a in labels for b in labels
         }
         for alpha in (0.5, 1.0, 2.0):
-            oracle = numeric_qim(alpha, lam, j, potential, config, labels=labels)
+            oracle = numeric_qim(alpha, lam, j, space.potential, config, labels=labels)
             for (a, b), s in symbolic.items():
                 want = s.evaluate(alpha, lam, j)
                 got = oracle.entry(a, b)
@@ -221,7 +221,7 @@ def test_criterion_7_linear_cross_validation_triangle():
     for alpha in (0.5, 1.0, 2.0):
         for j in (0.0, 0.5):
             closed = exact_linear_qgt(alpha, j)
-            oracle = numeric_qim(alpha, 0.0, j, None, config, labels=("alpha", "j"))
+            oracle = numeric_qim(alpha, 0.0, j, space.potential, config, labels=("alpha", "j"))
             for (a, b), target in closed.items():
                 values = {
                     "series": symbolic[(a, b)].evaluate(alpha, 0.0, j),

@@ -651,6 +651,20 @@ class TestSweep:
             for row in _csv.DictReader(fh):
                 assert abs(float(row["abs_deviation"])) < 1e-6
 
+    @pytest.mark.parametrize(
+        "model,column",
+        [("quartic", "quartic"), ("linear", "linear"), ("monomial:6", "monomial:6"), ("monomial:06", "monomial:6"),
+         ("monomial:8", "monomial:8")],
+    )
+    def test_model_column_spells_the_model(self, model, column, capsys):
+        # each row names its model as --model accepts it, so monomial degrees stay apart
+        grid = ["--js", "0.5"] if model == "linear" else ["--lambdas", "0.01"]
+        code, out, _ = run(["sweep", "--model", model, "--order", "1", "--alphas", "1", *grid], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.startswith(f"{column},1,") for row in rows)
+
     def test_one_oracle_call_per_grid(self, capsys, monkeypatch):
         grids = count_oracle_grids(monkeypatch)
         code, out, _ = run(["sweep", "--alphas", "0.5,1,2", "--lambdas", "0.005,0.01,0.05"], capsys)

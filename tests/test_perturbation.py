@@ -62,8 +62,7 @@ class TestPotential:
     def test_operators(self):
         assert hamiltonian_derivative("alpha", V4) == ((2, F(1, 2)),)
         assert hamiltonian_derivative("lambda", V4) == ((4, F(1, 24)),)
-        assert hamiltonian_derivative("j", None) == ((1, F(1)),)
-        assert hamiltonian_derivative("lambda", None) == ()
+        assert hamiltonian_derivative("j", V4) == ((1, F(1)),)
         mixed = potential_from_dict({1: F(1, 3), 4: F(-1, 24)})
         assert hamiltonian_derivative("lambda", mixed) == mixed.coefficients
         with pytest.raises(ValueError, match="unknown parameter 'mu'"):

@@ -13,6 +13,7 @@ from oracles import (
     finite_difference_qim,
     gauge_fix,
     ground_state,
+    pinned_band,
     potential_from_dict,
     sum_over_states_qim,
 )
@@ -29,6 +30,7 @@ from oscqgt.spectral_oracle import (
     numeric_qim_grid,
 )
 
+V1 = PolynomialPotential.monomial(1)  # the linear model's V = q, at lambda = 0 below
 V4 = PolynomialPotential.monomial(4)
 V6 = PolynomialPotential.monomial(6)
 MIXED = potential_from_dict({1: F(-1, 3), 3: F(1, 2), 4: F(1, 24)})
@@ -37,20 +39,20 @@ DENSE_CASES = [
     (0.7, 0.03, 0.0, V4, ("alpha", "lambda")),
     (1.6, 0.01, 0.0, V4, ("alpha", "lambda")),
     (1.0, 0.05, 0.0, V6, ("alpha", "lambda")),
-    (1.0, 0.0, 0.5, None, ("alpha", "j")),
+    (1.0, 0.0, 0.5, V1, ("alpha", "j")),
     (1.2, 0.04, 0.3, MIXED, ("alpha", "j")),
 ]
 
 
 class TestHamiltonian:
     def test_free_ground_energy(self):
-        h = build_hamiltonian(1.0, 0.0, 0.0, None, CFG)
+        h = build_hamiltonian(1.0, 0.0, 0.0, V1, CFG)
         energy, _ = ground_state(h)
         assert energy == pytest.approx(0.5, abs=1e-12)
 
     def test_shifted_oscillator_energy(self):
         # completing the square: E0 = omega/2 - J^2/(2 alpha)
-        h = build_hamiltonian(1.0, 0.0, 0.5, None, CFG)
+        h = build_hamiltonian(1.0, 0.0, 0.5, V1, CFG)
         energy, _ = ground_state(h)
         assert energy == pytest.approx(0.375, abs=1e-10)
 
@@ -71,27 +73,30 @@ class TestHamiltonian:
             (1.0, 0.1, 0.0, V4, None),
             (0.7, 0.05, 0.0, V6, None),
             (1.3, 0.2, 0.4, MIXED, 0.9),
-            (0.6, 0.0, 0.3, None, 1.1),
+            (0.6, 0.0, 0.3, V1, 1.1),
         ],
         ids=["quartic", "monomial6", "mixed-sourced-off-frequency", "linear-off-frequency"],
     )
     def test_band_holds_the_dense_matrix(self, alpha, lam, j, potential, omega):
-        cfg = OracleConfig(basis_size=40, reference_frequency=omega)
-        band = build_hamiltonian(alpha, lam, j, potential, cfg)
-        dense = dense_hamiltonian(alpha, lam, j, potential, cfg)
+        # the oracle's band at omega = sqrt(alpha), and the test-side band
+        # pinned at another omega, as the finite differences hold it
+        cfg = OracleConfig(basis_size=40)
         n = cfg.basis_size
-        b = max(2, potential.degree) if potential is not None else 2
-        assert band.shape == (b + 1, n)
-        for d in range(b + 1):
-            assert band[d, : n - d] == pytest.approx(np.diagonal(dense, -d), rel=1e-13, abs=1e-13)
-        assert not np.tril(dense, -(b + 1)).any()
-        assert not np.triu(dense, b + 1).any()
+        bands = [(build_hamiltonian(alpha, lam, j, potential, cfg), dense_hamiltonian(alpha, lam, j, potential, cfg))]
+        if omega is not None:
+            dense = dense_hamiltonian(alpha, lam, j, potential, cfg, omega)
+            bands.append((pinned_band(alpha, lam, j, potential, n, omega), dense))
+        b = max(2, potential.degree)
+        for band, dense in bands:
+            assert band.shape == (b + 1, n)
+            for d in range(b + 1):
+                assert band[d, : n - d] == pytest.approx(np.diagonal(dense, -d), rel=1e-13, abs=1e-13)
+            assert not np.tril(dense, -(b + 1)).any()
+            assert not np.triu(dense, b + 1).any()
 
     def test_off_frequency_basis_converges(self):
-        # the reference frequency is a robustness knob, not a physics input
-        loose = OracleConfig(reference_frequency=1.3)
-        h = build_hamiltonian(1.0, 0.0, 0.0, None, loose)
-        energy, _ = ground_state(h)
+        # a basis off sqrt(alpha), as the finite differences pin it, holds the same ground state
+        energy, _ = ground_state(pinned_band(1.0, 0.0, 0.0, V1, CFG.basis_size, 1.3))
         assert energy == pytest.approx(0.5, abs=1e-10)
 
 
@@ -353,7 +358,7 @@ class TestBandSolve:
 
 class TestNumericQim:
     def test_free_linear_model(self):
-        r = numeric_qim(1.0, 0.0, 0.0, None, CFG, labels=("alpha", "j"))
+        r = numeric_qim(1.0, 0.0, 0.0, V1, CFG, labels=("alpha", "j"))
         assert r.entry("j", "j") == pytest.approx(0.5, abs=1e-6)
         assert r.entry("alpha", "alpha") == pytest.approx(1 / 32, abs=1e-6)
         assert r.entry("alpha", "j") == pytest.approx(0.0, abs=1e-8)
@@ -385,7 +390,7 @@ class TestNumericQim:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("j", [0.0, 0.5])
     def test_linear_closed_form_to_rounding(self, alpha, j):
-        r = numeric_qim(alpha, 0.0, j, None, CFG, labels=("alpha", "j"))
+        r = numeric_qim(alpha, 0.0, j, V1, CFG, labels=("alpha", "j"))
         exact = exact_linear_qgt(alpha, j)
         scale = max(abs(value) for value in exact.values())
         for (a, b), value in exact.items():
@@ -405,14 +410,22 @@ class TestNumericQim:
         numeric_qim(1.0, 0.05, 0.0, V4, OracleConfig(basis_size=n))
         assert sizes == [n, 2 * n]
 
+    def test_one_power_table_per_basis_size_and_degree(self):
+        # the tables hold powers of sqrt(omega) q, the same at every alpha
+        spectral_oracle._power_bands.cache_clear()
+        points = [(alpha, 0.01, 0.0) for alpha in (0.5, 0.7, 1.0, 1.3, 2.0, 3.0)]
+        for result in numeric_qim_grid(points, V4, CFG):
+            assert isinstance(result, spectral_oracle.NumericQGT)
+        assert spectral_oracle._power_bands.cache_info().currsize == 2  # N and 2N, degree 4
+
     def test_sourced_linear_model(self):
-        r = numeric_qim(1.0, 0.0, 0.5, None, CFG, labels=("alpha", "j"))
+        r = numeric_qim(1.0, 0.0, 0.5, V1, CFG, labels=("alpha", "j"))
         for (a, b), value in exact_linear_qgt(1.0, 0.5).items():
             assert r.entry(a, b) == pytest.approx(value, abs=1e-6 * max(1, abs(value)))
 
     @pytest.mark.parametrize(
         "lam,j,potential,labels",
-        [(0.05, 0.0, V4, ("alpha", "lambda")), (0.0, 0.5, None, ("alpha", "j"))],
+        [(0.05, 0.0, V4, ("alpha", "lambda")), (0.0, 0.5, V1, ("alpha", "j"))],
     )
     def test_one_eigenvalue_solve_per_call(self, lam, j, potential, labels, monkeypatch):
         calls = count_cold_solves(monkeypatch)
@@ -454,11 +467,6 @@ class TestNumericQim:
         series = qgt_component(ParameterSpace.quartic(), "lambda", "lambda", 2).evaluate(1e100, 0.01)
         assert oracle.entry("lambda", "lambda") == pytest.approx(series, rel=1e-12)
 
-    def test_vanishing_derivative_gives_an_exact_zero(self):
-        # without a potential dH/dlambda = 0, so G_lambda,lambda = 0 is no underflow
-        oracle = numeric_qim(1.0, 0.0, 0.0, None, CFG)
-        assert oracle.entry("lambda", "lambda") == 0.0
-
     def test_basis_too_small_detected(self):
         tiny = OracleConfig(basis_size=16)
         with pytest.raises(BasisTooSmall):
@@ -493,10 +501,9 @@ class TestNumericQim:
                 estimator(1.0, lam, 0.0, cubic, CFG)
 
     def test_reference_frequency_insensitivity(self):
+        # the metric does not depend on the basis it is computed in
         base = numeric_qim(1.0, 0.05, 0.0, V4, CFG)
-        skew = numeric_qim(
-            1.0, 0.05, 0.0, V4, OracleConfig(reference_frequency=1.3)
-        )
+        skew = sum_over_states_qim(1.0, 0.05, 0.0, V4, CFG, omega=1.3)
         assert np.allclose(base.metric, skew.metric, atol=1e-8)
 
 
@@ -526,7 +533,7 @@ GRIDS = [
     # couplings more factorisations: points settle in different rounds
     (V4, ("alpha", "lambda"), [(a, lam, 0.0) for a in (0.5, 1.3, 2.0) for lam in (0.0, 0.005, 0.05, 1.0, 10.0)]),
     (V6, ("alpha", "lambda"), [(a, lam, 0.0) for a in (0.5, 1.0, 2.0) for lam in (0.0, 0.01, 0.3)]),
-    (None, ("alpha", "j"), [(a, 0.0, j) for a in (0.5, 1.0, 2.0) for j in (0.0, 0.5, 2.0)]),
+    (V1, ("alpha", "j"), [(a, 0.0, j) for a in (0.5, 1.0, 2.0) for j in (0.0, 0.5, 2.0)]),
 ]
 
 
@@ -646,6 +653,6 @@ class TestAgreementScaling:
 
 class TestFidelityEstimator:
     def test_cross_validates_derivative_estimator(self):
-        derivative = numeric_qim(1.0, 0.0, 0.5, None, CFG, labels=("alpha", "j"))
-        overlap = fidelity_qim(1.0, 0.0, 0.5, None, CFG, labels=("alpha", "j"))
+        derivative = numeric_qim(1.0, 0.0, 0.5, V1, CFG, labels=("alpha", "j"))
+        overlap = fidelity_qim(1.0, 0.0, 0.5, V1, CFG, labels=("alpha", "j"))
         assert np.allclose(derivative.metric, overlap.metric, atol=1e-4)

@@ -122,8 +122,7 @@ class TestDefaults:
         assert ParameterSpace("monomial").k == 4
 
     def test_oracle_config(self):
-        cfg = OracleConfig()
-        assert (cfg.basis_size, cfg.reference_frequency) == (128, None)
+        assert OracleConfig().basis_size == 128
 
 
 class TestCoercion:
@@ -184,25 +183,22 @@ class TestValidation:
 
 class TestOracleRecords:
     def test_oracle_config_construction(self):
-        positional = OracleConfig(64, 1.3)
-        keyword = OracleConfig(basis_size=64, reference_frequency=1.3)
-        for cfg in (positional, keyword):
-            assert (cfg.basis_size, cfg.reference_frequency) == (64, 1.3)
-            assert cfg.omega(4.0) == 1.3
-        assert OracleConfig().omega(4.0) == 2.0
+        for cfg in (OracleConfig(64), OracleConfig(basis_size=64)):
+            assert cfg.basis_size == 64
+        assert OracleConfig.__slots__ == ("basis_size",)
         with pytest.raises(TypeError):
-            OracleConfig(64, 1.3, {"alpha": 1e-3})
+            OracleConfig(64, 1.3)
 
     def test_oracle_config_copy_and_pickle(self):
-        cfg = OracleConfig(64, 1.3)
+        cfg = OracleConfig(64)
         for clone in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-            assert (clone.basis_size, clone.reference_frequency) == (64, 1.3)
+            assert clone.basis_size == 64
             assert clone is not cfg
 
     def test_oracle_config_is_mutable(self):
         cfg = OracleConfig()
-        cfg.reference_frequency = 0.25
-        assert cfg.omega(4.0) == 0.25
+        cfg.basis_size = 256
+        assert cfg.basis_size == 256
 
     def test_numeric_qgt_construction(self):
         metric = np.array([[1.0, 2.0], [2.0, 3.0]])
