@@ -169,8 +169,8 @@ def compute_record(
     # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
     zero = _series_block(ScalarSeries.zero(), params)
     record = {
-        "model": space.kind,
-        "k": space.k,
+        "model": space.name.partition(":")[0],
+        "k": space.potential.degree,
         "order": order,
         "labels": list(space.labels),
         "convention": dict(qgt.CONVENTION, truncation_order=order),
@@ -182,9 +182,9 @@ def compute_record(
     }
     if params is not None:
         record["parameters"] = params
-    if space.k % 2 and space.k > 1:
+    if (k := space.potential.degree) % 2 and k > 1:
         record["formal"] = (
-            f"the series is formal: odd k={space.k} has no ground state for lambda != 0 "
+            f"the series is formal: odd k={k} has no ground state for lambda != 0 "
             f"(the potential is unbounded below)"
         )
     elif params is not None:
@@ -271,7 +271,7 @@ def _debug_integrands(space: qgt.ParameterSpace, integrands: dict, sums: dict) -
     for (a, b), graded in integrands.items():
         lines.append(f"# integrand g({a},{b})")
         for m, grade in sorted(graded.items()):
-            power = space.coupling**m
+            power = space.power(m)
             for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
                 pattern = " ".join(f"D({x},{y})" for x, y in edges)
                 value = wedge_integral({counts: coeff}, m, sums) * power
@@ -349,7 +349,7 @@ def _linear_checks() -> list[dict]:
     from . import linear_exact
 
     checks = []
-    space = qgt.ParameterSpace.linear_source()
+    space = qgt.ParameterSpace.parse("linear")
     series = qgt.assemble(space)
     points = [(alpha, 0.0, j) for alpha, j in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5))]
     for (alpha, _, j), rows in zip(points, _compare(space, series, points)):
@@ -365,7 +365,7 @@ def _linear_checks() -> list[dict]:
                 checks.append(_check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol))
     # the series themselves must be equal, term by term; delta is the largest
     # coefficient of any difference
-    diffs = {key: series[key] - closed for key, closed in linear_exact.LINEAR_QGT.items()}
+    diffs = {key: series[key] - closed for key, closed in linear_exact.CLOSED_FORM.items()}
     wrong = ", ".join(f"g({a},{b})" for (a, b), d in diffs.items() if not d.is_zero)
     delta = max((float(abs(t.coeff)) for d in diffs.values() for t in d.terms), default=0.0)
     checks.append(_check("linear exact series-vs-closed-form", wrong or "all", delta, 0.0))
@@ -462,11 +462,10 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     points = list(itertools.product(args.alphas, args.lambdas, args.js))
-    model = args.space.kind + (f":{args.space.k}" if args.space.kind == qgt.MONOMIAL else "")  # as --model spells it
     for point, rows in zip(points, _compare(args.space, series, points, cfg)):
         for a, b, sym, num, err in rows:
             writer.writerow(
-                [model, args.order, *map(repr, point), f"{a},{b}"]
+                [args.space.name, args.order, *map(repr, point), f"{a},{b}"]
                 + [repr(x) for x in (sym, num, err, abs(sym - num))]
             )
     _emit(out.getvalue(), args.out)
@@ -566,9 +565,8 @@ def _validate(args) -> None:
     if not cap.strip().isdecimal():
         raise ValueError(f"{MAX_ORDER_ENV} must be a non-negative integer, not {cap!r}")
     max_order = int(cap)
-    # the linear series is exact at any order; only diagrams expands at `order`
-    exact = args.space.kind == "linear" and args.command != "diagrams"
-    if args.order > max_order and not exact:
+    # a series summed exactly ignores `order`; only diagrams expands at it
+    if args.order > max_order and not (args.space.exact and args.command != "diagrams"):
         raise ValueError(
             f"order {args.order} exceeds the maximum {max_order} (override with {MAX_ORDER_ENV})"
         )

@@ -2,8 +2,9 @@
 
 A component G_ab is the double integral over tau1 <= 0 <= tau2 of the
 connected correlator of dH/da = c_a q**k_a and dH/db = c_b q**k_b, times
-c_a * c_b, expanded in the coupling.  The source J of the linear model is
-the coupling of V = q, whose series ends at a finite order.
+c_a * c_b, expanded in the coupling.  A model is data: a potential V and
+the coupling, lambda or the source J of V = q, whose series ends at a finite
+order and is summed exactly.
 Every deformation here is real, so G_ab = G_ba: the tensor is its own metric
 and the Berry curvature vanishes.  For the two-parameter models the truncated
 metric determinant yields the coupling at which the metric degenerates.
@@ -28,74 +29,69 @@ CONVENTION = {
     "half_absorbed_into_tensor": False,
 }
 
-LINEAR = "linear"
-QUARTIC = "quartic"
-MONOMIAL = "monomial"
+SOURCE = PolynomialPotential.monomial(1)  # V = q, the potential of the source J
 
 
 class ParameterSpace(Frozen):
-    """Model family and its ordered parameter labels.
+    """A model: its name as `--model` spells it, its potential V and the
+    coupling that multiplies V; the labels are (alpha, coupling).
 
-    linear   : H = p^2/2 + alpha q^2/2 + J q      labels (alpha, j)
-    quartic  : H = p^2/2 + alpha q^2/2 + l q^4/4! labels (alpha, lambda)
-    monomial : H = p^2/2 + alpha q^2/2 + l q^k/k! labels (alpha, lambda)
+    linear     : H = p^2/2 + alpha q^2/2 + J q        V = q,      coupling j
+    quartic    : H = p^2/2 + alpha q^2/2 + l q^4/4!   V = q^4/4!, coupling lambda
+    monomial:k : H = p^2/2 + alpha q^2/2 + l q^k/k!   V = q^k/k!, coupling lambda
     """
 
-    __slots__ = ("kind", "k")
+    __slots__ = ("name", "potential", "coupling")
 
-    def __init__(self, kind: str, k: int = 4):
-        if kind not in (LINEAR, QUARTIC, MONOMIAL):
-            raise ValueError(f"unknown model kind {kind!r}")
-        if kind == QUARTIC:
-            k = 4
-        if kind == LINEAR:
-            k = 1
-        object.__setattr__(self, "kind", kind)  # the class refuses assignment
-        object.__setattr__(self, "k", k)
+    def __init__(self, name: str, potential: PolynomialPotential, coupling: str = "lambda"):
+        # `derivative` serves one (k, c) pair per label: J couples to V = q, lambda to one monomial
+        if not {"lambda": len(potential.coefficients) == 1, "j": potential == SOURCE}.get(coupling):
+            raise ValueError(f"no model couples {coupling!r} to {potential!r} (lambda to one monomial, j to q)")
+        object.__setattr__(self, "name", name)  # the class refuses assignment
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "coupling", coupling)
 
     @classmethod
     def parse(cls, token: str) -> "ParameterSpace":
-        """The model a token names: linear | quartic | monomial:k with k >= 1."""
-        if token in (LINEAR, QUARTIC):
-            return cls(token)
-        kind, colon, degree = token.partition(":")
-        if kind != MONOMIAL or not colon:
+        """The model a token names: linear | quartic | monomial:k with k >= 1,
+        named canonically (monomial:06 is monomial:6)."""
+        if token == "linear":
+            return cls(token, SOURCE, "j")
+        if token == "quartic":
+            return cls(token, PolynomialPotential.monomial(4))
+        family, colon, degree = token.partition(":")
+        if family != "monomial" or not colon:
             raise ValueError(f"unknown model {token!r} (expected linear|quartic|monomial:k)")
         if not degree.isdecimal() or int(degree) < 1:
             raise ValueError(f"the monomial degree must be an integer >= 1, not {degree!r}")
-        return cls(MONOMIAL, int(degree))
-
-    @classmethod
-    def linear_source(cls) -> "ParameterSpace":
-        return cls(LINEAR)
+        return cls(f"monomial:{int(degree)}", PolynomialPotential.monomial(int(degree)))
 
     @classmethod
     def quartic(cls) -> "ParameterSpace":
-        return cls(QUARTIC)
-
-    @classmethod
-    def monomial(cls, k: int) -> "ParameterSpace":
-        return cls(MONOMIAL, k)
+        return cls.parse("quartic")
 
     @property
     def labels(self) -> tuple[str, str]:
-        return ("alpha", "j") if self.kind == LINEAR else ("alpha", "lambda")
+        return ("alpha", self.coupling)
 
     @property
-    def coupling(self) -> ScalarSeries:
-        """The coupling of the potential as a series: J for the linear model, else lambda."""
-        if self.kind == LINEAR:
-            return ScalarSeries.term(1, j_pow=1)
-        return ScalarSeries.term(1, lambda_pow=1)
+    def exact(self) -> bool:
+        """Whether the coupling series is summed exactly instead of truncated
+        at the requested order.  J is: a J vertex (V = q) is a leaf on an
+        external leg and tau1, tau2 share an edge, so every grade of G_ab past
+        k_a + k_b - 2 is empty.  Grades before it can be empty too (grade 1
+        of G_alpha,alpha, by parity), so no series stops at an empty grade."""
+        return self.coupling == "j"
 
-    @property
-    def potential(self) -> PolynomialPotential:
-        return PolynomialPotential.monomial(self.k)
+    def power(self, m: int) -> ScalarSeries:
+        """The coupling to the power m, as a series."""
+        return ScalarSeries.term(1, **{f"{self.coupling}_pow": m})
 
     def derivative(self, label: str) -> tuple[int, Fraction]:
         """dH/d(label) = c q**k as (k, c)."""
         if label not in self.labels:
-            raise ValueError(f"label {label!r} is not a parameter of the {self.kind} model")
+            family = self.name.partition(":")[0]
+            raise ValueError(f"label {label!r} is not a parameter of the {family} model")
         [pair] = hamiltonian_derivative(label, self.potential)
         return pair
 
@@ -105,14 +101,13 @@ def integrands(
 ) -> dict[tuple[str, str], GradedSum]:
     """The connected integrand of G_ab for each pair (a, b), by default every
     unordered pair: {edge counts: coefficient} per vertex count m, up to the
-    coupling truncation `order`, each grade built for all pairs at once.  The
-    linear model is summed exactly: a J vertex (degree 1) is a leaf on an
-    external leg and tau1, tau2 share an edge, so every order above
-    k_a + k_b - 2 is empty.  The coupling power m and the coefficients of
-    dH/da and dH/db are not included."""
+    coupling truncation `order`, or to k_a + k_b - 2 for a coupling summed
+    exactly (`ParameterSpace.exact`), each grade built for all pairs at once.
+    The coupling power m and the coefficients of dH/da and dH/db are not
+    included."""
     pairs = pairs or list(itertools.combinations_with_replacement(space.labels, 2))
     degrees = {(a, b): (space.derivative(a)[0], space.derivative(b)[0]) for a, b in pairs}
-    top = {ks: sum(ks) - 2 if space.kind == LINEAR else order for ks in degrees.values()}
+    top = {ks: sum(ks) - 2 if space.exact else order for ks in degrees.values()}
     orders = range(max(top.values()) + 1)
     grades = [connected_grades([ks for ks in top if top[ks] >= m], m, space.potential) for m in orders]
     return {pair: {m: grade[ks] for m, grade in enumerate(grades) if ks in grade} for pair, ks in degrees.items()}
@@ -124,14 +119,14 @@ def qgt_component(
 ) -> ScalarSeries:
     """One tensor component as an exact series in (alpha, coupling).
 
-    The linear-source model is summed exactly (the expansion in J terminates);
-    `order` is the coupling truncation for the polynomial models.  `sums` is
+    `order` is the coupling truncation, unless the coupling is summed exactly
+    (`ParameterSpace.exact`: the expansion in J terminates).  `sums` is
     `wedge_integral`'s memo of ordered sums, and `graded` the component's
     integrand (`integrands`) when already built.
     """
     if graded is None:
         graded = integrands(space, order, [(a, b)])[(a, b)]
-    terms = (wedge_integral(grade, m, sums) * space.coupling**m for m, grade in graded.items())
+    terms = (wedge_integral(grade, m, sums) * space.power(m) for m, grade in graded.items())
     return sum(terms, ScalarSeries.zero()) * (space.derivative(a)[1] * space.derivative(b)[1])
 
 

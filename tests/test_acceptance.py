@@ -53,7 +53,7 @@ def series(num, den=1, a=0, l=0, j=0):
 
 def test_criterion_1_exact_linear_reproduction():
     start = time.perf_counter()
-    space = ParameterSpace.linear_source()
+    space = ParameterSpace.parse("linear")
     got = {
         ("j", "j"): qgt_component(space, "j", "j"),
         ("alpha", "j"): qgt_component(space, "alpha", "j"),
@@ -159,7 +159,7 @@ def test_criterion_5_oracle_agreement_free_theory():
     worst = 0.0
     spaces = [
         (ParameterSpace.quartic(), ("alpha", "lambda"), 0.0, 0.0),
-        (ParameterSpace.linear_source(), ("alpha", "j"), 0.0, 0.0),
+        (ParameterSpace.parse("linear"), ("alpha", "j"), 0.0, 0.0),
     ]
     for space, labels, lam, j in spaces:
         symbolic = {
@@ -210,7 +210,7 @@ def test_criterion_6_oracle_agreement_interacting():
 
 def test_criterion_7_linear_cross_validation_triangle():
     config = OracleConfig(basis_size=128)
-    space = ParameterSpace.linear_source()
+    space = ParameterSpace.parse("linear")
     symbolic = {
         (a, b): qgt_component(space, a, b)
         for a in space.labels
@@ -242,10 +242,10 @@ def test_criterion_8_structural_properties():
     # exact symmetry and zero curvature across the in-scope models: every
     # assembled entry against G_ba computed on its own
     for space, order in [
-        (ParameterSpace.linear_source(), 1),
+        (ParameterSpace.parse("linear"), 1),
         (ParameterSpace.quartic(), 1),
         (ParameterSpace.quartic(), 2),
-        (ParameterSpace.monomial(3), 1),
+        (ParameterSpace.parse("monomial:3"), 1),
     ]:
         for (a, b), s in assemble(space, order).items():
             ok &= (s - qgt_component(space, b, a, order)).is_zero

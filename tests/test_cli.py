@@ -72,6 +72,20 @@ class TestCompute:
             _, out, _ = run(argv, capsys)
             jsonschema.validate(json.loads(out), cli.RECORD_SCHEMA)
 
+    def test_quartic_and_monomial_4_records_differ_only_in_the_model(self):
+        point = {"alpha": 1.0, "lambda": 0.1, "j": None}
+        quartic, monomial = (
+            cli.compute_record(oscqgt.qgt.ParameterSpace.parse(model), 2, point) for model in ("quartic", "monomial:4")
+        )
+        assert (quartic.pop("model"), monomial.pop("model")) == ("quartic", "monomial")
+        assert quartic == monomial
+
+    def test_monomial_06_is_named_monomial_6(self, capsys):
+        # sweep's column for it is pinned by TestSweep.test_model_column_spells_the_model
+        _, out, _ = run(["compute", "--model", "monomial:06", "--order", "1", "--format", "json"], capsys)
+        record = json.loads(out)
+        assert (record["model"], record["k"]) == ("monomial", 6)
+
     def test_output_determinism(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -91,7 +105,7 @@ class TestCompute:
         for model, space, expected in [
             ("quartic", oscqgt.qgt.ParameterSpace.quartic(),
              "  2 * D(tau1,tau2) D(tau1,tau2) = 1/8 * a^-2"),
-            ("linear", oscqgt.qgt.ParameterSpace.linear_source(),
+            ("linear", oscqgt.qgt.ParameterSpace.parse("linear"),
              "  4 * j^2 * D(s1,tau2) D(s2,tau1) D(tau1,tau2) = 2 * j^2 * a^-7/2"),
         ]:
             argv = ["compute", "--model", model, "--order", "1"]
@@ -261,9 +275,17 @@ class TestExitCodes:
             f"invalid configuration: QGT_MAX_ORDER must be a non-negative integer, not {cap!r}\n"
         )
 
-    def test_linear_order_is_not_capped(self, tmp_path, capsys):
+    def test_linear_order_is_not_capped(self, tmp_path, capsys, monkeypatch):
         # the linear series is exact at any order, so compute and sweep skip
-        # the cap; diagrams expands at the order it is given and keeps it
+        # the cap; diagrams expands at the order it is given and keeps it, and
+        # so does lambda on the same V = q (monomial:1), which is truncated
+        monkeypatch.delenv(cli.MAX_ORDER_ENV, raising=False)
+        code, out, err = run(["compute", "--model", "linear", "--order", "9", "--format", "json"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["order"] == 9
+        code, _, err = run(["compute", "--model", "monomial:1", "--order", "9"], capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "QGT_MAX_ORDER" in err
         code, out, err = run(["compute", "--model", "linear", "--order", "4"], capsys)
         assert code == cli.EXIT_OK
         assert err == ""

@@ -17,7 +17,7 @@ import pytest
 from oscqgt.qgt import ParameterSpace, qgt_component
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_series.json").read_text())
-SPACES = {"quartic": ParameterSpace.quartic(), "monomial:6": ParameterSpace.monomial(6)}
+SPACES = {model: ParameterSpace.parse(model) for model in GOLDEN}
 CASES = [(model, int(order)) for model in sorted(GOLDEN) for order in GOLDEN[model]]
 
 
@@ -38,7 +38,7 @@ def test_components_match_golden_file(model, order, assembled):
     # q -> q alpha^(-1/4) maps H to sqrt(alpha) times the alpha = 1 Hamiltonian
     # at coupling lambda alpha^(-(k+2)/4), so the alpha power of G_ab drops by
     # 1 per alpha label and by (k+2)/4 per lambda label and power of lambda
-    per_lambda = (space.k + 2) // 2  # in half powers
+    per_lambda = (space.potential.degree + 2) // 2  # in half powers
     for key, series in got.items():
         base = sum(2 if label == "alpha" else per_lambda for label in key.split(","))
         for t in series.terms:

@@ -110,7 +110,7 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("j", [0.0, 0.5, -1.0])
     def test_grid(self, alpha, j):
-        space = ParameterSpace.linear_source()
+        space = ParameterSpace.parse("linear")
         closed = exact_linear_qgt(alpha, j)
         for a, b in itertools.product(space.labels, repeat=2):
             series = qgt_component(space, a, b)

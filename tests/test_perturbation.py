@@ -221,7 +221,7 @@ class TestLinearCaseConsistency:
     def test_linear_component_equals_source_series(self, pair):
         # the compute route stops at order q_a + q_b - 2, whatever `order`
         # is; the source series has every power of J
-        space = ParameterSpace.linear_source()
+        space = ParameterSpace.parse("linear")
         exact = _sourced_series(*(LINEAR_OPS[label] for label in pair))
         assert qgt_component(space, *pair) == exact
         assert qgt_component(space, *pair, order=0) == exact

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscqgt.integrator import DivergentIntegral
+from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import (
     ParameterSpace,
     assemble,
@@ -14,8 +15,8 @@ from oscqgt.qgt import (
 )
 from oscqgt.scalar_algebra import NonPositiveAlpha, ScalarSeries
 
-LINEAR = ParameterSpace.linear_source()
-QUARTIC = ParameterSpace.quartic()
+LINEAR = ParameterSpace.parse("linear")
+QUARTIC = ParameterSpace.parse("quartic")
 
 
 def s(num, den=1, a=0, l=0, j=0):
@@ -28,6 +29,13 @@ class TestLinearComponents:
 
     def test_alpha_alpha(self):
         assert qgt_component(LINEAR, "alpha", "alpha") == s(1, 32, a=-4) + s(1, 2, a=-7, j=2)
+
+    def test_series_ignores_the_order(self):
+        # J is summed exactly at every order, through grade 2 of G_alpha,alpha
+        # although its grade 1 is empty (2 + 2 + 1 legs is odd)
+        series = [assemble(LINEAR, order) for order in range(6)]
+        assert all(tensor == series[0] for tensor in series)
+        assert series[0][("alpha", "alpha")] == s(1, 32, a=-4) + s(1, 2, a=-7, j=2)
 
     def test_alpha_j(self):
         expected = s(-1, 2, a=-5, j=1)
@@ -61,7 +69,7 @@ class TestQuarticComponents:
 
 @pytest.mark.parametrize(
     "space,order",
-    [(LINEAR, 1), (QUARTIC, 0), (QUARTIC, 1), (ParameterSpace.monomial(3), 1)],
+    [(LINEAR, 1), (QUARTIC, 0), (QUARTIC, 1), (ParameterSpace.parse("monomial:3"), 1)],
     ids=["linear", "quartic-0", "quartic-1", "cubic"],
 )
 class TestStructure:
@@ -145,23 +153,41 @@ class TestParameterSpace:
         assert QUARTIC.derivative("alpha") == (2, F(1, 2))
         assert QUARTIC.derivative("lambda") == (4, F(1, 24))
         assert LINEAR.derivative("j") == (1, F(1))
-        assert ParameterSpace.monomial(6).derivative("lambda") == (6, F(1, 720))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ParameterSpace("cubic")
+        assert ParameterSpace.parse("monomial:6").derivative("lambda") == (6, F(1, 720))
 
     @pytest.mark.parametrize(
-        "token,kind,k,labels",
+        "coupling,potential",
+        [
+            ("cubic", PolynomialPotential.monomial(3)),
+            ("j", PolynomialPotential.monomial(4)),
+            ("j", PolynomialPotential(((1, F(1, 2)),))),
+            ("lambda", PolynomialPotential(((3, F(1, 6)), (4, F(-1, 24))))),
+        ],
+        ids=["unknown-coupling", "j-on-quartic", "j-on-half-q", "lambda-on-two-terms"],
+    )
+    def test_space_derivative_cannot_serve_is_rejected(self, coupling, potential):
+        # `derivative` serves one (k, c) pair: j couples to V = q, lambda to one monomial
+        with pytest.raises(ValueError, match="no model couples"):
+            ParameterSpace("model", potential, coupling)
+
+    @pytest.mark.parametrize(
+        "token,name,k,labels",
         [
             ("linear", "linear", 1, ("alpha", "j")),
             ("quartic", "quartic", 4, ("alpha", "lambda")),
-            ("monomial:6", "monomial", 6, ("alpha", "lambda")),
+            ("monomial:6", "monomial:6", 6, ("alpha", "lambda")),
+            ("monomial:06", "monomial:6", 6, ("alpha", "lambda")),
         ],
     )
-    def test_parse(self, token, kind, k, labels):
+    def test_parse(self, token, name, k, labels):
         space = ParameterSpace.parse(token)
-        assert (space.kind, space.k, space.labels) == (kind, k, labels)
+        expected = (name, PolynomialPotential.monomial(k), labels[1], labels)
+        assert (space.name, space.potential, space.coupling, space.labels) == expected
+
+    def test_quartic_is_monomial_4_under_another_name(self):
+        monomial = ParameterSpace.parse("monomial:4")
+        assert QUARTIC.potential == monomial.potential and QUARTIC != monomial
+        assert assemble(QUARTIC, 2) == assemble(monomial, 2)
 
     @pytest.mark.parametrize(
         "token,message",

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oscqgt.linear_exact import LINEAR_QGT
+from oscqgt.linear_exact import CLOSED_FORM
 from oscqgt.qgt import ParameterSpace, assemble
 from rs_oracle import rs_energies, rs_metric
 
@@ -24,19 +24,19 @@ def test_quartic_energies_are_bender_wu():
 
 @pytest.mark.parametrize("order", range(6))
 def test_quartic_series(order, assembled):
-    space = ParameterSpace.quartic()
+    space = ParameterSpace.parse("quartic")
     assert assembled("quartic", order) == rs_metric(4, space.labels, order)
 
 
 @pytest.mark.parametrize("order", range(5))
 def test_monomial_6_series(order, assembled):
-    space = ParameterSpace.monomial(6)
+    space = ParameterSpace.parse("monomial:6")
     assert assembled("monomial:6", order) == rs_metric(6, space.labels, order)
 
 
 def test_linear_series():
     # the expansion in J ends at J^2: orders 3 and 4 must vanish identically
-    space = ParameterSpace.linear_source()
+    space = ParameterSpace.parse("linear")
     rs = rs_metric(1, space.labels, 4)
-    assert rs == LINEAR_QGT
+    assert rs == CLOSED_FORM
     assert assemble(space) == rs

@@ -154,7 +154,7 @@ def test_eval_multiplicative_within_four_ulps_on_component_series():
     from oscqgt.qgt import ParameterSpace, qgt_component
 
     quartic = ParameterSpace.quartic()
-    linear = ParameterSpace.linear_source()
+    linear = ParameterSpace.parse("linear")
     pool = [
         qgt_component(quartic, a, b, 1)
         for a, b in itertools.combinations_with_replacement(quartic.labels, 2)

@@ -49,10 +49,10 @@ FROZEN = {
         {"coefficients": ((4, F(1, 24)),)},
     ),
     "ParameterSpace": (
-        ParameterSpace("monomial", 6),
-        ParameterSpace(kind="monomial", k=6),
-        ParameterSpace("monomial"),
-        {"kind": "monomial", "k": 6},
+        ParameterSpace("monomial:6", PolynomialPotential.monomial(6), "lambda"),
+        ParameterSpace(name="monomial:6", potential=PolynomialPotential(((6, F(1, 720)),))),
+        ParameterSpace("monomial:4", PolynomialPotential.monomial(4)),
+        {"name": "monomial:6", "potential": PolynomialPotential.monomial(6), "coupling": "lambda"},
     ),
 }
 
@@ -119,7 +119,7 @@ class TestDefaults:
         assert (d.edges, d.multiplicity, d.tied) == (EDGES, 1, False)
 
     def test_parameter_space(self):
-        assert ParameterSpace("monomial").k == 4
+        assert ParameterSpace("quartic", PolynomialPotential.monomial(4)).coupling == "lambda"
 
     def test_oracle_config(self):
         assert OracleConfig().basis_size == 128
@@ -138,11 +138,6 @@ class TestCoercion:
         assert all(type(c) is F for _, c in v.coefficients)
         assert v == potential_from_dict({6: F(1), 4: F(1, 2)})
         assert v.degree == 6
-
-    @pytest.mark.parametrize("kind,k,expected", [("quartic", 6, 4), ("linear", 3, 1), ("monomial", 3, 3)])
-    def test_parameter_space_fixes_k(self, kind, k, expected):
-        assert ParameterSpace(kind, k).k == expected
-        assert ParameterSpace(kind, k) == ParameterSpace(kind, expected)
 
 
 class TestValidation:
@@ -168,9 +163,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="degree >= 1"):
             PolynomialPotential(coefficients)
 
-    def test_unknown_model_kind(self):
-        with pytest.raises(ValueError, match="unknown model kind"):
-            ParameterSpace("cubic")
+    def test_unknown_coupling(self):
+        with pytest.raises(ValueError, match="no model couples 'cubic'"):
+            ParameterSpace("cubic", PolynomialPotential.monomial(3), "cubic")
 
     @pytest.mark.parametrize("basis_size", [15, 8, 0, -16])
     def test_basis_size_below_16(self, basis_size):
