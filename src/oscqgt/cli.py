@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import qgt
-from .integrator import DivergentIntegral, wedge_integral
+from .integrator import DivergentIntegral, wedge_integrals
 from .perturbation import NoGroundState, _require_ground_state, connected_grades
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import connected_dot, edge_names, name_key
@@ -158,12 +158,9 @@ def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     return block
 
 
-def compute_record(
-    space: qgt.ParameterSpace, order: int, params: dict | None, integrands=None, sums=None
-) -> dict:
-    """The structured record of `compute`; `integrands` and `sums` pass work
-    already done to `qgt.assemble`."""
-    components = qgt.assemble(space, order, integrands, sums)
+def compute_record(space: qgt.ParameterSpace, order: int, params: dict | None, show=None) -> dict:
+    """The structured record of `compute`; `show` goes to `qgt.assemble`."""
+    components = qgt.assemble(space, order, show)
     det, critical = qgt.determinant_and_critical(components, space.labels, order)
     blocks = {f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(components.items())}
     # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
@@ -263,32 +260,24 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write(text)
 
 
-def _debug_integrands(space: qgt.ParameterSpace, integrands: dict, sums: dict) -> str:
-    """One line per integrand graph: coefficient, edge pattern, exact wedge
-    value, for the integrands of each pair (a, b), with `sums` the memo of
-    ordered sums."""
-    lines = []
-    for (a, b), graded in integrands.items():
-        lines.append(f"# integrand g({a},{b})")
-        for m, grade in sorted(graded.items()):
-            power = space.power(m)
-            for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
-                pattern = " ".join(f"D({x},{y})" for x, y in edges)
-                value = wedge_integral({counts: coeff}, m, sums) * power
-                lines.append(f"  {coeff * power} * {pattern} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_compute(args) -> int:
     params = None
     if args.alpha is not None:
         params = {"alpha": args.alpha, "lambda": args.lambda_, "j": args.j}
-    integrands = sums = None
-    if args.verbose:  # the dump reuses the record's integrands and ordered sums
-        integrands, sums = qgt.integrands(args.space, args.order), {}
-    record = compute_record(args.space, args.order, params, integrands, sums)
-    if args.verbose:
-        sys.stderr.write(_debug_integrands(args.space, integrands, sums))
+    graded = {}
+
+    def show(k_a: int, k_b: int, m: int, grade: dict, sums: dict) -> None:
+        # one line per integrand graph: coefficient, edge pattern, exact wedge value from the memo
+        power, lines = args.space.power(m), graded.setdefault((k_a, k_b), [])
+        for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
+            pattern = " ".join(f"D({x},{y})" for x, y in edges)
+            [value] = wedge_integrals([{counts: coeff}], m, sums)
+            lines.append(f"  {coeff * power} * {pattern} = {value * power}\n")
+
+    record = compute_record(args.space, args.order, params, show if args.verbose else None)
+    for a, b in itertools.combinations_with_replacement(args.space.labels, 2) if args.verbose else ():
+        lines = graded[args.space.derivative(a)[0], args.space.derivative(b)[0]]
+        sys.stderr.write(f"# integrand g({a},{b})\n" + "".join(lines))
     if "formal" in record:
         print(f"note: {record['formal']}", file=sys.stderr)
     if args.format == "json":
@@ -599,7 +588,7 @@ def _validate(args) -> None:
         raise NonPositiveAlpha("alpha must be > 0")
     for name, grid in values.items():
         if name not in args.space.labels and any(grid):
-            raise ValueError(f"the {args.model} model has no parameter {name}")
+            raise ValueError(f"the {args.space.name} model has no parameter {name}")
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,10 @@ over s_1..s_m, tau1 and tau2 (times 0..m+1), so its loops sit on the diagonal
 positions and cut no gap.  As c_g depends on the set of earlier times and
 not on their order, the sum over all orders is a dynamic programme over the
 2^n subsets with two exact accumulators: plain, and with one gap marked.
-One pass runs every graph of a call whose skeleton is not yet summed.  A
-zero cut on a proper subset means the graph is disconnected and the integral
-diverges.
+Time reversal (t -> -t, tau1 <-> tau2) keeps the orders with tau1 first, so
+a skeleton and its mirror share one sum.  One pass per call sums every
+skeleton of its grades not yet in the memo.  A zero cut on a proper subset
+means the graph is disconnected and the integral diverges.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import math
 import sys
 from fractions import Fraction
 from operator import add, itemgetter, mul
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
-from .wick import EdgeCounts, edge_layout, edge_names
+from .wick import EdgeCounts, edge_layout, edge_names, mirrored
 
-__all__ = ["DivergentIntegral", "cut_sizes", "wedge_integral"]
+__all__ = ["DivergentIntegral", "cut_sizes", "wedge_integrals"]
 
 
 def cut_sizes(counts: EdgeCounts, n: int) -> list[int]:
@@ -110,34 +111,39 @@ def _ordered_sums(batch: list[EdgeCounts], n: int) -> list[Fraction]:
     return sums
 
 
-def wedge_integral(
-    graphs: Mapping[EdgeCounts, Fraction], n_vertices: int = 0, sums: dict | None = None
-) -> ScalarSeries:
-    """Exact integral of sum_graphs coeff * prod_edges D over the wedge, a series in alpha.
+def wedge_integrals(grades: Sequence[Mapping[EdgeCounts, Fraction]], n_vertices: int, sums: dict) -> list[ScalarSeries]:
+    """The exact integral over the wedge of each grade, sum_graphs coeff *
+    prod_edges D, as a series in alpha; every graph is keyed by its edge
+    counts over s_1..s_n, tau1 and tau2, for n = `n_vertices`.
 
-    Each graph is keyed by its edge counts over s_1..s_n, tau1 and tau2, for
-    n = `n_vertices`.  A self-loop only contributes its constant, so graphs
-    with one loop-free skeleton share one ordered sum; `sums` keeps those
-    sums by (vertex count, skeleton) and may be passed to several calls to
-    share them.  The skeletons missing from it are summed in one batch.
+    A loop only adds its constant, and time reversal gives a skeleton and its
+    tau1 <-> tau2 mirror one ordered sum, so the memo `sums` keeps one per
+    loop-free skeleton up to the mirror, by vertex count; it may be shared by
+    several calls.  The skeletons missing from it are summed in one pass, and
+    each alpha power adds its terms as integers over one denominator.
     """
     n = n_vertices + 2
     size = n * (n + 1) // 2
-    skeleton_of = _skeleton(n)
-    sums = {} if sums is None else sums
+    skeleton, mirror = _skeleton(n), mirrored(n)
     keys, missing = [], {}
-    for counts in graphs:
-        if len(counts) != size:
-            raise ValueError(f"a graph of {len(counts)} edge counts does not fit {n_vertices} vertices")
-        keys.append(key := (n, skeleton_of(counts)))
-        if key not in sums:
-            missing.setdefault(key, counts)
+    for graphs in grades:
+        for counts in graphs:
+            if len(counts) != size:
+                raise ValueError(f"a graph of {len(counts)} edge counts does not fit {n_vertices} vertices")
+            keys.append(key := (n, max(skeleton(counts), skeleton(mirror(counts)))))
+            if key not in sums:
+                missing.setdefault(key, counts)
     sums.update(zip(missing, _ordered_sums(list(missing.values()), n)))
-    totals: dict[int, Fraction] = {}  # by alpha power
-    for key, (counts, coeff) in zip(keys, graphs.items()):
-        value = sums[key]
-        edges = sum(counts)
-        term = Fraction(coeff.numerator * value.numerator, coeff.denominator * value.denominator << edges)
-        power = -edges - n
-        totals[power] = totals.get(power, 0) + term
-    return ScalarSeries.from_terms(ScalarTerm(c, power) for power, c in totals.items())
+    series, keys = [], iter(keys)
+    for graphs in grades:
+        terms: dict[int, list[tuple[int, int]]] = {}  # by alpha power: (numerator, denominator)
+        for (counts, coeff), key in zip(graphs.items(), keys):
+            value, edges = sums[key], sum(counts)
+            term = (coeff.numerator * value.numerator, coeff.denominator * value.denominator << edges)
+            terms.setdefault(-edges - n, []).append(term)
+        totals = []
+        for power, fractions in terms.items():
+            lcm = math.lcm(*(d for _, d in fractions))
+            totals.append(ScalarTerm(Fraction(sum(c * (lcm // d) for c, d in fractions), lcm), power))
+        series.append(ScalarSeries.from_terms(totals))
+    return series

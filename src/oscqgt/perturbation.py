@@ -20,8 +20,9 @@ share the walk at their largest degrees (K_a, K_b): a graph of (k_a, k_b) is
 a class with p_a = (K_a - k_a)/2 loops at tau1 and p_b at tau2 removed.  A
 loop links no times and enters no rank, so the class, form and |Aut| carry
 over; l loops at tau1 scale the multiplicity by k_a!/K_a! * 2^p_a * l!/(l - p_a)!
-(likewise at tau2).  Diagrams are stored per coupling order as {edge counts:
-exact coefficient}, keyed by `EdgeCounts` over s_1..s_m, tau1 and tau2.
+(likewise at tau2).  A class that also stands for its tau1 <-> tau2 mirror
+adds the mirror's weight, for integration, or its canonical graph, for a
+reader.  A grade is {edge counts: exact coefficient}, keyed by `EdgeCounts`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from math import factorial, perm, prod
 from typing import Iterable
 
 from .scalar_algebra import Frozen
-from .wick import EdgeCounts, connected_classes
+from .wick import EdgeCounts, connected_classes, mirror_form
 
 __all__ = ["PolynomialPotential", "NoGroundState", "hamiltonian_derivative", "connected_grades"]
-
-# coupling-graded diagram sum: order -> {edge counts: coefficient}
-GradedSum = dict[int, dict[EdgeCounts, Fraction]]
 
 
 class PolynomialPotential(Frozen):
@@ -114,12 +112,14 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
 
 
 def connected_grades(
-    pairs: Iterable[tuple[int, int]], m: int, potential: PolynomialPotential
+    pairs: Iterable[tuple[int, int]], m: int, potential: PolynomialPotential, expand: bool = True
 ) -> dict[tuple[int, int], dict[EdgeCounts, Fraction]]:
     """Grade m of the connected integrand of <q^k_a(tau1) q^k_b(tau2)>_int
     for each (k_a, k_b) in `pairs`, as {(k_a, k_b): {edge counts: coefficient}}:
     one graph per class, weighted by (-1)^m * prod c_deg * multiplicity / |Aut|.
-    The coefficients of dH/da and dH/db are not included here."""
+    The coefficients of dH/da and dH/db are not included here.  With
+    `expand`, a `paired` class's mirror is its own graph, in canonical form;
+    without, its weight joins the class's graph, which integrates alike."""
     coefficients, groups = dict(potential.coefficients), {}
     grades: dict[tuple[int, int], dict[EdgeCounts, Fraction]] = {pair: {} for pair in pairs}
     for k_a, k_b in grades:
@@ -132,15 +132,22 @@ def connected_grades(
                 continue
             weight = prod(map(coefficients.get, degrees), start=Fraction((-1) ** m))
             classes = connected_classes(degrees, top_a, top_b)
+            if expand:  # each mirror as a class of its own
+                mirrors = {mirror_form(counts, m): (*kept[:2], False) for counts, kept in classes.items() if kept[2]}
+                classes = {counts: (*kept[:2], False) for counts, kept in classes.items()} | mirrors
             for k_a, k_b in group:
                 p_a, p_b, grade = (top_a - k_a) // 2, (top_b - k_b) // 2, grades[k_a, k_b]
                 scale = weight * Fraction(factorial(k_a) * factorial(k_b) << p_a + p_b, top)
-                for counts, (multiplicity, automorphisms) in classes.items():
-                    if p_a or p_b:
-                        loops_a, loops_b = counts[-3], counts[-1]  # the (tau1, tau1) and (tau2, tau2) edges
-                        if loops_a < p_a or loops_b < p_b:
+                for counts, (multiplicity, automorphisms, paired) in classes.items():
+                    ways, mirror = 1, paired
+                    if p_a or p_b:  # the (k_a, k_b) graph has p_a and p_b fewer loops at tau1 and tau2
+                        loops_a, loops_b = counts[-3], counts[-1]
+                        ways = perm(loops_a, p_a) * perm(loops_b, p_b)
+                        mirror = paired and perm(loops_b, p_a) * perm(loops_a, p_b)
+                        if not ways + mirror:
                             continue
-                        counts = (*counts[:-3], loops_a - p_a, counts[-2], loops_b - p_b)
-                        multiplicity *= perm(loops_a, p_a) * perm(loops_b, p_b)
+                        q_a, q_b = (p_a, p_b) if ways else (p_b, p_a)  # else the mirror's graph, relabelled
+                        counts = (*counts[:-3], loops_a - q_a, counts[-2], loops_b - q_b)
+                    multiplicity *= ways + mirror
                     grade[counts] = Fraction(scale.numerator * multiplicity, scale.denominator * automorphisms)
     return grades

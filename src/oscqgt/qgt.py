@@ -6,8 +6,9 @@ c_a * c_b, expanded in the coupling.  A model is data: a potential V and
 the coupling, lambda or the source J of V = q, whose series ends at a finite
 order and is summed exactly.
 Every deformation here is real, so G_ab = G_ba: the tensor is its own metric
-and the Berry curvature vanishes.  For the two-parameter models the truncated
-metric determinant yields the coupling at which the metric degenerates.
+and the Berry curvature vanishes.  `assemble` integrates each grade of every
+component as soon as it is walked.  For the two-parameter models the
+truncated metric determinant yields the coupling at which it degenerates.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .integrator import wedge_integral
-from .perturbation import GradedSum, PolynomialPotential, connected_grades, hamiltonian_derivative
+from .integrator import wedge_integrals
+from .perturbation import PolynomialPotential, connected_grades, hamiltonian_derivative
 from .scalar_algebra import Frozen, ScalarSeries
 
-__all__ = ["ParameterSpace", "CONVENTION", "integrands", "qgt_component", "assemble", "determinant_and_critical"]
+__all__ = ["ParameterSpace", "CONVENTION", "assemble", "determinant_and_critical"]
 
 # The fidelity expansion kept here is F = 1 - (1/2) G_ab dl^a dl^b + ...;
 # the 1/2 is NOT absorbed into the tensor.  Recorded in all structured output.
@@ -96,54 +97,30 @@ class ParameterSpace(Frozen):
         return pair
 
 
-def integrands(
-    space: ParameterSpace, order: int = 1, pairs: Sequence[tuple[str, str]] | None = None
-) -> dict[tuple[str, str], GradedSum]:
-    """The connected integrand of G_ab for each pair (a, b), by default every
-    unordered pair: {edge counts: coefficient} per vertex count m, up to the
-    coupling truncation `order`, or to k_a + k_b - 2 for a coupling summed
-    exactly (`ParameterSpace.exact`), each grade built for all pairs at once.
-    The coupling power m and the coefficients of dH/da and dH/db are not
-    included."""
-    pairs = pairs or list(itertools.combinations_with_replacement(space.labels, 2))
-    degrees = {(a, b): (space.derivative(a)[0], space.derivative(b)[0]) for a, b in pairs}
-    top = {ks: sum(ks) - 2 if space.exact else order for ks in degrees.values()}
-    orders = range(max(top.values()) + 1)
-    grades = [connected_grades([ks for ks in top if top[ks] >= m], m, space.potential) for m in orders]
-    return {pair: {m: grade[ks] for m, grade in enumerate(grades) if ks in grade} for pair, ks in degrees.items()}
-
-
-def qgt_component(
-    space: ParameterSpace, a: str, b: str, order: int = 1,
-    sums: dict | None = None, graded: GradedSum | None = None,
-) -> ScalarSeries:
-    """One tensor component as an exact series in (alpha, coupling).
-
-    `order` is the coupling truncation, unless the coupling is summed exactly
-    (`ParameterSpace.exact`: the expansion in J terminates).  `sums` is
-    `wedge_integral`'s memo of ordered sums, and `graded` the component's
-    integrand (`integrands`) when already built.
-    """
-    if graded is None:
-        graded = integrands(space, order, [(a, b)])[(a, b)]
-    terms = (wedge_integral(grade, m, sums) * space.power(m) for m, grade in graded.items())
-    return sum(terms, ScalarSeries.zero()) * (space.derivative(a)[1] * space.derivative(b)[1])
-
-
-def assemble(
-    space: ParameterSpace, order: int = 1, built: Mapping | None = None, sums: dict | None = None
-) -> dict[tuple[str, str], ScalarSeries]:
-    """Every component G_ab of the tensor, keyed (a, b).
+def assemble(space: ParameterSpace, order: int = 1, show=None) -> dict[tuple[str, str], ScalarSeries]:
+    """Every component G_ab of the tensor as an exact series in (alpha,
+    coupling), keyed (a, b), with the coupling truncated at `order` unless it
+    is summed exactly (`ParameterSpace.exact`).
 
     Each unordered pair is computed once and stored under both orders: the
-    real correlators in scope are symmetric in the two operators.  The pairs
-    share one walk per grade and their ordered sums (their graphs differ
-    mostly in self-loops); a caller passes in `integrands` or sums it built.
+    real correlators in scope are symmetric.  Grade by grade, the pairs share
+    one walk and one pass of ordered sums, and the grade is dropped once
+    integrated.  `show(k_a, k_b, m, grade, sums)`, if given, sees each grade
+    after it, mirror classes expanded, with the memo of ordered sums.
     """
-    components, sums = {}, {} if sums is None else sums
-    built = built or integrands(space, order)
-    for a, b in itertools.combinations_with_replacement(space.labels, 2):
-        components[(a, b)] = components[(b, a)] = qgt_component(space, a, b, order, sums, built[(a, b)])
+    pairs = itertools.combinations_with_replacement(space.labels, 2)
+    degrees = {(a, b): (space.derivative(a)[0], space.derivative(b)[0]) for a, b in pairs}
+    top = {ks: sum(ks) - 2 if space.exact else order for ks in degrees.values()}
+    totals, sums = dict.fromkeys(top, ScalarSeries.zero()), {}
+    for m in range(max(top.values()) + 1):
+        grades = connected_grades([ks for ks in top if top[ks] >= m], m, space.potential, show is not None)
+        for (ks, grade), series in zip(grades.items(), wedge_integrals(list(grades.values()), m, sums)):
+            totals[ks] += series * space.power(m)
+            if show:
+                show(*ks, m, grade, sums)
+    components = {}
+    for (a, b), ks in degrees.items():
+        components[(a, b)] = components[(b, a)] = totals[ks] * (space.derivative(a)[1] * space.derivative(b)[1])
     return components
 
 

@@ -20,10 +20,12 @@ messages), `name_key` sorts diagrams as their named edges sort, and
 file.
 
 The internal vertices s_1..s_m are interchangeable, so `connected_classes`
-walks each class of connected diagrams under their relabelling from the
-labellings in which the vertices' ranks (`_walk_rank`) are sorted, and
+walks each class of connected diagrams under their relabelling from its
+largest labelling with the vertices' ranks (`_walk_rank`) sorted, and
 returns it once, under its canonical form (`_class_form`), with its
-automorphism count |Aut|.
+automorphism count |Aut|.  When tau1 and tau2 have as many legs, it returns
+one class of each pair that swapping them (`mirrored`) maps onto each other,
+flagged; `mirror_form` gives the other.
 
 A constant source J needs no separate treatment: it is the degree-1 vertex
 of the potential V = q.
@@ -91,21 +93,23 @@ def _named_table(size: int) -> tuple[tuple[int, ...], tuple[tuple[str, str], ...
     return tuple(p for _, p in named), pairs, nodes, tuple(f"  {a} -- {b};\n" for a, b in pairs)
 
 
-def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int]]:
+def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int, bool]]:
     """Every class of connected pairings of s_1..s_m, with degrees[i] legs at
     s_{i+1}, tau1 with k_a legs and tau2 with k_b, under relabelling of
-    s_1..s_m, as {canonical edge counts: (multiplicity, |Aut|)} in walk order.
-    The degrees must be nondecreasing.
+    s_1..s_m, as {canonical edge counts: (multiplicity, |Aut|, paired)} in
+    walk order.  The degrees must be nondecreasing.
 
     The walk places the times in order s_1..s_m, tau1, tau2.  It skips every
-    diagram in which a vertex's rank sorts below the previous vertex's, so
-    each class keeps at least its rank-sorted labellings, and it drops a
-    branch as soon as the component of the time just placed has no edge left
-    to a later time: that component can no longer grow, so every diagram
-    below the branch is disconnected.  A diagram whose ranks all differ is
-    the only sorted labelling of its class, and its own canonical form with
-    |Aut| = 1; one with tied ranks is put in the form of `_class_form`, on
-    which all its tied labellings land.
+    diagram in which a vertex's rank sorts below the previous vertex's, or
+    ties it and swapping the two makes rows 0..i larger, so the largest
+    rank-sorted labelling of each class stays.  It drops a branch as soon as
+    the component of the time just placed has no edge left to a later time:
+    every diagram below it is disconnected.  A diagram whose ranks all differ
+    is its own canonical form, with |Aut| = 1; one with tied ranks is put in
+    the form of `_class_form`, on which all its tied labellings land.  When
+    k_a = k_b, the tau1 <-> tau2 mirror maps a class onto one with the same
+    multiplicity and |Aut|, and of two such classes only the one with the
+    smaller sorted ranks, or on a tie the smaller form, is walked, `paired`.
     """
     legs = (*degrees, k_a, k_b)
     k = len(legs)
@@ -113,16 +117,17 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
     fact = [factorial(i) for i in range(max(legs) + 1)]
     total = prod(fact[c] for c in legs)
     links = [[0] * k for _ in range(k)]
-    found: dict[EdgeCounts, tuple[int, int]] = {}
+    ranks = [None] * m
+    found: dict[EdgeCounts, tuple[int, int, bool]] = {}
 
     # assign node i's remaining legs rest[0] to self-loops and edges toward
     # the nodes after it, which have rest[1:] legs left; `upper` holds the
     # earlier nodes' edge counts, and the denominator of the multiplicity
     # grows with them.  Node i's edges to earlier nodes are copied into its
     # row of `links` on entry, so the row is complete once node i is placed.
-    # `floor` is the previous vertex's rank and `tied` whether two ranks met.
-    # The last node can only close its legs into self-loops.
-    def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, floor, tied: bool):
+    # `tied` is whether two ranks met, `paired` None until the mirror rule
+    # decides.  The last node can only close its legs into self-loops.
+    def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, tied: bool, paired):
         n_i, later, row = rest[0], rest[1:], links[i]
         row[:i] = map(itemgetter(i), links[:i])
         for self_i in range(n_i // 2 if i == last else 0, n_i // 2 + 1):
@@ -132,19 +137,31 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
             row[i] = self_i
             for combo, combo_denom in _compositions(n_i - 2 * self_i, later):
                 row[i + 1 :] = combo
-                r, tie = floor, tied
+                tie, pair = tied, paired
                 if i < m:
-                    r = _walk_rank(m, i, row)
-                    if floor is not None and r < floor:
-                        continue
-                    tie = tied or r == floor
+                    r = ranks[i] = _walk_rank(m, i, row)
+                    if i and r <= ranks[i - 1]:
+                        prev = links[i - 1]
+                        if r < ranks[i - 1] or row[: i - 1] + row[i + 1 :] > prev[: i - 1] + prev[i + 1 :]:
+                            continue  # out of order, or a swap with s_{i-1} makes rows 0..i larger
+                        tie = True
+                    if pair is None and (r[0], r[2], r[1], *r[3:]) < ranks[0]:
+                        continue  # the mirror's first rank is smaller: it is the one walked
+                    if i == m - 1 and pair is None:
+                        flipped = sorted((d, b, a, *tail) for d, a, b, *tail in ranks)
+                        if flipped < ranks:
+                            continue
+                        pair = True if ranks < flipped else None
                 if i < last:
-                    walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, r, tie)
-                elif not tie:
-                    found[head] = (total // head_denom, 1)
-                else:
-                    form, automorphisms = _class_form(head, m)
-                    found.setdefault(form, (total // head_denom, automorphisms))
+                    walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, tie, pair)
+                    continue
+                form, automorphisms = _class_form(head, m) if tie else (head, 1)
+                if pair is None and form not in found:
+                    twin = mirror_form(head, m)
+                    if twin < form:
+                        continue
+                    pair = twin != form
+                found.setdefault(form, (total // head_denom, automorphisms, pair))
 
     # whether node i's component among nodes 0..i has no edge to a later node
     # when node i itself sends none; the earlier nodes' rows are complete
@@ -161,8 +178,21 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
                     stack.append(other)
         return True
 
-    walk(0, legs, (), 1, None, False)
+    walk(0, legs, (), 1, False, None if k_a == k_b else False)
     return found
+
+
+def mirror_form(counts: EdgeCounts, m: int) -> EdgeCounts:
+    """The canonical form of the tau1 <-> tau2 mirror of a connected diagram over s_1..s_m."""
+    return _class_form(mirrored(m + 2)(counts), m)[0]
+
+
+@lru_cache(maxsize=None)  # one permutation per time count
+def mirrored(n: int) -> itemgetter:
+    """Maps edge counts over n times to those with tau1 and tau2 swapped."""
+    pairs, position = edge_layout(n)
+    swap = [*range(n - 2), n - 1, n - 2]
+    return itemgetter(*(position[swap[i]][swap[j]] for i, j in pairs))
 
 
 @lru_cache(maxsize=None)  # every walk asks for the same few (total, caps)

@@ -47,15 +47,17 @@ import numpy as np
 from scipy import integrate, linalg
 
 from oscqgt import spectral_oracle
-from oscqgt.integrator import DivergentIntegral, cut_sizes
+from oscqgt.integrator import DivergentIntegral, cut_sizes, wedge_integrals
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.perturbation import GradedSum, PolynomialPotential, _require_ground_state, connected_grades
+from oscqgt.perturbation import PolynomialPotential, _require_ground_state, connected_grades
 from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, connected_classes, edge_names
+from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_layout, edge_names
 
 # edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
 Edges = tuple[tuple[str, str], ...]
+# coupling-graded diagram sum: order -> {edge counts: coefficient}
+GradedSum = dict[int, dict[EdgeCounts, Fraction]]
 
 
 def potential_from_dict(coeffs: Mapping[int, Fraction]) -> PolynomialPotential:
@@ -628,12 +630,77 @@ def labelled_connected_integrand(k_a: int, k_b: int, order: int, potential):
 # -- per-pair connected integrand and one-graph ordered sums --------------------
 
 
+def full_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int]]:
+    """Every class of connected pairings of vertices of the given degrees,
+    tau1 with k_a legs and tau2 with k_b, as {canonical edge counts:
+    (multiplicity, |Aut|)} in order of first appearance: the generic walk,
+    ranked and cut to connected graphs, with each tied graph put in its class
+    form, every labelling and both classes of each tau1 <-> tau2 mirror pair
+    kept."""
+    m, classes = len(degrees), {}
+    for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], walk_rank(m), True):
+        counts, automorphisms = _class_form(counts, m) if tied else (counts, 1)
+        classes.setdefault(counts, (multiplicity, automorphisms))
+    return classes
+
+
+def relabelled(counts: EdgeCounts, label: Sequence[int]) -> EdgeCounts:
+    """The edge counts of a diagram with time i renamed label[i]."""
+    pairs, position = edge_layout(len(label))
+    out = [0] * len(counts)
+    for (i, j), c in zip(pairs, counts):
+        out[position[label[i]][label[j]]] += c
+    return tuple(out)
+
+
+def tau_mirror(counts: EdgeCounts, m: int) -> EdgeCounts:
+    """The diagram over s_1..s_m, tau1 and tau2 with tau1 and tau2 swapped."""
+    return relabelled(counts, [*range(m), m + 1, m])
+
+
+def vertex_ranks(counts: EdgeCounts, m: int) -> list:
+    """The ranks (`wick._walk_rank`) of s_1..s_m, in order."""
+    position = edge_layout(m + 2)[1]
+    return [_walk_rank(m, i, [counts[p] for p in position[i]]) for i in range(m)]
+
+
+def walked_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts, tuple[int, int, bool]]:
+    """`wick.connected_classes` by the generic walk: of its ranked connected
+    labellings, drop each in which swapping a vertex s_i with a rank-tied
+    s_{i-1} makes the counts of rows 0..i larger, and, when k_a = k_b, each
+    whose class has a mirror with smaller sorted ranks, or equal ranks and a
+    smaller form; then {form: (multiplicity, |Aut|, paired)} in order of
+    first appearance, paired when the mirror is another class."""
+    m, n = len(degrees), len(degrees) + 2
+    classes = {}
+    for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], walk_rank(m), True):
+        ranks = vertex_ranks(counts, m)  # sorted: the walk is ranked
+        rows = [(i + 1) * n - i * (i + 1) // 2 for i in range(m)]  # the counts of rows 0..i
+        swapped = [
+            relabelled(counts, [*range(i - 1), i, i - 1, *range(i + 1, n)])[: rows[i]] > counts[: rows[i]]
+            for i in range(1, m)
+            if ranks[i] == ranks[i - 1]
+        ]
+        if any(swapped):
+            continue
+        form, automorphisms = _class_form(counts, m) if tied else (counts, 1)
+        paired = False
+        if k_a == k_b:
+            mirror = tau_mirror(counts, m)
+            twin = _class_form(mirror, m)[0]
+            if (sorted(vertex_ranks(mirror, m)), twin) < (ranks, form):
+                continue
+            paired = twin != form
+        classes.setdefault(form, (multiplicity, automorphisms, paired))
+    return classes
+
+
 def connected_grade(k_a: int, k_b: int, m: int, potential: PolynomialPotential) -> dict[EdgeCounts, Fraction]:
     """Grade m of one pair's connected integrand, walked on its own:
-    {edge counts: coefficient}, the classes of `wick.connected_classes` at
-    (k_a, k_b) for each multiset of vertex degrees, weighted by
+    {edge counts: coefficient}, the classes of `full_classes` at (k_a, k_b)
+    for each multiset of vertex degrees, weighted by
     (-1)^m * prod c_deg * multiplicity / |Aut|.  The reference for the
-    shared walk of `perturbation.connected_grades`."""
+    shared, mirror-halved walk of `perturbation.connected_grades`."""
     coefficients = dict(potential.coefficients)
     grade: dict[EdgeCounts, Fraction] = {}
     for degrees in itertools.combinations_with_replacement(sorted(coefficients), m):
@@ -642,9 +709,27 @@ def connected_grade(k_a: int, k_b: int, m: int, potential: PolynomialPotential) 
         weight = Fraction((-1) ** m)
         for d in degrees:
             weight *= coefficients[d]
-        for counts, (multiplicity, automorphisms) in connected_classes(degrees, k_a, k_b).items():
+        for counts, (multiplicity, automorphisms) in full_classes(degrees, k_a, k_b).items():
             grade[counts] = Fraction(weight.numerator * multiplicity, weight.denominator * automorphisms)
     return grade
+
+
+def wedge_integral(graphs: Mapping[EdgeCounts, Fraction], n_vertices: int = 0, sums: dict | None = None):
+    """`integrator.wedge_integrals` of one grade, by default with a memo of its own."""
+    return wedge_integrals([graphs], n_vertices, {} if sums is None else sums)[0]
+
+
+def qgt_component(space, a: str, b: str, order: int = 1) -> ScalarSeries:
+    """One tensor component on its own: each grade of `connected_grade` up
+    to the coupling truncation `order` (to k_a + k_b - 2 for a coupling
+    summed exactly), integrated by `wedge_integral` with a memo of its own,
+    times coupling^m and c_a * c_b.  The reference for `qgt.assemble`, whose
+    pairs share one walk and one mirror-keyed memo per grade."""
+    (k_a, c_a), (k_b, c_b) = space.derivative(a), space.derivative(b)
+    series = ScalarSeries.zero()
+    for m in range(k_a + k_b - 1 if space.exact else order + 1):
+        series = series + wedge_integral(connected_grade(k_a, k_b, m, space.potential), m) * space.power(m)
+    return series * (c_a * c_b)
 
 
 def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:

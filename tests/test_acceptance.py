@@ -23,16 +23,17 @@ from oracles import (
     has_vacuum_component,
     moment,
     named,
+    qgt_component,
     time_names,
+    wedge_integral,
 )
-from oscqgt.integrator import DivergentIntegral, wedge_integral
+from oscqgt.integrator import DivergentIntegral
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import (
     ParameterSpace,
     assemble,
     determinant_and_critical,
-    qgt_component,
 )
 from oscqgt.scalar_algebra import ScalarSeries
 from oscqgt.spectral_oracle import OracleConfig, numeric_qim

@@ -15,7 +15,7 @@ import pytest
 
 import oscqgt
 import oscqgt.qgt
-from oracles import parse_series
+from oracles import connected_grade, parse_series
 from oscqgt import cli
 from oscqgt.scalar_algebra import ScalarSeries
 
@@ -113,11 +113,11 @@ class TestCompute:
             code, out, err = run(["--verbose"] + argv, capsys)
             assert code == 0
             assert out == plain
-            n_products = sum(
-                len(products)
-                for a, b in itertools.combinations_with_replacement(space.labels, 2)
-                for products in oscqgt.qgt.integrands(space, 1)[(a, b)].values()
-            )
+            n_products = 0
+            for a, b in itertools.combinations_with_replacement(space.labels, 2):
+                (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
+                for m in range(k_a + k_b - 1 if space.exact else 2):
+                    n_products += len(connected_grade(k_a, k_b, m, space.potential))
             lines = [line for line in err.splitlines() if not line.startswith("# integrand")]
             assert len(lines) == n_products
             for line in lines:
@@ -141,28 +141,47 @@ class TestCompute:
         assert hashlib.sha256(err.encode()).hexdigest() == digest
 
     def test_verbose_integrates_each_skeleton_once(self, capsys, monkeypatch):
-        # the dump and the record share one build of the integrands and one
-        # memo of ordered sums: 1,784 distinct skeletons at quartic order 4
+        # one memo of ordered sums, keyed by skeleton up to the tau1 <-> tau2
+        # mirror, serves every pair and grade, and the dump reads it: at
+        # quartic order 4 the record sums 1,030 skeletons, and with --verbose,
+        # which integrates each mirror class as its own canonical graph, 1,572
         from oscqgt import integrator
 
         calls = []
         real = integrator._ordered_sums
 
         def counted(batch, n):
-            calls.extend(batch)  # one entry per skeleton summed
+            calls.extend((n, counts) for counts in batch)  # one entry per skeleton summed
             return real(batch, n)
 
         monkeypatch.setattr(integrator, "_ordered_sums", counted)
         monkeypatch.setenv(cli.MAX_ORDER_ENV, "4")
         argv = ["compute", "--model", "quartic", "--order", "4"]
         _, plain, _ = run(argv, capsys)
-        assert len(calls) == 1784
+        assert len(calls) == 1030
         calls.clear()
         code, out, err = run(["--verbose"] + argv, capsys)
         assert code == 0
         assert out == plain
         assert err.startswith("# integrand g(alpha,alpha)\n")
-        assert len(calls) == 1784
+        assert len(calls) == 1572
+        skeleton = {n: integrator._skeleton(n) for n, _ in calls}
+        assert len({(n, skeleton[n](counts)) for n, counts in calls}) == 1572
+
+    def test_work_counts_at_quartic_order_five(self, capsys, monkeypatch):
+        # a lost prune of the walk or a lost share of the memo moves these:
+        # 6,019 ordered sums and 4,464 class-form searches (11,081 and 10,204
+        # before the swap rule, the mirror-halved walk and the mirror key)
+        from oscqgt import integrator, wick
+
+        sums, forms = [], []
+        real_sums, real_form = integrator._ordered_sums, wick._class_form
+        monkeypatch.setattr(integrator, "_ordered_sums", lambda batch, n: sums.extend(batch) or real_sums(batch, n))
+        monkeypatch.setattr(wick, "_class_form", lambda counts, m: forms.append(m) or real_form(counts, m))
+        monkeypatch.setenv(cli.MAX_ORDER_ENV, "5")
+        code, _, _ = run(["compute", "--model", "quartic", "--order", "5"], capsys)
+        assert code == 0
+        assert (len(sums), len(forms)) == (6019, 4464)
 
     def test_odd_k_series_is_flagged_formal(self, capsys):
         code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)
@@ -454,6 +473,8 @@ class TestExitCodes:
             (["--model", "monomial:3", "--alpha", "1", "--j", "-2"],
              "the monomial:3 model has no parameter j"),
             (["--model", "linear", "--lambda", "0.3"], "the linear model has no parameter lambda"),
+            # named canonically, as sweep's model column names it
+            (["--model", "monomial:06", "--alpha", "1", "--j", "1"], "the monomial:6 model has no parameter j"),
         ],
     )
     def test_compute_rejects_a_parameter_the_model_lacks(self, argv, message, capsys):
@@ -760,15 +781,15 @@ class TestVerify:
         assert grids == [6, 7]  # linear, then quartic
 
     def test_broken_prefactor_fails_naming_the_component(self, capsys, monkeypatch):
-        real = oscqgt.qgt.qgt_component
+        real = oscqgt.qgt.assemble
 
-        def broken(space, a, b, *args, **kwargs):
-            series = real(space, a, b, *args, **kwargs)
-            if (a, b) == ("j", "j"):
-                return series * 2  # injected prefactor fault
-            return series
+        def broken(*args, **kwargs):
+            components = real(*args, **kwargs)
+            if ("j", "j") in components:
+                components["j", "j"] = components["j", "j"] * 2  # injected prefactor fault
+            return components
 
-        monkeypatch.setattr(oscqgt.qgt, "qgt_component", broken)
+        monkeypatch.setattr(oscqgt.qgt, "assemble", broken)
         code, out, _ = run(["verify", "linear"], capsys)
         assert code == cli.EXIT_VERIFY_FAILED
         failing = [l for l in out.splitlines() if l.startswith("FAIL")]

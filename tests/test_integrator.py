@@ -15,9 +15,10 @@ from oracles import (
     quad_separation,
     quad_wedge,
     time_names,
+    wedge_integral,
 )
 from oscqgt import integrator
-from oscqgt.integrator import DivergentIntegral, wedge_integral
+from oscqgt.integrator import DivergentIntegral
 from oscqgt.integrator import cut_sizes as counted_cut_sizes
 from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import ScalarSeries

@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 import oracles
-from oracles import QuadratureFailure, ShiftedGaussianState, overlap_derivative_checks
+from oracles import QuadratureFailure, ShiftedGaussianState, overlap_derivative_checks, qgt_component
 from oscqgt.linear_exact import exact_linear_qgt
-from oscqgt.qgt import ParameterSpace, qgt_component
+from oscqgt.qgt import ParameterSpace
 from oscqgt.scalar_algebra import NonPositiveAlpha
 
 

@@ -19,6 +19,7 @@ from oracles import (
     connected_pair_correlator,
     counts_of,
     enumerate_pairings,
+    full_classes,
     has_vacuum_component,
     integrand_term_lines,
     interacting_green,
@@ -27,17 +28,19 @@ from oracles import (
     linked_class,
     named,
     potential_from_dict,
+    qgt_component,
     ratio_connected_integrand,
+    tau_mirror,
     time_names,
     to_oracle_form,
-    walk_pairings,
     walk_rank,
+    walked_classes,
+    wedge_integral,
 )
-from oscqgt.integrator import wedge_integral
 from oscqgt.perturbation import PolynomialPotential, connected_grades, hamiltonian_derivative
-from oscqgt.qgt import ParameterSpace, assemble, integrands, qgt_component
+from oscqgt.qgt import ParameterSpace, assemble
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import _class_form, connected_classes
+from oscqgt.wick import _class_form, connected_classes, mirror_form
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
@@ -360,17 +363,13 @@ class TestPrunedWalk:
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
     def test_classes_equal_the_generic_walk(self, case):
         # the library's walk is the generic one, ranked, cut to connected
-        # graphs, with each tied graph put in its class form: class for
-        # class, in order of first appearance
+        # graphs, cut by the same swap and mirror rules, with each tied graph
+        # put in its class form: class for class, in order of first appearance
         k_a, k_b, m, potential = PRUNING_CASES[case]
         for points in _walk_points(k_a, k_b, m, potential):
             degrees = [points[f"s{i}"] for i in range(1, m + 1)]
-            reference = {}
-            for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], walk_rank(m), True):
-                counts, automorphisms = _class_form(counts, m) if tied else (counts, 1)
-                reference.setdefault(counts, (multiplicity, automorphisms))
             got = connected_classes(degrees, k_a, k_b)
-            assert list(got.items()) == list(reference.items())
+            assert list(got.items()) == list(walked_classes(degrees, k_a, k_b).items())
 
     @pytest.mark.parametrize("ranked", [False, True], ids=["unranked", "ranked"])
     @pytest.mark.parametrize("case", sorted(PRUNING_CASES))
@@ -429,17 +428,21 @@ class TestSharedWalk:
     @pytest.mark.parametrize("swapped", [False, True], ids=["alpha-first", "lambda-first"])
     @pytest.mark.parametrize("model,order", SHARED_WALK_CASES)
     def test_grades_equal_the_per_pair_walk(self, model, order, swapped):
+        # without `expand`, a mirror's weight joins its class's graph, which
+        # must integrate to the same series
         space = ParameterSpace.parse(model)
         labels = space.labels[::-1] if swapped else space.labels
-        pairs = list(itertools.combinations_with_replacement(labels, 2))
-        built = integrands(space, order, pairs)
-        assert list(built) == pairs
-        for a, b in pairs:
-            (k_a, _), (k_b, _) = space.derivative(a), space.derivative(b)
-            top = k_a + k_b - 2 if order is None else order
-            assert list(built[a, b]) == list(range(top + 1))
-            for m, grade in built[a, b].items():
-                assert grade == connected_grade(k_a, k_b, m, space.potential), (a, b, m)
+        ks = [space.derivative(label)[0] for label in labels]
+        pairs = list(itertools.combinations_with_replacement(ks, 2))
+        top = {ks: sum(ks) - 2 if order is None else order for ks in pairs}
+        for m in range(max(top.values()) + 1):
+            kept = [ks for ks in pairs if top[ks] >= m]
+            grades = connected_grades(kept, m, space.potential)
+            merged = connected_grades(kept, m, space.potential, expand=False)
+            assert list(grades) == list(merged) == kept
+            for ks in kept:
+                assert grades[ks] == connected_grade(*ks, m, space.potential), (ks, m)
+                assert wedge_integral(merged[ks], m) == wedge_integral(grades[ks], m), (ks, m)
 
     @pytest.mark.parametrize("model,m", [("quartic", 3), ("monomial:3", 2), ("monomial:6", 2)])
     def test_every_ordered_pair_at_once(self, model, m):
@@ -467,8 +470,64 @@ class TestSharedWalk:
             return real(degrees, k_a, k_b)
 
         monkeypatch.setattr(perturbation, "connected_classes", counted)
-        integrands(ParameterSpace.quartic(), 3)
+        assemble(ParameterSpace.quartic(), 3)
         assert walked == [(4, 4)] * 4
         walked.clear()
-        integrands(ParameterSpace.parse("monomial:3"), 1)
+        assemble(ParameterSpace.parse("monomial:3"), 1)
         assert sorted(set(walked)) == [(2, 2), (2, 3), (3, 3)]
+
+
+def _mirror_walks(model, order):
+    """The walks with k_a = k_b at grade `order` (every grade when None) of
+    the model's pairs (k, k), as (vertex degrees, k)."""
+    space = ParameterSpace.parse(model)
+    degrees = sorted(d for d, _ in space.potential.coefficients)
+    for k in sorted({space.derivative(label)[0] for label in space.labels}):
+        for m in range(2 * k - 1) if order is None else [order]:
+            combos = itertools.combinations_with_replacement(degrees, m)
+            yield from ((combo, k) for combo in combos if sum(combo) % 2 == 0)
+
+
+MIRROR_CASES = [case for case in SHARED_WALK_CASES if any(_mirror_walks(*case))]
+# (vertex degrees, k_a = k_b, classes, mirror pairs): G_lambda,lambda of quartic at
+# m = 3 and 4 and of monomial:6 at m = 2 and 3
+MIRROR_COUNTS = [
+    ((4, 4, 4), 4, 249, 100), ((4, 4, 4, 4), 4, 1479, 638), ((6, 6), 6, 287, 110), ((6, 6, 6), 6, 3860, 1765)
+]
+
+
+class TestMirrorHalvedWalk:
+    # when k_a = k_b the walk returns one class of each tau1 <-> tau2 mirror
+    # pair, flagged paired; with each mirror added back it is the full walk
+    @pytest.mark.parametrize("model,order", MIRROR_CASES)
+    def test_expanded_classes_equal_the_full_walk(self, model, order):
+        # class for class, with multiplicity and |Aut|
+        for degrees, k in _mirror_walks(model, order):
+            m, walked, expanded = len(degrees), connected_classes(degrees, k, k), {}
+            for counts, (multiplicity, automorphisms, paired) in walked.items():
+                twin = _class_form(tau_mirror(counts, m), m)[0]
+                assert (twin != counts) == paired and twin == mirror_form(counts, m)
+                assert twin == counts or twin not in walked
+                expanded[counts] = expanded[twin] = (multiplicity, automorphisms)
+            assert expanded == full_classes(degrees, k, k), (degrees, k)
+
+    @pytest.mark.parametrize("degrees,k,classes,pairs", MIRROR_COUNTS)
+    def test_half_of_each_mirror_pair_is_walked(self, degrees, k, classes, pairs):
+        walked = connected_classes(degrees, k, k)
+        assert len(walked) == classes - pairs
+        assert sum(paired for *_, paired in walked.values()) == pairs
+        assert len(full_classes(degrees, k, k)) == classes
+
+    @pytest.mark.parametrize("model,order", [("quartic", 3), ("monomial:6", 2), ("monomial:3", 2), ("linear", 1)])
+    def test_assemble_equals_each_graph_with_a_fresh_memo(self, model, order):
+        # the shared walk, mirror-keyed memo and per-grade pass against each
+        # graph of each pair's full walk, integrated on its own
+        space = ParameterSpace.parse(model)
+        got = assemble(space, order)
+        for a, b in itertools.combinations_with_replacement(space.labels, 2):
+            (k_a, c_a), (k_b, c_b) = space.derivative(a), space.derivative(b)
+            want = ScalarSeries.zero()
+            for m in range(k_a + k_b - 1 if space.exact else order + 1):
+                for counts, coeff in connected_grade(k_a, k_b, m, space.potential).items():
+                    want = want + wedge_integral({counts: coeff}, m) * space.power(m)
+            assert got[a, b] == got[b, a] == want * (c_a * c_b), (a, b)

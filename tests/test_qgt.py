@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import qgt_component
 from oscqgt.integrator import DivergentIntegral
 from oscqgt.perturbation import PolynomialPotential
 from oscqgt.qgt import (
     ParameterSpace,
     assemble,
     determinant_and_critical,
-    qgt_component,
 )
 from oscqgt.scalar_algebra import NonPositiveAlpha, ScalarSeries
 

@@ -151,7 +151,8 @@ def test_eval_is_multiplicative(a, b, alpha):
 def test_eval_multiplicative_within_four_ulps_on_component_series():
     # the component series are well conditioned: products evaluate to within
     # a few ulps of the factored evaluation
-    from oscqgt.qgt import ParameterSpace, qgt_component
+    from oracles import qgt_component
+    from oscqgt.qgt import ParameterSpace
 
     quartic = ParameterSpace.quartic()
     linear = ParameterSpace.parse("linear")

@@ -15,11 +15,12 @@ from oracles import (
     ground_state,
     pinned_band,
     potential_from_dict,
+    qgt_component,
     sum_over_states_qim,
 )
 from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential
-from oscqgt.qgt import ParameterSpace, qgt_component
+from oscqgt.qgt import ParameterSpace
 from oscqgt.spectral_oracle import (
     BasisTooSmall,
     NoConvergence,
