@@ -18,8 +18,8 @@ __all__ = ["ScalarSeries", "ScalarTerm", "NonPositiveAlpha"]
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
-    {"cli", "integrator", "linear_exact", "perturbation", "qgt", "scalar_algebra",
-     "spectral_oracle", "wick"}
+    {"cli", "crosscheck", "integrator", "linear_exact", "perturbation", "qgt",
+     "scalar_algebra", "spectral_oracle", "wick"}
 )
 
 

@@ -6,8 +6,10 @@ failure, 2 invalid configuration (a bad argument, an unwritable `--out`, or
 an unwritable stdout, reported in one line), 3 divergent integral, 4 oracle
 failure (basis too small or no eigensolver convergence).
 
-`compute` and `diagrams` run the exact symbolic route only; numpy and the
-oracles are imported inside the `verify` and `sweep` code that uses them.
+`compute` and `diagrams` run the exact symbolic route only.  The series
+versus oracle code (`oscqgt.crosscheck`), and with it numpy and the oracles,
+is imported inside the `verify` and `sweep` commands that use it.  The JSON
+record's schema is kept with the tests that validate it.
 
 `run` is the process entry point: once `main` has returned, the atexit
 handlers have run and the output is flushed, it ends the process with
@@ -36,7 +38,7 @@ from .perturbation import NoGroundState, _require_ground_state, connected_grades
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
 from .wick import connected_dot, edge_names, name_key
 
-__all__ = ["main", "run", "RECORD_SCHEMA", "run_verification"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,80 +53,6 @@ MAX_ORDER_ENV = "QGT_MAX_ORDER"
 # also loses digits, as the solver's tolerances scale with max|band| ~ N^(k/2)
 MIN_BASIS_SIZE, MAX_BASIS_SIZE = 16, 4096
 
-_SERIES_ITEM = {
-    "type": "object",
-    "properties": {
-        "num": {"type": "integer"},
-        "den": {"type": "integer", "minimum": 1},
-        "alpha_half_pow": {"type": "integer"},
-        "lambda_pow": {"type": "integer", "minimum": 0},
-        "j_pow": {"type": "integer", "minimum": 0},
-    },
-    "required": ["num", "den", "alpha_half_pow", "lambda_pow", "j_pow"],
-    "additionalProperties": False,
-}
-
-_SERIES_BLOCK = {
-    "type": "object",
-    "properties": {
-        "series": {"type": "array", "items": _SERIES_ITEM},
-        "text": {"type": "string"},
-        "numeric_value": {"type": ["number", "null"]},
-    },
-    "required": ["series", "text"],
-    "additionalProperties": True,
-}
-
-RECORD_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "model": {"type": "string", "enum": ["linear", "quartic", "monomial"]},
-        "k": {"type": "integer", "minimum": 1},
-        "order": {"type": "integer", "minimum": 0},
-        "labels": {"type": "array", "items": {"type": "string"}},
-        "convention": {
-            "type": "object",
-            "properties": {
-                "fidelity_expansion": {"type": "string"},
-                "half_absorbed_into_tensor": {"type": "boolean"},
-                "truncation_order": {"type": "integer"},
-            },
-            "required": ["fidelity_expansion", "half_absorbed_into_tensor", "truncation_order"],
-        },
-        "parameters": {"type": "object"},
-        "formal": {"type": "string"},
-        "components": {"type": "object", "additionalProperties": _SERIES_BLOCK},
-        "metric": {"type": "object", "additionalProperties": _SERIES_BLOCK},
-        "curvature": {"type": "object", "additionalProperties": _SERIES_BLOCK},
-        "determinant": _SERIES_BLOCK,
-        "critical_coupling": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "allOf": [
-                        _SERIES_BLOCK,
-                        {"properties": {"truncation_order": {"type": "integer"}}},
-                    ]
-                },
-            ]
-        },
-    },
-    "required": [
-        "model",
-        "k",
-        "order",
-        "labels",
-        "convention",
-        "components",
-        "metric",
-        "curvature",
-        "determinant",
-        "critical_coupling",
-    ],
-}
-
-
 def series_records(series: ScalarSeries) -> list[dict]:
     return [
         {
@@ -138,30 +66,33 @@ def series_records(series: ScalarSeries) -> list[dict]:
     ]
 
 
-def _evaluate(series: ScalarSeries, alpha: float, lam: float, j: float) -> float:
-    """The series at a point; a value beyond the float range, or one that
-    underflows to 0, is an invalid configuration."""
-    try:
-        return series.evaluate(alpha, lam, j)
-    except OverflowError:
-        raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
-    except FloatingPointError:
-        raise ValueError(f"the series underflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
-
-
 def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     block = {"series": series_records(series), "text": series.render()}
     if params is not None:
-        block["numeric_value"] = _evaluate(
+        block["numeric_value"] = qgt.evaluate(
             series, params["alpha"], params.get("lambda") or 0.0, params.get("j") or 0.0
         )
     return block
+
+
+def _require_printable(space: qgt.ParameterSpace, series: list[ScalarSeries]) -> None:
+    """Reject a series that Python would refuse to write: one with an integer
+    of more digits than `sys.get_int_max_str_digits()` (0, or a Python
+    without the limit: none)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bound = 10**limit
+    if limit and any(max(abs(t.coeff.numerator), t.coeff.denominator) >= bound for s in series for t in s.terms):
+        raise ValueError(
+            f"the {space.name} series has a coefficient of more than {limit} digits, "
+            f"Python's limit for writing an integer (sys.set_int_max_str_digits)"
+        )
 
 
 def compute_record(space: qgt.ParameterSpace, order: int, params: dict | None, show=None) -> dict:
     """The structured record of `compute`; `show` goes to `qgt.assemble`."""
     components = qgt.assemble(space, order, show)
     det, critical = qgt.determinant_and_critical(components, space.labels, order)
+    _require_printable(space, [*components.values(), det, *([critical] if critical is not None else [])])
     blocks = {f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(components.items())}
     # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
     zero = _series_block(ScalarSeries.zero(), params)
@@ -272,7 +203,9 @@ def cmd_compute(args) -> int:
         for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
             pattern = " ".join(f"D({x},{y})" for x, y in edges)
             [value] = wedge_integrals([{counts: coeff}], m, sums)
-            lines.append(f"  {coeff * power} * {pattern} = {value * power}\n")
+            weight, value = coeff * power, value * power
+            _require_printable(args.space, [weight, value])
+            lines.append(f"  {weight} * {pattern} = {value}\n")
 
     record = compute_record(args.space, args.order, params, show if args.verbose else None)
     for a, b in itertools.combinations_with_replacement(args.space.labels, 2) if args.verbose else ():
@@ -291,111 +224,12 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-# -- series versus oracle -----------------------------------------------------
-
-
-def _compare(space: qgt.ParameterSpace, series: dict, points: list, config=None) -> list[list[tuple]]:
-    """For each point = (alpha, lambda, j) of `points`, (a, b, series value,
-    oracle value, oracle error estimate) for each entry of `series`, in
-    sorted order, from an oracle with basis `config` (its default when None).
-
-    One oracle call solves every point.  A point that fails raises its error
-    only after every earlier point's rows were made, and the oracle's comes
-    first, so a point beyond its float range is named as the oracle's; a
-    series that underflows there too is named before the oracle.
-    """
-    from . import spectral_oracle
-
-    oracles = spectral_oracle.numeric_qim_grid(points, space.potential, config, labels=space.labels)
-    grid = []
-    for point, oracle in zip(points, oracles):
-        where = "alpha={!r}, lambda={!r}, j={!r}".format(*point)
-        if isinstance(oracle, OverflowError):
-            raise ValueError(f"the oracle overflows a float at {where}")
-        if isinstance(oracle, FloatingPointError):
-            for s in series.values():
-                _evaluate(s, *point)
-            raise ValueError(f"the oracle underflows a float at {where}")
-        if isinstance(oracle, Exception):
-            raise oracle
-        rows = []
-        for (a, b), s in sorted(series.items()):
-            report = oracle.convergence_report[(a, b)]
-            err = report["refinement"] + report["basis_doubling"]
-            rows.append((a, b, _evaluate(s, *point), oracle.entry(a, b), err))
-        grid.append(rows)
-    return grid
-
-
 # -- verify -------------------------------------------------------------------
 
 
-def _check(name: str, component: str, delta: float, tol: float) -> dict:
-    return dict(name=name, component=component, delta=delta, tol=tol, passed=delta <= tol)
-
-
-def _linear_checks() -> list[dict]:
-    from . import linear_exact
-
-    checks = []
-    space = qgt.ParameterSpace.parse("linear")
-    series = qgt.assemble(space)
-    points = [(alpha, 0.0, j) for alpha, j in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5))]
-    for (alpha, _, j), rows in zip(points, _compare(space, series, points)):
-        exact = linear_exact.exact_linear_qgt(alpha, j)
-        for a, b, sym, num, _ in rows:
-            closed = exact[(a, b)]
-            tol = 1e-6 * max(1.0, abs(closed))
-            for kind, x, y in (
-                ("series-vs-closed-form", sym, closed),
-                ("oracle-vs-closed-form", num, closed),
-                ("series-vs-oracle", sym, num),
-            ):
-                checks.append(_check(f"linear {kind} alpha={alpha} j={j}", f"g({a},{b})", abs(x - y), tol))
-    # the series themselves must be equal, term by term; delta is the largest
-    # coefficient of any difference
-    diffs = {key: series[key] - closed for key, closed in linear_exact.CLOSED_FORM.items()}
-    wrong = ", ".join(f"g({a},{b})" for (a, b), d in diffs.items() if not d.is_zero)
-    delta = max((float(abs(t.coeff)) for d in diffs.values() for t in d.terms), default=0.0)
-    checks.append(_check("linear exact series-vs-closed-form", wrong or "all", delta, 0.0))
-    return checks
-
-
-def _quartic_checks() -> list[dict]:
-    import numpy as np
-
-    space = qgt.ParameterSpace.quartic()
-    series = qgt.assemble(space, 1)
-    alphas, lams = (0.5, 1.0, 2.0), (0.02, 0.04, 0.08)
-    points = [(alpha, 0.0, 0.0) for alpha in alphas] + [(1.0, lam, 0.0) for lam in (*lams, 0.05)]
-    *free, low, mid, high, bounded = _compare(space, series, points)
-    # free-theory agreement
-    checks = [
-        _check(f"quartic free-theory alpha={alpha}", f"g({a},{b})", abs(sym - num), 1e-6 * max(1.0, abs(sym)))
-        for alpha, rows in zip(alphas, free)
-        for a, b, sym, num, _ in rows
-    ]
-    # interacting: quadratic remainder scaling, plus the absolute bound at 0.05
-    for per_lambda in zip(low, mid, high):
-        devs = [abs(sym - num) for _, _, sym, num, _ in per_lambda]
-        slope = float(np.polyfit(np.log(lams), np.log(devs), 1)[0])
-        a, b = per_lambda[0][:2]
-        checks.append(_check("quartic remainder-scaling slope", f"g({a},{b})", abs(slope - 2.0), 0.3))
-    *_, (_, _, sym, num, _) = bounded  # g(lambda,lambda) sorts last
-    checks.append(_check("quartic absolute deviation lambda=0.05", "g(lambda,lambda)", abs(sym - num), 5e-5))
-    return checks
-
-
-def run_verification(which: str) -> list[dict]:
-    checks = []
-    if which in ("linear", "all"):
-        checks.extend(_linear_checks())
-    if which in ("quartic", "all"):
-        checks.extend(_quartic_checks())
-    return checks
-
-
 def cmd_verify(args) -> int:
+    from .crosscheck import run_verification
+
     checks = run_verification(args.which)
     failed = [c for c in checks if not c["passed"]]
     lines = []
@@ -443,6 +277,7 @@ SWEEP_COLUMNS = [
 def cmd_sweep(args) -> int:
     import csv
 
+    from .crosscheck import compare  # compiled before numpy loads: a lower peak RSS
     from . import spectral_oracle
 
     series = qgt.assemble(args.space, args.order)
@@ -451,7 +286,7 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     points = list(itertools.product(args.alphas, args.lambdas, args.js))
-    for point, rows in zip(points, _compare(args.space, series, points, cfg)):
+    for point, rows in zip(points, compare(args.space, series, points, cfg)):
         for a, b, sym, num, err in rows:
             writer.writerow(
                 [args.space.name, args.order, *map(repr, point), f"{a},{b}"]

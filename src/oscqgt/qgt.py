@@ -9,6 +9,7 @@ Every deformation here is real, so G_ab = G_ba: the tensor is its own metric
 and the Berry curvature vanishes.  `assemble` integrates each grade of every
 component as soon as it is walked.  For the two-parameter models the
 truncated metric determinant yields the coupling at which it degenerates.
+`evaluate` gives an entry's float at a point, or rejects the point.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .integrator import wedge_integrals
 from .perturbation import PolynomialPotential, connected_grades, hamiltonian_derivative
 from .scalar_algebra import Frozen, ScalarSeries
 
-__all__ = ["ParameterSpace", "CONVENTION", "assemble", "determinant_and_critical"]
+__all__ = ["ParameterSpace", "CONVENTION", "assemble", "determinant_and_critical", "evaluate"]
 
 # The fidelity expansion kept here is F = 1 - (1/2) G_ab dl^a dl^b + ...;
 # the 1/2 is NOT absorbed into the tensor.  Recorded in all structured output.
@@ -151,3 +152,14 @@ def determinant_and_critical(
                     coeff, d0[0].alpha_half_pow - d1[0].alpha_half_pow
                 )
     return det, critical
+
+
+def evaluate(series: ScalarSeries, alpha: float, lam: float, j: float) -> float:
+    """The series at a point; a value beyond the float range, or one that
+    underflows to 0, is an invalid configuration (`ValueError`)."""
+    try:
+        return series.evaluate(alpha, lam, j)
+    except OverflowError:
+        raise ValueError(f"the series overflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None
+    except FloatingPointError:
+        raise ValueError(f"the series underflows a float at alpha={alpha!r}, lambda={lam!r}, j={j!r}") from None

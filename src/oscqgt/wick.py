@@ -99,12 +99,15 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
     s_1..s_m, as {canonical edge counts: (multiplicity, |Aut|, paired)} in
     walk order.  The degrees must be nondecreasing.
 
-    The walk places the times in order s_1..s_m, tau1, tau2.  It skips every
-    diagram in which a vertex's rank sorts below the previous vertex's, or
-    ties it and swapping the two makes rows 0..i larger, so the largest
-    rank-sorted labelling of each class stays.  It drops a branch as soon as
-    the component of the time just placed has no edge left to a later time:
-    every diagram below it is disconnected.  A diagram whose ranks all differ
+    The walk places the times in order s_1..s_m, tau1; tau2's remaining legs
+    then close into self-loops.  It skips every diagram in which a vertex's
+    rank sorts below the previous vertex's, or ties it and swapping the two
+    makes rows 0..i larger, so the largest rank-sorted labelling of each class
+    stays.  It drops a branch as soon as the component of the time just placed
+    has no edge left to a later time, and as soon as tau1 and tau2 have too
+    few legs left for the later vertices of the same degree, whose ranks are
+    no smaller: every diagram below it is disconnected or out of order.
+    Neither cut changes which diagrams are kept.  A diagram whose ranks all differ
     is its own canonical form, with |Aut| = 1; one with tied ranks is put in
     the form of `_class_form`, on which all its tied labellings land.  When
     k_a = k_b, the tau1 <-> tau2 mirror maps a class onto one with the same
@@ -113,11 +116,13 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
     """
     legs = (*degrees, k_a, k_b)
     k = len(legs)
-    m, last = k - 2, k - 1
+    m = k - 2
     fact = [factorial(i) for i in range(max(legs) + 1)]
     total = prod(fact[c] for c in legs)
     links = [[0] * k for _ in range(k)]
     ranks = [None] * m
+    # s_{i+1} and the later s-vertices of its degree
+    alike = [degrees[i:].count(d) for i, d in enumerate(degrees)]
     found: dict[EdgeCounts, tuple[int, int, bool]] = {}
 
     # assign node i's remaining legs rest[0] to self-loops and edges toward
@@ -126,19 +131,28 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
     # grows with them.  Node i's edges to earlier nodes are copied into its
     # row of `links` on entry, so the row is complete once node i is placed.
     # `tied` is whether two ranks met, `paired` None until the mirror rule
-    # decides.  The last node can only close its legs into self-loops.
+    # decides.  Once tau1 (node m) is placed, tau2 can only close its legs
+    # into self-loops, so the diagram is complete there.
     def walk(i: int, rest: tuple[int, ...], upper: tuple[int, ...], denom: int, tied: bool, paired):
         n_i, later, row = rest[0], rest[1:], links[i]
         row[:i] = map(itemgetter(i), links[:i])
-        for self_i in range(n_i // 2 if i == last else 0, n_i // 2 + 1):
-            if 2 * self_i == n_i and i < last and closes(i):
+        floor = ranks[i - 1][:3] if 0 < i < m else ()  # degree and edges to tau1, tau2
+        for self_i in range(n_i // 2 + 1):
+            if 2 * self_i == n_i and closes(i):
                 continue  # no edge leaves node i's component: disconnected below
             head, head_denom = upper + (self_i,), denom * fact[self_i] << self_i
             row[i] = self_i
             for combo, combo_denom in _compositions(n_i - 2 * self_i, later):
-                row[i + 1 :] = combo
                 tie, pair = tied, paired
                 if i < m:
+                    if (degrees[i], combo[m - 1 - i], combo[m - i]) < floor:
+                        continue  # the rank's first fields already sort below s_i's
+                    # alike[i] vertices from s_{i+1} on take at least its edges
+                    # to tau1, and those that take no more, its edges to tau2
+                    spare = later[m - 1 - i] - combo[m - 1 - i] * alike[i]
+                    if spare < 0 or (alike[i] - spare) * combo[m - i] > later[m - i]:
+                        continue
+                    row[i + 1 :] = combo
                     r = ranks[i] = _walk_rank(m, i, row)
                     if i and r <= ranks[i - 1]:
                         prev = links[i - 1]
@@ -152,16 +166,19 @@ def connected_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCo
                         if flipped < ranks:
                             continue
                         pair = True if ranks < flipped else None
-                if i < last:
                     walk(i + 1, tuple(map(sub, later, combo)), head + combo, head_denom * combo_denom, tie, pair)
                     continue
-                form, automorphisms = _class_form(head, m) if tie else (head, 1)
+                loops, odd = divmod(later[0] - combo[0], 2)
+                if odd:
+                    continue
+                counts = head + combo + (loops,)
+                form, automorphisms = _class_form(counts, m) if tie else (counts, 1)
                 if pair is None and form not in found:
-                    twin = mirror_form(head, m)
+                    twin = mirror_form(counts, m)
                     if twin < form:
                         continue
                     pair = twin != form
-                found.setdefault(form, (total // head_denom, automorphisms, pair))
+                found.setdefault(form, (total // (head_denom * combo_denom * fact[loops] << loops), automorphisms, pair))
 
     # whether node i's component among nodes 0..i has no edge to a later node
     # when node i itself sends none; the earlier nodes' rows are complete
@@ -227,31 +244,32 @@ def _class_form(counts: EdgeCounts, m: int) -> tuple[EdgeCounts, int]:
     """Canonical edge counts and automorphism count of a connected diagram
     given by its edge counts over s_1..s_m (0..m-1), tau1 (m) and tau2 (m + 1).
 
-    The form is the minimal relabeled edge multiset over the relabelings that
-    keep the vertices' ranks (`_walk_rank`) sorted, so isomorphic diagrams
-    share it, and the number of relabelings that reach it is the order of the
-    diagram's automorphism group.  When no two ranks tie, one relabeling
-    keeps the ranking: the one that numbers the vertices in rank order, with
-    |Aut| = 1.
+    The form is the largest relabelled counts tuple over the relabellings
+    that keep the vertices' ranks (`_walk_rank`) sorted, so isomorphic
+    diagrams share it, and the number of relabellings that reach it is the
+    order of the diagram's automorphism group.  Of two edge multisets of one
+    size, the one with the smaller sorted edge list has the larger counts
+    tuple, so this is the minimal relabelled edge multiset.  When no two
+    ranks tie, one relabelling keeps the ranking: the one that numbers the
+    vertices in rank order, with |Aut| = 1.
     """
-    n = m + 2
-    pairs, position = edge_layout(n)
-    edges = [pair for pair, c in zip(pairs, counts) for _ in range(c)]
+    position = edge_layout(m + 2)[1]
     rank = [_walk_rank(m, i, [counts[p] for p in row]) for i, row in enumerate(position[:m])]
     ranked = sorted(range(m), key=rank.__getitem__)
-    classes = [list(group) for _, group in groupby(ranked, key=rank.__getitem__)]
-    # a relabeled diagram is keyed by the sorted positions of its edges
-    label = list(range(n))
-    best, automorphisms = None, 0
-    for choice in product(*(permutations(c) for c in classes)):
-        for new, old in enumerate(chain.from_iterable(choice)):
-            label[old] = new
-        key = sorted(position[label[i]][label[j]] for i, j in edges)
-        if best is None or key < best:
-            best, automorphisms = key, 1
-        elif key == best:
-            automorphisms += 1
-    form = [0] * len(counts)
-    for p in best:
-        form[p] += 1
-    return tuple(form), automorphisms
+    ties = tuple(tuple(group) for _, group in groupby(ranked, key=rank.__getitem__))
+    forms = [relabel(counts) for relabel in _relabellings(m + 2, ties)]
+    form = max(forms)
+    return form, forms.count(form)
+
+
+@lru_cache(maxsize=None)  # one set per rank order and tie pattern: the walk meets few
+def _relabellings(n: int, ties: tuple[tuple[int, ...], ...]) -> tuple[itemgetter, ...]:
+    """Maps edge counts over n times to those of every relabelling that
+    numbers the vertices of `ties`, groups of s-vertices in rank order, group
+    by group, in any order within each group; tau1 and tau2 keep theirs."""
+    pairs, position = edge_layout(n)
+    maps = []
+    for choice in product(*map(permutations, ties)):
+        old = [*chain.from_iterable(choice), n - 2, n - 1]  # the time that becomes time i
+        maps.append(itemgetter(*(position[old[i]][old[j]] for i, j in pairs)))
+    return tuple(maps)

@@ -7,9 +7,11 @@ an optional rank callback and an optional connectivity cut, with the ties of
 the rank reported per diagram.  `enumerate_pairings` names its diagrams for
 any {time: legs} map, as sorted `WickDiagram`s.  `connected_grade` walks one
 pair's grade on its own, the reference for the shared walk of
-`perturbation.connected_grades`, and `ordered_sum` runs one graph's subset
-DP, the reference for the batched pass of `integrator._ordered_sums`;
-`connected_integrand` builds one pair's integrand through the library.
+`perturbation.connected_grades`, `class_form` searches the relabelled edge
+lists, the reference for the counts maps of `wick._class_form`, and
+`ordered_sum` runs one graph's subset DP, the reference for the batched pass
+of `integrator._ordered_sums`; `connected_integrand` builds one pair's
+integrand through the library.
 
 The oracles below deliberately avoid the library's own enumeration and
 integration paths:
@@ -52,7 +54,7 @@ from oscqgt.linear_exact import exact_linear_qgt
 from oscqgt.perturbation import PolynomialPotential, _require_ground_state, connected_grades
 from oscqgt.scalar_algebra import Frozen, NonPositiveAlpha, OracleFailure, ScalarSeries, ScalarTerm
 from oscqgt.spectral_oracle import NumericQGT, OracleConfig
-from oscqgt.wick import EdgeCounts, _class_form, _compositions, _walk_rank, edge_layout, edge_names
+from oscqgt.wick import EdgeCounts, _compositions, _walk_rank, edge_layout, edge_names
 
 # edge multiset of one diagram: tuple of sorted (name, name) pairs, sorted
 Edges = tuple[tuple[str, str], ...]
@@ -468,9 +470,41 @@ def _vertex_names(m: int, offset: int = 0) -> list[str]:
 
 
 def linked_class(edges, names: Sequence[str]) -> tuple[EdgeCounts, int]:
-    """`wick._class_form` of a connected diagram given by its edges
-    over tau1, tau2 and the internal vertices `names`."""
-    return _class_form(counts_of(edges, [*names, "tau1", "tau2"]), len(names))
+    """`class_form` of a connected diagram given by its edges over tau1,
+    tau2 and the internal vertices `names`."""
+    return class_form(counts_of(edges, [*names, "tau1", "tau2"]), len(names))
+
+
+def class_form(counts: EdgeCounts, m: int) -> tuple[EdgeCounts, int]:
+    """`wick._class_form` by a search over sorted edge lists: the canonical
+    edge counts and automorphism count of a connected diagram over s_1..s_m,
+    tau1 and tau2.
+
+    Every relabelling that keeps the vertices' ranks (`wick._walk_rank`)
+    sorted is applied to the diagram's edges; the form is the smallest sorted
+    list of their positions, as counts, and |Aut| the number of relabellings
+    that reach it.
+    """
+    n = m + 2
+    pairs, position = edge_layout(n)
+    edges = [pair for pair, c in zip(pairs, counts) for _ in range(c)]
+    rank = [_walk_rank(m, i, [counts[p] for p in row]) for i, row in enumerate(position[:m])]
+    ranked = sorted(range(m), key=rank.__getitem__)
+    classes = [list(group) for _, group in itertools.groupby(ranked, key=rank.__getitem__)]
+    label = list(range(n))
+    best, automorphisms = None, 0
+    for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
+        for new, old in enumerate(itertools.chain.from_iterable(choice)):
+            label[old] = new
+        key = sorted(position[label[i]][label[j]] for i, j in edges)
+        if best is None or key < best:
+            best, automorphisms = key, 1
+        elif key == best:
+            automorphisms += 1
+    form = [0] * len(counts)
+    for p in best:
+        form[p] += 1
+    return tuple(form), automorphisms
 
 
 def canonical_edges(edges, vertices: Sequence[str]):
@@ -639,7 +673,7 @@ def full_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCounts,
     kept."""
     m, classes = len(degrees), {}
     for counts, multiplicity, tied in walk_pairings([*degrees, k_a, k_b], walk_rank(m), True):
-        counts, automorphisms = _class_form(counts, m) if tied else (counts, 1)
+        counts, automorphisms = class_form(counts, m) if tied else (counts, 1)
         classes.setdefault(counts, (multiplicity, automorphisms))
     return classes
 
@@ -683,11 +717,11 @@ def walked_classes(degrees: Sequence[int], k_a: int, k_b: int) -> dict[EdgeCount
         ]
         if any(swapped):
             continue
-        form, automorphisms = _class_form(counts, m) if tied else (counts, 1)
+        form, automorphisms = class_form(counts, m) if tied else (counts, 1)
         paired = False
         if k_a == k_b:
             mirror = tau_mirror(counts, m)
-            twin = _class_form(mirror, m)[0]
+            twin = class_form(mirror, m)[0]
             if (sorted(vertex_ranks(mirror, m)), twin) < (ranks, form):
                 continue
             paired = twin != form

@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import itertools
@@ -16,8 +17,84 @@ import pytest
 import oscqgt
 import oscqgt.qgt
 from oracles import connected_grade, parse_series
-from oscqgt import cli
+from oscqgt import cli, crosscheck
 from oscqgt.scalar_algebra import ScalarSeries
+
+
+# the schema of `compute --format json`: the metric repeats the components
+# and the curvature is zero
+SERIES_ITEM = {
+    "type": "object",
+    "properties": {
+        "num": {"type": "integer"},
+        "den": {"type": "integer", "minimum": 1},
+        "alpha_half_pow": {"type": "integer"},
+        "lambda_pow": {"type": "integer", "minimum": 0},
+        "j_pow": {"type": "integer", "minimum": 0},
+    },
+    "required": ["num", "den", "alpha_half_pow", "lambda_pow", "j_pow"],
+    "additionalProperties": False,
+}
+
+SERIES_BLOCK = {
+    "type": "object",
+    "properties": {
+        "series": {"type": "array", "items": SERIES_ITEM},
+        "text": {"type": "string"},
+        "numeric_value": {"type": ["number", "null"]},
+    },
+    "required": ["series", "text"],
+    "additionalProperties": True,
+}
+
+RECORD_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "model": {"type": "string", "enum": ["linear", "quartic", "monomial"]},
+        "k": {"type": "integer", "minimum": 1},
+        "order": {"type": "integer", "minimum": 0},
+        "labels": {"type": "array", "items": {"type": "string"}},
+        "convention": {
+            "type": "object",
+            "properties": {
+                "fidelity_expansion": {"type": "string"},
+                "half_absorbed_into_tensor": {"type": "boolean"},
+                "truncation_order": {"type": "integer"},
+            },
+            "required": ["fidelity_expansion", "half_absorbed_into_tensor", "truncation_order"],
+        },
+        "parameters": {"type": "object"},
+        "formal": {"type": "string"},
+        "components": {"type": "object", "additionalProperties": SERIES_BLOCK},
+        "metric": {"type": "object", "additionalProperties": SERIES_BLOCK},
+        "curvature": {"type": "object", "additionalProperties": SERIES_BLOCK},
+        "determinant": SERIES_BLOCK,
+        "critical_coupling": {
+            "oneOf": [
+                {"type": "null"},
+                {
+                    "allOf": [
+                        SERIES_BLOCK,
+                        {"properties": {"truncation_order": {"type": "integer"}}},
+                    ]
+                },
+            ]
+        },
+    },
+    "required": [
+        "model",
+        "k",
+        "order",
+        "labels",
+        "convention",
+        "components",
+        "metric",
+        "curvature",
+        "determinant",
+        "critical_coupling",
+    ],
+}
 
 
 def run(argv, capsys):
@@ -70,7 +147,7 @@ class TestCompute:
             ["compute", "--model", "monomial:3", "--order", "1", "--format", "json"],
         ):
             _, out, _ = run(argv, capsys)
-            jsonschema.validate(json.loads(out), cli.RECORD_SCHEMA)
+            jsonschema.validate(json.loads(out), RECORD_SCHEMA)
 
     def test_quartic_and_monomial_4_records_differ_only_in_the_model(self):
         point = {"alpha": 1.0, "lambda": 0.1, "j": None}
@@ -183,11 +260,27 @@ class TestCompute:
         assert code == 0
         assert (len(sums), len(forms)) == (6019, 4464)
 
+    @pytest.mark.parametrize("verbose", [[], ["--verbose"]], ids=["plain", "verbose"])
+    def test_coefficient_past_the_digit_limit_names_the_model(self, verbose, capsys):
+        # G_lambda,lambda of monomial:1095 has an integer of more than 4,300
+        # digits, which Python will not write at its default limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run([*verbose, "compute", "--model", "monomial:1095", "--order", "0"], capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (cli.EXIT_BAD_CONFIG, "")
+        assert err == (
+            "invalid configuration: the monomial:1095 series has a coefficient of more than 4300 digits, "
+            "Python's limit for writing an integer (sys.set_int_max_str_digits)\n"
+        )
+
     def test_odd_k_series_is_flagged_formal(self, capsys):
         code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)
         assert code == cli.EXIT_OK
         record = json.loads(out)
-        jsonschema.validate(record, cli.RECORD_SCHEMA)
+        jsonschema.validate(record, RECORD_SCHEMA)
         assert "odd k=3 has no ground state for lambda != 0" in record["formal"]
         assert err == f"note: {record['formal']}\n"
 
@@ -204,7 +297,7 @@ class TestCompute:
         code, out, err = run(["compute", *argv, "--order", "1", "--format", "json"], capsys)
         assert code == cli.EXIT_OK
         record = json.loads(out)
-        jsonschema.validate(record, cli.RECORD_SCHEMA)
+        jsonschema.validate(record, RECORD_SCHEMA)
         prefix = "the series is formal: "
         assert record["formal"].startswith(prefix + reason)
         assert err == f"note: {record['formal']}\n"
@@ -741,7 +834,7 @@ class TestSweep:
 
 @pytest.fixture(scope="module")
 def verify_all():
-    return cli.run_verification("all")
+    return crosscheck.run_verification("all")
 
 
 LINEAR_ENTRIES = ("g(alpha,alpha)", "g(alpha,j)", "g(j,alpha)", "g(j,j)")
@@ -775,7 +868,7 @@ class TestVerify:
 
     def test_one_oracle_call_per_model(self, monkeypatch):
         grids = count_oracle_grids(monkeypatch)
-        checks = cli.run_verification("all")
+        checks = crosscheck.run_verification("all")
         assert [(c["name"], c["component"]) for c in checks] == VERIFY_ALL_CHECKS
         assert all(c["passed"] for c in checks)
         assert grids == [6, 7]  # linear, then quartic
@@ -861,9 +954,29 @@ def test_symbolic_commands_leave_numeric_stack_unloaded(argv, tmp_path):
         "from oscqgt import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
-        "print(code, [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect') if m in sys.modules])"
+        "unloaded = ('numpy', 'scipy', 'dataclasses', 'inspect', 'oscqgt.crosscheck')\n"
+        "print(code, [m for m in unloaded if m in sys.modules])"
     )
     assert _probe(probe).strip() == "0 []"
+
+
+def test_no_module_imports_the_cli():
+    # under `python -m oscqgt.cli` the CLI runs as __main__, so a module that
+    # imported oscqgt.cli, even inside a function, would compile it again
+    package = Path(oscqgt.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module if not node.level else ".".join(filter(None, ["oscqgt", node.module]))
+                names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if "oscqgt.cli" in names:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_submodules_load_on_attribute_access():

@@ -12,6 +12,7 @@ from oracles import (
     GaussianModel,
     brute_force_diagrams,
     canonical_edges,
+    class_form,
     clusters_linked,
     connected_components,
     connected_grade,
@@ -30,6 +31,7 @@ from oracles import (
     potential_from_dict,
     qgt_component,
     ratio_connected_integrand,
+    relabelled,
     tau_mirror,
     time_names,
     to_oracle_form,
@@ -40,7 +42,8 @@ from oracles import (
 from oscqgt.perturbation import PolynomialPotential, connected_grades, hamiltonian_derivative
 from oscqgt.qgt import ParameterSpace, assemble
 from oscqgt.scalar_algebra import ScalarSeries
-from oscqgt.wick import _class_form, connected_classes, mirror_form
+from oscqgt import wick
+from oscqgt.wick import connected_classes, mirror_form
 
 V1 = PolynomialPotential.monomial(1)
 V3 = PolynomialPotential.monomial(3)
@@ -505,11 +508,34 @@ class TestMirrorHalvedWalk:
         for degrees, k in _mirror_walks(model, order):
             m, walked, expanded = len(degrees), connected_classes(degrees, k, k), {}
             for counts, (multiplicity, automorphisms, paired) in walked.items():
-                twin = _class_form(tau_mirror(counts, m), m)[0]
+                twin = class_form(tau_mirror(counts, m), m)[0]
                 assert (twin != counts) == paired and twin == mirror_form(counts, m)
                 assert twin == counts or twin not in walked
                 expanded[counts] = expanded[twin] = (multiplicity, automorphisms)
             assert expanded == full_classes(degrees, k, k), (degrees, k)
+
+    @pytest.mark.parametrize(
+        "degrees,k", [((4,) * m, 4) for m in range(6)] + [((6,) * 3, 6)],
+        ids=[f"quartic-o{m}" for m in range(6)] + ["k6-o3"],
+    )
+    def test_class_form_equals_the_permutation_search(self, degrees, k, monkeypatch):
+        # the grade walks of quartic to order 5 and of monomial:6 at order 3:
+        # every labelling the walk puts in class form, and both members of
+        # each class's mirror pair, as walked and with s_1..s_m reversed
+        m = len(degrees)
+        asked = []
+        real = wick._class_form
+        monkeypatch.setattr(wick, "_class_form", lambda counts, m: asked.append(counts) or real(counts, m))
+        walked = connected_classes(degrees, k, k)
+        assert any(automorphisms > 1 for _, automorphisms, _ in walked.values()) == (m > 1)
+        reverse = [*range(m)][::-1] + [m, m + 1]
+        for counts, (_, automorphisms, paired) in walked.items():
+            twin = tau_mirror(counts, m)
+            assert class_form(counts, m) == (counts, automorphisms)
+            assert mirror_form(counts, m) == class_form(twin, m)[0]
+            asked.extend((relabelled(counts, reverse), twin, relabelled(twin, reverse)))
+        for counts in asked:
+            assert real(counts, m) == class_form(counts, m), counts
 
     @pytest.mark.parametrize("degrees,k,classes,pairs", MIRROR_COUNTS)
     def test_half_of_each_mirror_pair_is_walked(self, degrees, k, classes, pairs):
