@@ -49,8 +49,10 @@ EXIT_ORACLE = 4
 DEFAULT_MAX_ORDER = 3
 MAX_ORDER_ENV = "QGT_MAX_ORDER"
 # sweep's basis: the oracle also solves at twice the size, and at 8192 states
-# a degree-8 potential no longer converges even at alpha = 1; a larger basis
-# also loses digits, as the solver's tolerances scale with max|band| ~ N^(k/2)
+# a degree-8 potential no longer converges to its metric even at alpha = 1,
+# on the even states as on all (G_alpha,alpha at lambda = 0.01 is 0.0308, not
+# 0.0312); a larger basis loses digits, as the solver's tolerances scale with
+# max|band| ~ N^(k/2)
 MIN_BASIS_SIZE, MAX_BASIS_SIZE = 16, 4096
 
 def series_records(series: ScalarSeries) -> list[dict]:

@@ -23,10 +23,18 @@ drift between the two sizes is reported per entry.  Everything here is real
 symmetric, so this oracle is blind to Berry curvature, consistent with the
 models in scope.
 
+When V has only even degrees, J = 0 and every dH/da is even in q, H keeps
+the parity of the number states, and psi and each x_a lie in the even states
+0, 2, 4, ...  Such a point is solved on those states alone: their band is
+band[..., ::2, ::2], of ceil(N/2) states and half the bandwidth, and the same
+kernels run on it.  The tail-weight check still reads the states from 0.9 N
+up, and psi at N is zero-padded to the even states of 2N.  Any other point is
+solved on every state.
+
 Every kernel takes a leading point axis.  `numeric_qim_grid` solves the
 points of a grid, which share a potential, labels and basis size, as one
 stack, with one numpy call per step for all of them, in stacks of at most
-_STACK_STATES basis states at 2N, which bounds their storage.  Each point
+_STACK_STATES solved states at 2N, which bounds their storage.  Each point
 keeps the rounds, shifts and factor it takes alone: a stack that fails to
 factor, or whose floats overflow, is retried in halves to find the points
 that failed.  So a point's result is bit for bit the one it gets from
@@ -67,9 +75,9 @@ _MAX_ROUNDS = 64  # shifts tried by one ground-state solve
 _DENSE = 16  # rows left to a dense factorisation after cyclic reduction
 _LEADING = 32  # rows of the block whose ground state starts a solve given no start
 _REFINEMENTS = 2  # residual steps after each response solve
-# basis states at 2N solved in one stack, which bounds a stack's storage
-# (band, factor and work arrays: some 35 floats per state for a quartic
-# potential, more for a higher degree) to a few MB
+# states solved at 2N in one stack, all 2N or the N even ones per point, which
+# bounds a stack's storage (band, factor and work arrays: some 33 floats per
+# state for a quartic potential, 45 for degree 8) to a few MB
 _STACK_STATES = 1 << 14
 
 
@@ -421,17 +429,30 @@ def _gershgorin_floor(band: np.ndarray) -> np.ndarray:
     return np.min(band[..., 0, :] - radius, axis=-1)
 
 
-def _derivative_images(labels, potential: PolynomialPotential, band: np.ndarray, alpha, vec) -> np.ndarray:
+def _sector_step(j, potential: PolynomialPotential, labels) -> int:
+    """2 when H, at source j, and every dH_a are even in q, so that psi and
+    each x_a lie in the even number states 0, 2, 4, ...; 1 otherwise."""
+    degrees = [deg for label in ("lambda", *labels) for deg, _ in hamiltonian_derivative(label, potential)]
+    return 2 if j == 0 and all(deg % 2 == 0 for deg in degrees) else 1
+
+
+def _sector(band: np.ndarray, step: int) -> np.ndarray:
+    """The band of the states 0, step, 2 step, ... of a band stack: a parity
+    sector of an even band, in which every second diagonal is zero."""
+    return np.ascontiguousarray(band[..., ::step, ::step])
+
+
+def _derivative_images(labels, potential: PolynomialPotential, alpha, n: int, step: int, vec) -> np.ndarray:
     """dH_a psi for each label, images[p, a], with dH_a (see
-    `hamiltonian_derivative`) in the basis of band[p], at frequency
-    sqrt(alpha[p]), and psi = vec[p]; the bands of one label at a time."""
-    b, n = band.shape[-2] - 1, band.shape[-1]
-    images = np.empty((len(band), len(labels), n))
+    `hamiltonian_derivative`) on the states 0, step, ... of an n-state basis
+    at frequency sqrt(alpha[p]), and psi = vec[p]; one label at a time."""
+    b = max(2, potential.degree)
+    images = np.empty((len(vec), len(labels), vec.shape[-1]))
     for i, label in enumerate(labels):
-        coeffs = np.zeros((len(band), b + 1))
+        coeffs = np.zeros((len(vec), b + 1))
         for deg, c in hamiltonian_derivative(label, potential):
             coeffs[:, deg] = float(c)
-        images[:, i] = _band_matvec(_polynomial_bands(coeffs, np.sqrt(alpha), n), vec)
+        images[:, i] = _band_matvec(_sector(_polynomial_bands(coeffs, np.sqrt(alpha), n), step), vec)
     return images
 
 
@@ -462,14 +483,16 @@ def _response(band: np.ndarray, energy: np.ndarray, vec: np.ndarray, factor: lis
     return metric, np.abs(metric - last)
 
 
-def _ground_response(alpha, lam, j, potential, config, labels, start=None) -> tuple:
+def _ground_response(alpha, lam, j, potential, config, labels, step, start=None) -> tuple:
     """Each point's failure (None, BasisTooSmall or NoConvergence) at the
-    basis size of `config`, and for the points that did not fail, in order,
-    their ground states, metrics and last refinement changes."""
-    band = build_hamiltonian(alpha, lam, j, potential, config)
-    energy, vec, factor, failures = _ground_pair(band, start)
+    basis size of `config`, solved on its states 0, step, 2 step, ..., and
+    for the points that did not fail, in order, their ground states on those
+    states, metrics and last refinement changes."""
     n = config.basis_size
-    for i, tail in enumerate(np.sum(vec[:, int(0.9 * n) :] ** 2, axis=-1)):
+    band = _sector(build_hamiltonian(alpha, lam, j, potential, config), step)
+    energy, vec, factor, failures = _ground_pair(band, start)
+    # the weight on the states from 0.9 n up, which vec holds from -(-0.9 n // step) on
+    for i, tail in enumerate(np.sum(vec[:, -(-int(0.9 * n) // step) :] ** 2, axis=-1)):
         if failures[i] is None and tail > 1e-10:
             failures[i] = BasisTooSmall(f"tail weight {tail:.2e} in top 10% of an N={n} basis")
     keep = [i for i, failure in enumerate(failures) if failure is None]
@@ -478,23 +501,25 @@ def _ground_response(alpha, lam, j, potential, config, labels, start=None) -> tu
     if len(keep) < len(failures):
         band, alpha, energy, vec = band[keep], alpha[keep], energy[keep], vec[keep]
         factor = [a[keep] for a in factor]
-    metric, change = _response(band, energy, vec, factor, _derivative_images(labels, potential, band, alpha, vec))
+    metric, change = _response(band, energy, vec, factor, _derivative_images(labels, potential, alpha, n, step, vec))
     return failures, vec, metric, change
 
 
-def _solve(points, potential, config: OracleConfig, labels) -> list:
+def _solve(points, potential, config: OracleConfig, labels, step: int) -> list:
     """Each point's NumericQGT, or its failure, for a stack of points whose
-    Hamiltonians all have a ground state (see numeric_qim)."""
+    Hamiltonians all have a ground state (see numeric_qim), solved on the
+    basis states 0, step, 2 step, ..."""
     alpha, lam, j = np.array(points, dtype=float).T
-    results, vec, metric, refinement = _ground_response(alpha, lam, j, potential, config, labels)
+    results, vec, metric, refinement = _ground_response(alpha, lam, j, potential, config, labels, step)
     solved = [i for i, failure in enumerate(results) if failure is None]
     if not solved:
         return results
     big = OracleConfig(2 * config.basis_size)
     # the zero-padded start is close: its tail weight is below 1e-10
-    start = np.concatenate([vec, np.zeros_like(vec)], axis=-1)
+    start = np.zeros((len(vec), -(-big.basis_size // step)))
+    start[:, : vec.shape[-1]] = vec
     failures, _, big_metric, _ = _ground_response(
-        alpha[solved], lam[solved], j[solved], potential, big, labels, start
+        alpha[solved], lam[solved], j[solved], potential, big, labels, step, start
     )
     doubled = iter(big_metric)
     for i, small, change, failure in zip(solved, metric, refinement, failures):
@@ -518,13 +543,13 @@ def _checked(labels, metric: np.ndarray, refinement: np.ndarray, drift: np.ndarr
     return NumericQGT(tuple(labels), metric, report)
 
 
-def _solve_each(points, potential, config: OracleConfig, labels) -> list:
+def _solve_each(points, potential, config: OracleConfig, labels, step: int) -> list:
     """_solve on a stack of points; a stack whose numerics overflow or whose
     leading block finds no eigenvectors is retried in halves, down to the
     points that fail alone."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _solve(points, potential, config, labels)
+            return _solve(points, potential, config, labels, step)
     except (FloatingPointError, NoConvergence) as exc:
         if len(points) == 1:
             if isinstance(exc, FloatingPointError):
@@ -533,8 +558,8 @@ def _solve_each(points, potential, config: OracleConfig, labels) -> list:
                 return [overflow]
             return [exc]
     half = len(points) // 2
-    return _solve_each(points[:half], potential, config, labels) + _solve_each(
-        points[half:], potential, config, labels
+    return _solve_each(points[:half], potential, config, labels, step) + _solve_each(
+        points[half:], potential, config, labels, step
     )
 
 
@@ -547,27 +572,29 @@ def numeric_qim_grid(
     """numeric_qim at each point (alpha, lambda, j) of `points`, in order:
     the point's NumericQGT, or the exception numeric_qim raises there.
 
-    The points that have a ground state are solved together, in stacks of
-    as many points as keep the states of their 2N bases within
+    The points that have a ground state are solved together, those solved
+    on the even states apart from the rest, in stacks of as many points as
+    keep the states they solve at 2N (all 2N, or the N even ones) within
     _STACK_STATES, so every numpy call of the solve serves a whole stack.
     A point's result is bit for bit the one it gets alone.
     """
     config = config or OracleConfig()
     results: list = [None] * len(points)
-    valid = []
-    for i, (alpha, lam, _) in enumerate(points):
+    valid: dict[int, list[int]] = {}  # the points to solve, by sector step
+    for i, (alpha, lam, j) in enumerate(points):
         try:
             _require_ground_state(alpha, lam, potential)
             _check_degree(potential)
         except ValueError as exc:
             results[i] = exc
         else:
-            valid.append(i)
-    size = max(1, _STACK_STATES // (2 * config.basis_size))
-    for first in range(0, len(valid), size):
-        chunk = valid[first : first + size]
-        for i, result in zip(chunk, _solve_each([points[i] for i in chunk], potential, config, labels)):
-            results[i] = result
+            valid.setdefault(_sector_step(j, potential, labels), []).append(i)
+    for step, group in valid.items():
+        size = max(1, _STACK_STATES // -(-2 * config.basis_size // step))
+        for first in range(0, len(group), size):
+            chunk = group[first : first + size]
+            for i, result in zip(chunk, _solve_each([points[i] for i in chunk], potential, config, labels, step)):
+                results[i] = result
     return results
 
 
@@ -583,7 +610,8 @@ def numeric_qim(
     estimates.
 
     H is built at N in the basis pinned at omega = sqrt(alpha) and solved
-    for its ground state; the factor that settled psi also solves
+    for its ground state, on the even states alone when H and every dH_a
+    are even; the factor that settled psi also solves
     (H - E0) x_a = -Q dH_a psi for each label, and g = X X^T.  The report
     carries the change made by the last refinement step and the drift under
     basis doubling: H is built again at 2N, solved from the N-basis ground

@@ -431,14 +431,16 @@ class TestNumericQim:
     def test_one_eigenvalue_solve_per_call(self, lam, j, potential, labels, monkeypatch):
         calls = count_cold_solves(monkeypatch)
         numeric_qim(1.0, lam, j, potential, CFG, labels=labels)
-        # only the ground state at N is solved cold; 2N starts from it
+        # only the ground state at N is solved cold, the even quartic H on
+        # its even states alone; 2N starts from it
         assert len(calls) == 1
-        assert calls[0][1] == CFG.basis_size
+        assert calls[0][1] == (CFG.basis_size // 2 if potential is V4 else CFG.basis_size)
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_factorisations_per_call(self, n, monkeypatch):
         # a cold start may need a second round to begin within the residual
-        # bound; the zero-padded start at 2N begins there
+        # bound; the zero-padded start at 2N begins there.  The quartic H is
+        # even, so it is solved on the even states: n // 2 at N and n at 2N
         sizes = count_factorisations(monkeypatch)
         cold = count_cold_solves(monkeypatch)
         for alpha in (0.5, 1.0, 2.0):
@@ -446,9 +448,9 @@ class TestNumericQim:
                 sizes.clear()
                 cold.clear()
                 numeric_qim(alpha, lam, 0.0, V4, OracleConfig(n))
-                assert sizes.count(n) <= 2 and sizes.count(2 * n) == 1, (alpha, lam, sizes)
-                assert len(sizes) == sizes.count(n) + 1, (alpha, lam, sizes)
-                assert cold == [(5, n)], (alpha, lam)
+                assert sizes.count(n // 2) <= 2 and sizes.count(n) == 1, (alpha, lam, sizes)
+                assert len(sizes) == sizes.count(n // 2) + 1, (alpha, lam, sizes)
+                assert cold == [(3, n // 2)], (alpha, lam)
 
     def test_float_overflow_raises_overflow_error(self):
         # numpy overflows inside the solver here, which would otherwise only warn
@@ -576,11 +578,12 @@ class TestGrid:
             return real(band, start)
 
         monkeypatch.setattr(spectral_oracle, "_ground_pair", recorded)
-        monkeypatch.setattr(spectral_oracle, "_STACK_STATES", 4 * 2 * CFG.basis_size)
+        # the quartic H is even: a point solves the N even states of its 2N basis
+        monkeypatch.setattr(spectral_oracle, "_STACK_STATES", 4 * CFG.basis_size)
         for got, expected in zip(numeric_qim_grid(points, V4, CFG), alone):
             assert_same_result(got, expected)
         assert [shape[0] for shape in stacks] == [4, 4, 4, 4, 4, 4, 3, 3]
-        assert {shape[-1] for shape in stacks} == {CFG.basis_size, 2 * CFG.basis_size}
+        assert {shape[-1] for shape in stacks} == {CFG.basis_size // 2, CFG.basis_size}
 
     def test_failed_factorisation_is_found_point_by_point(self):
         # a stack fails to factor when any point does; the retry on halves
@@ -595,6 +598,60 @@ class TestGrid:
             assert np.array_equal(x, TestBandSolve.solve(band, -0.5, r[0])[None])
             expected = lapack_solve(band, -0.5, r[0])
             assert np.abs(x[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+V8 = PolynomialPotential.monomial(8)
+
+
+def full_basis_metric(alpha, lam, potential, config, labels=("alpha", "lambda")) -> np.ndarray:
+    """The response metric solved on every state of the basis, parity aside."""
+    band = build_hamiltonian(alpha, lam, 0.0, potential, config)[None]
+    energy, vec, factor, [failure] = spectral_oracle._ground_pair(band)
+    assert failure is None
+    images = spectral_oracle._derivative_images(labels, potential, np.array([alpha]), config.basis_size, 1, vec)
+    return spectral_oracle._response(band, energy, vec, factor, images)[0][0]
+
+
+class TestEvenSector:
+    @pytest.mark.parametrize("n", [17, 33, 64, 128, 256])
+    @pytest.mark.parametrize("potential", [V4, V6, V8], ids=["quartic", "monomial6", "monomial8"])
+    def test_matches_the_full_basis(self, potential, n, monkeypatch):
+        # psi and each x_a of an even H lie in the even states, so solving
+        # them alone (n // 2 or n // 2 + 1 states at N) changes only rounding
+        config = OracleConfig(n)
+        cold = count_cold_solves(monkeypatch)
+        for alpha, lam in ((0.7, 0.01), (1.3, 0.05), (2.0, 0.2)):
+            cold.clear()
+            got = numeric_qim(alpha, lam, 0.0, potential, config).metric
+            assert cold == [(potential.degree // 2 + 1, -(-n // 2))]
+            for reference in (sum_over_states_qim(alpha, lam, 0.0, potential, config).metric,
+                              full_basis_metric(alpha, lam, potential, config)):
+                assert (np.abs(got - reference) <= 1e-12 * np.abs(reference)).all(), (alpha, lam)
+
+    def test_basis_too_small_still_detected(self, monkeypatch):
+        cold = count_cold_solves(monkeypatch)
+        with pytest.raises(BasisTooSmall, match="N=16 basis"):
+            numeric_qim(0.01, 0.01, 0.0, V4, OracleConfig(16))
+        assert cold == [(3, 8)]
+
+    def test_point_is_bit_identical_alone_in_a_grid_of_both_parities(self):
+        # the points at J = 0 are solved on the even states, the others on all
+        points = [(a, 0.01, j) for a in (0.5, 1.0, 2.0) for j in (0.0, 0.1)]
+        alone = solved_alone(points, V4, CFG, ("alpha", "lambda"))
+        for got, expected in zip(numeric_qim_grid(points, V4, CFG), alone):
+            assert_same_result(got, expected)
+
+    @pytest.mark.parametrize(
+        "lam,j,potential,labels",
+        [(0.0, 0.5, V1, ("alpha", "j")), (0.05, 0.1, V4, ("alpha", "lambda")),
+         (0.05, 0.0, V4, ("alpha", "j")), (0.0, 0.0, PolynomialPotential.monomial(3), ("alpha", "lambda"))],
+        ids=["linear", "quartic-sourced", "quartic-j-response", "monomial3-unperturbed"],
+    )
+    def test_odd_terms_keep_the_full_basis(self, lam, j, potential, labels, monkeypatch):
+        # an odd V, J q or an odd dH_a mixes the parities: every state is solved
+        cold = count_cold_solves(monkeypatch)
+        numeric_qim(1.0, lam, j, potential, CFG, labels=labels)
+        assert cold == [(max(2, potential.degree) + 1, CFG.basis_size)]
 
 
 class TestFiniteDifferenceReference:
