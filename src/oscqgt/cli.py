@@ -33,10 +33,10 @@ import sys
 from pathlib import Path
 
 from . import qgt
-from .integrator import DivergentIntegral, wedge_integrals
+from .integrator import DivergentIntegral
 from .perturbation import NoGroundState, _require_ground_state, connected_grades
 from .scalar_algebra import NonPositiveAlpha, OracleFailure, ScalarSeries
-from .wick import connected_dot, edge_names, name_key
+from .wick import connected_dot, edge_layout, edge_names, mirror_form, name_key
 
 __all__ = ["main", "run"]
 
@@ -77,24 +77,37 @@ def _series_block(series: ScalarSeries, params: dict | None) -> dict:
     return block
 
 
-def _require_printable(space: qgt.ParameterSpace, series: list[ScalarSeries]) -> None:
-    """Reject a series that Python would refuse to write: one with an integer
-    of more digits than `sys.get_int_max_str_digits()` (0, or a Python
-    without the limit: none)."""
+def _require_printable(space: qgt.ParameterSpace, what: str, numbers) -> None:
+    """Reject the model's `what` if Python would refuse to write one of its
+    `numbers`, fractions: one with an integer of more digits than
+    `sys.get_int_max_str_digits()` (0, or a Python without the limit: none)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     bound = 10**limit
-    if limit and any(max(abs(t.coeff.numerator), t.coeff.denominator) >= bound for s in series for t in s.terms):
+    if limit and any(max(abs(x.numerator), x.denominator) >= bound for x in numbers):
         raise ValueError(
-            f"the {space.name} series has a coefficient of more than {limit} digits, "
+            f"the {space.name} {what} has a coefficient of more than {limit} digits, "
             f"Python's limit for writing an integer (sys.set_int_max_str_digits)"
         )
+
+
+def _graphs(grade: dict, m: int, k_a: int):
+    """Each graph of a grade of `connected_grades` as (edge counts, weight, its entry):
+    a class's own, and its mirror, with loops moved between the taus until tau1 has k_a legs."""
+    tau1 = edge_layout(m + 2)[1][m]
+    for counts, (weight, mirror) in grade.items():
+        if weight:
+            yield counts, weight, counts
+        if mirror:
+            twin = mirror_form(counts, m)
+            shift = (k_a - twin[-3] - sum(map(twin.__getitem__, tau1))) // 2
+            yield (*twin[:-3], twin[-3] + shift, twin[-2], twin[-1] - shift), mirror, counts
 
 
 def compute_record(space: qgt.ParameterSpace, order: int, params: dict | None, show=None) -> dict:
     """The structured record of `compute`; `show` goes to `qgt.assemble`."""
     components = qgt.assemble(space, order, show)
     det, critical = qgt.determinant_and_critical(components, space.labels, order)
-    _require_printable(space, [*components.values(), det, *([critical] if critical is not None else [])])
+    _require_printable(space, "series", (t.coeff for s in (*components.values(), det, critical) if s for t in s.terms))
     blocks = {f"{a},{b}": _series_block(s, params) for (a, b), s in sorted(components.items())}
     # real deformations give G_ab = G_ba: the metric is the tensor, the curvature zero
     zero = _series_block(ScalarSeries.zero(), params)
@@ -199,14 +212,15 @@ def cmd_compute(args) -> int:
         params = {"alpha": args.alpha, "lambda": args.lambda_, "j": args.j}
     graded = {}
 
-    def show(k_a: int, k_b: int, m: int, grade: dict, sums: dict) -> None:
-        # one line per integrand graph: coefficient, edge pattern, exact wedge value from the memo
-        power, lines = args.space.power(m), graded.setdefault((k_a, k_b), [])
-        for edges, counts, coeff in sorted((edge_names(c), c, v) for c, v in grade.items()):
+    def show(k_a: int, k_b: int, m: int, grade: dict, values: dict) -> None:
+        # one line per integrand graph: coefficient, edge pattern, exact wedge value
+        power, lines, graphs = args.space.power(m), graded.setdefault((k_a, k_b), []), []
+        for counts, coeff, key in _graphs(grade, m, k_a):
+            weight = coeff * power
+            graphs.append((edge_names(counts), weight, values[key] * weight))
+        _require_printable(args.space, "series", (t.coeff for _, w, v in graphs for t in w.terms + v.terms))
+        for edges, weight, value in sorted(graphs):
             pattern = " ".join(f"D({x},{y})" for x, y in edges)
-            [value] = wedge_integrals([{counts: coeff}], m, sums)
-            weight, value = coeff * power, value * power
-            _require_printable(args.space, [weight, value])
             lines.append(f"  {weight} * {pattern} = {value}\n")
 
     record = compute_record(args.space, args.order, params, show if args.verbose else None)
@@ -252,6 +266,8 @@ def cmd_diagrams(args) -> int:
     except ValueError:
         raise ValueError("component must look like alpha,lambda")
     (k_a, _), (k_b, _) = args.space.derivative(a), args.space.derivative(b)
+    if args.order == 0 and k_a == k_b:  # before the walk: the graph linking every leg has weight k_a!
+        _require_printable(args.space, "integrand", [math.factorial(k_a)])
     out_dir = Path(args.out or ".")
     # each file's path as `out_dir / file` spells it: bare in the current directory
     prefix = os.path.join(out_dir, "") if out_dir.parts else ""
@@ -259,10 +275,12 @@ def cmd_diagrams(args) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         [grade] = connected_grades([(k_a, k_b)], args.order, args.space.potential).values()
-        for idx, counts in enumerate(sorted(grade, key=name_key), start=1):
+        graphs = {counts: weight for counts, weight, _ in _graphs(grade, args.order, k_a)}
+        _require_printable(args.space, "integrand", graphs.values())  # before the first file
+        for idx, counts in enumerate(sorted(graphs, key=name_key), start=1):
             name = f"g_{a}_{b}_order{args.order}_term{idx:02d}"
             path = f"{prefix}{name}.dot"
-            _write_file(path, connected_dot(counts, name, f"coefficient {grade[counts]}").encode())
+            _write_file(path, connected_dot(counts, name, f"coefficient {graphs[counts]}").encode())
             written.append(f"{path}\n")
     _emit("".join(written) + f"{len(written)} diagram(s) written\n", None)
     return EXIT_OK
@@ -282,6 +300,7 @@ def cmd_sweep(args) -> int:
     from .crosscheck import compare  # compiled before numpy loads: a lower peak RSS
     from . import spectral_oracle
 
+    spectral_oracle._check_degree(args.space.potential)  # before the series
     series = qgt.assemble(args.space, args.order)
     cfg = spectral_oracle.OracleConfig(args.basis_size)
     out = io.StringIO()
@@ -385,6 +404,8 @@ def _validate(args) -> None:
         args.space = qgt.ParameterSpace.parse(args.model)
     except ValueError as exc:
         raise ValueError(f"--model: {exc}") from None
+    if args.command == "compute":  # before the walk: G_lambda,lambda has longer coefficients than 1/k!
+        _require_printable(args.space, "potential", (c for _, c in args.space.potential.coefficients))
     if args.order < 0:
         raise ValueError("order must be >= 0")
     cap = os.environ.get(MAX_ORDER_ENV) or str(DEFAULT_MAX_ORDER)

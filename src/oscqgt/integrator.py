@@ -20,8 +20,8 @@ not on their order, the sum over all orders is a dynamic programme over the
 2^n subsets with two exact accumulators: plain, and with one gap marked.
 Time reversal (t -> -t, tau1 <-> tau2) keeps the orders with tau1 first, so
 a skeleton and its mirror share one sum.  One pass per call sums every
-skeleton of its grades not yet in the memo.  A zero cut on a proper subset
-means the graph is disconnected and the integral diverges.
+skeleton of its grades.  A zero cut on a proper subset means the graph is
+disconnected and the integral diverges.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import add, itemgetter, mul
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping
 
 from .scalar_algebra import DivergentIntegral, ScalarSeries, ScalarTerm
 from .wick import EdgeCounts, edge_layout, edge_names, mirrored
@@ -111,39 +111,38 @@ def _ordered_sums(batch: list[EdgeCounts], n: int) -> list[Fraction]:
     return sums
 
 
-def wedge_integrals(grades: Sequence[Mapping[EdgeCounts, Fraction]], n_vertices: int, sums: dict) -> list[ScalarSeries]:
+def wedge_integrals(grades: Mapping[Hashable, Mapping[EdgeCounts, tuple]], n_vertices: int) -> dict:
     """The exact integral over the wedge of each grade, sum_graphs coeff *
-    prod_edges D, as a series in alpha; every graph is keyed by its edge
-    counts over s_1..s_n, tau1 and tau2, for n = `n_vertices`.
+    prod_edges D, as a series in alpha; an entry is keyed by its edge counts
+    over s_1..s_n, tau1 and tau2 (n = `n_vertices`), and its coeff is its
+    weight plus its mirror weight.
 
     A loop only adds its constant, and time reversal gives a skeleton and its
-    tau1 <-> tau2 mirror one ordered sum, so the memo `sums` keeps one per
-    loop-free skeleton up to the mirror, by vertex count; it may be shared by
-    several calls.  The skeletons missing from it are summed in one pass, and
-    each alpha power adds its terms as integers over one denominator.
+    tau1 <-> tau2 mirror one ordered sum, so each skeleton up to the mirror is
+    summed once, in one pass over all the grades, and each alpha power adds
+    its terms as integers over one denominator.
     """
     n = n_vertices + 2
     size = n * (n + 1) // 2
     skeleton, mirror = _skeleton(n), mirrored(n)
-    keys, missing = [], {}
-    for graphs in grades:
+    keys, sums = [], {}
+    for graphs in grades.values():
         for counts in graphs:
             if len(counts) != size:
                 raise ValueError(f"a graph of {len(counts)} edge counts does not fit {n_vertices} vertices")
-            keys.append(key := (n, max(skeleton(counts), skeleton(mirror(counts)))))
-            if key not in sums:
-                missing.setdefault(key, counts)
-    sums.update(zip(missing, _ordered_sums(list(missing.values()), n)))
-    series, keys = [], iter(keys)
-    for graphs in grades:
+            keys.append(key := max(skeleton(counts), skeleton(mirror(counts))))
+            sums.setdefault(key, counts)
+    sums = dict(zip(sums, _ordered_sums(list(sums.values()), n)))
+    series, keys = {}, iter(keys)
+    for name, graphs in grades.items():
         terms: dict[int, list[tuple[int, int]]] = {}  # by alpha power: (numerator, denominator)
-        for (counts, coeff), key in zip(graphs.items(), keys):
+        for (counts, weights), key in zip(graphs.items(), keys):
             value, edges = sums[key], sum(counts)
-            term = (coeff.numerator * value.numerator, coeff.denominator * value.denominator << edges)
-            terms.setdefault(-edges - n, []).append(term)
+            num, den = value.numerator, value.denominator << edges  # the graph's value at unit weight
+            terms.setdefault(-edges - n, []).extend((c.numerator * num, c.denominator * den) for c in weights if c)
         totals = []
         for power, fractions in terms.items():
             lcm = math.lcm(*(d for _, d in fractions))
             totals.append(ScalarTerm(Fraction(sum(c * (lcm // d) for c, d in fractions), lcm), power))
-        series.append(ScalarSeries.from_terms(totals))
+        series[name] = ScalarSeries.from_terms(totals)
     return series

@@ -20,9 +20,9 @@ share the walk at their largest degrees (K_a, K_b): a graph of (k_a, k_b) is
 a class with p_a = (K_a - k_a)/2 loops at tau1 and p_b at tau2 removed.  A
 loop links no times and enters no rank, so the class, form and |Aut| carry
 over; l loops at tau1 scale the multiplicity by k_a!/K_a! * 2^p_a * l!/(l - p_a)!
-(likewise at tau2).  A class that also stands for its tau1 <-> tau2 mirror
-adds the mirror's weight, for integration, or its canonical graph, for a
-reader.  A grade is {edge counts: exact coefficient}, keyed by `EdgeCounts`.
+(likewise at tau2).  A grade is {edge counts: (weight, mirror weight)}:
+a class that stands for its tau1 <-> tau2 mirror too keeps the mirror's
+weight apart (0 if unpaired), and a reader builds that graph itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from math import factorial, perm, prod
 from typing import Iterable
 
 from .scalar_algebra import Frozen
-from .wick import EdgeCounts, connected_classes, mirror_form
+from .wick import EdgeCounts, connected_classes
 
 __all__ = ["PolynomialPotential", "NoGroundState", "hamiltonian_derivative", "connected_grades"]
 
@@ -112,16 +112,16 @@ def _require_ground_state(alpha: float, lam: float, potential: PolynomialPotenti
 
 
 def connected_grades(
-    pairs: Iterable[tuple[int, int]], m: int, potential: PolynomialPotential, expand: bool = True
-) -> dict[tuple[int, int], dict[EdgeCounts, Fraction]]:
+    pairs: Iterable[tuple[int, int]], m: int, potential: PolynomialPotential
+) -> dict[tuple[int, int], dict[EdgeCounts, tuple[Fraction, Fraction]]]:
     """Grade m of the connected integrand of <q^k_a(tau1) q^k_b(tau2)>_int
-    for each (k_a, k_b) in `pairs`, as {(k_a, k_b): {edge counts: coefficient}}:
-    one graph per class, weighted by (-1)^m * prod c_deg * multiplicity / |Aut|.
-    The coefficients of dH/da and dH/db are not included here.  With
-    `expand`, a `paired` class's mirror is its own graph, in canonical form;
-    without, its weight joins the class's graph, which integrates alike."""
+    for each (k_a, k_b) in `pairs`, as {(k_a, k_b): {edge counts: (weight,
+    mirror weight)}}: one entry per class, each graph weighted by (-1)^m *
+    prod c_deg * multiplicity / |Aut|, the mirror's 0 for an unpaired class.
+    A class too short of loops for the pair has weight 0 and its mirror's
+    skeleton.  The coefficients of dH/da and dH/db are not included here."""
     coefficients, groups = dict(potential.coefficients), {}
-    grades: dict[tuple[int, int], dict[EdgeCounts, Fraction]] = {pair: {} for pair in pairs}
+    grades: dict[tuple[int, int], dict[EdgeCounts, tuple[Fraction, Fraction]]] = {pair: {} for pair in pairs}
     for k_a, k_b in grades:
         groups.setdefault((k_a % 2, k_b % 2), []).append((k_a, k_b))
     for group in groups.values():
@@ -132,22 +132,19 @@ def connected_grades(
                 continue
             weight = prod(map(coefficients.get, degrees), start=Fraction((-1) ** m))
             classes = connected_classes(degrees, top_a, top_b)
-            if expand:  # each mirror as a class of its own
-                mirrors = {mirror_form(counts, m): (*kept[:2], False) for counts, kept in classes.items() if kept[2]}
-                classes = {counts: (*kept[:2], False) for counts, kept in classes.items()} | mirrors
             for k_a, k_b in group:
                 p_a, p_b, grade = (top_a - k_a) // 2, (top_b - k_b) // 2, grades[k_a, k_b]
                 scale = weight * Fraction(factorial(k_a) * factorial(k_b) << p_a + p_b, top)
                 for counts, (multiplicity, automorphisms, paired) in classes.items():
-                    ways, mirror = 1, paired
+                    ways, mirror = 1, int(paired)
                     if p_a or p_b:  # the (k_a, k_b) graph has p_a and p_b fewer loops at tau1 and tau2
                         loops_a, loops_b = counts[-3], counts[-1]
                         ways = perm(loops_a, p_a) * perm(loops_b, p_b)
-                        mirror = paired and perm(loops_b, p_a) * perm(loops_a, p_b)
+                        mirror = paired * perm(loops_b, p_a) * perm(loops_a, p_b)
                         if not ways + mirror:
                             continue
-                        q_a, q_b = (p_a, p_b) if ways else (p_b, p_a)  # else the mirror's graph, relabelled
+                        q_a, q_b = (p_a, p_b) if ways else (p_b, p_a)  # else the mirror's skeleton
                         counts = (*counts[:-3], loops_a - q_a, counts[-2], loops_b - q_b)
-                    multiplicity *= ways + mirror
-                    grade[counts] = Fraction(scale.numerator * multiplicity, scale.denominator * automorphisms)
+                    num, den = scale.numerator * multiplicity, scale.denominator * automorphisms
+                    grade[counts] = Fraction(num * ways, den), mirror and Fraction(num * mirror, den)
     return grades

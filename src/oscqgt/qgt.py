@@ -106,19 +106,22 @@ def assemble(space: ParameterSpace, order: int = 1, show=None) -> dict[tuple[str
     Each unordered pair is computed once and stored under both orders: the
     real correlators in scope are symmetric.  Grade by grade, the pairs share
     one walk and one pass of ordered sums, and the grade is dropped once
-    integrated.  `show(k_a, k_b, m, grade, sums)`, if given, sees each grade
-    after it, mirror classes expanded, with the memo of ordered sums.
+    integrated.  `show(k_a, k_b, m, grade, values)`, if given, sees each
+    grade as `connected_grades` gives it, with each entry's value at unit
+    weight from the same pass.
     """
     pairs = itertools.combinations_with_replacement(space.labels, 2)
     degrees = {(a, b): (space.derivative(a)[0], space.derivative(b)[0]) for a, b in pairs}
     top = {ks: sum(ks) - 2 if space.exact else order for ks in degrees.values()}
-    totals, sums = dict.fromkeys(top, ScalarSeries.zero()), {}
+    totals = dict.fromkeys(top, ScalarSeries.zero())
     for m in range(max(top.values()) + 1):
-        grades = connected_grades([ks for ks in top if top[ks] >= m], m, space.potential, show is not None)
-        for (ks, grade), series in zip(grades.items(), wedge_integrals(list(grades.values()), m, sums)):
-            totals[ks] += series * space.power(m)
+        grades = connected_grades([ks for ks in top if top[ks] >= m], m, space.potential)
+        units = {(ks, c): {c: (1, 0)} for ks, grade in grades.items() for c in grade} if show else {}
+        series = wedge_integrals(grades | units, m)  # one pass, which also values each graph for `show`
+        for ks, grade in grades.items():
+            totals[ks] += series[ks] * space.power(m)
             if show:
-                show(*ks, m, grade, sums)
+                show(*ks, m, grade, {c: series[ks, c] for c in grade})
     components = {}
     for (a, b), ks in degrees.items():
         components[(a, b)] = components[(b, a)] = totals[ks] * (space.derivative(a)[1] * space.derivative(b)[1])

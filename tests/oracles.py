@@ -11,7 +11,7 @@ pair's grade on its own, the reference for the shared walk of
 lists, the reference for the counts maps of `wick._class_form`, and
 `ordered_sum` runs one graph's subset DP, the reference for the batched pass
 of `integrator._ordered_sums`; `connected_integrand` builds one pair's
-integrand through the library.
+integrand through the library, each mirror class `expanded` to its own graph.
 
 The oracles below deliberately avoid the library's own enumeration and
 integration paths:
@@ -748,17 +748,38 @@ def connected_grade(k_a: int, k_b: int, m: int, potential: PolynomialPotential) 
     return grade
 
 
-def wedge_integral(graphs: Mapping[EdgeCounts, Fraction], n_vertices: int = 0, sums: dict | None = None):
-    """`integrator.wedge_integrals` of one grade, by default with a memo of its own."""
-    return wedge_integrals([graphs], n_vertices, {} if sums is None else sums)[0]
+def wedge_integral(graphs: Mapping[EdgeCounts, Fraction], n_vertices: int = 0):
+    """`integrator.wedge_integrals` of one grade given as {edge counts:
+    coefficient}, each graph an unpaired class."""
+    return wedge_integrals({None: {counts: (coeff, 0) for counts, coeff in graphs.items()}}, n_vertices)[None]
+
+
+def mirror_graph(counts: EdgeCounts, m: int, k_a: int) -> EdgeCounts:
+    """The class form of a graph's tau1 <-> tau2 mirror, with loops moved
+    between tau1 and tau2 until tau1 has k_a legs: a pair read off a larger
+    walk removes a mirror's loops at the other end."""
+    pairs, position = edge_layout(m + 2)
+    twin = list(class_form(tau_mirror(counts, m), m)[0])
+    shift = (k_a - sum(c * ((i == m) + (j == m)) for (i, j), c in zip(pairs, twin))) // 2
+    twin[position[m][m]] += shift
+    twin[position[m + 1][m + 1]] -= shift
+    return tuple(twin)
+
+
+def expanded(grade: Mapping[EdgeCounts, tuple[Fraction, Fraction]], m: int, k_a: int) -> dict[EdgeCounts, Fraction]:
+    """A grade of `perturbation.connected_grades` as {graph: coefficient}:
+    each class's graph and each paired class's `mirror_graph`."""
+    graphs = {counts: weight for counts, (weight, _) in grade.items() if weight}
+    graphs.update((mirror_graph(counts, m, k_a), mirror) for counts, (_, mirror) in grade.items() if mirror)
+    return graphs
 
 
 def qgt_component(space, a: str, b: str, order: int = 1) -> ScalarSeries:
     """One tensor component on its own: each grade of `connected_grade` up
     to the coupling truncation `order` (to k_a + k_b - 2 for a coupling
-    summed exactly), integrated by `wedge_integral` with a memo of its own,
+    summed exactly), integrated by `wedge_integral` in a pass of its own,
     times coupling^m and c_a * c_b.  The reference for `qgt.assemble`, whose
-    pairs share one walk and one mirror-keyed memo per grade."""
+    pairs share one walk and one pass of mirror-keyed ordered sums per grade."""
     (k_a, c_a), (k_b, c_b) = space.derivative(a), space.derivative(b)
     series = ScalarSeries.zero()
     for m in range(k_a + k_b - 1 if space.exact else order + 1):
@@ -768,8 +789,8 @@ def qgt_component(space, a: str, b: str, order: int = 1) -> ScalarSeries:
 
 def connected_integrand(k_a: int, k_b: int, order: int, potential: PolynomialPotential) -> GradedSum:
     """One pair's connected integrand per coupling order, from the library's
-    `connected_grades` with that pair alone."""
-    return {m: connected_grades([(k_a, k_b)], m, potential)[k_a, k_b] for m in range(order + 1)}
+    `connected_grades` with that pair alone, `expanded`."""
+    return {m: expanded(connected_grades([(k_a, k_b)], m, potential)[k_a, k_b], m, k_a) for m in range(order + 1)}
 
 
 def ordered_sum(counts: EdgeCounts, n: int) -> Fraction:

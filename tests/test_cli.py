@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -206,22 +207,27 @@ class TestCompute:
         [
             (["--model", "quartic", "--order", "3"],
              "82f289463d9ba8f671e74b7016669147ed647ee189556be8c5f024a274ca5ad5"),
+            (["--model", "quartic", "--order", "4"],
+             "f61216a1cf1e77defcc8c0f20e867da8a33fe6559eae3a1cb74f12ee63f9f57b"),
             (["--model", "linear"],
              "d0abea34e29b7d86135a9190f92135186522299850fd25423e39d017a042a6f6"),
+            # G_alpha,lambda is read off the (6, 6) walk with two loops fewer at tau1
+            (["--model", "monomial:6", "--order", "2"],
+             "559015d4b99657ce80ae53838ecd2eda86e42204df348a565bd00975de04ba22"),
         ],
     )
-    def test_verbose_dump_is_pinned(self, argv, digest, capsys):
+    def test_verbose_dump_is_pinned(self, argv, digest, capsys, monkeypatch):
         # the sha256 of the whole stderr: the order of the graphs, their
         # names, coefficients and wedge values
+        monkeypatch.setenv(cli.MAX_ORDER_ENV, "4")
         code, _, err = run(["--verbose", "compute"] + argv, capsys)
         assert code == 0
         assert hashlib.sha256(err.encode()).hexdigest() == digest
 
     def test_verbose_integrates_each_skeleton_once(self, capsys, monkeypatch):
-        # one memo of ordered sums, keyed by skeleton up to the tau1 <-> tau2
-        # mirror, serves every pair and grade, and the dump reads it: at
-        # quartic order 4 the record sums 1,030 skeletons, and with --verbose,
-        # which integrates each mirror class as its own canonical graph, 1,572
+        # one pass of ordered sums per grade, keyed by skeleton up to the
+        # tau1 <-> tau2 mirror, serves every pair, and the dump reads its
+        # values: at quartic order 4, 1,030 skeletons with --verbose or without
         from oscqgt import integrator
 
         calls = []
@@ -241,9 +247,9 @@ class TestCompute:
         assert code == 0
         assert out == plain
         assert err.startswith("# integrand g(alpha,alpha)\n")
-        assert len(calls) == 1572
+        assert len(calls) == 1030
         skeleton = {n: integrator._skeleton(n) for n, _ in calls}
-        assert len({(n, skeleton[n](counts)) for n, counts in calls}) == 1572
+        assert len({(n, skeleton[n](counts)) for n, counts in calls}) == 1030
 
     def test_work_counts_at_quartic_order_five(self, capsys, monkeypatch):
         # a lost prune of the walk or a lost share of the memo moves these:
@@ -275,6 +281,71 @@ class TestCompute:
             "invalid configuration: the monomial:1095 series has a coefficient of more than 4300 digits, "
             "Python's limit for writing an integer (sys.set_int_max_str_digits)\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["compute"], "the monomial:10000 potential has a coefficient of more than 4300 digits, "
+                          "Python's limit for writing an integer (sys.set_int_max_str_digits)"),
+            (["diagrams", "--component", "lambda,lambda"],
+             "the monomial:10000 integrand has a coefficient of more than 4300 digits, "
+             "Python's limit for writing an integer (sys.set_int_max_str_digits)"),
+            (["sweep"], "potential degree must be <= 8"),
+        ],
+        ids=["compute", "diagrams", "sweep"],
+    )
+    def test_huge_degree_is_rejected_before_the_walk(self, argv, message, tmp_path, capsys, monkeypatch):
+        # the walk at k = 10,000 runs for minutes; each command's limit comes
+        # first: the digits of 1/k!, the weight k! of the order-0 graph that
+        # links every leg, the oracle's degree
+        monkeypatch.chdir(tmp_path)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            start = time.perf_counter()
+            code, out, err = run([*argv, "--model", "monomial:10000", "--order", "0"], capsys)
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (cli.EXIT_BAD_CONFIG, "", f"invalid configuration: {message}\n")
+        assert elapsed < 2
+        assert not any(tmp_path.iterdir())
+
+    def test_diagrams_of_a_huge_degree_without_its_vertices(self, tmp_path, capsys):
+        # G_alpha,alpha at order 0 has no vertex, so no coefficient of V
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            argv = ["diagrams", "--model", "monomial:10000", "--order", "0", "--out", str(tmp_path)]
+            code, out, err = run(argv, capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.endswith("\n1 diagram(s) written\n")
+
+    def test_unwritable_diagram_writes_no_file(self, tmp_path, capsys):
+        # every coefficient is checked before the first file: at k = 1,425 a
+        # lambda,lambda graph of order 0 has a weight of more than 4,300
+        # digits, at k = 1,424 none has
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            results = {
+                k: run(["diagrams", "--model", f"monomial:{k}", "--component", "lambda,lambda", "--order", "0",
+                        "--out", str(tmp_path / str(k))], capsys)
+                for k in (1424, 1425)
+            }
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert results[1425] == (
+            cli.EXIT_BAD_CONFIG,
+            "",
+            "invalid configuration: the monomial:1425 integrand has a coefficient of more than 4300 digits, "
+            "Python's limit for writing an integer (sys.set_int_max_str_digits)\n",
+        )
+        assert list((tmp_path / "1425").iterdir()) == []
+        assert results[1424][::2] == (cli.EXIT_OK, "")
+        assert len(list((tmp_path / "1424").iterdir())) == 712
 
     def test_odd_k_series_is_flagged_formal(self, capsys):
         code, out, err = run(["compute", "--model", "monomial:3", "--format", "json"], capsys)

@@ -20,6 +20,7 @@ from oracles import (
     connected_pair_correlator,
     counts_of,
     enumerate_pairings,
+    expanded,
     full_classes,
     has_vacuum_component,
     integrand_term_lines,
@@ -27,6 +28,7 @@ from oracles import (
     kept_labelled_graphs,
     labelled_connected_integrand,
     linked_class,
+    mirror_graph,
     named,
     potential_from_dict,
     qgt_component,
@@ -431,8 +433,9 @@ class TestSharedWalk:
     @pytest.mark.parametrize("swapped", [False, True], ids=["alpha-first", "lambda-first"])
     @pytest.mark.parametrize("model,order", SHARED_WALK_CASES)
     def test_grades_equal_the_per_pair_walk(self, model, order, swapped):
-        # without `expand`, a mirror's weight joins its class's graph, which
-        # must integrate to the same series
+        # a class's weight plus its mirror's is the two graphs' weight in the
+        # per-pair walk, and integrates to the same series; expanded through
+        # `mirror_graph`, the grade is that walk graph for graph
         space = ParameterSpace.parse(model)
         labels = space.labels[::-1] if swapped else space.labels
         ks = [space.derivative(label)[0] for label in labels]
@@ -441,11 +444,16 @@ class TestSharedWalk:
         for m in range(max(top.values()) + 1):
             kept = [ks for ks in pairs if top[ks] >= m]
             grades = connected_grades(kept, m, space.potential)
-            merged = connected_grades(kept, m, space.potential, expand=False)
-            assert list(grades) == list(merged) == kept
+            assert list(grades) == kept
             for ks in kept:
-                assert grades[ks] == connected_grade(*ks, m, space.potential), (ks, m)
-                assert wedge_integral(merged[ks], m) == wedge_integral(grades[ks], m), (ks, m)
+                want = connected_grade(*ks, m, space.potential)
+                merged = {}
+                for counts, (weight, mirror) in grades[ks].items():
+                    twin = mirror_graph(counts, m, ks[0]) if mirror else None
+                    merged[counts] = weight + mirror
+                    assert merged[counts] == want.get(counts, 0) + want.get(twin, 0), (ks, m, counts)
+                assert expanded(grades[ks], m, ks[0]) == want, (ks, m)
+                assert wedge_integral(merged, m) == wedge_integral(want, m), (ks, m)
 
     @pytest.mark.parametrize("model,m", [("quartic", 3), ("monomial:3", 2), ("monomial:6", 2)])
     def test_every_ordered_pair_at_once(self, model, m):
@@ -457,7 +465,7 @@ class TestSharedWalk:
         grades = connected_grades(pairs, m, space.potential)
         assert list(grades) == pairs
         for k_a, k_b in pairs:
-            assert grades[k_a, k_b] == connected_grade(k_a, k_b, m, space.potential)
+            assert expanded(grades[k_a, k_b], m, k_a) == connected_grade(k_a, k_b, m, space.potential)
         assert connected_grades([], m, space.potential) == {}
 
     def test_one_walk_per_grade_for_even_degrees(self, monkeypatch):
